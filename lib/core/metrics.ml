@@ -5,6 +5,7 @@ module Timing_view = Mbr_sta.Timing_view
 module Synth = Mbr_cts.Synth
 module Estimator = Mbr_route.Estimator
 module Stats = Mbr_util.Stats
+module Trace = Mbr_obs.Trace
 
 type t = {
   cells : int;
@@ -31,8 +32,14 @@ let collect ?route_config ?cts_config eng lib =
   let dsg = Placement.design pl in
   let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
-  let cts = Synth.synthesize ?config:cts_config pl in
-  let route = Estimator.estimate ?config:route_config pl in
+  let cts =
+    Trace.with_span ~name:"metrics.cts" (fun () ->
+        Synth.synthesize ?config:cts_config pl)
+  in
+  let route =
+    Trace.with_span ~name:"metrics.route" (fun () ->
+        Estimator.estimate ?config:route_config pl)
+  in
   let regs = Design.registers dsg in
   let comp_regs =
     List.length (List.filter (Compat.is_composable dsg lib) regs)
@@ -44,7 +51,9 @@ let collect ?route_config ?cts_config eng lib =
        | None -> Synth.default_config.Synth.buf_area)
   in
   let power =
-    Power.estimate ~config:(Power.config_of_sta (Engine.config eng)) ~cts pl
+    Trace.with_span ~name:"metrics.power" (fun () ->
+        Power.estimate ~config:(Power.config_of_sta (Engine.config eng)) ~cts
+          ~route pl)
   in
   {
     cells = Design.n_cells dsg;

@@ -31,7 +31,13 @@ val collect :
   Mbr_liberty.Library.t ->
   t
 (** Runs STA (with whatever useful skew the engine carries), CTS and
-    the congestion estimate on the engine's placement. *)
+    the congestion estimate on the engine's placement. One CTS run and
+    one routing sweep serve the whole snapshot: {!Power.estimate} reuses
+    both (the tree's capacitance, the sweep's per-net HPWL) instead of
+    recomputing them. The three sub-passes run under the trace spans
+    ["metrics.cts"], ["metrics.route"] and ["metrics.power"], nested in
+    whichever Fig. 4 stage (["metrics-before"] / ["metrics-after"])
+    called the snapshot. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)

@@ -33,7 +33,24 @@ type report = {
 let dynamic_uw cfg ~cap ~activity =
   1000.0 *. cap *. cfg.vdd *. cfg.vdd *. activity /. cfg.clock_period
 
-let estimate ?config ?cts pl =
+(* Running sums of the signal-cap loop; all-float, so updates never
+   box. *)
+type sums = { mutable sink_caps : float; mutable signal_cap : float }
+
+(* One walk of a net's pins: adds every sink's input cap to
+   [s.sink_caps] (in pin order) and tells whether an output pin drives
+   the net. *)
+let rec walk_pins dsg s driven = function
+  | [] -> driven
+  | pid :: rest ->
+    if (Design.pin dsg pid).Types.p_dir = Types.Output then
+      walk_pins dsg s true rest
+    else begin
+      s.sink_caps <- s.sink_caps +. Design.pin_cap dsg pid;
+      walk_pins dsg s driven rest
+    end
+
+let estimate ?config ?cts ?route pl =
   let cfg =
     match config with
     | Some c -> c
@@ -43,28 +60,28 @@ let estimate ?config ?cts pl =
   let cts =
     match cts with Some c -> c | None -> Synth.synthesize pl
   in
+  let route =
+    match route with Some r -> r | None -> Estimator.estimate pl
+  in
   let clock_power = dynamic_uw cfg ~cap:cts.Synth.total_cap ~activity:1.0 in
-  let signal_cap = ref 0.0 in
+  let s = { sink_caps = 0.0; signal_cap = 0.0 } in
   for nid = 0 to Design.n_nets dsg - 1 do
     let n = Design.net dsg nid in
-    if (not n.Types.n_is_clock) && Design.driver dsg nid <> None then begin
-      let pin_caps =
-        List.fold_left
-          (fun acc pid -> acc +. Design.pin_cap dsg pid)
-          0.0 (Design.sinks dsg nid)
-      in
-      signal_cap := !signal_cap +. pin_caps +. (cfg.wire_cap *. Estimator.net_hpwl pl nid)
+    if not n.Types.n_is_clock then begin
+      s.sink_caps <- 0.0;
+      if walk_pins dsg s false n.Types.n_pins then
+        s.signal_cap <-
+          s.signal_cap +. s.sink_caps
+          +. (cfg.wire_cap *. route.Estimator.net_hpwl.(nid))
     end
   done;
-  let signal_power = dynamic_uw cfg ~cap:!signal_cap ~activity:cfg.data_activity in
+  let signal_power = dynamic_uw cfg ~cap:s.signal_cap ~activity:cfg.data_activity in
+  (* only registers leak in this model *)
   let leakage_power =
     List.fold_left
       (fun acc cid ->
-        match (Design.cell dsg cid).Types.c_kind with
-        | Types.Register a -> acc +. a.Types.lib_cell.Mbr_liberty.Cell.leakage
-        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
-          acc)
-      0.0 (Design.live_cells dsg)
+        acc +. (Design.reg_attrs dsg cid).Types.lib_cell.Mbr_liberty.Cell.leakage)
+      0.0 (Design.registers dsg)
     /. 1000.0
   in
   let dynamic = clock_power +. signal_power in

@@ -29,9 +29,18 @@ type report = {
 }
 
 val estimate :
-  ?config:config -> ?cts:Mbr_cts.Synth.result -> Mbr_place.Placement.t -> report
+  ?config:config ->
+  ?cts:Mbr_cts.Synth.result ->
+  ?route:Mbr_route.Estimator.result ->
+  Mbr_place.Placement.t ->
+  report
 (** Uses the current placement for wire lengths and the current netlist
     for pin caps and leakage; clock capacitance comes from a CTS run on
     the current sinks. Pass [?cts] to reuse a tree already synthesized
-    for the same placement instead of synthesizing a second one —
-    {!Metrics.collect} does, which halves the CTS work per snapshot. *)
+    for the same placement instead of synthesizing a second one, and
+    [?route] to reuse a routing estimate of the same placement: each
+    signal net's wire cap is [wire_cap] × its HPWL, read from the
+    estimate's [net_hpwl] (computed when absent). {!Metrics.collect}
+    passes both, so a snapshot runs one CTS and one net sweep. The
+    signal-cap loop walks each net's pin list once, for the driver and
+    the sinks' input caps together. *)

@@ -49,6 +49,33 @@ let node_at = function Sink s -> s.at | Buffer b -> b.at
 
 let node_cap cfg = function Sink s -> s.cap | Buffer _ -> cfg.buf_input_cap
 
+(* Bounding box of a node set; all-float, so [extend] never boxes. *)
+type bounds = {
+  mutable lo_x : float;
+  mutable hi_x : float;
+  mutable lo_y : float;
+  mutable hi_y : float;
+}
+
+let extend b (p : Point.t) =
+  b.lo_x <- Float.min b.lo_x p.x;
+  b.hi_x <- Float.max b.hi_x p.x;
+  b.lo_y <- Float.min b.lo_y p.y;
+  b.hi_y <- Float.max b.hi_y p.y
+
+(* Lexicographic (x, y) / (y, x) orders on node positions, each
+   coordinate under [Float.compare]'s total order. [List.stable_sort]
+   keeps ties in input order, so the split is deterministic. *)
+let compare_xy a b =
+  let p = node_at a and q = node_at b in
+  let c = Float.compare p.Point.x q.Point.x in
+  if c <> 0 then c else Float.compare p.Point.y q.Point.y
+
+let compare_yx a b =
+  let p = node_at a and q = node_at b in
+  let c = Float.compare p.Point.y q.Point.y in
+  if c <> 0 then c else Float.compare p.Point.x q.Point.x
+
 (* Median bisection of nodes along the wider axis until each group
    respects fanout and cap limits. *)
 let rec split_groups cfg nodes =
@@ -59,19 +86,14 @@ let rec split_groups cfg nodes =
     match nodes with
     | [] | [ _ ] -> [ nodes ]
     | _ ->
-      let pts = List.map node_at nodes in
-      let xs = List.map (fun (p : Point.t) -> p.x) pts in
-      let ys = List.map (fun (p : Point.t) -> p.y) pts in
-      let spread vs =
-        List.fold_left Float.max neg_infinity vs
-        -. List.fold_left Float.min infinity vs
+      let b =
+        { lo_x = infinity; hi_x = neg_infinity; lo_y = infinity; hi_y = neg_infinity }
       in
-      let use_x = spread xs >= spread ys in
-      let key n =
-        let p = node_at n in
-        if use_x then (p.Point.x, p.Point.y) else (p.Point.y, p.Point.x)
+      List.iter (fun n -> extend b (node_at n)) nodes;
+      let use_x = b.hi_x -. b.lo_x >= b.hi_y -. b.lo_y in
+      let sorted =
+        List.stable_sort (if use_x then compare_xy else compare_yx) nodes
       in
-      let sorted = List.stable_sort (fun a b -> compare (key a) (key b)) nodes in
       let half = (List.length sorted + 1) / 2 in
       let rec take k acc = function
         | rest when k = 0 -> (List.rev acc, rest)

@@ -33,35 +33,58 @@ let nx t = t.nx
 
 let ny t = t.ny
 
-let clamp lo hi v = max lo (min hi v)
+let imin (a : int) b = if a < b then a else b
 
-let tile_of t (p : Point.t) =
-  let i = int_of_float ((p.x -. t.core.Rect.lx) /. t.gcell) in
-  let j = int_of_float ((p.y -. t.core.Rect.ly) /. t.gcell) in
-  (clamp 0 (t.nx - 1) i, clamp 0 (t.ny - 1) j)
+let imax (a : int) b = if a > b then a else b
 
-let add_h_segment t ~y ~x0 ~x1 ~demand =
-  let i0, j = tile_of t (Point.make (Float.min x0 x1) y) in
-  let i1, _ = tile_of t (Point.make (Float.max x0 x1) y) in
-  for i = i0 to i1 - 1 do
-    t.h_dem.(j).(i) <- t.h_dem.(j).(i) +. demand
+(* [v] clamped into [0, n-1] *)
+let clamp n (v : int) = if v < 0 then 0 else if v >= n then n - 1 else v
+
+let[@inline] tile_x t x = clamp t.nx (int_of_float ((x -. t.core.Rect.lx) /. t.gcell))
+
+let[@inline] tile_y t y = clamp t.ny (int_of_float ((y -. t.core.Rect.ly) /. t.gcell))
+
+let col t (p : Point.t) = tile_x t p.x
+
+let row t (p : Point.t) = tile_y t p.y
+
+let tile_of t p = (col t p, row t p)
+
+(* Demand on the horizontal edges of tile row [j] between tile columns
+   [i0] and [i1] (either order), and on the vertical edges of tile
+   column [i] between rows [j0] and [j1]. Inlined so a caller's float
+   [demand] never needs boxing. *)
+let[@inline] h_run t ~j ~i0 ~i1 demand =
+  let edges = t.h_dem.(j) in
+  for i = imin i0 i1 to imax i0 i1 - 1 do
+    edges.(i) <- edges.(i) +. demand
   done
+
+let[@inline] v_run t ~i ~j0 ~j1 demand =
+  for j = imin j0 j1 to imax j0 j1 - 1 do
+    let edges = t.v_dem.(j) in
+    edges.(i) <- edges.(i) +. demand
+  done
+
+(* The tile map is monotone, so the tiles of a segment's min/max
+   coordinates are the min/max of its end tiles. *)
+let add_h_segment t ~y ~x0 ~x1 ~demand =
+  h_run t ~j:(tile_y t y) ~i0:(tile_x t x0) ~i1:(tile_x t x1) demand
 
 let add_v_segment t ~x ~y0 ~y1 ~demand =
-  let i, j0 = tile_of t (Point.make x (Float.min y0 y1)) in
-  let _, j1 = tile_of t (Point.make x (Float.max y0 y1)) in
-  for j = j0 to j1 - 1 do
-    t.v_dem.(j).(i) <- t.v_dem.(j).(i) +. demand
-  done
+  v_run t ~i:(tile_x t x) ~j0:(tile_y t y0) ~j1:(tile_y t y1) demand
 
-let route_l t (a : Point.t) (b : Point.t) ~demand =
+let route_l_tiles t ~ai ~aj ~bi ~bj ~demand =
   let half = demand /. 2.0 in
-  (* lower L: horizontal at a.y then vertical at b.x *)
-  add_h_segment t ~y:a.y ~x0:a.x ~x1:b.x ~demand:half;
-  add_v_segment t ~x:b.x ~y0:a.y ~y1:b.y ~demand:half;
-  (* upper L: vertical at a.x then horizontal at b.y *)
-  add_v_segment t ~x:a.x ~y0:a.y ~y1:b.y ~demand:half;
-  add_h_segment t ~y:b.y ~x0:a.x ~x1:b.x ~demand:half
+  (* lower L: horizontal at a's row then vertical at b's column *)
+  h_run t ~j:aj ~i0:ai ~i1:bi half;
+  v_run t ~i:bi ~j0:aj ~j1:bj half;
+  (* upper L: vertical at a's column then horizontal at b's row *)
+  v_run t ~i:ai ~j0:aj ~j1:bj half;
+  h_run t ~j:bj ~i0:ai ~i1:bi half
+
+let route_l t a b ~demand =
+  route_l_tiles t ~ai:(col t a) ~aj:(row t a) ~bi:(col t b) ~bj:(row t b) ~demand
 
 let fold_edges t f init =
   let acc = ref init in

@@ -23,6 +23,12 @@ val ny : t -> int
 val tile_of : t -> Mbr_geom.Point.t -> int * int
 (** Clamped tile coordinates of a point. *)
 
+val col : t -> Mbr_geom.Point.t -> int
+(** [fst (tile_of t p)] without the tuple; monotone in [p.x]. *)
+
+val row : t -> Mbr_geom.Point.t -> int
+(** [snd (tile_of t p)] without the tuple; monotone in [p.y]. *)
+
 val add_h_segment : t -> y:float -> x0:float -> x1:float -> demand:float -> unit
 (** Accumulate demand on every horizontal edge crossed by the segment. *)
 
@@ -31,6 +37,13 @@ val add_v_segment : t -> x:float -> y0:float -> y1:float -> demand:float -> unit
 val route_l : t -> Mbr_geom.Point.t -> Mbr_geom.Point.t -> demand:float -> unit
 (** L-shaped route between two points; demand is split half/half over
     the lower-L and upper-L bends so the estimate is unbiased. *)
+
+val route_l_tiles :
+  t -> ai:int -> aj:int -> bi:int -> bj:int -> demand:float -> unit
+(** {!route_l} between two points already mapped to tiles
+    ([(ai, aj)] and [(bi, bj)], as {!col}/{!row} return them):
+    callers routing many branches from one point map each point once.
+    [route_l t a b] is [route_l_tiles] on the tiles of [a] and [b]. *)
 
 val overflow_edges : t -> int
 (** Edges with demand strictly above capacity. *)

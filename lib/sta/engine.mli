@@ -107,11 +107,12 @@ val refresh : ?rebuild_threshold:float -> t -> unit
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added or removed, when a new arc contradicts
     the existing topological order, or when the touched-pin estimate
-    exceeds [rebuild_threshold] (default 0.25) of the graph's pins —
-    the incremental splice costs ~10x more per touched pin than the
-    batched full build, so bulk edit batches (e.g. a whole composition
-    pass) are cheaper to rebuild while localized ECOs stay on the
-    incremental path.
+    exceeds [rebuild_threshold] (default 0.6) of the graph's pins.
+    The splice repairs arrivals/requireds with the same mark-skip scans
+    as the skew sweeps, so its break-even against the batched full
+    build sits above half the graph: composition-scale batches (a merge
+    pass dirties ~half the pins) stay on the incremental path and only
+    wholesale rewrites rebuild.
 
     Telemetry (no-op unless [Mbr_obs] is enabled): each non-trivial
     call runs under an ["sta.refresh"] trace span; the registry

@@ -8,7 +8,10 @@
    - an engine analyzing one unit-derate corner is bit-identical to
      the default (pre-corner) engine, through builds AND refreshes —
      the corner-indexed arrays are a pure generalization, never a
-     numeric drift. *)
+     numeric drift;
+   - the single-sweep QoR pass behind [Metrics.collect] is bit-identical
+     to the pre-change pass kept in [Qor_reference] — every field,
+     floats compared by their bits. *)
 
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
@@ -23,6 +26,11 @@ module G = Mbr_designgen.Generate
 module P = Mbr_designgen.Profile
 module Eco = Mbr_designgen.Eco
 module Rng = Mbr_util.Rng
+module Metrics = Mbr_core.Metrics
+module Flow = Mbr_core.Flow
+module Estimator = Mbr_route.Estimator
+module Synth = Mbr_cts.Synth
+module Reference = Qor_reference
 
 let blocker_index_of graph =
   let idx = Spatial.create () in
@@ -300,6 +308,173 @@ let parallel_corners_match_serial =
       done;
       true)
 
+(* ---- QoR pass = pre-change reference, bit for bit ---- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Names (with both values) of the [Metrics.t] fields that differ; all
+   17 fields, floats by their bits. *)
+let metrics_mismatches (a : Metrics.t) (b : Metrics.t) =
+  let f name x y =
+    if same_bits x y then [] else [ Printf.sprintf "%s %h <> %h" name x y ]
+  in
+  let i name x y =
+    if x = y then [] else [ Printf.sprintf "%s %d <> %d" name x y ]
+  in
+  let corners =
+    if
+      List.length a.Metrics.corners = List.length b.Metrics.corners
+      && List.for_all2
+           (fun (n, w, t) (n', w', t') -> n = n' && same_bits w w' && same_bits t t')
+           a.Metrics.corners b.Metrics.corners
+    then []
+    else [ "corners" ]
+  in
+  List.concat
+    [
+      i "cells" a.cells b.cells;
+      f "area" a.area b.area;
+      f "clk_wl" a.clk_wl b.clk_wl;
+      f "other_wl" a.other_wl b.other_wl;
+      i "total_regs" a.total_regs b.total_regs;
+      i "comp_regs" a.comp_regs b.comp_regs;
+      i "clk_bufs" a.clk_bufs b.clk_bufs;
+      f "clk_cap" a.clk_cap b.clk_cap;
+      f "clk_power" a.clk_power b.clk_power;
+      f "clk_power_frac" a.clk_power_frac b.clk_power_frac;
+      f "tns" a.tns b.tns;
+      f "wns" a.wns b.wns;
+      i "failing" a.failing b.failing;
+      i "endpoints" a.endpoints b.endpoints;
+      i "ovfl" a.ovfl b.ovfl;
+      f "utilization" a.utilization b.utilization;
+      corners;
+    ]
+
+(* The three sub-passes against their references: the route estimate
+   (old fields by their bits, [net_hpwl] per net against the old
+   per-net HPWL) and the CTS tree (structurally: same tree, same
+   order). *)
+let pass_mismatches ?route_config pl =
+  let dsg = Mbr_place.Placement.design pl in
+  let r = Estimator.estimate ?config:route_config pl in
+  let r0 = Reference.Route.estimate ?config:route_config pl in
+  let route =
+    List.concat
+      [
+        (if same_bits r.Estimator.signal_wl r0.Reference.Route.signal_wl then []
+         else [ "route.signal_wl" ]);
+        (if r.Estimator.overflow_edges = r0.Reference.Route.overflow_edges then []
+         else [ "route.overflow_edges" ]);
+        (if same_bits r.Estimator.max_utilization r0.Reference.Route.max_utilization
+         then []
+         else [ "route.max_utilization" ]);
+        (if r.Estimator.n_routed_nets = r0.Reference.Route.n_routed_nets then []
+         else [ "route.n_routed_nets" ]);
+      ]
+  in
+  let hpwl = ref [] in
+  for nid = Design.n_nets dsg - 1 downto 0 do
+    let expect =
+      if (Design.net dsg nid).Mbr_netlist.Types.n_is_clock then 0.0
+      else Reference.Route.net_hpwl pl nid
+    in
+    if not (same_bits r.Estimator.net_hpwl.(nid) expect) then
+      hpwl := Printf.sprintf "route.net_hpwl.(%d)" nid :: !hpwl;
+    if not (same_bits (Estimator.net_hpwl pl nid) (Reference.Route.net_hpwl pl nid))
+    then hpwl := Printf.sprintf "net_hpwl %d" nid :: !hpwl;
+    if
+      not
+        (same_bits (Estimator.net_star_wl pl nid)
+           (Reference.Route.net_star_wl pl nid))
+    then hpwl := Printf.sprintf "net_star_wl %d" nid :: !hpwl
+  done;
+  let cts =
+    if Synth.synthesize pl = Reference.Cts.synthesize pl then [] else [ "cts tree" ]
+  in
+  route @ !hpwl @ cts
+
+(* A fresh snapshot and everything in it that differs from the
+   reference. *)
+let snapshot_mismatches ?route_config eng lib =
+  let m = Metrics.collect ?route_config eng lib in
+  let m0 = Reference.collect ?route_config eng lib in
+  (m, metrics_mismatches m m0 @ pass_mismatches ?route_config (Engine.placement eng))
+
+let check_snapshot ~what eng lib =
+  match snapshot_mismatches eng lib with
+  | _, [] -> ()
+  | _, bad -> QCheck.Test.fail_reportf "%s: %s" what (String.concat "; " bad)
+
+(* Seeded designs: every case runs tiny and D1–D5 at reduced scale
+   with their seeds shifted, so each profile's structure (high-fanout
+   reset/scan nets, D3's dense placement, D4's wide MBRs) meets the
+   pass on every run. *)
+let metrics_match_reference =
+  QCheck.Test.make ~name:"Metrics.collect = pre-change reference (bits)"
+    ~count:3
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let profiles =
+        P.tiny ~seed:(seed mod 37)
+        :: List.map
+             (fun p -> { (P.scaled p 0.2) with P.seed = p.P.seed + seed })
+             P.all
+      in
+      List.iter
+        (fun p ->
+          let g = G.generate p in
+          let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+          check_snapshot ~what:(Printf.sprintf "%s seed %d" p.P.name seed) eng
+            g.G.library)
+        profiles;
+      true)
+
+(* ECO sequences: after every perturb + recompose the session's own
+   after-snapshot, and a fresh collect on its engine, both equal the
+   reference — through cache invalidations, tombstoned registers,
+   fresh scan hop nets and skewed timing. *)
+let recompose_metrics_match_reference =
+  QCheck.Test.make ~name:"recompose snapshots = pre-change reference (bits)"
+    ~count:6
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p =
+        if seed mod 2 = 0 then P.scaled (P.tiny ~seed:(seed mod 37)) 2.0
+        else { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + seed }
+      in
+      let g = G.generate p in
+      let session =
+        Flow.Session.create ~design:g.G.design ~placement:g.G.placement
+          ~library:g.G.library ~sta_config:g.G.sta_config ()
+      in
+      let rng = Rng.create ((seed * 7) + 1) in
+      for round = 0 to 3 do
+        if round > 0 then ignore (Eco.perturb rng g);
+        let r = Flow.Session.recompose session in
+        let what = Printf.sprintf "%s seed %d round %d" p.P.name seed round in
+        let eng = Flow.Session.engine session in
+        let m0 = Reference.collect eng g.G.library in
+        (match metrics_mismatches r.Flow.after m0 with
+        | [] -> ()
+        | bad ->
+          QCheck.Test.fail_reportf "%s (after-snapshot): %s" what
+            (String.concat "; " bad));
+        check_snapshot ~what eng g.G.library
+      done;
+      true)
+
+(* A congested design: a tight routing grid puts demand over capacity,
+   so overflow counting and max utilisation are compared where they
+   are non-trivial, not only at 0. *)
+let congested_matches_reference () =
+  let g = G.generate (P.scaled P.d3 0.3) in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  let route_config = { Estimator.gcell = 8.0; cap_h = 4.0; cap_v = 3.0 } in
+  let m, bad = snapshot_mismatches ~route_config eng g.G.library in
+  Alcotest.(check (list string)) "no field differs" [] bad;
+  Alcotest.(check bool) "overflow present" true (m.Metrics.ovfl > 0)
+
 let () =
   Alcotest.run "mbr.equivalence"
     [
@@ -313,4 +488,11 @@ let () =
         ] );
       ( "corners",
         [ QCheck_alcotest.to_alcotest unit_corner_matches_default ] );
+      ( "qor",
+        [
+          QCheck_alcotest.to_alcotest metrics_match_reference;
+          QCheck_alcotest.to_alcotest recompose_metrics_match_reference;
+          Alcotest.test_case "congested design = reference" `Quick
+            congested_matches_reference;
+        ] );
     ]

@@ -11,6 +11,7 @@ module Library = Mbr_liberty.Library
 module Presets = Mbr_liberty.Presets
 module Floorplan = Mbr_place.Floorplan
 module Placement = Mbr_place.Placement
+module Reference = Qor_reference
 
 let check = Alcotest.(check bool)
 
@@ -158,6 +159,97 @@ let test_star_center_median () =
      median pin ~= 50 total in x *)
   check "around 50" true (wl > 45.0 && wl < 56.0)
 
+(* ---- the single net sweep against the pre-change estimator ---- *)
+
+(* One signal net over port pins at exact coordinates (a port is a
+   zero-size cell, so its pin sits on its corner): the first point
+   drives, the rest load. *)
+let port_net pts =
+  let d = Design.create ~name:"ports" in
+  let n = Design.add_net d "n" in
+  let fp = Floorplan.make ~core ~row_height:1.2 ~site_width:0.2 in
+  let pl = Placement.create fp d in
+  List.iteri
+    (fun i (x, y) ->
+      let dir = if i = 0 then Types.In_port else Types.Out_port in
+      let c = Design.add_port d (Printf.sprintf "p%d" i) dir n in
+      Placement.set pl c (Point.make x y))
+    pts;
+  (pl, n)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every field of the estimate, floats by their bits, equals the
+   reference; so do the per-net HPWL and star wirelength. *)
+let check_reference ?config pl n =
+  let r = Estimator.estimate ?config pl in
+  let r0 = Reference.Route.estimate ?config pl in
+  check "signal_wl bits" true
+    (same_bits r.Estimator.signal_wl r0.Reference.Route.signal_wl);
+  checki "overflow edges" r0.Reference.Route.overflow_edges r.Estimator.overflow_edges;
+  check "max utilization bits" true
+    (same_bits r.Estimator.max_utilization r0.Reference.Route.max_utilization);
+  checki "routed nets" r0.Reference.Route.n_routed_nets r.Estimator.n_routed_nets;
+  check "net_hpwl bits" true
+    (same_bits r.Estimator.net_hpwl.(n) (Reference.Route.net_hpwl pl n));
+  check "star wl bits" true
+    (same_bits (Estimator.net_star_wl pl n) (Reference.Route.net_star_wl pl n));
+  r
+
+(* Deterministic scatter, some points repeated. *)
+let scatter ?(salt = 0) k =
+  List.init k (fun i ->
+      let h = ((i * 7919) + (salt * 104729) + 13) mod 1009 in
+      (float_of_int (h mod 97) +. 0.25, float_of_int (h mod 89) +. 0.5))
+
+let tight = { Estimator.gcell = 10.0; cap_h = 0.75; cap_v = 0.75 }
+
+let test_even_pin_count () =
+  (* 4 pins: the median is the mean of the middle two, x = (10+30)/2;
+     the star length is the same anywhere between them, so only the
+     grid sees where the centre lands *)
+  let pl, n = port_net [ (0.0, 5.0); (10.0, 5.0); (30.0, 5.0); (70.0, 5.0) ] in
+  let r = check_reference pl n in
+  checkf "star wl" (20.0 +. 10.0 +. 10.0 +. 50.0) r.Estimator.signal_wl;
+  checkf "hpwl" 70.0 r.Estimator.net_hpwl.(n);
+  (* many even-sized nets on a tight grid: an off-by-one centre tile
+     changes which edges overflow *)
+  for salt = 1 to 60 do
+    List.iter
+      (fun k ->
+        let pl, n = port_net (scatter ~salt k) in
+        ignore (check_reference ~config:tight pl n))
+      [ 2; 4; 6; 8 ]
+  done
+
+let test_large_net () =
+  (* above the insertion-sort cutoff: heapsort path, odd and even k *)
+  List.iter
+    (fun k ->
+      let pl, n = port_net (scatter k) in
+      let r = check_reference pl n in
+      checki "one routed net" 1 r.Estimator.n_routed_nets)
+    [ 17; 40; 41; 600 ]
+
+let test_pins_outside_core () =
+  (* pins left of, below, right of and above the core: tiles clamp to
+     the border, the wirelength still counts the full distance *)
+  let pl, n =
+    port_net [ (-25.0, 50.0); (150.0, 50.0); (50.0, -5.0); (50.0, 180.0); (3.0, 3.0) ]
+  in
+  let r = check_reference ~config:{ Estimator.gcell = 10.0; cap_h = 0.5; cap_v = 0.5 } pl n in
+  check "overflow on clamped routes" true (r.Estimator.overflow_edges > 0);
+  checkf "hpwl spans outside" (175.0 +. 185.0) r.Estimator.net_hpwl.(n)
+
+let test_coincident_pins () =
+  let pl, n = port_net [ (42.0, 17.0); (42.0, 17.0); (42.0, 17.0) ] in
+  let r = check_reference pl n in
+  checkf "no wire" 0.0 r.Estimator.signal_wl;
+  checkf "no hpwl" 0.0 r.Estimator.net_hpwl.(n);
+  checki "still routed" 1 r.Estimator.n_routed_nets;
+  let pl, n = port_net [ (5.0, 5.0); (5.0, 5.0); (65.0, 45.0); (65.0, 45.0) ] in
+  ignore (check_reference pl n)
+
 let () =
   Alcotest.run "mbr_route"
     [
@@ -178,5 +270,12 @@ let () =
           Alcotest.test_case "empty design" `Quick test_estimate_empty_design;
           Alcotest.test_case "unplaced skipped" `Quick test_unplaced_pins_skipped;
           Alcotest.test_case "median star center" `Quick test_star_center_median;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "even pin count" `Quick test_even_pin_count;
+          Alcotest.test_case "large net (heapsort)" `Quick test_large_net;
+          Alcotest.test_case "pins outside the core" `Quick test_pins_outside_core;
+          Alcotest.test_case "coincident pins" `Quick test_coincident_pins;
         ] );
     ]

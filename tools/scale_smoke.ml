@@ -16,8 +16,16 @@
    batched propagation is exactly the kind of win a quadratic slip
    would silently undo while hiding inside the total wall headroom.
 
-   Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB] [SKEW_CEILING_S]
-   Defaults: 8.0, 180 s, 2048 MB, 20 s. *)
+   The QoR metrics passes (metrics-before + metrics-after, ~0.8 s at
+   scale 8 on a 2-vCPU host) get one too, with the same ~10x
+   headroom: the single net sweep behind them sorts every net's pin
+   coordinates, and the reset and scan-enable nets grow with scale, so
+   a sort or pin walk that slips a complexity class shows up here
+   first.
+
+   Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
+            [SKEW_CEILING_S] [METRICS_CEILING_S]
+   Defaults: 8.0, 180 s, 2048 MB, 20 s, 8 s. *)
 
 module P = Mbr_designgen.Profile
 module G = Mbr_designgen.Generate
@@ -31,6 +39,7 @@ let () =
   let wall_ceiling = arg 2 180.0 in
   let rss_ceiling = arg 3 2048.0 in
   let skew_ceiling = arg 4 20.0 in
+  let metrics_ceiling = arg 5 8.0 in
   let p = P.scaled P.d1 scale in
   Printf.printf "scale-smoke: scale %.1f (%d registers), jobs 1\n%!" scale
     p.P.n_registers;
@@ -46,16 +55,25 @@ let () =
     "scale-smoke: wall %.1f s (flow %.1f s), merges %d, peak rss %s\n%!" wall
     r.Mbr_core.Flow.runtime_s r.Mbr_core.Flow.n_merges
     (match rss with Some m -> Printf.sprintf "%.0f MB" m | None -> "n/a");
-  let skew_s =
-    match List.assoc_opt "skew" r.Mbr_core.Flow.stage_times with
+  let stage_s name =
+    match List.assoc_opt name r.Mbr_core.Flow.stage_times with
     | Some s -> s
     | None -> 0.0
   in
-  Printf.printf "scale-smoke: skew stage %.2f s\n%!" skew_s;
+  let skew_s = stage_s "skew" in
+  let metrics_s = stage_s "metrics-before" +. stage_s "metrics-after" in
+  Printf.printf "scale-smoke: skew stage %.2f s, metrics stages %.2f s\n%!"
+    skew_s metrics_s;
   let failed = ref false in
   if skew_s > skew_ceiling then begin
     Printf.printf "scale-smoke: FAIL skew stage %.2f s > ceiling %.0f s\n%!"
       skew_s skew_ceiling;
+    failed := true
+  end;
+  if metrics_s > metrics_ceiling then begin
+    Printf.printf
+      "scale-smoke: FAIL metrics stages %.2f s > ceiling %.0f s\n%!"
+      metrics_s metrics_ceiling;
     failed := true
   end;
   if wall > wall_ceiling then begin
