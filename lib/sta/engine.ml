@@ -151,40 +151,40 @@ type plan_scratch = {
 
 type plan = {
   pl_struct_gen : int;
-  mutable pl_delay_gen : int;
-      (* delays can be refilled in place when only [delay_gen] moved
-         (an [analyze] absorbing placement moves): the CSR layout is
-         keyed by [pl_struct_gen] alone *)
+  pl_delay_gen : int;
+      (* the plan is current while both generations match the engine's;
+         a [struct_gen] move alone (a refresh) is patched from the
+         engine's dirty-pin flags, a [delay_gen] move (an [analyze]
+         absorbing placement moves) rebuilds *)
   pl_nc : int;
   pl_level : int array;
       (* forward topological level per pin (-1 outside the graph);
          every arc strictly increases the level, so the pins of one
-         level are mutually independent in both directions *)
+         level are mutually independent in both directions. Its length
+         is the pin count the plan covers. *)
   pl_n_levels : int;
   (* CSR adjacency with the per-corner derated delays flattened
      alongside (entry-major: pred entry [j]'s corner-[k] delay sits at
      [j * nc + k]) — the propagation loops stream flat int/float
      arrays instead of chasing [edge list] cons cells; each direction
-     streams its own delay image sequentially *)
+     streams its own delay image sequentially. The succ side is the
+     transpose of the pred side (a pin's succ entries in ascending
+     destination order). *)
   pr_off : int array;
   pr_src : int array;
   pr_cell : Bytes.t;
-      (* per pred entry, 1 when the arc is a cell arc — lets the delay
-         refill stream the CSR without touching the edge records *)
+      (* per pred entry, 1 when the arc is a cell arc *)
   pr_delay : float array;
   su_off : int array;
   su_dst : int array;
   su_delay : float array;
-  su_pr : int array;
-      (* per succ entry, the pred-CSR entry of the same arc — used only
-         by the delay refill to gather [su_delay] from [pr_delay]; the
-         hot backward passes never touch it *)
   (* startpoint launch = skew(st_cell) + st_base (st_base alone for
      skewless startpoints); endpoint required =
      (clock_period + skew(ep_cell)) - ep_term (period - ep_term when
      skewless). Float op order matches [launch_arrival] /
      [endpoint_required] exactly, so recomputed values are
-     bit-identical. *)
+     bit-identical. [st_cell]/[ep_cell] name the register behind a
+     Q/D pin (-1 for ports). *)
   st_slot : int array;
   st_cell : int array;
   st_base : float array;
@@ -205,6 +205,10 @@ type t = {
   mutable corners : Corner.t array;
   mutable n : int; (* pin count covered by the arrays below *)
   mutable in_graph : bool array;
+  mutable role : Bytes.t;
+      (* per pin, its [pin_role] as of joining the graph (fixed for the
+         pin's life): tells a register's Q and D pins apart without a
+         design lookup *)
   mutable succs : edge list array;
   mutable preds : edge list array;
   mutable topo : Types.pin_id array;
@@ -216,11 +220,10 @@ type t = {
   mutable endpoints : (Types.pin_id * endpoint_kind) list;
   mutable net_arcs : (Types.net_id, (Types.pin_id * Types.pin_id) list) Hashtbl.t;
       (** net arcs currently spliced into succs/preds, per net *)
-  skews : (Types.cell_id, float) Hashtbl.t;
   mutable skew_dense : float array;
-      (* dense mirror of [skews] (0.0 = unset, the default): the
-         propagation passes read a skew per start/endpoint per pass, and
-         an array load there beats a Hashtbl probe *)
+      (* useful skew per cell id (0.0 = unset, the default), grown on
+         demand: the propagation passes read a skew per start/endpoint
+         per pass *)
   mutable arrival : plane;
       (* corner-interleaved: one flat float64 plane indexed
          [pid * nc + k], so all corners of a pin share a cache line and
@@ -235,6 +238,14 @@ type t = {
          outside an [analyze] (rebuild, grow, incremental refresh);
          with [delay_gen] it keys the propagation plan's validity *)
   mutable plan : plan option;
+  mutable plan_dirty : Bytes.t;
+      (* per pin, 1 when the pin's incoming arcs, launch base or setup
+         term may differ from what [plan] holds: every pin a refresh
+         marked since the plan was made, plus pins that left or joined
+         the graph. The next plan patch re-derives exactly these pins
+         and clears the flags. *)
+  mutable n_plan_builds : int;
+  mutable n_plan_patches : int;
   mutable reg_cache : (int * Types.cell_id array * int array) option;
       (* design revision, registers in [Design.registers] order, dense
          cell-id -> slot map (-1 for non-registers) *)
@@ -253,6 +264,14 @@ type t = {
   mutable nl_cache : float array;
   mutable nl_stamp : int array;
   mutable nl_epoch : int;
+  (* Pin geometry memo for plan making, stamped with the same epoch:
+     [pg_stamp] is [nl_epoch] when the pin is placed (location and cap
+     resolved), [-nl_epoch] when it is not. A net driver with fanout f
+     is otherwise resolved once per arc. *)
+  mutable pg_x : float array;
+  mutable pg_y : float array;
+  mutable pg_cap : float array;
+  mutable pg_stamp : int array;
 }
 
 exception Combinational_cycle of Types.pin_id list
@@ -285,7 +304,6 @@ let corners t = t.corners
 let n_corners t = Array.length t.corners
 
 let write_skew t id s =
-  Hashtbl.replace t.skews id s;
   if id >= Array.length t.skew_dense then begin
     let b = Array.make (max (id + 1) (2 * Array.length t.skew_dense)) 0.0 in
     Array.blit t.skew_dense 0 b 0 (Array.length t.skew_dense);
@@ -303,25 +321,30 @@ let skew t id =
   else 0.0
 
 let skew_assignments t =
-  Hashtbl.fold
-    (fun cid s acc -> if s <> 0.0 then (cid, s) :: acc else acc)
-    t.skews []
-  |> List.sort compare
+  let acc = ref [] in
+  for cid = Array.length t.skew_dense - 1 downto 0 do
+    let s = t.skew_dense.(cid) in
+    if s <> 0.0 then acc := (cid, s) :: !acc
+  done;
+  !acc
 
-(* The data graph excludes clock distribution and scan pins. *)
-let data_pin dsg pid =
+(* The data graph excludes clock distribution and scan pins. A pin's
+   role: '\000' outside the data graph, 'q' / 'd' for a register's Q /
+   D pin, '\001' for any other data pin. *)
+let pin_role dsg pid =
   let p = Design.pin dsg pid in
   let c = Design.cell dsg p.Types.p_cell in
-  if c.Types.c_dead then false
+  if c.Types.c_dead then '\000'
   else
     match (c.Types.c_kind, p.Types.p_kind) with
-    | Types.Register _, (Types.Pin_d _ | Types.Pin_q _) -> true
-    | Types.Register _, _ -> false
-    | Types.Comb _, (Types.Pin_in _ | Types.Pin_out) -> true
-    | Types.Comb _, _ -> false
-    | Types.Port _, Types.Pin_port -> true
-    | Types.Port _, _ -> false
-    | (Types.Clock_root | Types.Clock_gate _), _ -> false
+    | Types.Register _, Types.Pin_q _ -> 'q'
+    | Types.Register _, Types.Pin_d _ -> 'd'
+    | Types.Register _, _ -> '\000'
+    | Types.Comb _, (Types.Pin_in _ | Types.Pin_out) -> '\001'
+    | Types.Comb _, _ -> '\000'
+    | Types.Port _, Types.Pin_port -> '\001'
+    | Types.Port _, _ -> '\000'
+    | (Types.Clock_root | Types.Clock_gate _), _ -> '\000'
 
 (* Data net arcs (driver -> each sink) under the current membership;
    clock nets and nets without an in-graph driver contribute none. *)
@@ -353,6 +376,7 @@ let pin_start_end dsg pid =
 type graph_parts = {
   g_n : int;
   g_in_graph : bool array;
+  g_role : Bytes.t;
   g_succs : edge list array;
   g_preds : edge list array;
   g_topo : Types.pin_id array;
@@ -367,8 +391,11 @@ type graph_parts = {
 let compute_graph dsg =
   let n = Design.n_pins dsg in
   let in_graph = Array.make n false in
+  let role = Bytes.make n '\000' in
   for pid = 0 to n - 1 do
-    in_graph.(pid) <- data_pin dsg pid
+    let r = pin_role dsg pid in
+    Bytes.set role pid r;
+    in_graph.(pid) <- r <> '\000'
   done;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
@@ -415,10 +442,13 @@ let compute_graph dsg =
         ->
         ())
     (Design.live_cells dsg);
-  (* start / end points *)
+  (* start / end points, walked downward so both lists come out in
+     ascending pin order — the order refresh's status rebuild produces,
+     so TNS (a float sum over [endpoints]) has the same bits on both
+     paths *)
   let startpoints = ref [] in
   let endpoints = ref [] in
-  for pid = 0 to n - 1 do
+  for pid = n - 1 downto 0 do
     if in_graph.(pid) then begin
       let p = Design.pin dsg pid in
       let c = Design.cell dsg p.Types.p_cell in
@@ -515,6 +545,7 @@ let compute_graph dsg =
   {
     g_n = n;
     g_in_graph = in_graph;
+    g_role = role;
     g_succs = succs;
     g_preds = preds;
     g_topo = topo;
@@ -544,6 +575,7 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
     corners = Array.copy corners;
     n = g.g_n;
     in_graph = g.g_in_graph;
+    role = g.g_role;
     succs = g.g_succs;
     preds = g.g_preds;
     topo = g.g_topo;
@@ -553,13 +585,15 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
     startpoints = g.g_startpoints;
     endpoints = g.g_endpoints;
     net_arcs;
-    skews = Hashtbl.create 64;
     skew_dense = [||];
     arrival = plane_make (g.g_n * nc) neg_infinity;
     required = plane_make (g.g_n * nc) infinity;
     delay_gen = 0;
     struct_gen = 0;
     plan = None;
+    plan_dirty = Bytes.make g.g_n '\000';
+    n_plan_builds = 0;
+    n_plan_patches = 0;
     reg_cache = None;
     analyzed = false;
     dsg_cursor = Design.revision dsg;
@@ -569,6 +603,10 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
     nl_cache = [||];
     nl_stamp = [||];
     nl_epoch = 0;
+    pg_x = [||];
+    pg_y = [||];
+    pg_cap = [||];
+    pg_stamp = [||];
   }
 
 let set_corners t cs =
@@ -718,10 +756,18 @@ let endpoint_required t k (pid, kind) =
    A CSR image of the graph with per-corner delays flattened alongside,
    a forward topological level per pin, and per-startpoint/endpoint
    launch/required constants. The plan is a pure function of
-   (structure, delays, corners) — keyed on [struct_gen]/[delay_gen]/
-   corner count — and serves both the full analysis and every batched
-   skew sweep: one build per structural generation, one delay refill
-   per numeric generation.
+   (structure, delays, corners) and serves both the full analysis and
+   every batched skew sweep.
+
+   Lifecycle: [make_plan] is the one builder. It re-derives the pins
+   the engine's [plan_dirty] flags name and copies every other pin's
+   entries from the previous plan; with no usable previous plan (none
+   yet, a corner-set swap, or a [delay_gen] bump by [analyze]) every
+   pin counts as dirty and the same code is a from-scratch build. A
+   refresh never rebuilds the plan: it marks the pins whose incoming
+   arcs, launch base or setup term it touched (plus pins that left or
+   joined the graph), the marks accumulate over any number of
+   refreshes, and the next plan use patches them in.
 
    Propagation over the plan comes in two shapes with one per-pin
    formula (recompute from final predecessors, in the full analysis's
@@ -738,250 +784,321 @@ let endpoint_required t k (pid, kind) =
      frontier machinery as soon as the frontier would cover most of
      the graph, and the backbone of [analyze]. *)
 
-(* (Re)compute the numeric half of a plan against the current delays:
-   per-arc derated delays into [pr_delay]/[su_delay], launch bases
-   into [st_base], skewless required terms into [ep_term]. The CSR
-   layout itself is keyed by [pl_struct_gen] alone, so a structurally-
-   valid plan absorbs an [analyze]'s delay-generation bump with this
-   refill - no rebuild. *)
-let plan_fill_delays t p =
-  Mbr_obs.Trace.with_span ~name:"sta.plan.delays" @@ fun () ->
-  nl_open t;
-  let nc = p.pl_nc in
-  (* pin geometry snapshot: [pin_location] and [pin_cap] walk the
-     design records (cell kind match, lib offsets), so resolve each
-     in-graph pin once up front instead of once per incident arc — a
-     driver with fanout f is otherwise resolved f times *)
-  let px = Array.make t.n 0.0 and py = Array.make t.n 0.0 in
-  let placed = Array.make t.n false in
-  let cap = Array.make t.n 0.0 in
-  Mbr_obs.Trace.with_span ~name:"sta.plan.snap" (fun () ->
-  for pid = 0 to t.n - 1 do
-     if t.in_graph.(pid) then begin
-       let pn = Design.pin t.dsg pid in
-       match Placement.location_opt t.pl pn.Types.p_cell with
-       | Some _ ->
-         let l = Placement.pin_location t.pl pid in
-         px.(pid) <- l.Point.x;
-         py.(pid) <- l.Point.y;
-         placed.(pid) <- true;
-         cap.(pid) <- Design.pin_cap t.dsg pid
-       | None -> ()
-     end
-   done);
-  (* pred side: each arc's derated delays straight into the CSR — same
-     float ops (same order) as [edge_delays], but no per-edge memo
-     array is allocated (the lazy memo still serves the refresh
-     worklist) *)
-  (* the dst cell's intrinsic + drive into its output load — shared by
-     every cell arc into [pid]; same float ops as the cell branch of
-     [compute_edge_base_delay] *)
-  let comb_base pid =
-    let pn = Design.pin t.dsg pid in
-    let c = Design.cell t.dsg pn.Types.p_cell in
-    match c.Types.c_kind with
-    | Types.Comb a ->
-      let load =
-        match pn.Types.p_net with
-        | Some nid -> net_load_memo t nid
-        | None -> 0.0
-      in
-      a.Types.intrinsic +. (a.Types.drive_res *. load)
-    | Types.Register _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port _ ->
-      0.0
-  in
-  (* streamed off the CSR + snapshot arrays: no edge record or cons
-      cell is touched, and the per-destination cell base is computed
-      once, not once per input pin *)
-   for pid = 0 to t.n - 1 do
-     let j1 = Array.unsafe_get p.pr_off (pid + 1) in
-     let cell_base = ref nan in
-     for j = Array.unsafe_get p.pr_off pid to j1 - 1 do
-       let is_cell = Bytes.unsafe_get p.pr_cell j = '\001' in
-       let base =
-         if is_cell then begin
-           if Float.is_nan !cell_base then cell_base := comb_base pid;
-           !cell_base
-         end
-         else begin
-           let s = Array.unsafe_get p.pr_src j in
-           if Array.unsafe_get placed s && Array.unsafe_get placed pid then begin
-             (* [wire_delay] verbatim, off the snapshot *)
-             let len =
-               Float.abs (Array.unsafe_get px s -. Array.unsafe_get px pid)
-               +. Float.abs (Array.unsafe_get py s -. Array.unsafe_get py pid)
-             in
-             t.cfg.wire_res *. len
-             *. ((t.cfg.wire_cap *. len /. 2.0) +. Array.unsafe_get cap pid)
-           end
-           else 0.0
-         end
-       in
-       let b = j * nc in
-       if is_cell then
-         for k = 0 to nc - 1 do
-           p.pr_delay.(b + k) <- base *. t.corners.(k).Corner.cell
-         done
-       else
-         for k = 0 to nc - 1 do
-           p.pr_delay.(b + k) <- base *. t.corners.(k).Corner.wire
-         done
-     done
-   done;
-  (* succ side: the same numbers gathered through [su_pr], so the
-     scattered read happens once per refill and the backward passes
-     stream [su_delay] sequentially *)
-  let ns = p.su_off.(Array.length p.su_off - 1) in
-  for j = 0 to ns - 1 do
-    let s = p.su_pr.(j) * nc and d = j * nc in
-    for k = 0 to nc - 1 do
-      p.su_delay.(d + k) <- p.pr_delay.(s + k)
-    done
-  done;
-  List.iteri
-    (fun i pid ->
-      let pn = Design.pin t.dsg pid in
-      let c = Design.cell t.dsg pn.Types.p_cell in
-      match (c.Types.c_kind, pn.Types.p_kind) with
-      | Types.Register a, Types.Pin_q _ ->
-        p.st_cell.(i) <- pn.Types.p_cell;
-        let load =
-          match pn.Types.p_net with
-          | Some nid -> net_load_memo t nid
-          | None -> 0.0
-        in
-        let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
-        for k = 0 to nc - 1 do
-          p.st_base.((i * nc) + k) <- cq *. t.corners.(k).Corner.cell
-        done
-      | Types.Port Types.In_port, _ ->
-        for k = 0 to nc - 1 do
-          p.st_base.((i * nc) + k) <- t.cfg.input_delay
-        done
-      | _, _ -> ())
-    t.startpoints;
-  List.iteri
-    (fun i (_, kind) ->
-      match kind with
-      | Ep_reg_d cid ->
-        p.ep_cell.(i) <- cid;
-        let a = Design.reg_attrs t.dsg cid in
-        let setup = a.Types.lib_cell.Cell_lib.setup in
-        for k = 0 to nc - 1 do
-          p.ep_term.((i * nc) + k) <- setup *. t.corners.(k).Corner.setup
-        done
-      | Ep_out_port ->
-        for k = 0 to nc - 1 do
-          p.ep_term.((i * nc) + k) <- t.cfg.output_delay
-        done)
-    t.endpoints
+(* Stand-in for "no previous plan": it covers zero pins, so every pin
+   of the next [make_plan] is dirty. *)
+let no_plan =
+  {
+    pl_struct_gen = -1;
+    pl_delay_gen = -1;
+    pl_nc = 0;
+    pl_level = [||];
+    pl_n_levels = 0;
+    pr_off = [| 0 |];
+    pr_src = [||];
+    pr_cell = Bytes.empty;
+    pr_delay = [||];
+    su_off = [| 0 |];
+    su_dst = [||];
+    su_delay = [||];
+    st_slot = [||];
+    st_cell = [||];
+    st_base = [||];
+    ep_slot = [||];
+    ep_cell = [||];
+    ep_term = [||];
+    pl_scratch = [||];
+  }
 
-let build_plan t =
-  Mbr_obs.Trace.with_span ~name:"sta.plan.build"
-    ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
-  @@ fun () ->
-  let n = t.n in
+let m_plan_builds = Mbr_obs.Metrics.counter "sta.plan.builds"
+
+let m_plan_patches = Mbr_obs.Metrics.counter "sta.plan.patches"
+
+(* The pin geometry behind a net arc's wire delay, resolved at most
+   once per plan: true (and [pg_x]/[pg_y]/[pg_cap] filled) when the
+   pin's cell is placed. *)
+let pin_geometry t pid =
+  let ep = t.nl_epoch in
+  let st = Array.unsafe_get t.pg_stamp pid in
+  if st = ep then true
+  else if st = -ep then false
+  else begin
+    let pn = Design.pin t.dsg pid in
+    match Placement.location_opt t.pl pn.Types.p_cell with
+    | Some _ ->
+      let l = Placement.pin_location t.pl pid in
+      t.pg_x.(pid) <- l.Point.x;
+      t.pg_y.(pid) <- l.Point.y;
+      t.pg_cap.(pid) <- Design.pin_cap t.dsg pid;
+      t.pg_stamp.(pid) <- ep;
+      true
+    | None ->
+      t.pg_stamp.(pid) <- -ep;
+      false
+  end
+
+(* The dst cell's intrinsic + drive into its output load — shared by
+   every cell arc into [pid]; same float ops as the cell branch of
+   [compute_edge_base_delay]. *)
+let comb_base t pid =
+  let pn = Design.pin t.dsg pid in
+  let c = Design.cell t.dsg pn.Types.p_cell in
+  match c.Types.c_kind with
+  | Types.Comb a ->
+    let load =
+      match pn.Types.p_net with Some nid -> net_load_memo t nid | None -> 0.0
+    in
+    a.Types.intrinsic +. (a.Types.drive_res *. load)
+  | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
+    0.0
+
+(* Make the plan for the current graph, delays and corners: patch the
+   previous plan when its delays are still current (same delay
+   generation, same corner count), build from scratch otherwise. A
+   dirty pin — flagged in [plan_dirty], or beyond the previous plan's
+   pin range — gets its pred range re-walked off [t.preds] with its
+   arc delays recomputed, and its launch base / setup term recomputed;
+   a clean pin's entries are copied (runs of consecutive clean pins in
+   one blit each). The succ CSR is the pred CSR's transpose and the
+   levels are recomputed from the pred CSR in [t.topo] order, both on
+   int arrays only. Clears the dirty flags. *)
+let make_plan t =
   let nc = Array.length t.corners in
-  let pr_off = Array.make (n + 1) 0 and su_off = Array.make (n + 1) 0 in
+  let n = t.n in
+  let o =
+    match t.plan with
+    | Some o when o.pl_nc = nc && o.pl_delay_gen = t.delay_gen -> o
+    | Some _ | None -> no_plan
+  in
+  let full = o == no_plan in
+  Mbr_obs.Trace.with_span
+    ~name:(if full then "sta.plan.build" else "sta.plan.patch")
+    ~args:[ ("n_pins", Mbr_obs.Trace.Int n) ]
+  @@ fun () ->
+  if full then begin
+    t.n_plan_builds <- t.n_plan_builds + 1;
+    Mbr_obs.Metrics.incr m_plan_builds
+  end
+  else begin
+    t.n_plan_patches <- t.n_plan_patches + 1;
+    Mbr_obs.Metrics.incr m_plan_patches
+  end;
+  nl_open t;
+  if Array.length t.pg_stamp < n then begin
+    t.pg_x <- Array.make n 0.0;
+    t.pg_y <- Array.make n 0.0;
+    t.pg_cap <- Array.make n 0.0;
+    t.pg_stamp <- Array.make n 0
+  end;
+  let on = Array.length o.pl_level in
+  let flags = t.plan_dirty in
+  let dirty pid = pid >= on || Bytes.unsafe_get flags pid <> '\000' in
+  (* pred CSR *)
+  let pr_off = Array.make (n + 1) 0 in
   for pid = 0 to n - 1 do
-    pr_off.(pid + 1) <- pr_off.(pid) + List.length t.preds.(pid);
-    su_off.(pid + 1) <- su_off.(pid) + List.length t.succs.(pid)
+    let len =
+      if dirty pid then List.length t.preds.(pid)
+      else o.pr_off.(pid + 1) - o.pr_off.(pid)
+    in
+    pr_off.(pid + 1) <- pr_off.(pid) + len
   done;
   let ne = pr_off.(n) in
   let pr_src = Array.make (max ne 1) 0 in
   let pr_cell = Bytes.make (max ne 1) '\000' in
   let pr_delay = Array.make (max (ne * nc) 1) 0.0 in
-  let su_dst = Array.make (max su_off.(n) 1) 0 in
-  let su_delay = Array.make (max (su_off.(n) * nc) 1) 0.0 in
-  let su_pr = Array.make (max su_off.(n) 1) 0 in
-  (* an arc is one shared record on both adjacency lists, and the pred
-     CSR mirrors [t.preds] list order — so the arc's pred entry is its
-     physical position in [t.preds.(e_dst)], found by a short scan
-     (in-degrees are small: one net driver or a handful of cell ins) *)
-  let pr_entry_of e =
-    let rec find k = function
-      | e' :: tl -> if e' == e then k else find (k + 1) tl
-      | [] -> assert false
-    in
-    find pr_off.(e.e_dst) t.preds.(e.e_dst)
+  (* copy the old entries of clean pins [p0, p1) *)
+  let copy_run p0 p1 =
+    let oj = o.pr_off.(p0) and len = o.pr_off.(p1) - o.pr_off.(p0) in
+    if len > 0 then begin
+      let j = pr_off.(p0) in
+      Array.blit o.pr_src oj pr_src j len;
+      Bytes.blit o.pr_cell oj pr_cell j len;
+      Array.blit o.pr_delay (oj * nc) pr_delay (j * nc) (len * nc)
+    end
   in
+  let cfg = t.cfg in
+  let run = ref (-1) in
   for pid = 0 to n - 1 do
-    let j = ref pr_off.(pid) in
-    List.iter
-      (fun e ->
-        pr_src.(!j) <- e.e_src;
-        if e.e_cell then Bytes.unsafe_set pr_cell !j '\001';
-        incr j)
-      t.preds.(pid);
-    let j = ref su_off.(pid) in
-    List.iter
-      (fun e ->
-        su_dst.(!j) <- e.e_dst;
-        su_pr.(!j) <- pr_entry_of e;
-        incr j)
-      t.succs.(pid)
+    if not (dirty pid) then begin
+      if !run < 0 then run := pid
+    end
+    else begin
+      if !run >= 0 then begin
+        copy_run !run pid;
+        run := -1
+      end;
+      (* same float ops (same order) as [edge_delays], per arc of the
+         pin's pred list *)
+      let cell_base = ref nan in
+      let j = ref pr_off.(pid) in
+      List.iter
+        (fun e ->
+          let base =
+            if e.e_cell then begin
+              Bytes.unsafe_set pr_cell !j '\001';
+              if Float.is_nan !cell_base then cell_base := comb_base t pid;
+              !cell_base
+            end
+            else begin
+              let s = e.e_src in
+              if pin_geometry t s && pin_geometry t pid then begin
+                (* [wire_delay] verbatim, off the geometry memo *)
+                let len =
+                  Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
+                  +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
+                in
+                cfg.wire_res *. len
+                *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
+              end
+              else 0.0
+            end
+          in
+          pr_src.(!j) <- e.e_src;
+          let b = !j * nc in
+          if e.e_cell then
+            for k = 0 to nc - 1 do
+              pr_delay.(b + k) <- base *. t.corners.(k).Corner.cell
+            done
+          else
+            for k = 0 to nc - 1 do
+              pr_delay.(b + k) <- base *. t.corners.(k).Corner.wire
+            done;
+          incr j)
+        t.preds.(pid)
+    end
   done;
+  if !run >= 0 then copy_run !run n;
+  (* succ CSR: the transpose, streamed off the pred CSR *)
+  let su_off = Array.make (n + 1) 0 in
+  for j = 0 to ne - 1 do
+    let s = pr_src.(j) + 1 in
+    su_off.(s) <- su_off.(s) + 1
+  done;
+  for pid = 0 to n - 1 do
+    su_off.(pid + 1) <- su_off.(pid + 1) + su_off.(pid)
+  done;
+  let su_dst = Array.make (max ne 1) 0 in
+  let su_delay = Array.make (max (ne * nc) 1) 0.0 in
+  let fill = Array.sub su_off 0 (max n 1) in
+  for pid = 0 to n - 1 do
+    for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
+      let s = pr_src.(j) in
+      let q = fill.(s) in
+      fill.(s) <- q + 1;
+      su_dst.(q) <- pid;
+      for k = 0 to nc - 1 do
+        su_delay.((q * nc) + k) <- pr_delay.((j * nc) + k)
+      done
+    done
+  done;
+  (* levels *)
   let level = Array.make n (-1) in
   let n_levels = ref 0 in
   Array.iter
     (fun pid ->
-      let l =
-        List.fold_left
-          (fun acc e -> max acc (level.(e.e_src) + 1))
-          0 t.preds.(pid)
-      in
-      level.(pid) <- l;
-      if l + 1 > !n_levels then n_levels := l + 1)
+      let l = ref 0 in
+      for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
+        let ls = level.(pr_src.(j)) + 1 in
+        if ls > !l then l := ls
+      done;
+      level.(pid) <- !l;
+      if !l + 1 > !n_levels then n_levels := !l + 1)
     t.topo;
+  (* start/endpoint tables *)
   let st_slot = Array.make n (-1) in
   let n_st = List.length t.startpoints in
   let st_cell = Array.make (max n_st 1) (-1) in
   let st_base = Array.make (max (n_st * nc) 1) 0.0 in
-  List.iteri (fun i pid -> st_slot.(pid) <- i) t.startpoints;
+  List.iteri
+    (fun i pid ->
+      st_slot.(pid) <- i;
+      let oi = if dirty pid then -1 else o.st_slot.(pid) in
+      if oi >= 0 then begin
+        st_cell.(i) <- o.st_cell.(oi);
+        for k = 0 to nc - 1 do
+          st_base.((i * nc) + k) <- o.st_base.((oi * nc) + k)
+        done
+      end
+      else begin
+        let pn = Design.pin t.dsg pid in
+        let c = Design.cell t.dsg pn.Types.p_cell in
+        match (c.Types.c_kind, pn.Types.p_kind) with
+        | Types.Register a, Types.Pin_q _ ->
+          st_cell.(i) <- pn.Types.p_cell;
+          let load =
+            match pn.Types.p_net with
+            | Some nid -> net_load_memo t nid
+            | None -> 0.0
+          in
+          let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
+          for k = 0 to nc - 1 do
+            st_base.((i * nc) + k) <- cq *. t.corners.(k).Corner.cell
+          done
+        | Types.Port Types.In_port, _ ->
+          for k = 0 to nc - 1 do
+            st_base.((i * nc) + k) <- cfg.input_delay
+          done
+        | _, _ -> ()
+      end)
+    t.startpoints;
   let ep_slot = Array.make n (-1) in
   let n_ep = List.length t.endpoints in
   let ep_cell = Array.make (max n_ep 1) (-1) in
   let ep_term = Array.make (max (n_ep * nc) 1) 0.0 in
-  List.iteri (fun i (pid, _) -> ep_slot.(pid) <- i) t.endpoints;
-  let p =
-    {
-      pl_struct_gen = t.struct_gen;
-      pl_delay_gen = t.delay_gen;
-      pl_nc = nc;
-      pl_level = level;
-      pl_n_levels = !n_levels;
-      pr_off;
-      pr_src;
-      pr_cell;
-      pr_delay;
-      su_off;
-      su_dst;
-      su_delay;
-      su_pr;
-      st_slot;
-      st_cell;
-      st_base;
-      ep_slot;
-      ep_cell;
-      ep_term;
-      pl_scratch = Array.make (max nc 1) None;
-    }
-  in
-  plan_fill_delays t p;
-  p
+  List.iteri
+    (fun i (pid, kind) ->
+      ep_slot.(pid) <- i;
+      let oi = if dirty pid then -1 else o.ep_slot.(pid) in
+      if oi >= 0 then begin
+        ep_cell.(i) <- o.ep_cell.(oi);
+        for k = 0 to nc - 1 do
+          ep_term.((i * nc) + k) <- o.ep_term.((oi * nc) + k)
+        done
+      end
+      else
+        match kind with
+        | Ep_reg_d cid ->
+          ep_cell.(i) <- cid;
+          let setup = (Design.reg_attrs t.dsg cid).Types.lib_cell.Cell_lib.setup in
+          for k = 0 to nc - 1 do
+            ep_term.((i * nc) + k) <- setup *. t.corners.(k).Corner.setup
+          done
+        | Ep_out_port ->
+          for k = 0 to nc - 1 do
+            ep_term.((i * nc) + k) <- cfg.output_delay
+          done)
+    t.endpoints;
+  Bytes.fill flags 0 (Bytes.length flags) '\000';
+  {
+    pl_struct_gen = t.struct_gen;
+    pl_delay_gen = t.delay_gen;
+    pl_nc = nc;
+    pl_level = level;
+    pl_n_levels = !n_levels;
+    pr_off;
+    pr_src;
+    pr_cell;
+    pr_delay;
+    su_off;
+    su_dst;
+    su_delay;
+    st_slot;
+    st_cell;
+    st_base;
+    ep_slot;
+    ep_cell;
+    ep_term;
+    pl_scratch = Array.make (max nc 1) None;
+  }
 
 let ensure_plan t =
-  let nc = Array.length t.corners in
   match t.plan with
-  | Some p when p.pl_struct_gen = t.struct_gen && p.pl_nc = nc ->
-    if p.pl_delay_gen <> t.delay_gen then begin
-      plan_fill_delays t p;
-      p.pl_delay_gen <- t.delay_gen
-    end;
+  | Some p
+    when p.pl_struct_gen = t.struct_gen
+         && p.pl_delay_gen = t.delay_gen
+         && p.pl_nc = Array.length t.corners ->
     p
   | Some _ | None ->
-    let p = build_plan t in
+    let p = make_plan t in
     t.plan <- Some p;
     p
 
@@ -1468,6 +1585,9 @@ let grow t n' =
       b
     in
     t.in_graph <- grow_arr t.in_graph false;
+    let role = Bytes.make n' '\000' in
+    Bytes.blit t.role 0 role 0 t.n;
+    t.role <- role;
     t.succs <- grow_arr t.succs [];
     t.preds <- grow_arr t.preds [];
     t.topo_pos <- grow_arr t.topo_pos (-1);
@@ -1486,7 +1606,10 @@ let grow t n' =
     in
     t.arrival <- grow_plane t.arrival neg_infinity;
     t.required <- grow_plane t.required infinity;
-    t.plan <- None;
+    (* the plan stays: pins past its range count as dirty *)
+    let flags = Bytes.make n' '\000' in
+    Bytes.blit t.plan_dirty 0 flags 0 t.n;
+    t.plan_dirty <- flags;
     t.struct_gen <- t.struct_gen + 1;
     t.n <- n'
   end
@@ -1513,6 +1636,7 @@ let rebuild t =
   let nc = Array.length t.corners in
   t.n <- g.g_n;
   t.in_graph <- g.g_in_graph;
+  t.role <- g.g_role;
   t.succs <- g.g_succs;
   t.preds <- g.g_preds;
   t.topo <- g.g_topo;
@@ -1526,6 +1650,7 @@ let rebuild t =
   t.arrival <- plane_make (g.g_n * nc) neg_infinity;
   t.required <- plane_make (g.g_n * nc) infinity;
   t.plan <- None;
+  t.plan_dirty <- Bytes.make g.g_n '\000';
   t.struct_gen <- t.struct_gen + 1;
   t.dsg_cursor <- Design.revision t.dsg;
   t.n_full_builds <- t.n_full_builds + 1;
@@ -1681,8 +1806,19 @@ let refresh ?(rebuild_threshold = 0.6) t =
       let nc = Array.length t.corners in
       let fwd_dirty = Array.make t.n false in
       let bwd_dirty = Array.make t.n false in
-      let mark_fwd pid = fwd_dirty.(pid) <- true in
-      let mark_bwd pid = bwd_dirty.(pid) <- true in
+      (* every re-propagation seed is also a pin the propagation plan
+         must re-derive: its incoming arcs appeared, vanished or changed
+         delay, or its launch base or setup term changed; the plan
+         flags outlive this refresh until the next plan patch *)
+      let mark_plan pid = Bytes.unsafe_set t.plan_dirty pid '\001' in
+      let mark_fwd pid =
+        fwd_dirty.(pid) <- true;
+        mark_plan pid
+      in
+      let mark_bwd pid =
+        bwd_dirty.(pid) <- true;
+        mark_plan pid
+      in
       Mbr_obs.Trace.with_span ~name:"sta.splice" (fun () ->
       (* 1. removed cells leave the graph *)
       List.iter
@@ -1705,6 +1841,7 @@ let refresh ?(rebuild_threshold = 0.6) t =
                 t.succs.(pid) <- [];
                 t.preds.(pid) <- [];
                 t.in_graph.(pid) <- false;
+                mark_plan pid;
                 t.is_start.(pid) <- false;
                 t.ep_of.(pid) <- None;
                 t.topo_pos.(pid) <- -1;
@@ -1725,8 +1862,11 @@ let refresh ?(rebuild_threshold = 0.6) t =
           if not c.Types.c_dead then
             List.iter
               (fun pid ->
-                if data_pin t.dsg pid && not t.in_graph.(pid) then begin
+                let r = pin_role t.dsg pid in
+                if r <> '\000' && not t.in_graph.(pid) then begin
                   t.in_graph.(pid) <- true;
+                  Bytes.set t.role pid r;
+                  mark_plan pid;
                   new_pins := pid :: !new_pins
                 end)
               c.Types.c_pins)
@@ -1846,11 +1986,10 @@ let refresh ?(rebuild_threshold = 0.6) t =
         t.startpoints <- !sts;
         t.endpoints <- !eps
       end);
-      (* 6. numeric repair. The splice reshaped the arc lists, so any
-         cached propagation plan is stale either way; the delays it
-         would serve are also stale on dirty nets without a
-         [delay_gen] bump, and both invalidations travel through one
-         [struct_gen] tick. *)
+      (* 6. numeric repair. The splice reshaped the arc lists and
+         moved delays on dirty nets without a [delay_gen] bump: one
+         [struct_gen] tick tells the next plan use to patch in the
+         pins flagged above. *)
       Mbr_obs.Trace.with_span ~name:"sta.repair" @@ fun () ->
       t.struct_gen <- t.struct_gen + 1;
       let n_dirty = ref 0 in
@@ -1860,14 +1999,16 @@ let refresh ?(rebuild_threshold = 0.6) t =
       Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
       if !n_dirty * 64 >= t.n then begin
         (* Big batch (a composition pass just replaced thousands of
-           registers): the per-pin heap worklist below would chase
-           most of the graph through the arc *lists*. Build the
-           shared propagation plan now — the skew sweeps that follow
-           reuse it as-is, so the build is moved earlier, not added —
-           and repair both planes with the mark-skip scans. A pin is
-           still recomputed from scratch off its final predecessors
-           and its cone chased only while values actually change, so
-           the planes land bit-identical to the worklist's. *)
+           registers, an ECO batch moved a few percent of them): the
+           per-pin heap worklist below would chase most of the graph
+           through the arc *lists*. Patch the shared propagation plan
+           now — re-deriving only the flagged pins; the skew sweeps
+           that follow reuse it as-is, so the patch is moved earlier,
+           not added — and repair both planes with the mark-skip
+           scans. A pin is still recomputed from scratch off its final
+           predecessors and its cone chased only while values actually
+           change, so the planes land bit-identical to the
+           worklist's. *)
         let p = ensure_plan t in
         let scr = plan_scratch_for p 0 in
         let fseeds = ref [] and bseeds = ref [] in
@@ -1941,6 +2082,10 @@ let full_builds t = t.n_full_builds
 
 let refreshes t = t.n_refreshes
 
+let plan_builds t = t.n_plan_builds
+
+let plan_patches t = t.n_plan_patches
+
 (* Telemetry for the skew-update hot path: [sta.skew.frontier_pins]
    accumulates pins processed by the propagation passes (frontier pins
    in frontier mode, every in-graph pin in full-sweep mode),
@@ -1981,17 +2126,17 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
     let moved = List.filter (fun (cid, s) -> skew t cid <> s) assignments in
     List.iter (fun (cid, s) -> write_skew t cid s) moved;
     t.analyzed <- true;
-    (* seed pins *)
+    (* seed pins: the moved registers' in-graph Q and D pins *)
     let q_seeds = ref [] and d_seeds = ref [] in
     List.iter
       (fun (cid, _) ->
         List.iter
           (fun pid ->
-            let p = Design.pin t.dsg pid in
-            match p.Types.p_kind with
-            | Types.Pin_q _ when t.in_graph.(pid) -> q_seeds := pid :: !q_seeds
-            | Types.Pin_d _ when t.in_graph.(pid) -> d_seeds := pid :: !d_seeds
-            | _ -> ())
+            if t.in_graph.(pid) then
+              match Bytes.get t.role pid with
+              | 'q' -> q_seeds := pid :: !q_seeds
+              | 'd' -> d_seeds := pid :: !d_seeds
+              | _ -> ())
           (Design.pins_of t.dsg cid))
       moved;
     if !q_seeds = [] && !d_seeds = [] then []
@@ -2073,21 +2218,28 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
       match changed with
       | None -> []
       | Some v ->
+        (* A changed register pin is a connected Q or D pin (an
+           unconnected one keeps arrival -inf / required +inf), i.e. a
+           startpoint or an endpoint, so the plan's slot tables name
+           its register; ports carry cell -1 there. *)
         let regs, slot = register_index t in
         let seen = Array.make (max (Array.length regs) 1) false in
         let acc = ref [] in
-        for i = 0 to v.iv_len - 1 do
-          let pid = v.iv_a.(i) in
-          let pn = Design.pin t.dsg pid in
-          match pn.Types.p_kind with
-          | Types.Pin_d _ | Types.Pin_q _ ->
-            let cid = pn.Types.p_cell in
-            let s = if cid < Array.length slot then slot.(cid) else -1 in
+        let note cid =
+          if cid >= 0 && cid < Array.length slot then begin
+            let s = slot.(cid) in
             if s >= 0 && not seen.(s) then begin
               seen.(s) <- true;
               acc := cid :: !acc
             end
-          | _ -> ()
+          end
+        in
+        for i = 0 to v.iv_len - 1 do
+          let pid = v.iv_a.(i) in
+          let sl = p.st_slot.(pid) in
+          if sl >= 0 then note p.st_cell.(sl);
+          let sl = p.ep_slot.(pid) in
+          if sl >= 0 then note p.ep_cell.(sl)
         done;
         List.sort compare !acc
     end

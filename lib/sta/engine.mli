@@ -13,18 +13,21 @@
     placement revision it has absorbed and {!refresh} drains the edit
     logs from there, splicing only the touched arcs into the graph,
     repairing the topological order locally and re-propagating
-    arrivals/requireds with a dirty-pin worklist that stops where values
-    converge. {!analyze} remains the full-propagation fallback and is
-    what {!refresh} degrades to (via an internal rebuild) when an edit
-    batch is structural in a way local repair cannot express or touches
-    more of the graph than recomputing it would cost.
+    arrivals/requireds from the dirty pins only — with a heap worklist
+    for small batches, with mark-skip scans over the propagation plan
+    for big ones — stopping where values converge. {!analyze} remains
+    the full-propagation fallback and is what {!refresh} degrades to
+    (via an internal rebuild) when an edit batch is structural in a way
+    local repair cannot express or touches more of the graph than
+    recomputing it would cost.
 
     The engine is corner-indexed: it carries a set of {!Corner.t}
     derate factors and maintains one flat [Bigarray] float64
     arrival/required plane per corner over the single shared graph —
-    every propagation (full analyze, refresh worklists, levelized skew
-    passes) walks each arc once and relaxes all corners against its
-    per-corner memoized delays, reading and writing unboxed doubles. Plain accessors
+    every propagation (full analyze, refresh worklists and scans,
+    levelized skew passes) walks each arc once and relaxes all corners
+    against its per-corner memoized delays, reading and writing unboxed
+    doubles. Plain accessors
     ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report worst-corner
     values (worst slack = min over per-corner slacks); use
     {!corner_slack} / {!per_corner_wns_tns} to see individual corners,
@@ -127,6 +130,17 @@ val full_builds : t -> int
 val refreshes : t -> int
 (** Refreshes that took the incremental path. *)
 
+val plan_builds : t -> int
+(** Propagation plans built from scratch so far (see {!update_skews}
+    for the plan's lifecycle): the first plan use after {!build}, a
+    fallback rebuild, {!set_corners} or an {!analyze}. Registry counter
+    [sta.plan.builds]; each build runs under a ["sta.plan.build"] span. *)
+
+val plan_patches : t -> int
+(** Propagation plans patched from the pins the refreshes since the
+    previous plan marked dirty. Registry counter [sta.plan.patches];
+    each patch runs under a ["sta.plan.patch"] span. *)
+
 val update_skews :
   ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
@@ -134,16 +148,32 @@ val update_skews :
   (Mbr_netlist.Types.cell_id * float) list ->
   unit
 (** Incremental re-timing after changing only clock skews: applies the
-    assignments, collects the union forward frontier of the changed
-    registers' Q pins and the union backward frontier of their D pins
-    once (epoch-stamped marks — no per-register cone chasing), and runs
-    one topo-level-ordered batched pass per direction over flat
-    per-corner planes, reusing cached arc delays (placement and netlist
-    must be unchanged since the last {!analyze}). Orders of magnitude
-    cheaper than a full pass when few registers move; produces
-    bit-identical slacks to the convergence-driven worklist and to
-    {!analyze} (property-tested). Falls back to a full analysis when
-    the engine has never been analyzed.
+    assignments, seeds the changed registers' Q pins forward and their
+    D pins backward, and propagates over flat per-corner planes along
+    the shared propagation plan. A small batch runs one
+    topo-level-ordered frontier pass per direction (epoch-stamped
+    marks — no per-register cone chasing); once the seeds reach 1/64
+    of the graph it runs mark-skip scans that stream the whole
+    topological order and recompute only marked pins. Arc delays come
+    from the plan, so placement and netlist must be unchanged since the
+    last {!refresh} or {!analyze}. Orders of magnitude cheaper than a
+    full pass when few registers move; produces bit-identical slacks to
+    the convergence-driven worklist and to {!analyze}
+    (property-tested). Falls back to a full analysis when the engine
+    has never been analyzed.
+
+    The propagation plan (a CSR image of the graph with per-corner arc
+    delays, topological levels and per-start/endpoint launch and setup
+    terms) lives across calls. {!refresh} never rebuilds it: it flags
+    the pins whose incoming arcs, launch base or setup term it changed
+    and the pins that left or joined the graph; flags accumulate over
+    any number of refreshes, and the next plan use (this call, or a
+    big refresh's scans) patches exactly those pins in and copies the
+    rest — counted by {!plan_patches}. A from-scratch build
+    ({!plan_builds}) happens only for the first use after {!build}, a
+    fallback rebuild, {!set_corners} or an {!analyze} (whose delay
+    refresh invalidates every arc). Patched and fresh plans give
+    bit-identical slacks (property-tested).
 
     With [jobs > 1] on a multi-corner engine the corners propagate in
     parallel on [Mbr_util.Pool] (capped at one task per corner):
@@ -151,9 +181,10 @@ val update_skews :
     to the serial pass (property-tested) and multi-corner cost
     approaches max-over-corners instead of sum.
 
-    [cancel] is polled once per processed level so a deadline or check
-    budget trips promptly, but a batch is atomic — the pass always
-    completes, leaving exactly the planes an uncancelled call would.
+    [cancel] is polled once per processed level by the frontier passes
+    and every 4,096 pins by the scans, so a deadline or check budget
+    trips promptly, but a batch is atomic — the pass always completes,
+    leaving exactly the planes an uncancelled call would.
     Callers act on the tripped token at their own step boundary
     (see {!Skew.optimize}).
 
@@ -171,7 +202,10 @@ val update_skews_touched :
     whose arrival or required actually changed, sorted by cell id — a
     superset of every register whose {!reg_d_slack} or {!reg_q_slack}
     differs from before the call (a D slack only moves with the D pin's
-    arrival or required; likewise Q). Any register outside the returned
+    arrival or required; likewise Q). A changed D or Q pin is always a
+    connected one, i.e. an endpoint or a startpoint, so its register is
+    read off the plan's endpoint/startpoint tables. Any register
+    outside the returned
     set is guaranteed unchanged, which is what lets the worklist-driven
     skew optimizer skip it. On the never-analyzed fallback every
     register is reported. *)

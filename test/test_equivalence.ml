@@ -11,7 +11,11 @@
      numeric drift;
    - the single-sweep QoR pass behind [Metrics.collect] is bit-identical
      to the pre-change pass kept in [Qor_reference] — every field,
-     floats compared by their bits. *)
+     floats compared by their bits;
+   - a propagation plan patched across refreshes (composition merges,
+     scan restitching, ECO batches, heap-worklist refreshes whose marks
+     pile up) gives the slacks of a fresh build + analyze, bit for bit,
+     and never costs a refresh a from-scratch plan build. *)
 
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
@@ -19,6 +23,13 @@ module Allocate = Mbr_core.Allocate
 module Spatial = Mbr_core.Spatial
 module Design = Mbr_netlist.Design
 module Engine = Mbr_sta.Engine
+module Types = Mbr_netlist.Types
+module Placement = Mbr_place.Placement
+module Library = Mbr_liberty.Library
+module Cell_lib = Mbr_liberty.Cell
+module Compose = Mbr_core.Compose
+module Scan_stitch = Mbr_dft.Scan_stitch
+module Point = Mbr_geom.Point
 module Corner = Mbr_sta.Corner
 module Skew = Mbr_sta.Skew
 module Kpart = Mbr_graph.Kpart
@@ -308,6 +319,230 @@ let parallel_corners_match_serial =
       done;
       true)
 
+(* ---- propagation plan: patched = fresh, bit for bit ---- *)
+
+let three_corners =
+  [|
+    Corner.make ~name:"fast" ~cell:0.9 ~wire:0.85 ~setup:1.0;
+    Corner.make ~name:"typ" ~cell:1.0 ~wire:1.0 ~setup:1.0;
+    Corner.make ~name:"slow" ~cell:1.15 ~wire:1.25 ~setup:1.05;
+  |]
+
+let bits_opt = function
+  | None -> None
+  | Some v -> Some (Int64.bits_of_float v)
+
+(* Merge up to [k] random placed same-class register pairs into the
+   next wider library cell. *)
+let merge_some rng (g : G.t) k =
+  let dsg = g.G.design and pl = g.G.placement and lib = g.G.library in
+  for _ = 1 to k do
+    let placed =
+      Array.of_list
+        (List.filter (Placement.is_placed pl) (Design.registers dsg))
+    in
+    if Array.length placed >= 2 then begin
+      let a = placed.(Rng.int rng (Array.length placed)) in
+      let ca = (Design.reg_attrs dsg a).Types.lib_cell in
+      let fits b =
+        b <> a
+        &&
+        let cb = (Design.reg_attrs dsg b).Types.lib_cell in
+        cb.Cell_lib.func_class = ca.Cell_lib.func_class
+        && cb.Cell_lib.scan = ca.Cell_lib.scan
+      in
+      match List.filter fits (Array.to_list placed) with
+      | [] -> ()
+      | partners -> (
+        let b = Rng.pick_list rng partners in
+        let bits = ca.Cell_lib.bits + (Design.reg_attrs dsg b).Types.lib_cell.Cell_lib.bits in
+        match
+          List.filter
+            (fun (c : Cell_lib.t) -> c.Cell_lib.scan = ca.Cell_lib.scan)
+            (Library.cells_of lib ~func_class:ca.Cell_lib.func_class ~bits)
+        with
+        | [] -> ()
+        | cell :: _ -> (
+          try
+            ignore
+              (Compose.execute pl
+                 { Compose.member_cids = [ a; b ]; cell; corner = Placement.location pl a })
+          with Invalid_argument _ -> ()))
+    end
+  done
+
+(* Nudge one placed register: the smallest ECO, small enough for the
+   refresh's heap worklist on these designs. *)
+let nudge rng (g : G.t) =
+  let pl = g.G.placement in
+  match List.filter (Placement.is_placed pl) (Design.registers g.G.design) with
+  | [] -> ()
+  | regs ->
+    let r = Rng.pick_list rng regs in
+    let p = Placement.location pl r in
+    Placement.set pl r
+      (Point.make (p.Point.x +. Rng.float_in rng (-4.0) 4.0) p.Point.y)
+
+(* Every pin's per-corner slack against a fresh build carrying the
+   same skews. *)
+let compare_with_fresh ~what ~config eng (g : G.t) =
+  let fresh =
+    Engine.build ~config ~corners:(Engine.corners eng) g.G.placement
+  in
+  List.iter (fun (cid, s) -> Engine.set_skew fresh cid s) (Engine.skew_assignments eng);
+  Engine.analyze fresh;
+  for pid = 0 to Design.n_pins g.G.design - 1 do
+    for k = 0 to Engine.n_corners eng - 1 do
+      if bits_opt (Engine.corner_slack eng k pid) <> bits_opt (Engine.corner_slack fresh k pid)
+      then
+        QCheck.Test.fail_reportf "%s: corner %d slack of pin %d differs from a fresh build"
+          what k pid
+    done
+  done
+
+(* Per register, the bits of every corner's slack at its D and Q pins
+   (on one corner, exactly its D/Q arrivals and requireds). *)
+let reg_pin_bits eng dsg =
+  List.map
+    (fun cid ->
+      let pins =
+        List.filter
+          (fun pid ->
+            match (Design.pin dsg pid).Types.p_kind with
+            | Types.Pin_d _ | Types.Pin_q _ -> true
+            | _ -> false)
+          (Design.pins_of dsg cid)
+      in
+      ( cid,
+        List.map
+          (fun pid ->
+            ( bits_opt (Engine.arrival eng pid),
+              bits_opt (Engine.required eng pid),
+              List.init (Engine.n_corners eng) (fun k ->
+                  bits_opt (Engine.corner_slack eng k pid)) ))
+          pins ))
+    (Design.registers dsg)
+
+let plan_patch_matches_fresh =
+  QCheck.Test.make ~name:"patched plan = fresh build + analyze (bits)" ~count:16
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p =
+        if seed mod 2 = 0 then P.tiny ~seed:(seed mod 37)
+        else { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + seed }
+      in
+      let g = G.generate p in
+      let config =
+        { g.G.sta_config with
+          Engine.clock_period = g.G.sta_config.Engine.clock_period *. 0.7 }
+      in
+      let one = seed mod 4 < 2 in
+      let eng =
+        Engine.build ~config
+          ~corners:(if one then Corner.default else three_corners)
+          g.G.placement
+      in
+      Engine.analyze eng;
+      let rng = Rng.create ((seed * 41) + 3) in
+      (* the refreshes below stay incremental whatever their size, so a
+         plan build can only come from an analyze or a corner swap *)
+      let refresh () = Engine.refresh ~rebuild_threshold:infinity eng in
+      let moves_only =
+        { Eco.default_config with
+          Eco.retype_frac = 0.0;
+          remove_frac = 0.0;
+          add_frac = 0.0 }
+      in
+      for step = 1 to 8 do
+        let builds = Engine.plan_builds eng in
+        let kind = Rng.int rng 6 in
+        let may_build =
+          match kind with
+          | 0 -> merge_some rng g (1 + Rng.int rng 4); refresh (); false
+          | 1 -> ignore (Scan_stitch.stitch g.G.placement); refresh (); false
+          | 2 -> ignore (Eco.perturb rng g); refresh (); false
+          | 3 ->
+            (* heap-worklist refreshes: their marks pile up until the
+               skew batch below patches the plan once *)
+            for _ = 1 to 3 do
+              nudge rng g;
+              refresh ()
+            done;
+            false
+          | 4 ->
+            (* placement moves absorbed by an analyze between refreshes *)
+            nudge rng g;
+            refresh ();
+            ignore (Eco.perturb ~config:moves_only rng g);
+            Engine.analyze eng;
+            nudge rng g;
+            refresh ();
+            true
+          | _ ->
+            Engine.set_corners eng
+              (if Engine.n_corners eng = 1 then three_corners else Corner.default);
+            Engine.analyze eng;
+            true
+        in
+        let what = Printf.sprintf "seed %d step %d (kind %d)" seed step kind in
+        let regs = Array.of_list (Design.registers g.G.design) in
+        let batch = ref [] in
+        let n_moves = 1 + Rng.int rng (max 1 (Array.length regs / 4)) in
+        for _ = 1 to n_moves do
+          let r = regs.(Rng.int rng (Array.length regs)) in
+          let s = if Rng.chance rng 0.2 then 0.0 else Rng.float rng 40.0 -. 20.0 in
+          if not (List.mem_assoc r !batch) then batch := (r, s) :: !batch
+        done;
+        let before = reg_pin_bits eng g.G.design in
+        let touched = Engine.update_skews_touched eng !batch in
+        let after = reg_pin_bits eng g.G.design in
+        let changed =
+          List.filter_map
+            (fun ((cid, b), (_, a)) -> if a <> b then Some cid else None)
+            (List.combine before after)
+        in
+        if Engine.n_corners eng = 1 then begin
+          if touched <> changed then
+            QCheck.Test.fail_reportf
+              "%s: touched %d registers, %d D/Q timings changed" what
+              (List.length touched) (List.length changed)
+        end
+        else if List.exists (fun cid -> not (List.mem cid touched)) changed then
+          QCheck.Test.fail_reportf "%s: a register's slack moved untouched" what;
+        if (not may_build) && Engine.plan_builds eng <> builds then
+          QCheck.Test.fail_reportf "%s: a refresh rebuilt the plan from scratch"
+            what;
+        compare_with_fresh ~what ~config eng g
+      done;
+      Engine.full_builds eng = 1)
+
+(* Marks left by heap-worklist refreshes accumulate: three small
+   refreshes that never touch the plan, then one skew batch patches it
+   once — no build — and the result equals a fresh analysis. *)
+let worklist_marks_accumulate () =
+  let g = G.generate { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + 1 } in
+  let config = g.G.sta_config in
+  let eng = Engine.build ~config g.G.placement in
+  Engine.analyze eng;
+  let rng = Rng.create 17 in
+  (* make the plan current, then start counting *)
+  ignore (Engine.update_skews_touched eng [ (List.hd (Design.registers g.G.design), 3.0) ]);
+  let builds = Engine.plan_builds eng and patches = Engine.plan_patches eng in
+  for _ = 1 to 3 do
+    nudge rng g;
+    Engine.refresh eng
+  done;
+  Alcotest.(check int) "three incremental refreshes" 3 (Engine.refreshes eng);
+  Alcotest.(check int) "refreshes leave the plan alone" patches
+    (Engine.plan_patches eng);
+  let regs = Array.of_list (Design.registers g.G.design) in
+  ignore
+    (Engine.update_skews_touched eng
+       (List.init 5 (fun i -> (regs.(i * 7 mod Array.length regs), 5.0 -. float_of_int i))));
+  Alcotest.(check int) "one patch" (patches + 1) (Engine.plan_patches eng);
+  Alcotest.(check int) "no build" builds (Engine.plan_builds eng);
+  compare_with_fresh ~what:"after the patch" ~config eng g
+
 (* ---- QoR pass = pre-change reference, bit for bit ---- *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -488,6 +723,12 @@ let () =
         ] );
       ( "corners",
         [ QCheck_alcotest.to_alcotest unit_corner_matches_default ] );
+      ( "plan",
+        [
+          QCheck_alcotest.to_alcotest plan_patch_matches_fresh;
+          Alcotest.test_case "worklist marks accumulate into one patch" `Quick
+            worklist_marks_accumulate;
+        ] );
       ( "qor",
         [
           QCheck_alcotest.to_alcotest metrics_match_reference;

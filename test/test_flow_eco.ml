@@ -8,7 +8,9 @@
    copy A is advanced by the persistent session's recompose and copy B
    by a from-scratch Flow.run. Both pipelines are deterministic, so the
    copies stay in lockstep round after round — any divergence in the
-   results is a bug in the incremental path. *)
+   results is a bug in the incremental path. Timing (WNS, TNS, every
+   corner row) is compared by its bits; the ILP cost keeps a 1e-6
+   tolerance. *)
 
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
@@ -26,6 +28,8 @@ module Rng = Mbr_util.Rng
 
 let close a b =
   a = b || (Float.is_finite a && Float.is_finite b && Float.abs (a -. b) <= 1e-6)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let profile seed = P.scaled (P.tiny ~seed) 0.5
 
@@ -234,11 +238,11 @@ let compare_results ~seed ~round (ra : Flow.result) (rb : Flow.result) =
   if not (close ra.Flow.ilp_cost rb.Flow.ilp_cost) then
     fail "seed %d round %d: cost %g vs %g" seed round ra.Flow.ilp_cost
       rb.Flow.ilp_cost;
-  if not (close ma.Metrics.wns mb.Metrics.wns) then
-    fail "seed %d round %d: wns %g vs %g" seed round ma.Metrics.wns
+  if not (same_bits ma.Metrics.wns mb.Metrics.wns) then
+    fail "seed %d round %d: wns %h vs %h" seed round ma.Metrics.wns
       mb.Metrics.wns;
-  if not (close ma.Metrics.tns mb.Metrics.tns) then
-    fail "seed %d round %d: tns %g vs %g" seed round ma.Metrics.tns
+  if not (same_bits ma.Metrics.tns mb.Metrics.tns) then
+    fail "seed %d round %d: tns %h vs %h" seed round ma.Metrics.tns
       mb.Metrics.tns;
   if
     ra.Flow.eco_blocks_resolved + ra.Flow.eco_blocks_reused <> ra.Flow.n_blocks
@@ -258,8 +262,8 @@ let compare_results ~seed ~round (ra : Flow.result) (rb : Flow.result) =
    else
      List.iter2
        (fun (na, wa, ta) (nb, wb, tb) ->
-         if na <> nb || not (close wa wb) || not (close ta tb) then
-           fail "seed %d round %d: corner %s wns %g tns %g vs %s wns %g tns %g"
+         if na <> nb || not (same_bits wa wb) || not (same_bits ta tb) then
+           fail "seed %d round %d: corner %s wns %h tns %h vs %s wns %h tns %h"
              seed round na wa ta nb wb tb)
        ma.Metrics.corners mb.Metrics.corners);
   true

@@ -1,10 +1,11 @@
 (* Property: Engine.refresh after an arbitrary batch of real netlist /
    placement edits produces the same timing as throwing the engine away
-   and rebuilding from scratch. The edit batches are drawn from the
-   operations the composition flow actually performs — cell moves,
-   register retypes (sizing), Compose.execute merges and max-width
-   decomposition — applied through the public APIs so the design and
-   placement edit logs are exercised end to end. *)
+   and rebuilding from scratch — bit for bit: every pin's arrival and
+   required, WNS and TNS, under one corner and under three. The edit
+   batches are drawn from the operations the composition flow actually
+   performs — cell moves, register retypes (sizing), Compose.execute
+   merges and max-width decomposition — applied through the public APIs
+   so the design and placement edit logs are exercised end to end. *)
 
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
@@ -15,20 +16,27 @@ module Cell_lib = Mbr_liberty.Cell
 module Floorplan = Mbr_place.Floorplan
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
+module Corner = Mbr_sta.Corner
 module Compose = Mbr_core.Compose
 module Decompose = Mbr_core.Decompose
 module G = Mbr_designgen.Generate
 module P = Mbr_designgen.Profile
 module Rng = Mbr_util.Rng
 
-let close a b =
-  a = b || (Float.is_finite a && Float.is_finite b && Float.abs (a -. b) <= 1e-6)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let close_opt a b =
+let same_bits_opt a b =
   match (a, b) with
   | None, None -> true
-  | Some x, Some y -> close x y
+  | Some x, Some y -> same_bits x y
   | Some _, None | None, Some _ -> false
+
+let three_corners =
+  [|
+    Corner.make ~name:"fast" ~cell:0.9 ~wire:0.85 ~setup:1.0;
+    Corner.make ~name:"typ" ~cell:1.0 ~wire:1.0 ~setup:1.0;
+    Corner.make ~name:"slow" ~cell:1.15 ~wire:1.25 ~setup:1.05;
+  |]
 
 (* One random edit batch against the live design/placement. *)
 let random_edits rng g =
@@ -113,12 +121,19 @@ let random_edits rng g =
 
 let compare_engines ~seed eng fresh dsg =
   let fail fmt = QCheck.Test.fail_reportf fmt in
-  if not (close (Engine.wns fresh) (Engine.wns eng)) then
-    fail "seed %d: wns %g (fresh) vs %g (refresh)" seed (Engine.wns fresh)
+  if not (same_bits (Engine.wns fresh) (Engine.wns eng)) then
+    fail "seed %d: wns %h (fresh) vs %h (refresh)" seed (Engine.wns fresh)
       (Engine.wns eng);
-  if not (close (Engine.tns fresh) (Engine.tns eng)) then
-    fail "seed %d: tns %g (fresh) vs %g (refresh)" seed (Engine.tns fresh)
+  if not (same_bits (Engine.tns fresh) (Engine.tns eng)) then
+    fail "seed %d: tns %h (fresh) vs %h (refresh)" seed (Engine.tns fresh)
       (Engine.tns eng);
+  List.iter2
+    (fun (name, w, tn) (_, w', tn') ->
+      if not (same_bits w w' && same_bits tn tn') then
+        fail "seed %d: corner %s wns/tns %h/%h (fresh) vs %h/%h (refresh)" seed
+          name w tn w' tn')
+    (Engine.per_corner_wns_tns fresh)
+    (Engine.per_corner_wns_tns eng);
   if Engine.n_endpoints fresh <> Engine.n_endpoints eng then
     fail "seed %d: endpoint count %d vs %d" seed
       (Engine.n_endpoints fresh) (Engine.n_endpoints eng);
@@ -127,10 +142,17 @@ let compare_engines ~seed eng fresh dsg =
       (Engine.failing_endpoints fresh)
       (Engine.failing_endpoints eng);
   for pid = 0 to Design.n_pins dsg - 1 do
-    if not (close_opt (Engine.arrival fresh pid) (Engine.arrival eng pid)) then
-      fail "seed %d: arrival mismatch at pin %d" seed pid;
-    if not (close_opt (Engine.required fresh pid) (Engine.required eng pid))
-    then fail "seed %d: required mismatch at pin %d" seed pid
+    if not (same_bits_opt (Engine.arrival fresh pid) (Engine.arrival eng pid))
+    then fail "seed %d: arrival mismatch at pin %d" seed pid;
+    if not (same_bits_opt (Engine.required fresh pid) (Engine.required eng pid))
+    then fail "seed %d: required mismatch at pin %d" seed pid;
+    for k = 0 to Engine.n_corners eng - 1 do
+      if
+        not
+          (same_bits_opt (Engine.corner_slack fresh k pid)
+             (Engine.corner_slack eng k pid))
+      then fail "seed %d: corner %d slack mismatch at pin %d" seed k pid
+    done
   done;
   true
 
@@ -141,14 +163,17 @@ let refresh_equivalence =
     (fun seed ->
       let g = G.generate (P.tiny ~seed:(seed mod 37)) in
       let rng = Rng.create (seed * 7 + 1) in
-      let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+      let corners = if seed mod 2 = 0 then Corner.default else three_corners in
+      let eng = Engine.build ~config:g.G.sta_config ~corners g.G.placement in
       Engine.analyze eng;
       let rounds = 1 + Rng.int rng 3 in
       let ok = ref true in
       for _ = 1 to rounds do
         random_edits rng g;
         Engine.refresh eng;
-        let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
+        let fresh =
+          Engine.build ~config:g.G.sta_config ~corners g.G.placement
+        in
         Engine.analyze fresh;
         ok := !ok && compare_engines ~seed eng fresh g.G.design
       done;
@@ -168,8 +193,8 @@ let test_moves_stay_incremental () =
   Alcotest.(check int) "one refresh" 1 (Engine.refreshes eng);
   let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
   Engine.analyze fresh;
-  Alcotest.(check bool) "wns equal" true
-    (close (Engine.wns fresh) (Engine.wns eng))
+  Alcotest.(check bool) "wns bits equal" true
+    (same_bits (Engine.wns fresh) (Engine.wns eng))
 
 (* A small compose must also stay incremental. *)
 let test_compose_stays_incremental () =
@@ -224,8 +249,8 @@ let test_compose_stays_incremental () =
   Alcotest.(check int) "no rebuild" 1 (Engine.full_builds eng);
   let fresh = Engine.build ~config:g.G.sta_config pl in
   Engine.analyze fresh;
-  Alcotest.(check bool) "tns equal" true
-    (close (Engine.tns fresh) (Engine.tns eng))
+  Alcotest.(check bool) "tns bits equal" true
+    (same_bits (Engine.tns fresh) (Engine.tns eng))
 
 let () =
   Alcotest.run "mbr_sta.incremental"

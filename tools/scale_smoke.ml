@@ -23,12 +23,22 @@
    a sort or pin walk that slips a complexity class shows up here
    first.
 
+   The flow runs as Session.create + recompose (what Flow.run is), and
+   the same session then takes one default ECO batch and a second
+   recompose. That round must stay incremental all the way down: the
+   STA propagation plan is patched from the pins the refreshes marked,
+   never rebuilt from scratch, so the check fails on any full plan
+   build during it. This is a count, not a timing; the round's
+   eco-reset and skew stage times are printed for the log.
+
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
    Defaults: 8.0, 180 s, 2048 MB, 20 s, 8 s. *)
 
 module P = Mbr_designgen.Profile
 module G = Mbr_designgen.Generate
+module Flow = Mbr_core.Flow
+module Engine = Mbr_sta.Engine
 
 let () =
   Mbr_util.Runtime.tune ();
@@ -45,26 +55,45 @@ let () =
     p.P.n_registers;
   let t0 = Unix.gettimeofday () in
   let g = G.generate p in
-  let r =
-    Mbr_core.Flow.run ~design:g.G.design ~placement:g.G.placement
+  let session =
+    Flow.Session.create ~design:g.G.design ~placement:g.G.placement
       ~library:g.G.library ~sta_config:g.G.sta_config ()
   in
+  let r = Flow.Session.recompose session in
   let wall = Unix.gettimeofday () -. t0 in
   let rss = Mbr_obs.Rss.peak_mb () in
   Printf.printf
     "scale-smoke: wall %.1f s (flow %.1f s), merges %d, peak rss %s\n%!" wall
-    r.Mbr_core.Flow.runtime_s r.Mbr_core.Flow.n_merges
+    r.Flow.runtime_s r.Flow.n_merges
     (match rss with Some m -> Printf.sprintf "%.0f MB" m | None -> "n/a");
-  let stage_s name =
-    match List.assoc_opt name r.Mbr_core.Flow.stage_times with
+  let stage_s (r : Flow.result) name =
+    match List.assoc_opt name r.Flow.stage_times with
     | Some s -> s
     | None -> 0.0
   in
-  let skew_s = stage_s "skew" in
-  let metrics_s = stage_s "metrics-before" +. stage_s "metrics-after" in
+  let skew_s = stage_s r "skew" in
+  let metrics_s = stage_s r "metrics-before" +. stage_s r "metrics-after" in
   Printf.printf "scale-smoke: skew stage %.2f s, metrics stages %.2f s\n%!"
     skew_s metrics_s;
+  (* one ECO round on the same session *)
+  ignore (Mbr_designgen.Eco.perturb (Mbr_util.Rng.create 1) g);
+  let eng = Flow.Session.engine session in
+  let builds0 = Engine.plan_builds eng and patches0 = Engine.plan_patches eng in
+  let eco = Flow.Session.recompose session in
+  let eco_builds = Engine.plan_builds eng - builds0 in
+  Printf.printf
+    "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, plan builds %d, \
+     patches %d\n%!"
+    (stage_s eco "eco-reset") (stage_s eco "skew") eco_builds
+    (Engine.plan_patches eng - patches0);
   let failed = ref false in
+  if eco_builds > 0 then begin
+    Printf.printf
+      "scale-smoke: FAIL eco round built the STA propagation plan from \
+       scratch %d time(s); it must only patch it\n%!"
+      eco_builds;
+    failed := true
+  end;
   if skew_s > skew_ceiling then begin
     Printf.printf "scale-smoke: FAIL skew stage %.2f s > ceiling %.0f s\n%!"
       skew_s skew_ceiling;
