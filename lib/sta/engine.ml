@@ -21,86 +21,7 @@ let default_config =
     output_delay = 40.0;
   }
 
-(* One timing arc, shared between the source's successor list and the
-   destination's predecessor list. Arc delays depend on pin locations
-   and net loads, so they are recomputed per analysis — but the memo
-   lives in the edge record itself, valid while [e_gen] matches the
-   engine's current delay generation, and the propagation hot loops
-   never touch a hash table. The memo holds one derated delay per
-   active corner (index-aligned with the engine's corner set; an
-   array whose length disagrees with the set is stale regardless of
-   generation). A full invalidation (every [analyze], which absorbs
-   placement moves) is a single generation bump; selective
-   invalidation stamps the record stale. Fresh splices start at
-   generation -1, which never matches, and because the record is
-   shared a delay is computed at most once per arc per generation no
-   matter which direction reaches it first. [e_cell] distinguishes a
-   comb input->output arc from a net driver->sink arc. *)
-type edge = {
-  e_src : Types.pin_id;
-  e_dst : Types.pin_id;
-  e_cell : bool;
-  mutable e_delay : float array;
-  mutable e_gen : int;
-}
-
-let mk_edge ~cell src dst =
-  { e_src = src; e_dst = dst; e_cell = cell; e_delay = [||]; e_gen = -1 }
-
 type endpoint_kind = Ep_reg_d of Types.cell_id | Ep_out_port
-
-(* A binary min-heap of (priority, pin) pairs: the dirty-pin worklists
-   process pins in topological order so every predecessor is final
-   before a pin is recomputed. *)
-module Pq = struct
-  type t = { mutable a : (int * int) array; mutable len : int }
-
-  let create () = { a = Array.make 64 (0, 0); len = 0 }
-
-  let is_empty h = h.len = 0
-
-  let push h x =
-    if h.len = Array.length h.a then begin
-      let b = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.a 0 b 0 h.len;
-      h.a <- b
-    end;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    h.a.(!i) <- x;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if fst h.a.(p) > fst h.a.(!i) then begin
-        let tmp = h.a.(p) in
-        h.a.(p) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := p
-      end
-      else continue := false
-    done
-
-  let pop h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.len && fst h.a.(l) < fst h.a.(!m) then m := l;
-      if r < h.len && fst h.a.(r) < fst h.a.(!m) then m := r;
-      if !m <> !i then begin
-        let tmp = h.a.(!m) in
-        h.a.(!m) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !m
-      end
-      else continue := false
-    done;
-    snd top
-end
 
 (* Arrival/required storage: one flat [Bigarray] float64 plane per
    corner, indexed by pin id. Unboxed end to end — the propagation
@@ -139,41 +60,25 @@ let ivec_push v x =
   v.iv_a.(v.iv_len) <- x;
   v.iv_len <- v.iv_len + 1
 
-(* The levelized propagation plan and its per-corner scratch; see the
-   skew-propagation section below. *)
+(* The propagation plan and its per-corner scratch; see the plan
+   section below. *)
 type plan_scratch = {
-  ps_mark : int array;  (* per-pin epoch stamp: queued this pass *)
-  ps_next : int array;  (* intrusive per-level singly-linked list *)
-  ps_head : int array;  (* level -> first queued pin, -1 when empty *)
+  ps_mark : int array;  (* per-pin epoch stamp: to recompute this pass *)
   ps_tmp : float array;  (* per-corner recompute scratch *)
   mutable ps_epoch : int;
 }
 
 type plan = {
-  pl_struct_gen : int;
-  pl_delay_gen : int;
-      (* the plan is current while both generations match the engine's;
-         a [struct_gen] move alone (a refresh) is patched from the
-         engine's dirty-pin flags, a [delay_gen] move (an [analyze]
-         absorbing placement moves) rebuilds *)
   pl_nc : int;
-  pl_level : int array;
-      (* forward topological level per pin (-1 outside the graph);
-         every arc strictly increases the level, so the pins of one
-         level are mutually independent in both directions. Its length
-         is the pin count the plan covers. *)
-  pl_n_levels : int;
   (* CSR adjacency with the per-corner derated delays flattened
      alongside (entry-major: pred entry [j]'s corner-[k] delay sits at
      [j * nc + k]) — the propagation loops stream flat int/float
-     arrays instead of chasing [edge list] cons cells; each direction
-     streams its own delay image sequentially. The succ side is the
-     transpose of the pred side (a pin's succ entries in ascending
-     destination order). *)
+     arrays instead of chasing adjacency-list cons cells; each
+     direction streams its own delay image sequentially. The succ side
+     is the transpose of the pred side (a pin's succ entries in
+     ascending destination order). *)
   pr_off : int array;
   pr_src : int array;
-  pr_cell : Bytes.t;
-      (* per pred entry, 1 when the arc is a cell arc *)
   pr_delay : float array;
   su_off : int array;
   su_dst : int array;
@@ -181,10 +86,9 @@ type plan = {
   (* startpoint launch = skew(st_cell) + st_base (st_base alone for
      skewless startpoints); endpoint required =
      (clock_period + skew(ep_cell)) - ep_term (period - ep_term when
-     skewless). Float op order matches [launch_arrival] /
-     [endpoint_required] exactly, so recomputed values are
-     bit-identical. [st_cell]/[ep_cell] name the register behind a
-     Q/D pin (-1 for ports). *)
+     skewless). [st_cell]/[ep_cell] name the register behind a Q/D pin
+     (-1 for ports). [st_slot]'s length is the pin count the plan
+     covers. *)
   st_slot : int array;
   st_cell : int array;
   st_base : float array;
@@ -209,8 +113,8 @@ type t = {
       (* per pin, its [pin_role] as of joining the graph (fixed for the
          pin's life): tells a register's Q and D pins apart without a
          design lookup *)
-  mutable succs : edge list array;
-  mutable preds : edge list array;
+  mutable succs : Types.pin_id list array;
+  mutable preds : Types.pin_id list array;
   mutable topo : Types.pin_id array;
   mutable topo_pos : int array;
       (** pin -> index in [topo] (-1 outside graph) *)
@@ -228,21 +132,18 @@ type t = {
       (* corner-interleaved: one flat float64 plane indexed
          [pid * nc + k], so all corners of a pin share a cache line and
          a pred/succ read costs one miss regardless of the corner
-         count. Reachability is structural — a pin has a finite arrival
-         in one corner iff it does in every corner — so loops may guard
-         on corner 0 alone. *)
+         count. Reachability is structural: a pin has a finite arrival
+         in one corner iff it does in every corner. *)
   mutable required : plane;
-  mutable delay_gen : int; (* current validity stamp for edge memos *)
-  mutable struct_gen : int;
-      (* bumped whenever graph structure or spliced arc delays change
-         outside an [analyze] (rebuild, grow, incremental refresh);
-         with [delay_gen] it keys the propagation plan's validity *)
   mutable plan : plan option;
+      (* current whenever present outside a refresh: [analyze],
+         [set_corners] and [rebuild] drop it, and [refresh] patches it
+         before returning *)
   mutable plan_dirty : Bytes.t;
       (* per pin, 1 when the pin's incoming arcs, launch base or setup
-         term may differ from what [plan] holds: every pin a refresh
-         marked since the plan was made, plus pins that left or joined
-         the graph. The next plan patch re-derives exactly these pins
+         term may differ from what [plan] holds: every pin the running
+         refresh's splice marked, plus pins that left or joined the
+         graph. The refresh's plan patch re-derives exactly these pins
          and clears the flags. *)
   mutable n_plan_builds : int;
   mutable n_plan_patches : int;
@@ -254,20 +155,12 @@ type t = {
   mutable pl_cursor : int;  (** placement moves already reflected *)
   mutable n_full_builds : int;
   mutable n_refreshes : int;
-  (* Epoch-scoped net-load memo. A load folds the sink caps and the
-     net's bounding box, and the same net is consulted once per comb
-     arc through its driver plus once per launch seed — [nl_open]
-     starts a fresh epoch at every point where design and placement
-     are frozen for the duration (analyze, plan delay fill, refresh),
-     and [net_load_memo] then computes each net at most once. Query
-     paths outside those windows keep calling the raw [net_load]. *)
-  mutable nl_cache : float array;
-  mutable nl_stamp : int array;
-  mutable nl_epoch : int;
-  (* Pin geometry memo for plan making, stamped with the same epoch:
-     [pg_stamp] is [nl_epoch] when the pin is placed (location and cap
-     resolved), [-nl_epoch] when it is not. A net driver with fanout f
-     is otherwise resolved once per arc. *)
+  (* Pin geometry memo for plan making: [pg_stamp] is [pg_epoch] when
+     the pin is placed (location and cap resolved), [-pg_epoch] when it
+     is not. Each plan make opens a fresh epoch (design and placement
+     are frozen for its duration), so a net driver with fanout f is
+     resolved once instead of once per arc. *)
+  mutable pg_epoch : int;
   mutable pg_x : float array;
   mutable pg_y : float array;
   mutable pg_cap : float array;
@@ -330,7 +223,9 @@ let skew_assignments t =
 
 (* The data graph excludes clock distribution and scan pins. A pin's
    role: '\000' outside the data graph, 'q' / 'd' for a register's Q /
-   D pin, '\001' for any other data pin. *)
+   D pin, 'o' for a comb output, '\001' for any other data pin. The
+   arcs into a comb output are exactly its cell's input->output arcs;
+   every other pin's incoming arcs are net arcs. *)
 let pin_role dsg pid =
   let p = Design.pin dsg pid in
   let c = Design.cell dsg p.Types.p_cell in
@@ -340,7 +235,8 @@ let pin_role dsg pid =
     | Types.Register _, Types.Pin_q _ -> 'q'
     | Types.Register _, Types.Pin_d _ -> 'd'
     | Types.Register _, _ -> '\000'
-    | Types.Comb _, (Types.Pin_in _ | Types.Pin_out) -> '\001'
+    | Types.Comb _, Types.Pin_in _ -> '\001'
+    | Types.Comb _, Types.Pin_out -> 'o'
     | Types.Comb _, _ -> '\000'
     | Types.Port _, Types.Pin_port -> '\001'
     | Types.Port _, _ -> '\000'
@@ -377,8 +273,8 @@ type graph_parts = {
   g_n : int;
   g_in_graph : bool array;
   g_role : Bytes.t;
-  g_succs : edge list array;
-  g_preds : edge list array;
+  g_succs : Types.pin_id list array;
+  g_preds : Types.pin_id list array;
   g_topo : Types.pin_id array;
   g_topo_pos : int array;
   g_is_start : bool array;
@@ -402,10 +298,9 @@ let compute_graph dsg =
   (* in-degrees are tallied as arcs are created, so Kahn below never
      has to re-walk the pred lists *)
   let indeg = Array.make n 0 in
-  let add_arc ~cell src dst =
-    let e = mk_edge ~cell src dst in
-    succs.(src) <- e :: succs.(src);
-    preds.(dst) <- e :: preds.(dst);
+  let add_arc src dst =
+    succs.(src) <- dst :: succs.(src);
+    preds.(dst) <- src :: preds.(dst);
     indeg.(dst) <- indeg.(dst) + 1
   in
   (* net arcs *)
@@ -415,7 +310,7 @@ let compute_graph dsg =
     | [] -> ()
     | pairs ->
       Hashtbl.replace net_arcs nid pairs;
-      List.iter (fun (d, s) -> add_arc ~cell:false d s) pairs
+      List.iter (fun (d, s) -> add_arc d s) pairs
   done;
   (* comb cell arcs *)
   List.iter
@@ -435,7 +330,7 @@ let compute_graph dsg =
                   if
                     (Design.pin dsg i).Types.p_dir = Types.Input
                     && in_graph.(i)
-                  then add_arc ~cell:true i o)
+                  then add_arc i o)
                 c.Types.c_pins)
           c.Types.c_pins
       | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _
@@ -450,19 +345,11 @@ let compute_graph dsg =
   let endpoints = ref [] in
   for pid = n - 1 downto 0 do
     if in_graph.(pid) then begin
-      let p = Design.pin dsg pid in
-      let c = Design.cell dsg p.Types.p_cell in
-      match (c.Types.c_kind, p.Types.p_kind) with
-      | Types.Register _, Types.Pin_q _ ->
-        if p.Types.p_net <> None then startpoints := pid :: !startpoints
-      | Types.Register _, Types.Pin_d _ ->
-        if p.Types.p_net <> None then
-          endpoints := (pid, Ep_reg_d p.Types.p_cell) :: !endpoints
-      | Types.Port Types.In_port, _ -> startpoints := pid :: !startpoints
-      | Types.Port Types.Out_port, _ ->
-        if p.Types.p_net <> None then
-          endpoints := (pid, Ep_out_port) :: !endpoints
-      | _, _ -> ()
+      let st, ep = pin_start_end dsg pid in
+      if st then startpoints := pid :: !startpoints;
+      match ep with
+      | Some kind -> endpoints := (pid, kind) :: !endpoints
+      | None -> ()
     end
   done;
   (* in-place Kahn: [topo.(0..k)] doubles as the ready queue — resolved
@@ -481,11 +368,11 @@ let compute_graph dsg =
     let pid = topo.(!i) in
     incr i;
     List.iter
-      (fun e ->
-        let d = indeg.(e.e_dst) - 1 in
-        indeg.(e.e_dst) <- d;
+      (fun dst ->
+        let d = indeg.(dst) - 1 in
+        indeg.(dst) <- d;
         if d = 0 then begin
-          topo.(!k) <- e.e_dst;
+          topo.(!k) <- dst;
           incr k
         end)
       succs.(pid)
@@ -525,8 +412,8 @@ let compute_graph dsg =
           end
           else begin
             Hashtbl.add seen pid ();
-            match List.find_opt (fun e -> indeg.(e.e_src) > 0) preds.(pid) with
-            | Some e -> walk e.e_src (pid :: path)
+            match List.find_opt (fun src -> indeg.(src) > 0) preds.(pid) with
+            | Some src -> walk src (pid :: path)
             | None -> List.rev (pid :: path)
           end
         in
@@ -588,8 +475,6 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
     skew_dense = [||];
     arrival = plane_make (g.g_n * nc) neg_infinity;
     required = plane_make (g.g_n * nc) infinity;
-    delay_gen = 0;
-    struct_gen = 0;
     plan = None;
     plan_dirty = Bytes.make g.g_n '\000';
     n_plan_builds = 0;
@@ -600,9 +485,7 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
     pl_cursor = Placement.revision pl;
     n_full_builds = 1;
     n_refreshes = 0;
-    nl_cache = [||];
-    nl_stamp = [||];
-    nl_epoch = 0;
+    pg_epoch = 0;
     pg_x = [||];
     pg_y = [||];
     pg_cap = [||];
@@ -637,8 +520,7 @@ let register_index t =
     t.reg_cache <- Some (rev, regs, slot);
     (regs, slot)
 
-(* ---- delay computation ---- *)
-
+(* A net's load: its sink pin caps plus the HPWL wire cap. *)
 let net_load t nid =
   let dsg = t.dsg in
   let pin_caps =
@@ -653,149 +535,30 @@ let net_load t nid =
   in
   pin_caps +. (t.cfg.wire_cap *. wire_len)
 
-let nl_open t =
-  let nn = Design.n_nets t.dsg in
-  if Array.length t.nl_stamp < nn then begin
-    t.nl_cache <- Array.make nn 0.0;
-    t.nl_stamp <- Array.make nn 0
-  end;
-  t.nl_epoch <- t.nl_epoch + 1
+(* ---- propagation plan ----
 
-let net_load_memo t nid =
-  if t.nl_stamp.(nid) = t.nl_epoch then t.nl_cache.(nid)
-  else begin
-    let v = net_load t nid in
-    t.nl_cache.(nid) <- v;
-    t.nl_stamp.(nid) <- t.nl_epoch;
-    v
-  end
-
-let wire_delay t src dst =
-  let dsg = t.dsg in
-  let psrc = Design.pin dsg src and pdst = Design.pin dsg dst in
-  match
-    ( Placement.location_opt t.pl psrc.Types.p_cell,
-      Placement.location_opt t.pl pdst.Types.p_cell )
-  with
-  | Some _, Some _ ->
-    let a = Placement.pin_location t.pl src in
-    let b = Placement.pin_location t.pl dst in
-    let len = Point.manhattan a b in
-    let sink_cap = Design.pin_cap dsg dst in
-    t.cfg.wire_res *. len *. ((t.cfg.wire_cap *. len /. 2.0) +. sink_cap)
-  | _, _ -> 0.0
-
-(* Underated arc delay; corners scale it multiplicatively (wire factor
-   for net arcs, cell factor for comb arcs). *)
-let compute_edge_base_delay t e =
-  if not e.e_cell then wire_delay t e.e_src e.e_dst
-  else begin
-    let p = Design.pin t.dsg e.e_dst in
-    let c = Design.cell t.dsg p.Types.p_cell in
-    match c.Types.c_kind with
-    | Types.Comb a ->
-      let load =
-        match p.Types.p_net with
-        | Some nid -> net_load_memo t nid
-        | None -> 0.0
-      in
-      a.Types.intrinsic +. (a.Types.drive_res *. load)
-    | Types.Register _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port _ ->
-      0.0
-  end
-
-let edge_delays t e =
-  let nc = Array.length t.corners in
-  if e.e_gen = t.delay_gen && Array.length e.e_delay = nc then e.e_delay
-  else begin
-    let base = compute_edge_base_delay t e in
-    let d = if Array.length e.e_delay = nc then e.e_delay else Array.make nc 0.0 in
-    if e.e_cell then
-      for k = 0 to nc - 1 do
-        d.(k) <- base *. t.corners.(k).Corner.cell
-      done
-    else
-      for k = 0 to nc - 1 do
-        d.(k) <- base *. t.corners.(k).Corner.wire
-      done;
-    e.e_delay <- d;
-    e.e_gen <- t.delay_gen;
-    d
-  end
-
-let clock_arrival t cid = skew t cid
-
-let launch_arrival t k pid =
-  (* arrival at a startpoint, under corner [k] *)
-  let p = Design.pin t.dsg pid in
-  let c = Design.cell t.dsg p.Types.p_cell in
-  match (c.Types.c_kind, p.Types.p_kind) with
-  | Types.Register a, Types.Pin_q _ ->
-    let load =
-      match p.Types.p_net with Some nid -> net_load_memo t nid | None -> 0.0
-    in
-    clock_arrival t p.Types.p_cell
-    +. (Cell_lib.clk_to_q a.Types.lib_cell ~load *. t.corners.(k).Corner.cell)
-  | Types.Port Types.In_port, _ -> t.cfg.input_delay
-  | (Types.Register _ | Types.Comb _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port Types.Out_port), _ ->
-    0.0
-
-let endpoint_required t k (pid, kind) =
-  ignore pid;
-  match kind with
-  | Ep_reg_d cid ->
-    let a = Design.reg_attrs t.dsg cid in
-    t.cfg.clock_period +. clock_arrival t cid
-    -. (a.Types.lib_cell.Cell_lib.setup *. t.corners.(k).Corner.setup)
-  | Ep_out_port -> t.cfg.clock_period -. t.cfg.output_delay
-
-(* ---- levelized propagation plan ----
-
-   A CSR image of the graph with per-corner delays flattened alongside,
-   a forward topological level per pin, and per-startpoint/endpoint
-   launch/required constants. The plan is a pure function of
-   (structure, delays, corners) and serves both the full analysis and
-   every batched skew sweep.
+   A CSR image of the graph with per-corner arc delays flattened
+   alongside, and per-startpoint/endpoint launch/required constants.
+   The plan is a pure function of (structure, placement, corners) and
+   the only graph the numeric propagation reads: [analyze], refresh's
+   repair and every skew batch run the mark-skip scans below over it.
 
    Lifecycle: [make_plan] is the one builder. It re-derives the pins
    the engine's [plan_dirty] flags name and copies every other pin's
-   entries from the previous plan; with no usable previous plan (none
-   yet, a corner-set swap, or a [delay_gen] bump by [analyze]) every
-   pin counts as dirty and the same code is a from-scratch build. A
-   refresh never rebuilds the plan: it marks the pins whose incoming
-   arcs, launch base or setup term it touched (plus pins that left or
-   joined the graph), the marks accumulate over any number of
-   refreshes, and the next plan use patches them in.
-
-   Propagation over the plan comes in two shapes with one per-pin
-   formula (recompute from final predecessors, in the full analysis's
-   float op order, so fixpoints are bit-identical — property-tested):
-
-   - frontier passes ([forward_pass]/[backward_pass]) seed the union
-     frontier of a move batch (epoch-stamped marks, so a pin enqueues
-     once no matter how many moved registers reach it) and process it
-     level by level, pushing a pin's successors only when its value
-     actually moved;
-   - markless full sweeps ([forward_full]/[backward_full]) recompute
-     every in-graph pin once in topological order (reverse for
-     requireds) with no frontier bookkeeping at all — cheaper than the
-     frontier machinery as soon as the frontier would cover most of
-     the graph, and the backbone of [analyze]. *)
+   entries from the previous plan; with no previous plan (none yet, or
+   dropped by [analyze], [set_corners] or [rebuild]) every pin counts
+   as dirty and the same code is a from-scratch build. A refresh never
+   rebuilds the plan: its splice flags the pins whose incoming arcs,
+   launch base or setup term it touched (plus pins that left or joined
+   the graph), and it patches them in before it propagates. *)
 
 (* Stand-in for "no previous plan": it covers zero pins, so every pin
    of the next [make_plan] is dirty. *)
 let no_plan =
   {
-    pl_struct_gen = -1;
-    pl_delay_gen = -1;
     pl_nc = 0;
-    pl_level = [||];
-    pl_n_levels = 0;
     pr_off = [| 0 |];
     pr_src = [||];
-    pr_cell = Bytes.empty;
     pr_delay = [||];
     su_off = [| 0 |];
     su_dst = [||];
@@ -817,7 +580,7 @@ let m_plan_patches = Mbr_obs.Metrics.counter "sta.plan.patches"
    once per plan: true (and [pg_x]/[pg_y]/[pg_cap] filled) when the
    pin's cell is placed. *)
 let pin_geometry t pid =
-  let ep = t.nl_epoch in
+  let ep = t.pg_epoch in
   let st = Array.unsafe_get t.pg_stamp pid in
   if st = ep then true
   else if st = -ep then false
@@ -836,39 +599,34 @@ let pin_geometry t pid =
       false
   end
 
-(* The dst cell's intrinsic + drive into its output load — shared by
-   every cell arc into [pid]; same float ops as the cell branch of
-   [compute_edge_base_delay]. *)
+(* The comb output [pid]'s cell delay before derating: intrinsic +
+   drive into its output load, shared by every cell arc into it. *)
 let comb_base t pid =
   let pn = Design.pin t.dsg pid in
   let c = Design.cell t.dsg pn.Types.p_cell in
   match c.Types.c_kind with
   | Types.Comb a ->
     let load =
-      match pn.Types.p_net with Some nid -> net_load_memo t nid | None -> 0.0
+      match pn.Types.p_net with Some nid -> net_load t nid | None -> 0.0
     in
     a.Types.intrinsic +. (a.Types.drive_res *. load)
   | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
     0.0
 
-(* Make the plan for the current graph, delays and corners: patch the
-   previous plan when its delays are still current (same delay
-   generation, same corner count), build from scratch otherwise. A
-   dirty pin — flagged in [plan_dirty], or beyond the previous plan's
-   pin range — gets its pred range re-walked off [t.preds] with its
-   arc delays recomputed, and its launch base / setup term recomputed;
-   a clean pin's entries are copied (runs of consecutive clean pins in
-   one blit each). The succ CSR is the pred CSR's transpose and the
-   levels are recomputed from the pred CSR in [t.topo] order, both on
-   int arrays only. Clears the dirty flags. *)
+(* Make the plan for the current graph, placement and corners, and
+   install it: patch the previous plan when there is one, build from
+   scratch otherwise. A dirty pin — flagged in [plan_dirty], or beyond
+   the previous plan's pin range — gets its pred range re-walked off
+   [t.preds] with its arc delays recomputed, and its launch base /
+   setup term recomputed; a clean pin's entries are copied (runs of
+   consecutive clean pins in one blit each). The succ CSR is the pred
+   CSR's transpose, built on int arrays only. Clears the dirty flags.
+   Each net's load is computed at most once: only its single driver's
+   cell arcs or launch read it. *)
 let make_plan t =
   let nc = Array.length t.corners in
   let n = t.n in
-  let o =
-    match t.plan with
-    | Some o when o.pl_nc = nc && o.pl_delay_gen = t.delay_gen -> o
-    | Some _ | None -> no_plan
-  in
+  let o = match t.plan with Some o -> o | None -> no_plan in
   let full = o == no_plan in
   Mbr_obs.Trace.with_span
     ~name:(if full then "sta.plan.build" else "sta.plan.patch")
@@ -882,14 +640,14 @@ let make_plan t =
     t.n_plan_patches <- t.n_plan_patches + 1;
     Mbr_obs.Metrics.incr m_plan_patches
   end;
-  nl_open t;
+  t.pg_epoch <- t.pg_epoch + 1;
   if Array.length t.pg_stamp < n then begin
     t.pg_x <- Array.make n 0.0;
     t.pg_y <- Array.make n 0.0;
     t.pg_cap <- Array.make n 0.0;
     t.pg_stamp <- Array.make n 0
   end;
-  let on = Array.length o.pl_level in
+  let on = Array.length o.st_slot in
   let flags = t.plan_dirty in
   let dirty pid = pid >= on || Bytes.unsafe_get flags pid <> '\000' in
   (* pred CSR *)
@@ -903,7 +661,6 @@ let make_plan t =
   done;
   let ne = pr_off.(n) in
   let pr_src = Array.make (max ne 1) 0 in
-  let pr_cell = Bytes.make (max ne 1) '\000' in
   let pr_delay = Array.make (max (ne * nc) 1) 0.0 in
   (* copy the old entries of clean pins [p0, p1) *)
   let copy_run p0 p1 =
@@ -911,7 +668,6 @@ let make_plan t =
     if len > 0 then begin
       let j = pr_off.(p0) in
       Array.blit o.pr_src oj pr_src j len;
-      Bytes.blit o.pr_cell oj pr_cell j len;
       Array.blit o.pr_delay (oj * nc) pr_delay (j * nc) (len * nc)
     end
   in
@@ -926,22 +682,27 @@ let make_plan t =
         copy_run !run pid;
         run := -1
       end;
-      (* same float ops (same order) as [edge_delays], per arc of the
-         pin's pred list *)
-      let cell_base = ref nan in
       let j = ref pr_off.(pid) in
-      List.iter
-        (fun e ->
-          let base =
-            if e.e_cell then begin
-              Bytes.unsafe_set pr_cell !j '\001';
-              if Float.is_nan !cell_base then cell_base := comb_base t pid;
-              !cell_base
-            end
-            else begin
-              let s = e.e_src in
+      match t.preds.(pid) with
+      | [] -> ()
+      | preds when Bytes.unsafe_get t.role pid = 'o' ->
+        (* cell arcs: one base for all of them, cell-derated *)
+        let base = comb_base t pid in
+        List.iter
+          (fun s ->
+            pr_src.(!j) <- s;
+            for k = 0 to nc - 1 do
+              pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.cell
+            done;
+            incr j)
+          preds
+      | preds ->
+        (* net arcs: the model's wire delay r·L·(c·L/2 + C_sink) off
+           the geometry memo, wire-derated *)
+        List.iter
+          (fun s ->
+            let base =
               if pin_geometry t s && pin_geometry t pid then begin
-                (* [wire_delay] verbatim, off the geometry memo *)
                 let len =
                   Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
                   +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
@@ -950,20 +711,13 @@ let make_plan t =
                 *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
               end
               else 0.0
-            end
-          in
-          pr_src.(!j) <- e.e_src;
-          let b = !j * nc in
-          if e.e_cell then
+            in
+            pr_src.(!j) <- s;
             for k = 0 to nc - 1 do
-              pr_delay.(b + k) <- base *. t.corners.(k).Corner.cell
-            done
-          else
-            for k = 0 to nc - 1 do
-              pr_delay.(b + k) <- base *. t.corners.(k).Corner.wire
+              pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.wire
             done;
-          incr j)
-        t.preds.(pid)
+            incr j)
+          preds
     end
   done;
   if !run >= 0 then copy_run !run n;
@@ -990,19 +744,6 @@ let make_plan t =
       done
     done
   done;
-  (* levels *)
-  let level = Array.make n (-1) in
-  let n_levels = ref 0 in
-  Array.iter
-    (fun pid ->
-      let l = ref 0 in
-      for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
-        let ls = level.(pr_src.(j)) + 1 in
-        if ls > !l then l := ls
-      done;
-      level.(pid) <- !l;
-      if !l + 1 > !n_levels then n_levels := !l + 1)
-    t.topo;
   (* start/endpoint tables *)
   let st_slot = Array.make n (-1) in
   let n_st = List.length t.startpoints in
@@ -1026,7 +767,7 @@ let make_plan t =
           st_cell.(i) <- pn.Types.p_cell;
           let load =
             match pn.Types.p_net with
-            | Some nid -> net_load_memo t nid
+            | Some nid -> net_load t nid
             | None -> 0.0
           in
           let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
@@ -1068,50 +809,36 @@ let make_plan t =
           done)
     t.endpoints;
   Bytes.fill flags 0 (Bytes.length flags) '\000';
-  {
-    pl_struct_gen = t.struct_gen;
-    pl_delay_gen = t.delay_gen;
-    pl_nc = nc;
-    pl_level = level;
-    pl_n_levels = !n_levels;
-    pr_off;
-    pr_src;
-    pr_cell;
-    pr_delay;
-    su_off;
-    su_dst;
-    su_delay;
-    st_slot;
-    st_cell;
-    st_base;
-    ep_slot;
-    ep_cell;
-    ep_term;
-    pl_scratch = Array.make (max nc 1) None;
-  }
+  let p =
+    {
+      pl_nc = nc;
+      pr_off;
+      pr_src;
+      pr_delay;
+      su_off;
+      su_dst;
+      su_delay;
+      st_slot;
+      st_cell;
+      st_base;
+      ep_slot;
+      ep_cell;
+      ep_term;
+      pl_scratch = Array.make (max nc 1) None;
+    }
+  in
+  t.plan <- Some p;
+  p
 
-let ensure_plan t =
-  match t.plan with
-  | Some p
-    when p.pl_struct_gen = t.struct_gen
-         && p.pl_delay_gen = t.delay_gen
-         && p.pl_nc = Array.length t.corners ->
-    p
-  | Some _ | None ->
-    let p = make_plan t in
-    t.plan <- Some p;
-    p
+let ensure_plan t = match t.plan with Some p -> p | None -> make_plan t
 
 let plan_scratch_for p slot =
   match p.pl_scratch.(slot) with
   | Some s -> s
   | None ->
-    let n = Array.length p.pl_level in
     let s =
       {
-        ps_mark = Array.make (max n 1) 0;
-        ps_next = Array.make (max n 1) (-1);
-        ps_head = Array.make (max p.pl_n_levels 1) (-1);
+        ps_mark = Array.make (max (Array.length p.st_slot) 1) 0;
         ps_tmp = Array.make (max p.pl_nc 1) 0.0;
         ps_epoch = 0;
       }
@@ -1119,300 +846,21 @@ let plan_scratch_for p slot =
     p.pl_scratch.(slot) <- Some s;
     s
 
-(* One levelized forward pass over corner range [k0..k1]. The cancel
-   token, when given, is polled once per level so a deadline or budget
-   trips promptly — but the pass always runs to completion (a batch is
-   atomic; callers like [Skew.optimize] act on the token at their own
-   sweep boundary), so a cancelled batch leaves exactly the same planes
-   as an uncancelled one. Returns (pins processed, non-empty levels). *)
-let forward_pass t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark and next = scr.ps_next and head = scr.ps_head in
-  let lmin = ref p.pl_n_levels and lmax = ref (-1) in
-  let push pid =
-    if Array.unsafe_get mark pid <> epoch then begin
-      Array.unsafe_set mark pid epoch;
-      let l = Array.unsafe_get p.pl_level pid in
-      Array.unsafe_set next pid (Array.unsafe_get head l);
-      Array.unsafe_set head l pid;
-      if l < !lmin then lmin := l;
-      if l > !lmax then lmax := l
-    end
-  in
-  List.iter (fun pid -> if t.topo_pos.(pid) >= 0 then push pid) seeds;
-  let tmp = scr.ps_tmp in
-  let arr = t.arrival in
-  let processed = ref 0 and levels = ref 0 in
-  let l = ref !lmin in
-  while !l <= !lmax do
-    (match cancel with
-    | Some c -> ignore (Mbr_util.Cancel.check c)
-    | None -> ());
-    let pid = ref head.(!l) in
-    if !pid >= 0 then incr levels;
-    while !pid >= 0 do
-      let q = !pid in
-      incr processed;
-      (* recompute arrival over [k0..k1] from final predecessors *)
-      let sl = Array.unsafe_get p.st_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.st_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
-          done
-        end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
-          done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k neg_infinity
-        done;
-      for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-        let sb = Array.unsafe_get p.pr_src j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let a =
-            pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
-          in
-          if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
-        done
-      done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget arr (qb + k) then begin
-          moved := true;
-          pset arr (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-          push (Array.unsafe_get p.su_dst j)
-        done
-      end;
-      pid := Array.unsafe_get next q
-    done;
-    head.(!l) <- -1;
-    incr l
-  done;
-  (!processed, !levels)
-
-(* Backward mirror: seeds are D pins, levels run high to low (a pin's
-   required depends only on strictly higher levels), pushes go to
-   predecessors. *)
-let backward_pass t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark and next = scr.ps_next and head = scr.ps_head in
-  let lmin = ref p.pl_n_levels and lmax = ref (-1) in
-  let push pid =
-    if Array.unsafe_get mark pid <> epoch then begin
-      Array.unsafe_set mark pid epoch;
-      let l = Array.unsafe_get p.pl_level pid in
-      Array.unsafe_set next pid (Array.unsafe_get head l);
-      Array.unsafe_set head l pid;
-      if l < !lmin then lmin := l;
-      if l > !lmax then lmax := l
-    end
-  in
-  List.iter (fun pid -> if t.topo_pos.(pid) >= 0 then push pid) seeds;
-  let tmp = scr.ps_tmp in
-  let req = t.required in
-  let period = t.cfg.clock_period in
-  let processed = ref 0 and levels = ref 0 in
-  let l = ref !lmax in
-  while !l >= !lmin do
-    (match cancel with
-    | Some c -> ignore (Mbr_util.Cancel.check c)
-    | None -> ());
-    let pid = ref head.(!l) in
-    if !pid >= 0 then incr levels;
-    while !pid >= 0 do
-      let q = !pid in
-      incr processed;
-      let sl = Array.unsafe_get p.ep_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.ep_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-        end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k infinity
-        done;
-      for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-        let db = Array.unsafe_get p.su_dst j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let r =
-            pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
-          in
-          if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
-        done
-      done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget req (qb + k) then begin
-          moved := true;
-          pset req (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-          push (Array.unsafe_get p.pr_src j)
-        done
-      end;
-      pid := Array.unsafe_get next q
-    done;
-    head.(!l) <- -1;
-    decr l
-  done;
-  (!processed, !levels)
-
-(* Markless full sweep: the frontier pass's per-pin recompute applied
-   to every in-graph pin once, in topological order — a pin whose
-   inputs did not move recomputes to its stored value bit-for-bit, so
-   the fixpoint AND the changed-pin set match the frontier pass
-   exactly. Cancellation is polled every 4096 pins instead of per
-   level. Returns the processed-pin count. *)
-let forward_full t p scr ~k0 ~k1 ~changed ~cancel =
-  let nc = p.pl_nc in
-  let tmp = scr.ps_tmp in
-  let arr = t.arrival in
-  let topo = t.topo in
-  let m = Array.length topo in
-  for i = 0 to m - 1 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    let sl = Array.unsafe_get p.st_slot q in
-    if sl >= 0 then begin
-      let cid = Array.unsafe_get p.st_cell sl in
-      if cid >= 0 then begin
-        let sk = skew t cid in
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
-        done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
-        done
-    end
-    else
-      for k = k0 to k1 do
-        Array.unsafe_set tmp k neg_infinity
-      done;
-    for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-      let sb = Array.unsafe_get p.pr_src j * nc in
-      let b = j * nc in
-      for k = k0 to k1 do
-        let a =
-          pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
-        in
-        if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
-      done
-    done;
-    let moved = ref false in
-    let qb = q * nc in
-    for k = k0 to k1 do
-      let v = Array.unsafe_get tmp k in
-      if v <> pget arr (qb + k) then begin
-        moved := true;
-        pset arr (qb + k) v
-      end
-    done;
-    if !moved then
-      match changed with Some v -> ivec_push v q | None -> ()
-  done;
-  m
-
-let backward_full t p scr ~k0 ~k1 ~changed ~cancel =
-  let nc = p.pl_nc in
-  let tmp = scr.ps_tmp in
-  let req = t.required in
-  let period = t.cfg.clock_period in
-  let topo = t.topo in
-  let m = Array.length topo in
-  for i = m - 1 downto 0 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    let sl = Array.unsafe_get p.ep_slot q in
-    if sl >= 0 then begin
-      let cid = Array.unsafe_get p.ep_cell sl in
-      if cid >= 0 then begin
-        let sk = skew t cid in
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-        done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-        done
-    end
-    else
-      for k = k0 to k1 do
-        Array.unsafe_set tmp k infinity
-      done;
-    for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-      let db = Array.unsafe_get p.su_dst j * nc in
-      let b = j * nc in
-      for k = k0 to k1 do
-        let r =
-          pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
-        in
-        if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
-      done
-    done;
-    let moved = ref false in
-    let qb = q * nc in
-    for k = k0 to k1 do
-      let v = Array.unsafe_get tmp k in
-      if v <> pget req (qb + k) then begin
-        moved := true;
-        pset req (qb + k) v
-      end
-    done;
-    if !moved then
-      match changed with Some v -> ivec_push v q | None -> ()
-  done;
-  m
-
-(* Mark-skip sweeps: stream the whole topo order like the full sweeps,
-   but recompute a pin only when it is a seed or a predecessor actually
-   moved — one epoch-stamped mark per pin, no per-level lists, so the
-   CSR walk stays sequential and a quiet pin costs one array read.
-   Skipping is sound because an unmarked pin would recompute to its
-   stored value bit-for-bit (same final predecessors, same delays), so
-   the planes AND the changed-pin set match the markless full sweep
-   exactly. This is the batch shape for big move batches: frontier
-   level lists jump around the CSR, and the markless full sweep pays
-   the recompute for every quiet pin. *)
+(* Mark-skip scans, the engine's one propagation shape: stream the
+   whole topo order (reversed for requireds) and recompute a pin only
+   when it is a seed or one of its predecessors (successors) actually
+   moved — one epoch-stamped mark per pin, so the CSR walk stays
+   sequential and a quiet pin costs one array read. A recomputed pin
+   takes the max (min) over its final predecessors (successors) and
+   its launch (required) term. Skipping is sound because an unmarked
+   pin would recompute to its stored value bit for bit (same final
+   neighbours, same delays), so the planes AND the changed-pin set are
+   those of recomputing every pin. The cancel token, when given, is
+   polled every 4096 pins, but a scan always runs to completion (a
+   batch is atomic; callers like [Skew.optimize] act on the token at
+   their own sweep boundary), so a cancelled batch leaves exactly the
+   planes an uncancelled one would. Returns the recomputed-pin
+   count. *)
 let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
   let nc = p.pl_nc in
   scr.ps_epoch <- scr.ps_epoch + 1;
@@ -1548,26 +996,30 @@ let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
   done;
   !processed
 
-(* A full numeric pass: every delay recomputed against the current
-   placement (pending moves are absorbed; delay refill when the plan's
-   structure is still valid, full plan build otherwise), every
-   arrival/required recomputed by the markless full sweeps — one
-   shared plan serves this analysis and every subsequent skew sweep.
-   Pending *structural* design edits are not absorbed: the graph
-   arrays are untouched here, so [dsg_cursor] stays where it is and a
-   later {!refresh} repairs the structure. *)
+(* A full numeric pass: a fresh plan recomputes every delay against
+   the current placement (pending moves are absorbed), the planes are
+   reset, and the scans seeded with every startpoint and endpoint
+   recompute every arrival/required. A pin outside every startpoint
+   (endpoint) cone keeps -inf (+inf), which is what recomputing it
+   would give. Pending *structural* design edits are not absorbed: the
+   graph arrays are untouched here, so [dsg_cursor] stays where it is
+   and a later {!refresh} repairs the structure. *)
 let analyze t =
   Mbr_obs.Trace.with_span ~name:"sta.analyze"
     ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
   @@ fun () ->
-  t.delay_gen <- t.delay_gen + 1;
   let nc = Array.length t.corners in
-  let p = ensure_plan t in
+  t.plan <- None;
+  let p = make_plan t in
   Bigarray.Array1.fill t.arrival neg_infinity;
   Bigarray.Array1.fill t.required infinity;
   let scr = plan_scratch_for p 0 in
-  ignore (forward_full t p scr ~k0:0 ~k1:(nc - 1) ~changed:None ~cancel:None);
-  ignore (backward_full t p scr ~k0:0 ~k1:(nc - 1) ~changed:None ~cancel:None);
+  ignore
+    (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:t.startpoints ~changed:None
+       ~cancel:None);
+  ignore
+    (backward_scan t p scr ~k0:0 ~k1:(nc - 1)
+       ~seeds:(List.map fst t.endpoints) ~changed:None ~cancel:None);
   t.pl_cursor <- Placement.revision t.pl;
   t.analyzed <- true
 
@@ -1610,7 +1062,6 @@ let grow t n' =
     let flags = Bytes.make n' '\000' in
     Bytes.blit t.plan_dirty 0 flags 0 t.n;
     t.plan_dirty <- flags;
-    t.struct_gen <- t.struct_gen + 1;
     t.n <- n'
   end
 
@@ -1651,71 +1102,9 @@ let rebuild t =
   t.required <- plane_make (g.g_n * nc) infinity;
   t.plan <- None;
   t.plan_dirty <- Bytes.make g.g_n '\000';
-  t.struct_gen <- t.struct_gen + 1;
   t.dsg_cursor <- Design.revision t.dsg;
   t.n_full_builds <- t.n_full_builds + 1;
   analyze t
-
-(* Recompute one pin's arrivals (all corners) from its final
-   predecessors into [tmp]; true if any corner differs from the stored
-   value. Shared by refresh and skew propagation so the fixpoint is the
-   full analysis's, corner by corner. *)
-let recompute_arrival t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    tmp.(k) <- (if t.is_start.(pid) then launch_arrival t k pid else neg_infinity)
-  done;
-  List.iter
-    (fun e ->
-      if pget t.arrival (e.e_src * nc) > neg_infinity then begin
-        let d = edge_delays t e in
-        for k = 0 to nc - 1 do
-          let a = pget t.arrival ((e.e_src * nc) + k) +. d.(k) in
-          if a > tmp.(k) then tmp.(k) <- a
-        done
-      end)
-    t.preds.(pid);
-  let changed = ref false in
-  for k = 0 to nc - 1 do
-    if tmp.(k) <> pget t.arrival ((pid * nc) + k) then changed := true
-  done;
-  !changed
-
-let recompute_required t tmp pid =
-  let nc = Array.length t.corners in
-  (match t.ep_of.(pid) with
-  | Some kind ->
-    for k = 0 to nc - 1 do
-      tmp.(k) <- endpoint_required t k (pid, kind)
-    done
-  | None -> Array.fill tmp 0 nc infinity);
-  List.iter
-    (fun e ->
-      if pget t.required (e.e_dst * nc) < infinity then begin
-        let d = edge_delays t e in
-        for k = 0 to nc - 1 do
-          let r = pget t.required ((e.e_dst * nc) + k) -. d.(k) in
-          if r < tmp.(k) then tmp.(k) <- r
-        done
-      end)
-    t.succs.(pid);
-  let changed = ref false in
-  for k = 0 to nc - 1 do
-    if tmp.(k) <> pget t.required ((pid * nc) + k) then changed := true
-  done;
-  !changed
-
-let commit_arrival t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    pset t.arrival ((pid * nc) + k) tmp.(k)
-  done
-
-let commit_required t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    pset t.required ((pid * nc) + k) tmp.(k)
-  done
 
 (* Splice the edits logged since the cursors into the existing graph and
    re-propagate only what they touched. The structural part handles
@@ -1728,14 +1117,16 @@ let commit_required t tmp pid =
    current order — bails to {!rebuild}, as does an edit batch whose
    touched-pin estimate exceeds [rebuild_threshold] of the graph (a
    vanishing comb cell is fine: a subgraph of a DAG keeps the DAG's
-   topological order). The splice's numeric repair rides the same
-   mark-skip scans as the skew sweeps and its status bookkeeping is
-   batched, so what remains over the batched full build is the per-net
-   arc surgery; the break-even now sits above half the graph. The 0.6
-   default keeps composition-scale batches — a merge pass replacing a
-   third of the registers dirties ~half the pins — on the splice, and
-   sends only wholesale rewrites to {!rebuild}. *)
-let refresh ?(rebuild_threshold = 0.6) t =
+   topological order). The splice's numeric repair is a plan patch plus
+   the mark-skip scans, and its status bookkeeping is batched, so what
+   remains over the batched full build is the per-net arc surgery; the
+   break-even sits above half the graph. 0.6 keeps composition-scale
+   batches — a merge pass replacing a third of the registers dirties
+   ~half the pins — on the splice, and sends only wholesale rewrites to
+   {!rebuild}. *)
+let rebuild_threshold = 0.6
+
+let refresh t =
   let dsg_rev = Design.revision t.dsg in
   let pl_rev = Placement.revision t.pl in
   if not t.analyzed then begin
@@ -1799,17 +1190,12 @@ let refresh ?(rebuild_threshold = 0.6) t =
       if float_of_int estimate > rebuild_threshold *. float_of_int (max t.n 1)
       then raise Bail;
       grow t (Design.n_pins t.dsg);
-      (* design + placement are frozen for the rest of the splice: one
-         net-load memo epoch covers every respliced arc and relaunched
-         startpoint *)
-      nl_open t;
       let nc = Array.length t.corners in
       let fwd_dirty = Array.make t.n false in
       let bwd_dirty = Array.make t.n false in
       (* every re-propagation seed is also a pin the propagation plan
          must re-derive: its incoming arcs appeared, vanished or changed
-         delay, or its launch base or setup term changed; the plan
-         flags outlive this refresh until the next plan patch *)
+         delay, or its launch base or setup term changed *)
       let mark_plan pid = Bytes.unsafe_set t.plan_dirty pid '\001' in
       let mark_fwd pid =
         fwd_dirty.(pid) <- true;
@@ -1827,16 +1213,14 @@ let refresh ?(rebuild_threshold = 0.6) t =
             (fun pid ->
               if t.in_graph.(pid) then begin
                 List.iter
-                  (fun e ->
-                    t.preds.(e.e_dst) <-
-                      List.filter (fun e' -> e'.e_src <> pid) t.preds.(e.e_dst);
-                    mark_fwd e.e_dst)
+                  (fun dst ->
+                    t.preds.(dst) <- List.filter (fun x -> x <> pid) t.preds.(dst);
+                    mark_fwd dst)
                   t.succs.(pid);
                 List.iter
-                  (fun e ->
-                    t.succs.(e.e_src) <-
-                      List.filter (fun e' -> e'.e_dst <> pid) t.succs.(e.e_src);
-                    mark_bwd e.e_src)
+                  (fun src ->
+                    t.succs.(src) <- List.filter (fun x -> x <> pid) t.succs.(src);
+                    mark_bwd src)
                   t.preds.(pid);
                 t.succs.(pid) <- [];
                 t.preds.(pid) <- [];
@@ -1911,8 +1295,8 @@ let refresh ?(rebuild_threshold = 0.6) t =
           in
           List.iter
             (fun (d, s) ->
-              t.succs.(d) <- List.filter (fun e -> e.e_dst <> s) t.succs.(d);
-              t.preds.(s) <- List.filter (fun e -> e.e_src <> d) t.preds.(s);
+              t.succs.(d) <- List.filter (fun x -> x <> s) t.succs.(d);
+              t.preds.(s) <- List.filter (fun x -> x <> d) t.preds.(s);
               if t.in_graph.(s) then mark_fwd s;
               if t.in_graph.(d) then mark_bwd d)
             old;
@@ -1923,9 +1307,8 @@ let refresh ?(rebuild_threshold = 0.6) t =
                 t.topo_pos.(d) >= 0 && t.topo_pos.(s) >= 0
                 && t.topo_pos.(d) > t.topo_pos.(s)
               then raise Bail;
-              let e = mk_edge ~cell:false d s in
-              t.succs.(d) <- e :: t.succs.(d);
-              t.preds.(s) <- e :: t.preds.(s);
+              t.succs.(d) <- s :: t.succs.(d);
+              t.preds.(s) <- d :: t.preds.(s);
               mark_fwd s;
               mark_bwd d)
             pairs;
@@ -1936,14 +1319,13 @@ let refresh ?(rebuild_threshold = 0.6) t =
           (match Design.driver t.dsg nid with
           | Some d when t.in_graph.(d) ->
             if t.is_start.(d) then mark_fwd d;
-            List.iter
-              (fun e ->
-                if e.e_cell then begin
-                  e.e_gen <- -1;
+            (* a driver's incoming arcs are all cell arcs or none *)
+            if Bytes.get t.role d = 'o' then
+              List.iter
+                (fun src ->
                   mark_fwd d;
-                  mark_bwd e.e_src
-                end)
-              t.preds.(d)
+                  mark_bwd src)
+                t.preds.(d)
           | Some _ | None -> ());
           (* start/endpoint status follows connectivity *)
           List.iter
@@ -1986,89 +1368,28 @@ let refresh ?(rebuild_threshold = 0.6) t =
         t.startpoints <- !sts;
         t.endpoints <- !eps
       end);
-      (* 6. numeric repair. The splice reshaped the arc lists and
-         moved delays on dirty nets without a [delay_gen] bump: one
-         [struct_gen] tick tells the next plan use to patch in the
-         pins flagged above. *)
+      (* 6. numeric repair: patch the plan with the pins flagged above
+         (the skew sweeps and metrics that follow reuse it as-is), then
+         repair both planes with the mark-skip scans from the dirty
+         pins. A pin is recomputed off its final predecessors and its
+         cone chased only while values actually change. *)
       Mbr_obs.Trace.with_span ~name:"sta.repair" @@ fun () ->
-      t.struct_gen <- t.struct_gen + 1;
       let n_dirty = ref 0 in
-      for pid = 0 to t.n - 1 do
+      let fseeds = ref [] and bseeds = ref [] in
+      for pid = t.n - 1 downto 0 do
+        if fwd_dirty.(pid) then fseeds := pid :: !fseeds;
+        if bwd_dirty.(pid) then bseeds := pid :: !bseeds;
         if fwd_dirty.(pid) || bwd_dirty.(pid) then incr n_dirty
       done;
       Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
-      if !n_dirty * 64 >= t.n then begin
-        (* Big batch (a composition pass just replaced thousands of
-           registers, an ECO batch moved a few percent of them): the
-           per-pin heap worklist below would chase most of the graph
-           through the arc *lists*. Patch the shared propagation plan
-           now — re-deriving only the flagged pins; the skew sweeps
-           that follow reuse it as-is, so the patch is moved earlier,
-           not added — and repair both planes with the mark-skip
-           scans. A pin is still recomputed from scratch off its final
-           predecessors and its cone chased only while values actually
-           change, so the planes land bit-identical to the
-           worklist's. *)
-        let p = ensure_plan t in
-        let scr = plan_scratch_for p 0 in
-        let fseeds = ref [] and bseeds = ref [] in
-        for pid = t.n - 1 downto 0 do
-          if fwd_dirty.(pid) then fseeds := pid :: !fseeds;
-          if bwd_dirty.(pid) then bseeds := pid :: !bseeds
-        done;
-        ignore
-          (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!fseeds
-             ~changed:None ~cancel:None);
-        ignore
-          (backward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!bseeds
-             ~changed:None ~cancel:None)
-      end
-      else begin
-        (* worklist propagation in topological order; a pin is
-           recomputed from scratch off its (final) predecessors, and
-           its cone is chased only while values actually change. All
-           corners ride one worklist: a pin requeues when any corner
-           moved, and every corner's value is committed together. *)
-        let tmp = Array.make nc 0.0 in
-        let fq = Pq.create () in
-        let fqueued = Array.make t.n false in
-        let fpush pid =
-          if t.in_graph.(pid) && t.topo_pos.(pid) >= 0 && not fqueued.(pid)
-          then begin
-            fqueued.(pid) <- true;
-            Pq.push fq (t.topo_pos.(pid), pid)
-          end
-        in
-        for pid = 0 to t.n - 1 do
-          if fwd_dirty.(pid) then fpush pid
-        done;
-        while not (Pq.is_empty fq) do
-          let pid = Pq.pop fq in
-          if recompute_arrival t tmp pid then begin
-            commit_arrival t tmp pid;
-            List.iter (fun e -> fpush e.e_dst) t.succs.(pid)
-          end
-        done;
-        let bq = Pq.create () in
-        let bqueued = Array.make t.n false in
-        let bpush pid =
-          if t.in_graph.(pid) && t.topo_pos.(pid) >= 0 && not bqueued.(pid)
-          then begin
-            bqueued.(pid) <- true;
-            Pq.push bq (-t.topo_pos.(pid), pid)
-          end
-        in
-        for pid = 0 to t.n - 1 do
-          if bwd_dirty.(pid) then bpush pid
-        done;
-        while not (Pq.is_empty bq) do
-          let pid = Pq.pop bq in
-          if recompute_required t tmp pid then begin
-            commit_required t tmp pid;
-            List.iter (fun e -> bpush e.e_src) t.preds.(pid)
-          end
-        done
-      end;
+      let p = make_plan t in
+      let scr = plan_scratch_for p 0 in
+      ignore
+        (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!fseeds ~changed:None
+           ~cancel:None);
+      ignore
+        (backward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!bseeds ~changed:None
+           ~cancel:None);
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
       t.analyzed <- true;
@@ -2087,11 +1408,10 @@ let plan_builds t = t.n_plan_builds
 let plan_patches t = t.n_plan_patches
 
 (* Telemetry for the skew-update hot path: [sta.skew.frontier_pins]
-   accumulates pins processed by the propagation passes (frontier pins
-   in frontier mode, every in-graph pin in full-sweep mode),
-   [sta.skew.level_passes] the non-empty levels the frontier passes
-   walked, [sta.skew.corner_par] the corners fanned out to parallel
-   per-corner sweeps. *)
+   accumulates the pins the scans recomputed, [sta.skew.level_passes]
+   the scan passes run (two per batch, one per direction; two per
+   corner under a parallel fan-out), [sta.skew.corner_par] the corners
+   fanned out to parallel per-corner scans. *)
 let m_skew_frontier = Mbr_obs.Metrics.counter "sta.skew.frontier_pins"
 
 let m_skew_levels = Mbr_obs.Metrics.counter "sta.skew.level_passes"
@@ -2143,26 +1463,12 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
     else begin
       let p = ensure_plan t in
       let nc = Array.length t.corners in
-      (* Mode pick: a moved register's cone typically fans out to
-         orders of magnitude more pins than it has seeds, so once the
-         seed set passes ~1/64 of the graph the union frontier covers
-         most levels and the sequential mark-skip scan beats the
-         frontier bookkeeping (measured crossover on the D1 ladder
-         sits well above this — the constant errs toward keeping
-         genuinely small batches on the frontier path). *)
-      let n_seeds = List.length !q_seeds + List.length !d_seeds in
-      let big = n_seeds * 64 >= Array.length t.topo in
-      let fwd scr ~k0 ~k1 ~changed =
-        if big then
-          ( forward_scan t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel,
-            1 )
-        else forward_pass t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel
-      in
-      let bwd scr ~k0 ~k1 ~changed =
-        if big then
-          ( backward_scan t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel,
-            1 )
-        else backward_pass t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel
+      (* one scan per direction over corners [k0..k1]; the
+         recomputed-pin count *)
+      let scan scr ~k0 ~k1 ~changed =
+        let pf = forward_scan t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel in
+        let pb = backward_scan t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel in
+        pf + pb
       in
       let changed =
         if jobs > 1 && nc > 1 then begin
@@ -2172,15 +1478,12 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
               (fun k ->
                 let scr = plan_scratch_for p k in
                 let cv = if collect_touched then Some (ivec_create ()) else None in
-                let pf, lf = fwd scr ~k0:k ~k1:k ~changed:cv in
-                let pb, lb = bwd scr ~k0:k ~k1:k ~changed:cv in
-                (cv, pf + pb, lf + lb))
+                (cv, scan scr ~k0:k ~k1:k ~changed:cv))
               (Array.init nc Fun.id)
           in
-          let pins = Array.fold_left (fun a (_, c, _) -> a + c) 0 per in
-          let lvls = Array.fold_left (fun a (_, _, c) -> a + c) 0 per in
+          let pins = Array.fold_left (fun a (_, c) -> a + c) 0 per in
           Mbr_obs.Metrics.incr ~by:pins m_skew_frontier;
-          Mbr_obs.Metrics.incr ~by:lvls m_skew_levels;
+          Mbr_obs.Metrics.incr ~by:(2 * nc) m_skew_levels;
           if not collect_touched then None
           else begin
             (* union of the per-corner changed sets, deduped with an
@@ -2190,7 +1493,7 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
             let epoch = scr.ps_epoch in
             let u = ivec_create () in
             Array.iter
-              (fun (cv, _, _) ->
+              (fun (cv, _) ->
                 match cv with
                 | Some v ->
                   for i = 0 to v.iv_len - 1 do
@@ -2208,10 +1511,9 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
         else begin
           let scr = plan_scratch_for p 0 in
           let cv = if collect_touched then Some (ivec_create ()) else None in
-          let pf, lf = fwd scr ~k0:0 ~k1:(nc - 1) ~changed:cv in
-          let pb, lb = bwd scr ~k0:0 ~k1:(nc - 1) ~changed:cv in
-          Mbr_obs.Metrics.incr ~by:(pf + pb) m_skew_frontier;
-          Mbr_obs.Metrics.incr ~by:(lf + lb) m_skew_levels;
+          Mbr_obs.Metrics.incr ~by:(scan scr ~k0:0 ~k1:(nc - 1) ~changed:cv)
+            m_skew_frontier;
+          Mbr_obs.Metrics.incr ~by:2 m_skew_levels;
           cv
         end
       in
@@ -2322,10 +1624,13 @@ let slack t pid =
     end
   end
 
-let corner_slack t k pid =
+let check_corner t name k =
   ensure t;
   if k < 0 || k >= Array.length t.corners then
-    invalid_arg "Sta.corner_slack: corner index out of range";
+    invalid_arg ("Sta." ^ name ^ ": corner index out of range")
+
+let corner_slack t k pid =
+  check_corner t "corner_slack" k;
   if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
   else begin
     let nc = Array.length t.corners in
@@ -2333,6 +1638,23 @@ let corner_slack t k pid =
     and r = pget t.required ((pid * nc) + k) in
     if a > neg_infinity && r < infinity then Some (r -. a) else None
   end
+
+(* Corner [k]'s value at [pid] in [plane], [None] outside the graph or
+   at the plane's [unset] value (unreached). *)
+let corner_value t k pid plane unset =
+  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  else begin
+    let v = pget plane ((pid * Array.length t.corners) + k) in
+    if v = unset then None else Some v
+  end
+
+let corner_arrival t k pid =
+  check_corner t "corner_arrival" k;
+  corner_value t k pid t.arrival neg_infinity
+
+let corner_required t k pid =
+  check_corner t "corner_required" k;
+  corner_value t k pid t.required infinity
 
 let endpoint_slacks t =
   ensure t;
@@ -2374,9 +1696,7 @@ let wns t = fst (wns_tns t)
 let tns t = snd (wns_tns t)
 
 let corner_wns_tns t k =
-  ensure t;
-  if k < 0 || k >= Array.length t.corners then
-    invalid_arg "Sta.corner_wns_tns: corner index out of range";
+  check_corner t "corner_wns_tns" k;
   let nc = Array.length t.corners in
   List.fold_left
     (fun (w, tn) (pid, _) ->

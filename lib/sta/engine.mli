@@ -13,21 +13,25 @@
     placement revision it has absorbed and {!refresh} drains the edit
     logs from there, splicing only the touched arcs into the graph,
     repairing the topological order locally and re-propagating
-    arrivals/requireds from the dirty pins only — with a heap worklist
-    for small batches, with mark-skip scans over the propagation plan
-    for big ones — stopping where values converge. {!analyze} remains
-    the full-propagation fallback and is what {!refresh} degrades to
-    (via an internal rebuild) when an edit batch is structural in a way
-    local repair cannot express or touches more of the graph than
-    recomputing it would cost.
+    arrivals/requireds from the dirty pins only, stopping where values
+    converge. {!analyze} remains the full-propagation fallback and is
+    what {!refresh} degrades to (via an internal rebuild) when an edit
+    batch is structural in a way local repair cannot express or touches
+    more of the graph than recomputing it would cost.
+
+    Every numeric propagation — {!analyze}, {!refresh}'s repair and
+    every {!update_skews} batch — is one shape: a mark-skip scan per
+    direction over the propagation plan, a CSR image of the graph with
+    each arc's per-corner derated delay alongside. A scan streams the
+    topological order and recomputes a pin only when it is a seed or a
+    neighbour it reads actually moved.
 
     The engine is corner-indexed: it carries a set of {!Corner.t}
     derate factors and maintains one flat [Bigarray] float64
     arrival/required plane per corner over the single shared graph —
-    every propagation (full analyze, refresh worklists and scans,
-    levelized skew passes) walks each arc once and relaxes all corners
-    against its per-corner memoized delays, reading and writing unboxed
-    doubles. Plain accessors
+    every scan walks each arc once and relaxes all corners against the
+    plan's per-corner delays, reading and writing unboxed doubles.
+    Plain accessors
     ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report worst-corner
     values (worst slack = min over per-corner slacks); use
     {!corner_slack} / {!per_corner_wns_tns} to see individual corners,
@@ -97,25 +101,28 @@ val analyze : t -> unit
     Absorbs pending placement moves (every delay is recomputed) but not
     structural design edits — use {!refresh} after netlist surgery. *)
 
-val refresh : ?rebuild_threshold:float -> t -> unit
+val refresh : t -> unit
 (** Bring the analysis up to date with everything logged on the design
     and placement since the engine last looked: cells added/removed/
     retyped, nets rewired, cells moved. Affected net arcs are
     unspliced/respliced in place, new register/port pins are slotted
-    into the topological order as pure sources/sinks, and arrivals/
-    requireds are re-propagated from the dirty pins only, stopping as
-    soon as values stop changing. Produces bit-identical results to a
-    fresh {!build} + {!analyze} (property-tested).
+    into the topological order as pure sources/sinks, the propagation
+    plan is patched at the pins the splice touched (see
+    {!update_skews}), and arrivals/requireds are re-propagated from the
+    dirty pins only, stopping as soon as values stop changing. Produces
+    bit-identical results to a fresh {!build} + {!analyze}
+    (property-tested).
 
     Falls back to a full rebuild — counted by {!full_builds} — when a
-    combinational cell was added or removed, when a new arc contradicts
-    the existing topological order, or when the touched-pin estimate
-    exceeds [rebuild_threshold] (default 0.6) of the graph's pins.
-    The splice repairs arrivals/requireds with the same mark-skip scans
-    as the skew sweeps, so its break-even against the batched full
-    build sits above half the graph: composition-scale batches (a merge
-    pass dirties ~half the pins) stay on the incremental path and only
-    wholesale rewrites rebuild.
+    combinational cell was added, when a new arc contradicts the
+    existing topological order, or when the touched-pin estimate
+    exceeds 0.6 of the graph's pins. A removed combinational cell stays
+    on the incremental path: a subgraph of a DAG keeps its topological
+    order. The repair runs the same scans as the skew sweeps, so its
+    break-even against the batched full build sits above half the
+    graph: composition-scale batches (a merge pass dirties ~half the
+    pins) stay on the incremental path and only wholesale rewrites
+    rebuild.
 
     Telemetry (no-op unless [Mbr_obs] is enabled): each non-trivial
     call runs under an ["sta.refresh"] trace span; the registry
@@ -132,14 +139,16 @@ val refreshes : t -> int
 
 val plan_builds : t -> int
 (** Propagation plans built from scratch so far (see {!update_skews}
-    for the plan's lifecycle): the first plan use after {!build}, a
-    fallback rebuild, {!set_corners} or an {!analyze}. Registry counter
-    [sta.plan.builds]; each build runs under a ["sta.plan.build"] span. *)
+    for the plan's lifecycle): one per {!analyze}, which a fallback
+    rebuild runs too, as does the first timing query after {!build},
+    {!set_corners} or {!set_skew}. Registry counter [sta.plan.builds];
+    each build runs under a ["sta.plan.build"] span. *)
 
 val plan_patches : t -> int
-(** Propagation plans patched from the pins the refreshes since the
-    previous plan marked dirty. Registry counter [sta.plan.patches];
-    each patch runs under a ["sta.plan.patch"] span. *)
+(** Propagation plans patched so far: one per incremental {!refresh},
+    from the pins its splice touched. Registry counter
+    [sta.plan.patches]; each patch runs under a ["sta.plan.patch"]
+    span. *)
 
 val update_skews :
   ?jobs:int ->
@@ -149,30 +158,25 @@ val update_skews :
   unit
 (** Incremental re-timing after changing only clock skews: applies the
     assignments, seeds the changed registers' Q pins forward and their
-    D pins backward, and propagates over flat per-corner planes along
-    the shared propagation plan. A small batch runs one
-    topo-level-ordered frontier pass per direction (epoch-stamped
-    marks — no per-register cone chasing); once the seeds reach 1/64
-    of the graph it runs mark-skip scans that stream the whole
-    topological order and recompute only marked pins. Arc delays come
+    D pins backward, and runs one mark-skip scan per direction over the
+    shared propagation plan: each streams the whole topological order
+    and recomputes only seeded pins and pins a moved neighbour reaches,
+    so a batch costs a sequential pass plus its cones. Arc delays come
     from the plan, so placement and netlist must be unchanged since the
-    last {!refresh} or {!analyze}. Orders of magnitude cheaper than a
-    full pass when few registers move; produces bit-identical slacks to
-    the convergence-driven worklist and to {!analyze}
-    (property-tested). Falls back to a full analysis when the engine
-    has never been analyzed.
+    last {!refresh} or {!analyze}. Produces bit-identical slacks to
+    {!analyze} (property-tested). Falls back to a full analysis when
+    the engine has never been analyzed.
 
     The propagation plan (a CSR image of the graph with per-corner arc
-    delays, topological levels and per-start/endpoint launch and setup
-    terms) lives across calls. {!refresh} never rebuilds it: it flags
-    the pins whose incoming arcs, launch base or setup term it changed
-    and the pins that left or joined the graph; flags accumulate over
-    any number of refreshes, and the next plan use (this call, or a
-    big refresh's scans) patches exactly those pins in and copies the
-    rest — counted by {!plan_patches}. A from-scratch build
-    ({!plan_builds}) happens only for the first use after {!build}, a
-    fallback rebuild, {!set_corners} or an {!analyze} (whose delay
-    refresh invalidates every arc). Patched and fresh plans give
+    delays and per-start/endpoint launch and setup terms) lives across
+    calls, and whenever one is present it is current. Each {!analyze}
+    builds it from scratch ({!plan_builds}); {!set_corners} drops it
+    until then. {!refresh} never rebuilds it: before it propagates, it
+    patches exactly the pins
+    whose incoming arcs, launch base or setup term its splice changed,
+    plus the pins that left or joined the graph, and copies the rest
+    ({!plan_patches}). So this call, and the metrics that follow a
+    refresh, reuse the plan as it is. Patched and fresh plans give
     bit-identical slacks (property-tested).
 
     With [jobs > 1] on a multi-corner engine the corners propagate in
@@ -181,16 +185,16 @@ val update_skews :
     to the serial pass (property-tested) and multi-corner cost
     approaches max-over-corners instead of sum.
 
-    [cancel] is polled once per processed level by the frontier passes
-    and every 4,096 pins by the scans, so a deadline or check budget
-    trips promptly, but a batch is atomic — the pass always completes,
-    leaving exactly the planes an uncancelled call would.
-    Callers act on the tripped token at their own step boundary
+    [cancel] is polled every 4,096 pins by the scans, so a deadline or
+    check budget trips promptly, but a batch is atomic — the scans
+    always complete, leaving exactly the planes an uncancelled call
+    would. Callers act on the tripped token at their own step boundary
     (see {!Skew.optimize}).
 
-    Telemetry: [sta.skew.frontier_pins] accumulates processed frontier
-    pins, [sta.skew.level_passes] the non-empty levels swept, and
-    [sta.skew.corner_par] the corners fanned out in parallel. *)
+    Telemetry: [sta.skew.frontier_pins] accumulates the pins the scans
+    recomputed, [sta.skew.level_passes] the scan passes run (2 per
+    batch, one per direction; 2 per corner under a parallel fan-out),
+    and [sta.skew.corner_par] the corners fanned out in parallel. *)
 
 val update_skews_touched :
   ?jobs:int ->
@@ -233,6 +237,14 @@ val slack : t -> Mbr_netlist.Types.pin_id -> float option
 val corner_slack : t -> int -> Mbr_netlist.Types.pin_id -> float option
 (** Slack under one corner, by index into {!corners}. Raises
     [Invalid_argument] on an out-of-range corner index. *)
+
+val corner_arrival : t -> int -> Mbr_netlist.Types.pin_id -> float option
+(** Arrival under one corner, by index into {!corners}; [None] for
+    pins outside the data graph or unreached. Raises
+    [Invalid_argument] on an out-of-range corner index. *)
+
+val corner_required : t -> int -> Mbr_netlist.Types.pin_id -> float option
+(** Required time under one corner, like {!corner_arrival}. *)
 
 val wns : t -> float
 (** Worst-corner worst endpoint slack (+inf when there are no

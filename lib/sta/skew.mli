@@ -58,7 +58,7 @@ val optimize :
     corners in parallel (bit-identical to serial).
 
     [cancel] is polled once per sweep before any move is read, and
-    once per propagation level inside {!Engine.update_skews_touched}
+    every 4,096 pins by the scans inside {!Engine.update_skews_touched}
     (which always completes its batch — see its doc): a tripped token
     ends the optimization at the next sweep boundary exactly as
     convergence does, restoring the best complete assignment seen so

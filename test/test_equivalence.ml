@@ -13,9 +13,14 @@
      to the pre-change pass kept in [Qor_reference] — every field,
      floats compared by their bits;
    - a propagation plan patched across refreshes (composition merges,
-     scan restitching, ECO batches, heap-worklist refreshes whose marks
-     pile up) gives the slacks of a fresh build + analyze, bit for bit,
-     and never costs a refresh a from-scratch plan build. *)
+     scan restitching, ECO batches, runs of small refreshes) gives the
+     slacks of a fresh build + analyze, bit for bit, and never costs a
+     refresh a from-scratch plan build;
+   - the engine's per-corner arrival and required times, through
+     analyze, skew batches, merges, scan restitching and ECO refreshes,
+     equal an independent full sweep kept in [Sta_reference] — the
+     per-pin formulas over adjacency rebuilt from the design, no plan,
+     compared by their bits. *)
 
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
@@ -177,10 +182,10 @@ let unit_corner_matches_default =
       done;
       true)
 
-(* The levelized batched [update_skews] must be bit-identical to the
+(* The batched [update_skews] must be bit-identical to the
    brute-force reference: set the same skews and run a full [analyze].
    Exercised over random skew batches interleaved with real ECO
-   perturbations + [refresh] (which invalidates the cached propagation
+   perturbations + [refresh] (which patches the shared propagation
    plan), under 1- and 3-corner sets, and with a cancel token tripping
    mid-batch — a batch is atomic, so a tripped token must leave exactly
    the planes an uncancelled call would. Also checks the
@@ -259,8 +264,8 @@ let batched_update_skews_matches_analyze =
               fail "seed %d round %d: register %d slack moved but not touched"
                 seed round r)
           regs;
-        (* every other round, a real ECO + refresh: the cached
-           propagation plan must be rebuilt, not reused stale *)
+        (* every other round, a real ECO + refresh: the shared
+           propagation plan must be patched, not reused stale *)
         if round mod 2 = 1 then begin
           ignore (Eco.perturb rng g);
           Engine.refresh eng;
@@ -371,8 +376,8 @@ let merge_some rng (g : G.t) k =
     end
   done
 
-(* Nudge one placed register: the smallest ECO, small enough for the
-   refresh's heap worklist on these designs. *)
+(* Nudge one placed register: the smallest ECO, a refresh that patches
+   only the pins of the register's nets. *)
 let nudge rng (g : G.t) =
   let pl = g.G.placement in
   match List.filter (Placement.is_placed pl) (Design.registers g.G.design) with
@@ -444,9 +449,9 @@ let plan_patch_matches_fresh =
       in
       Engine.analyze eng;
       let rng = Rng.create ((seed * 41) + 3) in
-      (* the refreshes below stay incremental whatever their size, so a
-         plan build can only come from an analyze or a corner swap *)
-      let refresh () = Engine.refresh ~rebuild_threshold:infinity eng in
+      (* the refreshes below stay incremental, so a plan build can only
+         come from an analyze or a corner swap *)
+      let refresh () = Engine.refresh eng in
       let moves_only =
         { Eco.default_config with
           Eco.retype_frac = 0.0;
@@ -462,8 +467,8 @@ let plan_patch_matches_fresh =
           | 1 -> ignore (Scan_stitch.stitch g.G.placement); refresh (); false
           | 2 -> ignore (Eco.perturb rng g); refresh (); false
           | 3 ->
-            (* heap-worklist refreshes: their marks pile up until the
-               skew batch below patches the plan once *)
+            (* a run of small refreshes, each patching the plan at the
+               pins of the nudged register's nets *)
             for _ = 1 to 3 do
               nudge rng g;
               refresh ()
@@ -516,32 +521,101 @@ let plan_patch_matches_fresh =
       done;
       Engine.full_builds eng = 1)
 
-(* Marks left by heap-worklist refreshes accumulate: three small
-   refreshes that never touch the plan, then one skew batch patches it
-   once — no build — and the result equals a fresh analysis. *)
-let worklist_marks_accumulate () =
+(* Each incremental refresh patches the plan once, right after its
+   splice: three nudge + refresh rounds patch three times and build
+   nothing, the skew batch that follows reuses the plan as it is, and
+   the result equals a fresh analysis. *)
+let refresh_patches_once () =
   let g = G.generate { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + 1 } in
   let config = g.G.sta_config in
   let eng = Engine.build ~config g.G.placement in
   Engine.analyze eng;
   let rng = Rng.create 17 in
-  (* make the plan current, then start counting *)
-  ignore (Engine.update_skews_touched eng [ (List.hd (Design.registers g.G.design), 3.0) ]);
   let builds = Engine.plan_builds eng and patches = Engine.plan_patches eng in
   for _ = 1 to 3 do
     nudge rng g;
     Engine.refresh eng
   done;
   Alcotest.(check int) "three incremental refreshes" 3 (Engine.refreshes eng);
-  Alcotest.(check int) "refreshes leave the plan alone" patches
+  Alcotest.(check int) "one patch per refresh" (patches + 3)
     (Engine.plan_patches eng);
+  Alcotest.(check int) "no build" builds (Engine.plan_builds eng);
   let regs = Array.of_list (Design.registers g.G.design) in
   ignore
     (Engine.update_skews_touched eng
        (List.init 5 (fun i -> (regs.(i * 7 mod Array.length regs), 5.0 -. float_of_int i))));
-  Alcotest.(check int) "one patch" (patches + 1) (Engine.plan_patches eng);
-  Alcotest.(check int) "no build" builds (Engine.plan_builds eng);
-  compare_with_fresh ~what:"after the patch" ~config eng g
+  Alcotest.(check int) "the skew batch patches nothing" (patches + 3)
+    (Engine.plan_patches eng);
+  Alcotest.(check int) "still no build" builds (Engine.plan_builds eng);
+  compare_with_fresh ~what:"after the skew batch" ~config eng g
+
+(* ---- timing = independent reference sweep, bit for bit ---- *)
+
+(* Every pin's per-corner arrival and required time against the
+   reference sweep over the current design, placement and skews. *)
+let check_reference ~what eng (g : G.t) =
+  let r =
+    Sta_reference.analyze ~skew:(Engine.skew eng) ~config:(Engine.config eng)
+      ~corners:(Engine.corners eng) g.G.placement
+  in
+  for pid = 0 to Design.n_pins g.G.design - 1 do
+    for k = 0 to Engine.n_corners eng - 1 do
+      if bits_opt (Engine.corner_arrival eng k pid) <> bits_opt (Sta_reference.arrival r k pid)
+      then
+        QCheck.Test.fail_reportf "%s: corner %d arrival of pin %d differs from the reference"
+          what k pid;
+      if bits_opt (Engine.corner_required eng k pid) <> bits_opt (Sta_reference.required r k pid)
+      then
+        QCheck.Test.fail_reportf "%s: corner %d required of pin %d differs from the reference"
+          what k pid
+    done
+  done
+
+(* Random skews, then analyze; then a random sequence of skew batches,
+   composition merges, scan restitching and ECO batches, each followed
+   by the engine's incremental path (update_skews or refresh). *)
+let timing_matches_reference =
+  QCheck.Test.make ~name:"engine timing = reference full sweep (bits)" ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p =
+        if seed mod 2 = 0 then P.tiny ~seed:(seed mod 37)
+        else { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + seed }
+      in
+      let g = G.generate p in
+      let config =
+        { g.G.sta_config with
+          Engine.clock_period = g.G.sta_config.Engine.clock_period *. 0.7 }
+      in
+      let eng =
+        Engine.build ~config
+          ~corners:(if seed mod 4 < 2 then Corner.default else three_corners)
+          g.G.placement
+      in
+      let rng = Rng.create ((seed * 23) + 11) in
+      let skew_batch () =
+        let regs = Array.of_list (Design.registers g.G.design) in
+        List.init
+          (1 + Rng.int rng (max 1 (Array.length regs / 4)))
+          (fun _ ->
+            ( regs.(Rng.int rng (Array.length regs)),
+              if Rng.chance rng 0.2 then 0.0 else Rng.float rng 40.0 -. 20.0 ))
+      in
+      List.iter (fun (r, s) -> Engine.set_skew eng r s) (skew_batch ());
+      Engine.analyze eng;
+      check_reference ~what:(Printf.sprintf "seed %d analyze" seed) eng g;
+      for step = 1 to 6 do
+        let kind = Rng.int rng 4 in
+        (match kind with
+        | 0 -> merge_some rng g (1 + Rng.int rng 4); Engine.refresh eng
+        | 1 -> ignore (Scan_stitch.stitch g.G.placement); Engine.refresh eng
+        | 2 -> ignore (Eco.perturb rng g); Engine.refresh eng
+        | _ -> Engine.update_skews eng (skew_batch ()));
+        check_reference
+          ~what:(Printf.sprintf "seed %d step %d (kind %d)" seed step kind)
+          eng g
+      done;
+      true)
 
 (* ---- QoR pass = pre-change reference, bit for bit ---- *)
 
@@ -726,9 +800,10 @@ let () =
       ( "plan",
         [
           QCheck_alcotest.to_alcotest plan_patch_matches_fresh;
-          Alcotest.test_case "worklist marks accumulate into one patch" `Quick
-            worklist_marks_accumulate;
+          Alcotest.test_case "refresh patches the plan once" `Quick
+            refresh_patches_once;
         ] );
+      ("sta", [ QCheck_alcotest.to_alcotest timing_matches_reference ]);
       ( "qor",
         [
           QCheck_alcotest.to_alcotest metrics_match_reference;

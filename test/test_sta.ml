@@ -257,20 +257,20 @@ let test_update_skews_matches_full_analysis () =
     Engine.update_skews eng_inc moves;
     List.iter (fun (r, s) -> Engine.set_skew eng_full r s) moves;
     Engine.analyze eng_full;
-    checkf "wns equal" (Engine.wns eng_full) (Engine.wns eng_inc);
-    checkf "tns equal" (Engine.tns eng_full) (Engine.tns eng_inc);
+    let same_bits what a b =
+      Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
+    in
+    same_bits "wns bits equal" (Engine.wns eng_full) (Engine.wns eng_inc);
+    same_bits "tns bits equal" (Engine.tns eng_full) (Engine.tns eng_inc);
     checki "failing equal" (Engine.failing_endpoints eng_full)
       (Engine.failing_endpoints eng_inc);
-    (* spot-check every register's D/Q slacks *)
+    (* every register's D/Q slacks *)
     List.iter
       (fun r ->
-        let close a b =
-          (a = b) || (Float.is_finite a && Float.is_finite b && Float.abs (a -. b) < 1e-6)
-        in
-        check "d slack equal" true
-          (close (Engine.reg_d_slack eng_full r) (Engine.reg_d_slack eng_inc r));
-        check "q slack equal" true
-          (close (Engine.reg_q_slack eng_full r) (Engine.reg_q_slack eng_inc r)))
+        same_bits "d slack bits equal" (Engine.reg_d_slack eng_full r)
+          (Engine.reg_d_slack eng_inc r);
+        same_bits "q slack bits equal" (Engine.reg_q_slack eng_full r)
+          (Engine.reg_q_slack eng_inc r))
       regs
   done
 

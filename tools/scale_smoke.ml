@@ -12,8 +12,8 @@
    noise while still catching complexity-class regressions.
 
    The skew stage gets its own ceiling: it used to dominate large runs
-   (convergence-driven per-register cone chasing), and the levelized
-   batched propagation is exactly the kind of win a quadratic slip
+   (convergence-driven per-register cone chasing), and the batched
+   scans over the propagation plan are exactly the kind of win a quadratic slip
    would silently undo while hiding inside the total wall headroom.
 
    The QoR metrics passes (metrics-before + metrics-after, ~0.8 s at
@@ -25,11 +25,13 @@
 
    The flow runs as Session.create + recompose (what Flow.run is), and
    the same session then takes one default ECO batch and a second
-   recompose. That round must stay incremental all the way down: the
-   STA propagation plan is patched from the pins the refreshes marked,
-   never rebuilt from scratch, so the check fails on any full plan
-   build during it. This is a count, not a timing; the round's
-   eco-reset and skew stage times are printed for the log.
+   recompose. That round must stay incremental all the way down: each
+   incremental STA refresh patches the propagation plan once, at the
+   pins its splice touched, and the skew sweeps and metrics reuse it,
+   so the check fails on any full plan build during the round and on
+   more plan patches than incremental refreshes. These are counts, not
+   timings; the round's eco-reset and skew stage times are printed for
+   the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
@@ -79,19 +81,30 @@ let () =
   ignore (Mbr_designgen.Eco.perturb (Mbr_util.Rng.create 1) g);
   let eng = Flow.Session.engine session in
   let builds0 = Engine.plan_builds eng and patches0 = Engine.plan_patches eng in
+  let refreshes0 = Engine.refreshes eng in
   let eco = Flow.Session.recompose session in
   let eco_builds = Engine.plan_builds eng - builds0 in
+  let eco_patches = Engine.plan_patches eng - patches0 in
+  let eco_refreshes = Engine.refreshes eng - refreshes0 in
   Printf.printf
     "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, plan builds %d, \
-     patches %d\n%!"
-    (stage_s eco "eco-reset") (stage_s eco "skew") eco_builds
-    (Engine.plan_patches eng - patches0);
+     patches %d, refreshes %d\n%!"
+    (stage_s eco "eco-reset") (stage_s eco "skew") eco_builds eco_patches
+    eco_refreshes;
   let failed = ref false in
   if eco_builds > 0 then begin
     Printf.printf
       "scale-smoke: FAIL eco round built the STA propagation plan from \
        scratch %d time(s); it must only patch it\n%!"
       eco_builds;
+    failed := true
+  end;
+  if eco_patches > eco_refreshes then begin
+    Printf.printf
+      "scale-smoke: FAIL eco round patched the STA propagation plan %d \
+       time(s) over %d incremental refresh(es); each refresh patches it \
+       once and nothing else may\n%!"
+      eco_patches eco_refreshes;
     failed := true
   end;
   if skew_s > skew_ceiling then begin
