@@ -59,19 +59,17 @@ dune exec tools/recover_smoke.exe -- "$trace_tmp" "$metrics_tmp"
 dune exec tools/telemetry_check.exe -- "$trace_tmp" "$metrics_tmp"
 rm -f "$trace_tmp" "$metrics_tmp"
 
-echo "== BENCH.json schema (v9: per-row skew-stage counters on top of v8) =="
-grep -q '"schema_version": 9' BENCH.json \
-  || { echo "BENCH.json is not schema v9"; exit 1; }
+echo "== BENCH.json schema (v10: ladder rows carry trials + min/max wall; ladder and recovery loop only) =="
+grep -q '"schema_version": 10' BENCH.json \
+  || { echo "BENCH.json is not schema v10"; exit 1; }
 grep -q '"skew_frontier_pins"' BENCH.json \
   || { echo "BENCH.json flow_scaling lacks the skew-stage counters"; exit 1; }
+grep -q '"wall_max_s"' BENCH.json \
+  || { echo "BENCH.json flow_scaling lacks the trial spread"; exit 1; }
 grep -q '"recovery_loop"' BENCH.json \
   || { echo "BENCH.json lacks the recovery_loop section"; exit 1; }
 grep -q '"after_corners"' BENCH.json \
   || { echo "BENCH.json recovery_loop lacks per-corner QoR"; exit 1; }
-grep -q '"telemetry_overhead"' BENCH.json \
-  || { echo "BENCH.json lacks the telemetry_overhead section"; exit 1; }
-grep -q '"recompose_p99_ratio"' BENCH.json \
-  || { echo "BENCH.json telemetry_overhead lacks the p99 ratio"; exit 1; }
 
 echo "== service smoke (mbrd daemon + scripted mbrc client session) =="
 sock=$(mktemp -u /tmp/mbrd_ci.XXXXXX.sock)

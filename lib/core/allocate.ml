@@ -9,7 +9,6 @@ type config = {
   partition_bound : int;
   node_limit : int;
   jobs : int;
-  warm_start : bool;
 }
 
 let default_config =
@@ -18,7 +17,6 @@ let default_config =
     partition_bound = 30;
     node_limit = 300_000;
     jobs = 1;
-    warm_start = false;
   }
 
 type block_result = {
@@ -59,40 +57,14 @@ let singleton_of (infos : Compat.reg_info array) v =
    enumeration is never buffered as a separate list alongside the
    problem — the per-block vector the chosen indices resolve against is
    the only copy, and nothing outlives the block solve. *)
-let solve_block_ilp ?cancel ?(warm_hint = []) cfg (graph : Compat.graph) ~lib
-    ~blocker_index block =
+let solve_block_ilp ?cancel cfg (graph : Compat.graph) ~lib ~blocker_index
+    block =
   (* element ids = positions of nodes within the block *)
   let pos = Hashtbl.create 32 in
   List.iteri (fun k v -> Hashtbl.replace pos v k) block;
-  (* A warm hint is the chosen cover of a near-identical previous solve
-     of this block, as (member cids, target bits) per chosen candidate.
-     Hinted candidates are recognized as the enumeration streams past
-     them; each hint entry matches at most once (removed on first
-     match), so the matched index set inherits the hint's disjointness. *)
-  let hint_tbl =
-    match warm_hint with
-    | [] -> None
-    | hs ->
-      let t = Hashtbl.create (List.length hs) in
-      List.iter
-        (fun (cids, tb) -> Hashtbl.replace t (List.sort compare cids, tb) ())
-        hs;
-      Some t
-  in
-  let warm = ref [] in
   let cands = Vec.create () in
   Candidate.iter cfg.candidate graph ~block ~lib ~blocker_index (fun c ->
-      let i = Vec.push cands c in
-      match hint_tbl with
-      | None -> ()
-      | Some t ->
-        let key =
-          (List.sort compare c.Candidate.member_cids, c.Candidate.target_bits)
-        in
-        if Hashtbl.mem t key then begin
-          Hashtbl.remove t key;
-          warm := i :: !warm
-        end);
+      ignore (Vec.push cands c));
   let n_cands = Vec.length cands in
   let problem =
     {
@@ -107,7 +79,7 @@ let solve_block_ilp ?cancel ?(warm_hint = []) cfg (graph : Compat.graph) ~lib
           cands;
     }
   in
-  let result = Sp.solve ~node_limit:cfg.node_limit ?cancel ~warm:!warm problem in
+  let result = Sp.solve ~node_limit:cfg.node_limit ?cancel problem in
   match result.Sp.status with
   | Sp.Infeasible ->
     (* cannot happen when the enumeration emits every singleton; if it
@@ -224,8 +196,8 @@ let m_cache_hit = Mbr_obs.Metrics.counter "alloc.cache.hit"
 let m_cache_miss = Mbr_obs.Metrics.counter "alloc.cache.miss"
 
 let solve_block ?(block_id = -1)
-    ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp) ?cancel ?warm_hint
-    config graph ~lib ~blocker_index ~block =
+    ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp) ?cancel config graph
+    ~lib ~blocker_index ~block =
   (* [timed_span] hands back the duration measured by the same pair of
      clock reads that bound the trace span, so [solve_time_s] and the
      trace agree exactly (and no wall-clock syscall pair remains). *)
@@ -239,9 +211,7 @@ let solve_block ?(block_id = -1)
         ]
       (fun () ->
         match mode with
-        | `Ilp ->
-          solve_block_ilp ?cancel ?warm_hint config graph ~lib ~blocker_index
-            block
+        | `Ilp -> solve_block_ilp ?cancel config graph ~lib ~blocker_index block
         | `Greedy_share ->
           let cands =
             Candidate.enumerate config.candidate graph ~block ~lib ~blocker_index
@@ -359,18 +329,9 @@ let run ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   in
   reduce ~mode results
 
-type cache = {
-  mutable table : (string, block_result) Hashtbl.t;
-  mutable by_members :
-    (Mbr_netlist.Types.cell_id list, block_result) Hashtbl.t;
-      (* secondary index of the same generation, keyed by the block's
-         sorted member cids alone: when an edit perturbs a block just
-         enough to miss the exact content key (a member moved, a slack
-         drifted) but the membership is unchanged, the previous cover
-         is still an excellent warm-start hint for the re-solve *)
-}
+type cache = { mutable table : (string, block_result) Hashtbl.t }
 
-let create_cache () = { table = Hashtbl.create 64; by_members = Hashtbl.create 64 }
+let create_cache () = { table = Hashtbl.create 64 }
 
 let cache_size cache = Hashtbl.length cache.table
 
@@ -441,9 +402,6 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   Array.iteri
     (fun i (info : Compat.reg_info) -> Hashtbl.replace cid_ix info.Compat.cid i)
     infos;
-  let members_key block =
-    List.sort compare (List.map (fun v -> infos.(v).Compat.cid) block)
-  in
   let results = Array.make nb None in
   let misses = ref [] in
   for i = nb - 1 downto 0 do
@@ -454,28 +412,9 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   let miss_idx = Array.of_list !misses in
   Mbr_obs.Metrics.incr ~by:(nb - Array.length miss_idx) m_cache_hit;
   Mbr_obs.Metrics.incr ~by:(Array.length miss_idx) m_cache_miss;
-  (* Warm-start hints for the misses: a block whose exact content key
-     missed but whose member set matches a previous generation's block
-     hands its old cover to the branch-and-bound as the starting
-     incumbent (see {!Mbr_ilp.Set_partition.solve}'s [warm]). *)
-  let hints =
-    if not config.warm_start then Array.make nb None
-    else
-      Array.init nb (fun i ->
-          if results.(i) <> None then None
-          else
-            match Hashtbl.find_opt cache.by_members (members_key blocks.(i)) with
-            | None -> None
-            | Some r ->
-              Some
-                (List.map
-                   (fun (c : Candidate.t) ->
-                     (c.Candidate.member_cids, c.Candidate.target_bits))
-                   r.chosen))
-  in
   let solve i =
-    solve_block ~block_id:i ~mode ?cancel ?warm_hint:hints.(i) config graph
-      ~lib ~blocker_index ~block:blocks.(i)
+    solve_block ~block_id:i ~mode ?cancel config graph ~lib ~blocker_index
+      ~block:blocks.(i)
   in
   let solved =
     if config.jobs <= 1 then Array.map solve miss_idx
@@ -502,12 +441,7 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   if not tripped then begin
     let next = Hashtbl.create (max 64 nb) in
     Array.iteri (fun i key -> Hashtbl.replace next key results.(i)) keys;
-    cache.table <- next;
-    let next_bm = Hashtbl.create (max 64 nb) in
-    Array.iteri
-      (fun i block -> Hashtbl.replace next_bm (members_key block) results.(i))
-      blocks;
-    cache.by_members <- next_bm
+    cache.table <- next
   end;
   ( reduce ~mode results,
     {

@@ -51,13 +51,6 @@ type config = {
   jobs : int;
       (** worker domains for the per-block fan-out; [1] (the default)
           solves the blocks serially on the calling domain *)
-  warm_start : bool;
-      (** let {!run_cached} seed a dirty block's branch-and-bound with
-          the previous generation's cover when the block's member set
-          is unchanged (a near-hit: same registers, perturbed
-          content). Off by default — warm starts never change a proven
-          optimum, but under a tripped node limit the returned
-          incumbent may differ from a cold solve's. *)
 }
 
 val default_config : config
@@ -95,7 +88,6 @@ val solve_block :
   ?block_id:int ->
   ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
   ?cancel:Mbr_util.Cancel.t ->
-  ?warm_hint:(Mbr_netlist.Types.cell_id list * int) list ->
   config ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
@@ -116,15 +108,7 @@ val solve_block :
     {!Mbr_ilp.Set_partition.solve}): a tripped token makes the solve
     return its current incumbent cover, still exact, just unproven
     ([optimal = false]). The heuristic modes ignore it — they are
-    already a single cheap pass.
-
-    [warm_hint] (only meaningful for [`Ilp]) describes a cover believed
-    close to optimal as [(member cids, target bits)] per candidate;
-    enumerated candidates matching an entry are passed to
-    {!Mbr_ilp.Set_partition.solve} as its [warm] incumbent seed (each
-    entry matches at most once, preserving the hint's disjointness).
-    Stale or unmatched hints are harmless — the kernel validates per
-    component and falls back to its greedy seed. *)
+    already a single cheap pass. *)
 
 val reduce :
   mode:[ `Ilp | `Greedy_share | `Clique ] -> block_result array -> selection
@@ -204,10 +188,4 @@ val run_cached :
     selection as {!run} does, but leaves the cache generation {e
     unswapped}: cancelled incumbents depend on where in time the token
     tripped, and a cached entry must stay the deterministic result for
-    its key — the next uncancelled run rebuilds the generation.
-
-    With [config.warm_start] set, a missed block whose sorted member
-    cids match a block of the previous generation (a {e near-hit}: same
-    registers, different placement/slack content) is re-solved with the
-    old cover as its warm-start incumbent; each component the kernel
-    actually seeds this way bumps [ilp.warm_start_hits]. *)
+    its key — the next uncancelled run rebuilds the generation. *)

@@ -52,8 +52,6 @@ let m_fixed = Mbr_obs.Metrics.counter "ilp.fixed_vars"
 
 let m_cancelled = Mbr_obs.Metrics.counter "ilp.cancelled"
 
-let m_warm_hits = Mbr_obs.Metrics.counter "ilp.warm_start_hits"
-
 (* ---- LP relaxation (shared by the public entry point and the
    per-component root bound) ---- *)
 
@@ -311,38 +309,6 @@ type comp_result =
   | C_none  (* budget tripped with no full cover found *)
   | C_infeasible
 
-(* A warm hint is a set of original candidate indices believed to form
-   an exact cover (typically the previous solve of a near-identical
-   block). Restricted to this component's survivors, it is usable only
-   when it is pairwise disjoint and covers the component's target
-   exactly — reductions may have dropped a hinted candidate, in which
-   case the hint silently gives way to the greedy seed. *)
-let warm_incumbent ~target (comp0 : cand array) warm =
-  match warm with
-  | None -> None
-  | Some tbl ->
-    let sel =
-      Array.fold_left
-        (fun acc c -> if Hashtbl.mem tbl c.idx then c :: acc else acc)
-        [] comp0
-    in
-    if sel = [] then None
-    else begin
-      let n = Bitset.universe_size target in
-      let covered = ref (Bitset.create n) in
-      let cost = ref 0.0 in
-      let ok = ref true in
-      List.iter
-        (fun c ->
-          if not (Bitset.disjoint c.set !covered) then ok := false
-          else begin
-            covered := Bitset.union !covered c.set;
-            cost := !cost +. c.w
-          end)
-        sel;
-      if !ok && Bitset.equal !covered target then Some (!cost, sel) else None
-    end
-
 (* Solve one connected component. [nodes] is the global node counter
    shared across components; the budget [node_limit] applies to the
    whole solve, so a component entered with an exhausted budget falls
@@ -352,8 +318,7 @@ let warm_incumbent ~target (comp0 : cand array) warm =
    bit-for-bit like an exhausted node budget (property-tested), and the
    incumbent seeded before the search is what a cancelled component
    returns. *)
-let solve_component ~lp_bound ~node_limit ~poll ~nodes ~warm
-    (comp0 : cand array) =
+let solve_component ~lp_bound ~node_limit ~poll ~nodes (comp0 : cand array) =
   let n_elems = Bitset.universe_size comp0.(0).set in
   let target =
     Array.fold_left (fun acc c -> Bitset.union acc c.set) (Bitset.create n_elems)
@@ -362,14 +327,9 @@ let solve_component ~lp_bound ~node_limit ~poll ~nodes ~warm
   let elems = Bitset.elements target in
   let order = greedy_order comp0 in
   let incumbent =
-    match warm_incumbent ~target comp0 warm with
-    | Some wi ->
-      Mbr_obs.Metrics.incr m_warm_hits;
-      Some (improve_1swap ~order ~target wi)
-    | None -> (
-      match greedy_from ~order ~target (Bitset.create n_elems) 0.0 [] with
-      | Some inc -> Some (improve_1swap ~order ~target inc)
-      | None -> None)
+    match greedy_from ~order ~target (Bitset.create n_elems) 0.0 [] with
+    | Some inc -> Some (improve_1swap ~order ~target inc)
+    | None -> None
   in
   let lp =
     if lp_bound && Array.length comp0 >= lp_min_cands then
@@ -510,7 +470,7 @@ let solve_component ~lp_bound ~node_limit ~poll ~nodes ~warm
 
 (* ---- the staged solve: reduce, decompose, search ---- *)
 
-let solve_raw ~node_limit ~lp_bound ~reductions ~poll ~warm p cands =
+let solve_raw ~node_limit ~lp_bound ~reductions ~poll p cands =
   let n = p.n_elems in
   if n = 0 then { status = Optimal; cost = 0.0; chosen = []; nodes = 0 }
   else begin
@@ -543,9 +503,7 @@ let solve_raw ~node_limit ~lp_bound ~reductions ~poll ~warm p cands =
         List.iter
           (fun comp ->
             if not !comp_infeasible then
-              match
-                solve_component ~lp_bound ~node_limit ~poll ~nodes ~warm comp
-              with
+              match solve_component ~lp_bound ~node_limit ~poll ~nodes comp with
               | C_opt (c, s) ->
                 cost := !cost +. c;
                 sel := s @ !sel
@@ -577,20 +535,12 @@ let solve_raw ~node_limit ~lp_bound ~reductions ~poll ~warm p cands =
   end
 
 let solve ?(node_limit = 2_000_000) ?(lp_bound = true) ?(reductions = true)
-    ?cancel ?(warm = []) p =
+    ?cancel p =
   Mbr_obs.Metrics.incr m_solves;
   let poll =
     match cancel with
     | None -> fun () -> false
     | Some t -> fun () -> Mbr_util.Cancel.check t
-  in
-  let warm =
-    match warm with
-    | [] -> None
-    | idxs ->
-      let tbl = Hashtbl.create (List.length idxs) in
-      List.iter (fun i -> Hashtbl.replace tbl i ()) idxs;
-      Some tbl
   in
   let r =
     Mbr_obs.Trace.with_span ~name:"ilp.solve"
@@ -603,7 +553,7 @@ let solve ?(node_limit = 2_000_000) ?(lp_bound = true) ?(reductions = true)
         (* prepare once: the same candidate array feeds the reduction
            pass, every component's root LP and the branch-and-bound *)
         let cands = prepare p in
-        solve_raw ~node_limit ~lp_bound ~reductions ~poll ~warm p cands)
+        solve_raw ~node_limit ~lp_bound ~reductions ~poll p cands)
   in
   Mbr_obs.Metrics.incr ~by:r.nodes m_nodes;
   (* [Feasible] only ever arises from the node limit tripping. *)

@@ -64,7 +64,6 @@ val solve :
   ?lp_bound:bool ->
   ?reductions:bool ->
   ?cancel:Mbr_util.Cancel.t ->
-  ?warm:int list ->
   problem ->
   result
 (** [node_limit] (default 2_000_000) caps the search across all
@@ -87,20 +86,7 @@ val solve :
     node-limit contract above — the incumbent comes back, the proof is
     abandoned. Reductions and root LPs are not interruptible; they are
     polynomial and small per block. A solve whose token tripped bumps
-    the [ilp.cancelled] counter.
-
-    [warm] is a warm-start hint: indices into [candidates] believed to
-    form an exact cover (typically the chosen set of a previous solve
-    of a near-identical instance). Per component, the hint restricted
-    to the component's surviving candidates replaces the greedy seed
-    as the incumbent — but only when it is pairwise disjoint and covers
-    the component exactly (the 1-swap polish still runs on it); each
-    component seeded this way bumps [ilp.warm_start_hits]. An invalid
-    or reduction-clobbered hint silently falls back to the greedy seed.
-    Warm starts never change [status] or the optimal [cost] — only how
-    fast the search proves them — though under a tripped [node_limit]
-    the returned incumbent may differ (it can only be as good or
-    better than the greedy seed). *)
+    the [ilp.cancelled] counter. *)
 
 val lp_relaxation : problem -> float option
 (** Optimal value of the LP relaxation, [None] when LP-infeasible.

@@ -145,57 +145,6 @@ let test_generated_design_ilp_beats_greedy () =
   check "Fig.6 direction" true (regs ilp <= regs greedy);
   check "some merges happen" true (List.length ilp.Allocate.merges > 0)
 
-(* Warm starts: a cached block whose exact content key misses but whose
-   member set matches the previous generation re-solves with the old
-   cover as the branch-and-bound's starting incumbent. Observable two
-   ways: ilp.warm_start_hits moves, and — the safety half — the warm
-   solve still lands on the same proven optimum as a cold solve of the
-   identical graph. *)
-let test_warm_start_near_hit () =
-  let g = G.generate (P.tiny ~seed:21) in
-  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  let graph = Compat.build_graph eng g.G.library in
-  let idx = index_of graph in
-  let config = { Allocate.default_config with Allocate.warm_start = true } in
-  let cache = Allocate.create_cache () in
-  let cold, s_cold =
-    Allocate.run_cached ~config cache graph ~lib:g.G.library ~blocker_index:idx
-  in
-  check "cold run merges something" true (cold.Allocate.merges <> []);
-  checki "cold: nothing reused" 0 s_cold.Allocate.blocks_reused;
-  (* drift every register's slack a little: every content key misses,
-     every member set survives — all misses are near-hits *)
-  let graph' =
-    { graph with
-      Compat.infos =
-        Array.map
-          (fun (i : Compat.reg_info) ->
-            { i with Compat.d_slack = i.Compat.d_slack +. 0.5 })
-          graph.Compat.infos
-    }
-  in
-  Mbr_obs.Metrics.enable ();
-  let hits = Mbr_obs.Metrics.counter "ilp.warm_start_hits" in
-  let before = Mbr_obs.Metrics.counter_value hits in
-  let warm, s_warm =
-    Allocate.run_cached ~config cache graph' ~lib:g.G.library
-      ~blocker_index:idx
-  in
-  Mbr_obs.Metrics.disable ();
-  checki "near-hits are not exact hits" 0 s_warm.Allocate.blocks_reused;
-  check "warm-start seeds counted" true
-    (Mbr_obs.Metrics.counter_value hits > before);
-  let plain =
-    Allocate.run ~config:{ config with Allocate.warm_start = false } graph'
-      ~lib:g.G.library ~blocker_index:idx
-  in
-  check "same cost as a cold solve" true
-    (Float.abs (plain.Allocate.cost -. warm.Allocate.cost) <= 1e-9);
-  Alcotest.(check (list int)) "same kept" plain.Allocate.kept warm.Allocate.kept;
-  checki "same merge count"
-    (List.length plain.Allocate.merges)
-    (List.length warm.Allocate.merges)
-
 let () =
   Alcotest.run "mbr_core.allocate"
     [
@@ -212,10 +161,5 @@ let () =
           Alcotest.test_case "rows" `Quick test_ilp_never_worse_than_greedy;
           Alcotest.test_case "generated design" `Quick
             test_generated_design_ilp_beats_greedy;
-        ] );
-      ( "warm-start",
-        [
-          Alcotest.test_case "near-hit seeds the B&B, optimum unchanged"
-            `Quick test_warm_start_near_hit;
         ] );
     ]

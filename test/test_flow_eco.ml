@@ -48,8 +48,26 @@ let blocker_index_of pl =
 
 (* ---- Allocate.run_cached ---- *)
 
+(* [sel] picks exactly [expected]'s covers: cost, kept registers and
+   every merge's members and weight. *)
+let check_same_selection (expected : Allocate.selection)
+    (sel : Allocate.selection) =
+  Alcotest.(check (float 0.0)) "cost" expected.Allocate.cost sel.Allocate.cost;
+  Alcotest.(check (list int)) "kept" expected.Allocate.kept sel.Allocate.kept;
+  Alcotest.(check int) "merge count"
+    (List.length expected.Allocate.merges)
+    (List.length sel.Allocate.merges);
+  List.iter2
+    (fun (a : Mbr_core.Candidate.t) (b : Mbr_core.Candidate.t) ->
+      Alcotest.(check (list int)) "members" a.members b.members;
+      Alcotest.(check (list int)) "member cids" a.member_cids b.member_cids;
+      Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
+    expected.Allocate.merges sel.Allocate.merges
+
 (* Identity with run on a cold cache; total reuse on an unchanged
-   graph; identical selections either way. *)
+   graph; a total miss once every register's slack drifts (the content
+   key sees slacks, not just member cids); identical selections every
+   time. *)
 let test_run_cached_identity () =
   let g = G.generate (profile 3) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
@@ -63,28 +81,33 @@ let test_run_cached_identity () =
   Alcotest.(check int) "cold: all resolved" plain.Allocate.n_blocks
     s_cold.Allocate.blocks_resolved;
   Alcotest.(check int) "cold: none reused" 0 s_cold.Allocate.blocks_reused;
-  let warm, s_warm =
+  let hit, s_hit =
     Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
   in
-  Alcotest.(check int) "warm: none resolved" 0 s_warm.Allocate.blocks_resolved;
-  Alcotest.(check int) "warm: all reused" plain.Allocate.n_blocks
-    s_warm.Allocate.blocks_reused;
+  Alcotest.(check int) "hit: none resolved" 0 s_hit.Allocate.blocks_resolved;
+  Alcotest.(check int) "hit: all reused" plain.Allocate.n_blocks
+    s_hit.Allocate.blocks_reused;
   Alcotest.(check int) "cache sized to the run" plain.Allocate.n_blocks
     (Allocate.cache_size cache);
-  List.iter
-    (fun (sel : Allocate.selection) ->
-      Alcotest.(check (float 0.0)) "cost" plain.Allocate.cost sel.Allocate.cost;
-      Alcotest.(check (list int)) "kept" plain.Allocate.kept sel.Allocate.kept;
-      Alcotest.(check int) "merge count"
-        (List.length plain.Allocate.merges)
-        (List.length sel.Allocate.merges);
-      List.iter2
-        (fun (a : Mbr_core.Candidate.t) (b : Mbr_core.Candidate.t) ->
-          Alcotest.(check (list int)) "members" a.members b.members;
-          Alcotest.(check (list int)) "member cids" a.member_cids b.member_cids;
-          Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
-        plain.Allocate.merges sel.Allocate.merges)
-    [ cold; warm ]
+  List.iter (check_same_selection plain) [ cold; hit ];
+  let drifted =
+    {
+      graph with
+      Compat.infos =
+        Array.map
+          (fun (i : Compat.reg_info) ->
+            { i with Compat.d_slack = i.Compat.d_slack +. 0.5 })
+          graph.Compat.infos;
+    }
+  in
+  let plain' = Allocate.run drifted ~lib:g.G.library ~blocker_index:index in
+  let miss, s_miss =
+    Allocate.run_cached cache drifted ~lib:g.G.library ~blocker_index:index
+  in
+  Alcotest.(check int) "drift: none reused" 0 s_miss.Allocate.blocks_reused;
+  Alcotest.(check int) "drift: all resolved" plain'.Allocate.n_blocks
+    s_miss.Allocate.blocks_resolved;
+  check_same_selection plain' miss
 
 (* ---- Flow.Session counters ---- *)
 

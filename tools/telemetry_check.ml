@@ -21,8 +21,8 @@
      - the counters a traced flow run must have bumped are present and
        positive (including "sta.corners": every engine build registers
        its corner set);
-     - the recovery-loop and warm-start counters are present (they are
-       0 on runs that never decompose or never near-hit the cache);
+     - the reduction and recovery-loop counters are present (they are
+       0 on runs with nothing to prune or that never decompose);
      - when "flow.recover_rounds" > 0, the trace must carry a
        "flow.recover" span — the loop is required to announce itself.
 
@@ -177,18 +177,17 @@ let check_metrics path =
     [ "flow.recomposes"; "ilp.solves"; "ilp.components";
       "lp.simplex_solves"; "lp.simplex_pivots"; "sta.refreshes";
       "sta.corners" ];
-  (* the reduction, recovery-loop and warm-start counters must exist in
-     every snapshot (their modules register them at init); they are
-     legitimately 0 on designs with nothing to prune, runs that never
-     decompose, or caches that never near-hit, so presence — via
-     [counter]'s missing check — and non-negativity are all we
-     require *)
+  (* the reduction and recovery-loop counters must exist in every
+     snapshot (their modules register them at init); they are
+     legitimately 0 on designs with nothing to prune or runs that never
+     decompose, so presence — via [counter]'s missing check — and
+     non-negativity are all we require *)
   List.iter
     (fun name ->
       if counter name < 0 then fail "metrics: counter %S is negative" name)
     [ "ilp.dominated_pruned"; "ilp.fixed_vars"; "flow.recover_rounds";
-      "decompose.requested"; "decompose.splits"; "ilp.warm_start_hits";
-      "trace.dropped"; "sta.skew.frontier_pins"; "sta.skew.level_passes";
+      "decompose.requested"; "decompose.splits"; "trace.dropped";
+      "sta.skew.frontier_pins"; "sta.skew.level_passes";
       "sta.skew.corner_par" ];
   (match
      Option.bind (J.member "histograms" j) (fun h ->
