@@ -26,17 +26,16 @@ module E = Mbr_harness.Experiments
    their Term from these — no per-command redefinitions. *)
 module Common_args = struct
   let profile_of_name name seed scale =
+    let gen_seed = Option.value seed ~default:1 in
     let base =
-      match String.lowercase_ascii name with
-      | "d1" -> P.d1
-      | "d2" -> P.d2
-      | "d3" -> P.d3
-      | "d4" -> P.d4
-      | "d5" -> P.d5
-      | "tiny" -> P.tiny ~seed:(match seed with Some s -> s | None -> 1)
-      | "flat" -> P.flat ~seed:(match seed with Some s -> s | None -> 1)
-      | other ->
-        failwith (Printf.sprintf "unknown profile %S (d1..d5, tiny, flat)" other)
+      match name with
+      | `D1 -> P.d1
+      | `D2 -> P.d2
+      | `D3 -> P.d3
+      | `D4 -> P.d4
+      | `D5 -> P.d5
+      | `Tiny -> P.tiny ~seed:gen_seed
+      | `Flat -> P.flat ~seed:gen_seed
     in
     let base = match seed with Some s -> { base with P.seed = s } | None -> base in
     P.scaled base scale
@@ -47,28 +46,13 @@ module Common_args = struct
     | Some 0 -> Some (Mbr_util.Pool.recommended_jobs ())
     | Some n -> Some n
 
-  let corners_of = function
-    | None -> Flow.default_options.Flow.corners
-    | Some spec -> (
-      match Mbr_sta.Corner.parse_set spec with
-      | Ok cs -> cs
-      | Error m -> failwith (Printf.sprintf "--corners: %s" m))
-
   let options_of ~mode ~no_skew ~no_incomplete ~bound ~decompose ~jobs
       ~corners ~recover =
-    let mode =
-      match String.lowercase_ascii mode with
-      | "ilp" -> `Ilp
-      | "greedy" -> `Greedy_share
-      | "clique" -> `Clique
-      | other -> failwith (Printf.sprintf "unknown mode %S (ilp|greedy|clique)" other)
-    in
-    if recover < 0 then failwith "--recover must be non-negative";
     {
       Flow.default_options with
       Flow.mode;
       decompose;
-      corners = corners_of corners;
+      corners = Option.value corners ~default:Flow.default_options.Flow.corners;
       recover;
       jobs = resolve_jobs jobs;
       skew = (if no_skew then None else Flow.default_options.Flow.skew);
@@ -84,8 +68,14 @@ module Common_args = struct
         };
     }
 
+  (* Bad values are usage errors: cmdliner rejects them with a usage
+     message and exit code 124 before any subcommand runs. *)
   let profile_arg =
-    Arg.(value & opt string "d1" & info [ "p"; "profile" ] ~docv:"NAME"
+    let names =
+      [ ("d1", `D1); ("d2", `D2); ("d3", `D3); ("d4", `D4); ("d5", `D5);
+        ("tiny", `Tiny); ("flat", `Flat) ]
+    in
+    Arg.(value & opt (enum names) `D1 & info [ "p"; "profile" ] ~docv:"NAME"
            ~doc:"Design profile: d1..d5, tiny, or flat (aggregation-hostile \
                  flat netlist).")
 
@@ -98,7 +88,8 @@ module Common_args = struct
            ~doc:"Scale the register count (e.g. 0.25 for a quick run).")
 
   let mode_arg =
-    Arg.(value & opt string "ilp" & info [ "mode" ] ~docv:"M"
+    let modes = [ ("ilp", `Ilp); ("greedy", `Greedy_share); ("clique", `Clique) ] in
+    Arg.(value & opt (enum modes) `Ilp & info [ "mode" ] ~docv:"M"
            ~doc:"Allocator: ilp, greedy (weighted heuristic) or clique.")
 
   let no_skew_arg =
@@ -116,14 +107,30 @@ module Common_args = struct
            ~doc:"Decompose max-width MBRs before composing (paper's future work).")
 
   let corners_arg =
-    Arg.(value & opt (some string) None & info [ "corners" ] ~docv:"SPEC"
+    let corner_set =
+      Arg.conv ~docv:"SPEC"
+        ( (fun spec ->
+            Result.map_error (fun m -> `Msg m) (Mbr_sta.Corner.parse_set spec)),
+          fun ppf cs ->
+            Format.pp_print_string ppf (Mbr_sta.Corner.set_to_string cs) )
+    in
+    Arg.(value & opt (some corner_set) None & info [ "corners" ] ~docv:"SPEC"
            ~doc:"Multi-corner STA: comma-separated corner set, each element \
                  a built-in name (typical, slow, fast, harsh) or a custom \
                  name:cell:wire:setup derate quadruple. All QoR numbers \
                  become worst-corner. Default: typical only.")
 
   let recover_arg =
-    Arg.(value & opt int 0 & info [ "recover" ] ~docv:"N"
+    let non_negative =
+      Arg.conv ~docv:"N"
+        ( (fun v ->
+            match int_of_string_opt v with
+            | Some n when n >= 0 -> Ok n
+            | Some _ | None ->
+              Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" v))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt non_negative 0 & info [ "recover" ] ~docv:"N"
            ~doc:"Recovery-round budget: after composing, decompose MBRs \
                  whose worst-corner slack went negative and re-run the flow \
                  on the affected region, up to N rounds (default 0 = off).")

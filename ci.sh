@@ -22,6 +22,12 @@ echo "== ILP kernel (staged solver = oracle; reductions ablation; pool order) ==
 dune exec test/test_ilp.exe > /dev/null
 dune exec test/test_pool.exe > /dev/null
 
+echo "== CLI usage errors (a bad profile is rejected with exit 124) =="
+status=0
+dune exec bin/mbrc.exe -- run -p bogus > /dev/null 2>&1 || status=$?
+[ "$status" -eq 124 ] \
+  || { echo "mbrc run -p bogus exited $status, expected 124"; exit 1; }
+
 echo "== examples (build + execute) =="
 for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
           interchange; do
@@ -32,7 +38,7 @@ done
 echo "== bench smoke (parallel allocate jobs = 2; ECO recompose round) =="
 dune exec bench/main.exe -- --smoke
 
-echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes) =="
+echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes; the session builds the STA graph once) =="
 dune exec tools/scale_smoke.exe
 
 echo "== telemetry smoke (traced flow -> Chrome JSON + metrics snapshot) =="

@@ -6,7 +6,7 @@ type edit =
   | Cell_added of cell_id
   | Cell_removed of cell_id
   | Cell_retyped of cell_id
-  | Net_changed of net_id
+  | Net_changed of net_id * pin_id
 
 type t = {
   d_name : string;
@@ -51,7 +51,7 @@ let new_pin t ~cell_id ~kind ~dir ~net_id =
   | Some nid ->
     let n = net t nid in
     n.n_pins <- pid :: n.n_pins;
-    log t (Net_changed nid)
+    log t (Net_changed (nid, pid))
   | None -> ());
   pid
 
@@ -267,12 +267,12 @@ let connect t pid nid =
   | Some old ->
     let n = net t old in
     n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
-    log t (Net_changed old)
+    log t (Net_changed (old, pid))
   | None -> ());
   p.p_net <- Some nid;
   let n = net t nid in
   n.n_pins <- pid :: n.n_pins;
-  log t (Net_changed nid)
+  log t (Net_changed (nid, pid))
 
 let disconnect t pid =
   let p = pin t pid in
@@ -281,7 +281,7 @@ let disconnect t pid =
     let n = net t old in
     n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
     p.p_net <- None;
-    log t (Net_changed old)
+    log t (Net_changed (old, pid))
   | None -> ()
 
 let retype_register t id (new_cell : Cell_lib.t) =

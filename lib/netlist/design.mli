@@ -25,7 +25,13 @@ type edit =
   | Cell_retyped of Types.cell_id
       (** A register swapped library cells: pin caps, drive and setup
           changed; connectivity did not. *)
-  | Net_changed of Types.net_id  (** A net's pin membership changed. *)
+  | Net_changed of Types.net_id * Types.pin_id
+      (** A net's pin membership changed: the pin joined or left it.
+          One is logged per pin created on a net and per pin that
+          {!connect}, {!disconnect} or {!remove_cell} moves ([connect]
+          of a wired pin logs two: leaving the old net, joining the
+          new), so a consumer can tell which pins lost their old
+          connections. *)
 
 val revision : t -> int
 (** Monotonically increasing edit count (the log length). *)

@@ -57,7 +57,7 @@ let sync_design t =
   if rev <> t.dsg_cursor then begin
     List.iter
       (function
-        | Design.Net_changed nid -> Hashtbl.remove t.nets nid
+        | Design.Net_changed (nid, _) -> Hashtbl.remove t.nets nid
         | Design.Cell_retyped id ->
           (* pin offsets follow the library cell's pin map *)
           invalidate_cell_nets t id

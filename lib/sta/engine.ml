@@ -108,13 +108,10 @@ type t = {
   dsg : Design.t;
   mutable corners : Corner.t array;
   mutable n : int; (* pin count covered by the arrays below *)
-  mutable in_graph : bool array;
   mutable role : Bytes.t;
-      (* per pin, its [pin_role] as of joining the graph (fixed for the
-         pin's life): tells a register's Q and D pins apart without a
-         design lookup *)
-  mutable succs : Types.pin_id list array;
-  mutable preds : Types.pin_id list array;
+      (* per pin, its [pin_role]: fixed while the pin's cell lives,
+         '\000' (outside the graph) once the cell is removed. Tells a
+         register's Q and D pins apart without a design lookup. *)
   mutable topo : Types.pin_id array;
   mutable topo_pos : int array;
       (** pin -> index in [topo] (-1 outside graph) *)
@@ -122,8 +119,6 @@ type t = {
   mutable ep_of : endpoint_kind option array;
   mutable startpoints : Types.pin_id list;
   mutable endpoints : (Types.pin_id * endpoint_kind) list;
-  mutable net_arcs : (Types.net_id, (Types.pin_id * Types.pin_id) list) Hashtbl.t;
-      (** net arcs currently spliced into succs/preds, per net *)
   mutable skew_dense : float array;
       (* useful skew per cell id (0.0 = unset, the default), grown on
          demand: the propagation passes read a skew per start/endpoint
@@ -136,9 +131,10 @@ type t = {
          in one corner iff it does in every corner. *)
   mutable required : plane;
   mutable plan : plan option;
-      (* current whenever present outside a refresh: [analyze],
-         [set_corners] and [rebuild] drop it, and [refresh] patches it
-         before returning *)
+      (* the only stored copy of the graph's arcs, current whenever
+         present outside a refresh: [analyze], [set_corners] and
+         [rebuild] drop it, and [refresh] reads the rewired pins' old
+         arcs off it, then patches it before returning *)
   mutable plan_dirty : Bytes.t;
       (* per pin, 1 when the pin's incoming arcs, launch base or setup
          term may differ from what [plan] holds: every pin the running
@@ -155,16 +151,20 @@ type t = {
   mutable pl_cursor : int;  (** placement moves already reflected *)
   mutable n_full_builds : int;
   mutable n_refreshes : int;
-  (* Pin geometry memo for plan making: [pg_stamp] is [pg_epoch] when
-     the pin is placed (location and cap resolved), [-pg_epoch] when it
-     is not. Each plan make opens a fresh epoch (design and placement
-     are frozen for its duration), so a net driver with fanout f is
-     resolved once instead of once per arc. *)
+  (* Memos for deriving arcs, one epoch per plan make or graph walk
+     (design and placement are frozen for its duration). [pg_stamp] is
+     [pg_epoch] when the pin is placed (location and cap resolved),
+     [-pg_epoch] when it is not, so a net driver with fanout f is
+     resolved once instead of once per arc; [nd_stamp] is [pg_epoch]
+     when [nd_pin] holds the net's in-graph data driver (-1 for none),
+     so a net's sinks do not each scan its pin list for it. *)
   mutable pg_epoch : int;
   mutable pg_x : float array;
   mutable pg_y : float array;
   mutable pg_cap : float array;
   mutable pg_stamp : int array;
+  mutable nd_stamp : int array;
+  mutable nd_pin : int array;
 }
 
 exception Combinational_cycle of Types.pin_id list
@@ -242,18 +242,7 @@ let pin_role dsg pid =
     | Types.Port _, _ -> '\000'
     | (Types.Clock_root | Types.Clock_gate _), _ -> '\000'
 
-(* Data net arcs (driver -> each sink) under the current membership;
-   clock nets and nets without an in-graph driver contribute none. *)
-let net_arc_pairs dsg in_graph nid =
-  let net = Design.net dsg nid in
-  if net.Types.n_is_clock then []
-  else
-    match Design.driver dsg nid with
-    | Some d when d < Array.length in_graph && in_graph.(d) ->
-      List.filter_map
-        (fun s -> if in_graph.(s) then Some (d, s) else None)
-        (Design.sinks dsg nid)
-    | Some _ | None -> []
+let in_graph t pid = Bytes.unsafe_get t.role pid <> '\000'
 
 (* The start/endpoint status a pin should have given the current
    connectivity (None kind for pins that are neither). *)
@@ -269,180 +258,135 @@ let pin_start_end dsg pid =
     (false, if p.Types.p_net <> None then Some Ep_out_port else None)
   | _, _ -> (false, None)
 
-type graph_parts = {
-  g_n : int;
-  g_in_graph : bool array;
-  g_role : Bytes.t;
-  g_succs : Types.pin_id list array;
-  g_preds : Types.pin_id list array;
-  g_topo : Types.pin_id array;
-  g_topo_pos : int array;
-  g_is_start : bool array;
-  g_ep_of : endpoint_kind option array;
-  g_startpoints : Types.pin_id list;
-  g_endpoints : (Types.pin_id * endpoint_kind) list;
-  g_net_arcs : (Types.net_id, (Types.pin_id * Types.pin_id) list) Hashtbl.t;
-}
+(* ---- arcs, derived from the design ----
 
-let compute_graph dsg =
+   The plan's CSR is the only stored copy of the arcs: a plan make (for
+   its dirty pins) and a full build's graph walk derive a pin's
+   incoming arcs from [Design] under the current roles. *)
+
+(* Open a memo epoch over the current pin and net counts. *)
+let open_memo t =
+  t.pg_epoch <- t.pg_epoch + 1;
+  let n = t.n in
+  if Array.length t.pg_stamp < n then begin
+    t.pg_x <- Array.make n 0.0;
+    t.pg_y <- Array.make n 0.0;
+    t.pg_cap <- Array.make n 0.0;
+    t.pg_stamp <- Array.make n 0
+  end;
+  let nn = Design.n_nets t.dsg in
+  if Array.length t.nd_stamp < nn then begin
+    t.nd_stamp <- Array.make nn 0;
+    t.nd_pin <- Array.make nn (-1)
+  end
+
+(* A data net's in-graph driver, or -1: clock nets and nets without an
+   in-graph driver carry no arcs. Resolved at most once per epoch. *)
+let net_driver t nid =
+  if Array.unsafe_get t.nd_stamp nid = t.pg_epoch then
+    Array.unsafe_get t.nd_pin nid
+  else begin
+    let d =
+      if (Design.net t.dsg nid).Types.n_is_clock then -1
+      else
+        match Design.driver t.dsg nid with
+        | Some d when Bytes.get t.role d <> '\000' -> d
+        | Some _ | None -> -1
+    in
+    t.nd_stamp.(nid) <- t.pg_epoch;
+    t.nd_pin.(nid) <- d;
+    d
+  end
+
+(* The source of every arc into [pid]: its cell's in-graph inputs for
+   a comb output, its data net's driver for any other in-graph input
+   pin (none for outputs and pins outside the graph). A net arc needs
+   an open memo epoch. *)
+let iter_in_arcs t pid f =
+  match Bytes.unsafe_get t.role pid with
+  | '\000' -> ()
+  | 'o' ->
+    List.iter
+      (fun i -> if Bytes.unsafe_get t.role i = '\001' then f i)
+      (Design.pins_of t.dsg (Design.pin t.dsg pid).Types.p_cell)
+  | _ -> (
+    let p = Design.pin t.dsg pid in
+    match p.Types.p_net with
+    | Some nid when p.Types.p_dir = Types.Input ->
+      let d = net_driver t nid in
+      if d >= 0 then f d
+    | Some _ | None -> ())
+
+(* The start/endpoint lists, rebuilt from the status flags in one pass
+   and walked downward so both come out in ascending pin order: a
+   fresh build and a refresh list them alike, so TNS (a float sum over
+   [endpoints]) has the same bits on both paths. *)
+let status_lists t =
+  let sts = ref [] and eps = ref [] in
+  for pid = t.n - 1 downto 0 do
+    if t.is_start.(pid) then sts := pid :: !sts;
+    match t.ep_of.(pid) with
+    | Some k -> eps := (pid, k) :: !eps
+    | None -> ()
+  done;
+  t.startpoints <- !sts;
+  t.endpoints <- !eps
+
+(* (Re)build the graph from the design, straight into [t]: roles,
+   start/endpoint status and the topological order; fresh planes, no
+   plan. The order is one depth-first walk over incoming arcs (a pin
+   is appended once all its sources are), with [topo_pos] as the walk
+   state: -1 unvisited, -2 on the open path, else its index. Meeting
+   an open pin closes a loop, and the open path is the
+   {!Combinational_cycle} witness. Until the walk succeeds the engine
+   stays unanalyzed and behind the design, so every later [analyze]
+   retries it. *)
+let compute_graph t =
+  let dsg = t.dsg in
   let n = Design.n_pins dsg in
-  let in_graph = Array.make n false in
-  let role = Bytes.make n '\000' in
+  t.plan <- None;
+  t.analyzed <- false;
+  t.n <- n;
+  t.role <- Bytes.init n (pin_role dsg);
+  t.is_start <- Array.make n false;
+  t.ep_of <- Array.make n None;
   for pid = 0 to n - 1 do
-    let r = pin_role dsg pid in
-    Bytes.set role pid r;
-    in_graph.(pid) <- r <> '\000'
-  done;
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  (* in-degrees are tallied as arcs are created, so Kahn below never
-     has to re-walk the pred lists *)
-  let indeg = Array.make n 0 in
-  let add_arc src dst =
-    succs.(src) <- dst :: succs.(src);
-    preds.(dst) <- src :: preds.(dst);
-    indeg.(dst) <- indeg.(dst) + 1
-  in
-  (* net arcs *)
-  let net_arcs = Hashtbl.create 1024 in
-  for nid = 0 to Design.n_nets dsg - 1 do
-    match net_arc_pairs dsg in_graph nid with
-    | [] -> ()
-    | pairs ->
-      Hashtbl.replace net_arcs nid pairs;
-      List.iter (fun (d, s) -> add_arc d s) pairs
-  done;
-  (* comb cell arcs *)
-  List.iter
-    (fun cid ->
-      let c = Design.cell dsg cid in
-      match c.Types.c_kind with
-      | Types.Comb _ ->
-        (* arcs from every input to every output; the double walk over
-           [c_pins] costs the same pin lookups as a partition without
-           allocating the two intermediate lists *)
-        List.iter
-          (fun o ->
-            if (Design.pin dsg o).Types.p_dir = Types.Output && in_graph.(o)
-            then
-              List.iter
-                (fun i ->
-                  if
-                    (Design.pin dsg i).Types.p_dir = Types.Input
-                    && in_graph.(i)
-                  then add_arc i o)
-                c.Types.c_pins)
-          c.Types.c_pins
-      | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _
-        ->
-        ())
-    (Design.live_cells dsg);
-  (* start / end points, walked downward so both lists come out in
-     ascending pin order — the order refresh's status rebuild produces,
-     so TNS (a float sum over [endpoints]) has the same bits on both
-     paths *)
-  let startpoints = ref [] in
-  let endpoints = ref [] in
-  for pid = n - 1 downto 0 do
-    if in_graph.(pid) then begin
+    if in_graph t pid then begin
       let st, ep = pin_start_end dsg pid in
-      if st then startpoints := pid :: !startpoints;
-      match ep with
-      | Some kind -> endpoints := (pid, kind) :: !endpoints
-      | None -> ()
+      t.is_start.(pid) <- st;
+      t.ep_of.(pid) <- ep
     end
   done;
-  (* in-place Kahn: [topo.(0..k)] doubles as the ready queue — resolved
-     pins are final in [topo] the moment they are appended, so no
-     separate FIFO (or its per-element allocation) is needed *)
-  let topo = Array.make n (-1) in
-  let k = ref 0 in
-  for pid = 0 to n - 1 do
-    if in_graph.(pid) && indeg.(pid) = 0 then begin
+  status_lists t;
+  open_memo t;
+  let topo = Array.make n 0 and k = ref 0 in
+  let pos = Array.make n (-1) in
+  t.topo_pos <- pos;
+  let rec visit path pid =
+    match pos.(pid) with
+    | -1 ->
+      pos.(pid) <- -2;
+      let path = pid :: path in
+      iter_in_arcs t pid (visit path);
+      pos.(pid) <- !k;
       topo.(!k) <- pid;
       incr k
-    end
+    | -2 ->
+      (* [path] runs from the pin [pid] feeds back to the walk's root;
+         the loop is its prefix up to [pid] *)
+      let rec upto = function p :: tl when p <> pid -> p :: upto tl | _ -> [ pid ] in
+      raise (Combinational_cycle (pid :: upto path))
+    | _ -> ()
+  in
+  for pid = 0 to n - 1 do
+    if in_graph t pid then visit [] pid
   done;
-  let i = ref 0 in
-  while !i < !k do
-    let pid = topo.(!i) in
-    incr i;
-    List.iter
-      (fun dst ->
-        let d = indeg.(dst) - 1 in
-        indeg.(dst) <- d;
-        if d = 0 then begin
-          topo.(!k) <- dst;
-          incr k
-        end)
-      succs.(pid)
-  done;
-  let n_in_graph = ref 0 in
-  Array.iter (fun b -> if b then incr n_in_graph) in_graph;
-  if !k <> !n_in_graph then begin
-    (* Kahn left some pins unresolved: every one of them has an
-       un-decremented incoming edge, i.e. an unresolved predecessor, so
-       walking predecessors from any of them must close a loop. The
-       witness is reported in data-flow (successor) order, closed by
-       repeating the entry pin. *)
-    let start = ref (-1) in
-    (try
-       for pid = 0 to n - 1 do
-         if in_graph.(pid) && indeg.(pid) > 0 then begin
-           start := pid;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let witness =
-      if !start < 0 then []
-      else begin
-        let seen = Hashtbl.create 16 in
-        let rec walk pid path =
-          if Hashtbl.mem seen pid then begin
-            (* [path] holds the predecessor walk in reverse; the loop is
-               the segment from the first visit of [pid] onward, closed
-               by [pid] itself, flipped into data-flow order *)
-            let rec keep_from = function
-              | p :: _ as l when p = pid -> l
-              | _ :: tl -> keep_from tl
-              | [] -> []
-            in
-            List.rev (keep_from (List.rev path) @ [ pid ])
-          end
-          else begin
-            Hashtbl.add seen pid ();
-            match List.find_opt (fun src -> indeg.(src) > 0) preds.(pid) with
-            | Some src -> walk src (pid :: path)
-            | None -> List.rev (pid :: path)
-          end
-        in
-        walk !start []
-      end
-    in
-    raise (Combinational_cycle witness)
-  end;
-  let topo = Array.sub topo 0 !k in
-  let topo_pos = Array.make n (-1) in
-  Array.iteri (fun idx pid -> topo_pos.(pid) <- idx) topo;
-  let is_start = Array.make n false in
-  List.iter (fun pid -> is_start.(pid) <- true) !startpoints;
-  let ep_of = Array.make n None in
-  List.iter (fun (pid, kind) -> ep_of.(pid) <- Some kind) !endpoints;
-  {
-    g_n = n;
-    g_in_graph = in_graph;
-    g_role = role;
-    g_succs = succs;
-    g_preds = preds;
-    g_topo = topo;
-    g_topo_pos = topo_pos;
-    g_is_start = is_start;
-    g_ep_of = ep_of;
-    g_startpoints = !startpoints;
-    g_endpoints = !endpoints;
-    g_net_arcs = net_arcs;
-  }
+  t.topo <- Array.sub topo 0 !k;
+  let nc = Array.length t.corners in
+  t.arrival <- plane_make (n * nc) neg_infinity;
+  t.required <- plane_make (n * nc) infinity;
+  t.plan_dirty <- Bytes.make n '\000';
+  t.dsg_cursor <- Design.revision dsg
 
 let m_corners = Mbr_obs.Metrics.counter "sta.corners"
 
@@ -450,47 +394,46 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
   if Array.length corners = 0 then
     invalid_arg "Sta.build: empty corner set";
   let dsg = Placement.design pl in
-  let g = compute_graph dsg in
-  (* [compute_graph]'s table is fresh per call — own it directly *)
-  let net_arcs = g.g_net_arcs in
   let nc = Array.length corners in
+  let t =
+    {
+      cfg = config;
+      pl;
+      dsg;
+      corners = Array.copy corners;
+      n = 0;
+      role = Bytes.empty;
+      topo = [||];
+      topo_pos = [||];
+      is_start = [||];
+      ep_of = [||];
+      startpoints = [];
+      endpoints = [];
+      skew_dense = [||];
+      arrival = plane_make 0 neg_infinity;
+      required = plane_make 0 infinity;
+      plan = None;
+      plan_dirty = Bytes.empty;
+      n_plan_builds = 0;
+      n_plan_patches = 0;
+      reg_cache = None;
+      analyzed = false;
+      dsg_cursor = 0;
+      pl_cursor = Placement.revision pl;
+      n_full_builds = 1;
+      n_refreshes = 0;
+      pg_epoch = 0;
+      pg_x = [||];
+      pg_y = [||];
+      pg_cap = [||];
+      pg_stamp = [||];
+      nd_stamp = [||];
+      nd_pin = [||];
+    }
+  in
+  compute_graph t;
   Mbr_obs.Metrics.incr ~by:nc m_corners;
-  {
-    cfg = config;
-    pl;
-    dsg;
-    corners = Array.copy corners;
-    n = g.g_n;
-    in_graph = g.g_in_graph;
-    role = g.g_role;
-    succs = g.g_succs;
-    preds = g.g_preds;
-    topo = g.g_topo;
-    topo_pos = g.g_topo_pos;
-    is_start = g.g_is_start;
-    ep_of = g.g_ep_of;
-    startpoints = g.g_startpoints;
-    endpoints = g.g_endpoints;
-    net_arcs;
-    skew_dense = [||];
-    arrival = plane_make (g.g_n * nc) neg_infinity;
-    required = plane_make (g.g_n * nc) infinity;
-    plan = None;
-    plan_dirty = Bytes.make g.g_n '\000';
-    n_plan_builds = 0;
-    n_plan_patches = 0;
-    reg_cache = None;
-    analyzed = false;
-    dsg_cursor = Design.revision dsg;
-    pl_cursor = Placement.revision pl;
-    n_full_builds = 1;
-    n_refreshes = 0;
-    pg_epoch = 0;
-    pg_x = [||];
-    pg_y = [||];
-    pg_cap = [||];
-    pg_stamp = [||];
-  }
+  t
 
 let set_corners t cs =
   if Array.length cs = 0 then invalid_arg "Sta.set_corners: empty corner set";
@@ -539,9 +482,10 @@ let net_load t nid =
 
    A CSR image of the graph with per-corner arc delays flattened
    alongside, and per-startpoint/endpoint launch/required constants.
-   The plan is a pure function of (structure, placement, corners) and
-   the only graph the numeric propagation reads: [analyze], refresh's
-   repair and every skew batch run the mark-skip scans below over it.
+   The plan is a pure function of (structure, placement, corners), the
+   only graph the numeric propagation reads ([analyze], refresh's
+   repair and every skew batch run the mark-skip scans below over it)
+   and the only place the engine stores arcs.
 
    Lifecycle: [make_plan] is the one builder. It re-derives the pins
    the engine's [plan_dirty] flags name and copies every other pin's
@@ -616,9 +560,9 @@ let comb_base t pid =
 (* Make the plan for the current graph, placement and corners, and
    install it: patch the previous plan when there is one, build from
    scratch otherwise. A dirty pin — flagged in [plan_dirty], or beyond
-   the previous plan's pin range — gets its pred range re-walked off
-   [t.preds] with its arc delays recomputed, and its launch base /
-   setup term recomputed; a clean pin's entries are copied (runs of
+   the previous plan's pin range — gets its incoming arcs derived from
+   the design with their delays computed, and its launch base / setup
+   term recomputed; a clean pin's entries are copied (runs of
    consecutive clean pins in one blit each). The succ CSR is the pred
    CSR's transpose, built on int arrays only. Clears the dirty flags.
    Each net's load is computed at most once: only its single driver's
@@ -640,13 +584,7 @@ let make_plan t =
     t.n_plan_patches <- t.n_plan_patches + 1;
     Mbr_obs.Metrics.incr m_plan_patches
   end;
-  t.pg_epoch <- t.pg_epoch + 1;
-  if Array.length t.pg_stamp < n then begin
-    t.pg_x <- Array.make n 0.0;
-    t.pg_y <- Array.make n 0.0;
-    t.pg_cap <- Array.make n 0.0;
-    t.pg_stamp <- Array.make n 0
-  end;
+  open_memo t;
   let on = Array.length o.st_slot in
   let flags = t.plan_dirty in
   let dirty pid = pid >= on || Bytes.unsafe_get flags pid <> '\000' in
@@ -654,7 +592,11 @@ let make_plan t =
   let pr_off = Array.make (n + 1) 0 in
   for pid = 0 to n - 1 do
     let len =
-      if dirty pid then List.length t.preds.(pid)
+      if dirty pid then begin
+        let c = ref 0 in
+        iter_in_arcs t pid (fun _ -> incr c);
+        !c
+      end
       else o.pr_off.(pid + 1) - o.pr_off.(pid)
     in
     pr_off.(pid + 1) <- pr_off.(pid) + len
@@ -682,42 +624,37 @@ let make_plan t =
         copy_run !run pid;
         run := -1
       end;
-      let j = ref pr_off.(pid) in
-      match t.preds.(pid) with
-      | [] -> ()
-      | preds when Bytes.unsafe_get t.role pid = 'o' ->
-        (* cell arcs: one base for all of them, cell-derated *)
-        let base = comb_base t pid in
-        List.iter
-          (fun s ->
+      if pr_off.(pid + 1) > pr_off.(pid) then begin
+        (* cell arcs share one base, cell-derated; a net arc gets the
+           model's wire delay r·L·(c·L/2 + C_sink) off the geometry
+           memo, wire-derated *)
+        let cell = Bytes.unsafe_get t.role pid = 'o' in
+        let cell_base = if cell then comb_base t pid else 0.0 in
+        let j = ref pr_off.(pid) in
+        iter_in_arcs t pid (fun s ->
             pr_src.(!j) <- s;
-            for k = 0 to nc - 1 do
-              pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.cell
-            done;
+            if cell then
+              for k = 0 to nc - 1 do
+                pr_delay.((!j * nc) + k) <- cell_base *. t.corners.(k).Corner.cell
+              done
+            else begin
+              let base =
+                if pin_geometry t s && pin_geometry t pid then begin
+                  let len =
+                    Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
+                    +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
+                  in
+                  cfg.wire_res *. len
+                  *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
+                end
+                else 0.0
+              in
+              for k = 0 to nc - 1 do
+                pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.wire
+              done
+            end;
             incr j)
-          preds
-      | preds ->
-        (* net arcs: the model's wire delay r·L·(c·L/2 + C_sink) off
-           the geometry memo, wire-derated *)
-        List.iter
-          (fun s ->
-            let base =
-              if pin_geometry t s && pin_geometry t pid then begin
-                let len =
-                  Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
-                  +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
-                in
-                cfg.wire_res *. len
-                *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
-              end
-              else 0.0
-            in
-            pr_src.(!j) <- s;
-            for k = 0 to nc - 1 do
-              pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.wire
-            done;
-            incr j)
-          preds
+      end
     end
   done;
   if !run >= 0 then copy_run !run n;
@@ -829,6 +766,7 @@ let make_plan t =
   in
   t.plan <- Some p;
   p
+
 
 let ensure_plan t = match t.plan with Some p -> p | None -> make_plan t
 
@@ -996,32 +934,55 @@ let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
   done;
   !processed
 
+
+(* Telemetry: the incremental engine's health is "how often does
+   refresh stay incremental, and how much does it touch when it does".
+   [sta.dirty_pins] accumulates the seed set of each incremental
+   splice; [sta.rebuild_fallbacks] counts Bail escapes to the O(n)
+   path. [sta.corners] accumulates the corner count of every engine
+   build / corner-set swap. All no-ops while [Mbr_obs] is disabled. *)
+let m_refreshes = Mbr_obs.Metrics.counter "sta.refreshes"
+
+let m_rebuild_fallbacks = Mbr_obs.Metrics.counter "sta.rebuild_fallbacks"
+
+let m_dirty_pins = Mbr_obs.Metrics.counter "sta.dirty_pins"
+
 (* A full numeric pass: a fresh plan recomputes every delay against
    the current placement (pending moves are absorbed), the planes are
    reset, and the scans seeded with every startpoint and endpoint
    recompute every arrival/required. A pin outside every startpoint
    (endpoint) cone keeps -inf (+inf), which is what recomputing it
-   would give. Pending *structural* design edits are not absorbed: the
-   graph arrays are untouched here, so [dsg_cursor] stays where it is
-   and a later {!refresh} repairs the structure. *)
-let analyze t =
-  Mbr_obs.Trace.with_span ~name:"sta.analyze"
-    ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
-  @@ fun () ->
-  let nc = Array.length t.corners in
-  t.plan <- None;
-  let p = make_plan t in
-  Bigarray.Array1.fill t.arrival neg_infinity;
-  Bigarray.Array1.fill t.required infinity;
-  let scr = plan_scratch_for p 0 in
-  ignore
-    (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:t.startpoints ~changed:None
-       ~cancel:None);
-  ignore
-    (backward_scan t p scr ~k0:0 ~k1:(nc - 1)
-       ~seeds:(List.map fst t.endpoints) ~changed:None ~cancel:None);
-  t.pl_cursor <- Placement.revision t.pl;
-  t.analyzed <- true
+   would give. Pending structural design edits are absorbed first, by
+   a {!rebuild}: a plan derives its arcs from the design, so it must
+   never read connectivity the graph has not seen. *)
+let rec analyze t =
+  if Design.revision t.dsg <> t.dsg_cursor then rebuild t
+  else
+    Mbr_obs.Trace.with_span ~name:"sta.analyze"
+      ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
+    @@ fun () ->
+    let nc = Array.length t.corners in
+    t.plan <- None;
+    let p = make_plan t in
+    Bigarray.Array1.fill t.arrival neg_infinity;
+    Bigarray.Array1.fill t.required infinity;
+    let scr = plan_scratch_for p 0 in
+    ignore
+      (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:t.startpoints
+         ~changed:None ~cancel:None);
+    ignore
+      (backward_scan t p scr ~k0:0 ~k1:(nc - 1)
+         ~seeds:(List.map fst t.endpoints) ~changed:None ~cancel:None);
+    t.pl_cursor <- Placement.revision t.pl;
+    t.analyzed <- true
+
+(* Full fallback: recompute the graph from scratch, keep skews, rerun a
+   complete analyze. Any partial splicing a bailed refresh left behind
+   is discarded wholesale because every array is replaced. *)
+and rebuild t =
+  Mbr_obs.Trace.with_span ~name:"sta.graph" (fun () -> compute_graph t);
+  t.n_full_builds <- t.n_full_builds + 1;
+  analyze t
 
 let ensure t = if not t.analyzed then analyze t
 
@@ -1036,12 +997,9 @@ let grow t n' =
       Array.blit a 0 b 0 t.n;
       b
     in
-    t.in_graph <- grow_arr t.in_graph false;
     let role = Bytes.make n' '\000' in
     Bytes.blit t.role 0 role 0 t.n;
     t.role <- role;
-    t.succs <- grow_arr t.succs [];
-    t.preds <- grow_arr t.preds [];
     t.topo_pos <- grow_arr t.topo_pos (-1);
     t.is_start <- grow_arr t.is_start false;
     t.ep_of <- grow_arr t.ep_of None;
@@ -1065,47 +1023,6 @@ let grow t n' =
     t.n <- n'
   end
 
-(* Telemetry: the incremental engine's health is "how often does
-   refresh stay incremental, and how much does it touch when it does".
-   [sta.dirty_pins] accumulates the seed set of each incremental
-   splice; [sta.rebuild_fallbacks] counts Bail escapes to the O(n)
-   path. [sta.corners] accumulates the corner count of every engine
-   build / corner-set swap. All no-ops while [Mbr_obs] is disabled. *)
-let m_refreshes = Mbr_obs.Metrics.counter "sta.refreshes"
-
-let m_rebuild_fallbacks = Mbr_obs.Metrics.counter "sta.rebuild_fallbacks"
-
-let m_dirty_pins = Mbr_obs.Metrics.counter "sta.dirty_pins"
-
-(* Full fallback: recompute the graph from scratch, keep skews, rerun a
-   complete analyze. Any partial splicing a bailed refresh left behind
-   is discarded wholesale because every array is replaced. *)
-let rebuild t =
-  let g =
-    Mbr_obs.Trace.with_span ~name:"sta.graph" (fun () -> compute_graph t.dsg)
-  in
-  let nc = Array.length t.corners in
-  t.n <- g.g_n;
-  t.in_graph <- g.g_in_graph;
-  t.role <- g.g_role;
-  t.succs <- g.g_succs;
-  t.preds <- g.g_preds;
-  t.topo <- g.g_topo;
-  t.topo_pos <- g.g_topo_pos;
-  t.is_start <- g.g_is_start;
-  t.ep_of <- g.g_ep_of;
-  t.startpoints <- g.g_startpoints;
-  t.endpoints <- g.g_endpoints;
-  (* [compute_graph]'s table is fresh per call — own it directly *)
-  t.net_arcs <- g.g_net_arcs;
-  t.arrival <- plane_make (g.g_n * nc) neg_infinity;
-  t.required <- plane_make (g.g_n * nc) infinity;
-  t.plan <- None;
-  t.plan_dirty <- Bytes.make g.g_n '\000';
-  t.dsg_cursor <- Design.revision t.dsg;
-  t.n_full_builds <- t.n_full_builds + 1;
-  analyze t
-
 (* Splice the edits logged since the cursors into the existing graph and
    re-propagate only what they touched. The structural part handles
    register/port pins exactly: those are pure sources or pure sinks of
@@ -1119,7 +1036,7 @@ let rebuild t =
    vanishing comb cell is fine: a subgraph of a DAG keeps the DAG's
    topological order). The splice's numeric repair is a plan patch plus
    the mark-skip scans, and its status bookkeeping is batched, so what
-   remains over the batched full build is the per-net arc surgery; the
+   remains over the batched full build is the per-net marking; the
    break-even sits above half the graph. 0.6 keeps composition-scale
    batches — a merge pass replacing a third of the registers dirties
    ~half the pins — on the splice, and sends only wholesale rewrites to
@@ -1129,22 +1046,26 @@ let rebuild_threshold = 0.6
 let refresh t =
   let dsg_rev = Design.revision t.dsg in
   let pl_rev = Placement.revision t.pl in
-  if not t.analyzed then begin
-    if dsg_rev <> t.dsg_cursor then rebuild t else analyze t
-  end
+  if not t.analyzed then analyze t
   else if dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
   else
     Mbr_obs.Trace.with_span ~name:"sta.refresh"
       ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
     @@ fun () ->
     try
+      (* the pre-patch plan: an analyzed engine always holds one, and
+         it still carries every arc as of [dsg_cursor] *)
+      let o = match t.plan with Some o -> o | None -> raise Bail in
       let edits = Design.edits_since t.dsg t.dsg_cursor in
       let moved = Placement.moves_since t.pl t.pl_cursor in
       let dirty_nets = Hashtbl.create 64 in
+      let rewired = ref [] in
       let added = ref [] and removed = ref [] and retyped = ref [] in
       List.iter
         (function
-          | Design.Net_changed nid -> Hashtbl.replace dirty_nets nid ()
+          | Design.Net_changed (nid, pid) ->
+            Hashtbl.replace dirty_nets nid ();
+            rewired := pid :: !rewired
           | Design.Cell_added cid -> added := cid :: !added
           | Design.Cell_removed cid -> removed := cid :: !removed
           | Design.Cell_retyped cid -> retyped := cid :: !retyped)
@@ -1171,11 +1092,7 @@ let refresh t =
       List.iter
         (fun cid ->
           List.iter (fun nid -> Hashtbl.replace dirty_nets nid ()) (nets_of_cell cid))
-        moved;
-      List.iter
-        (fun cid ->
-          List.iter (fun nid -> Hashtbl.replace dirty_nets nid ()) (nets_of_cell cid))
-        !retyped;
+        (moved @ !retyped);
       let estimate =
         Hashtbl.fold
           (fun nid () acc ->
@@ -1206,25 +1123,15 @@ let refresh t =
         mark_plan pid
       in
       Mbr_obs.Trace.with_span ~name:"sta.splice" (fun () ->
-      (* 1. removed cells leave the graph *)
+      (* 1. removed cells leave the graph; the arcs they lose are read
+         off the plan below, through the disconnects [remove_cell]
+         logged for their connected pins *)
       List.iter
         (fun cid ->
           List.iter
             (fun pid ->
-              if t.in_graph.(pid) then begin
-                List.iter
-                  (fun dst ->
-                    t.preds.(dst) <- List.filter (fun x -> x <> pid) t.preds.(dst);
-                    mark_fwd dst)
-                  t.succs.(pid);
-                List.iter
-                  (fun src ->
-                    t.succs.(src) <- List.filter (fun x -> x <> pid) t.succs.(src);
-                    mark_bwd src)
-                  t.preds.(pid);
-                t.succs.(pid) <- [];
-                t.preds.(pid) <- [];
-                t.in_graph.(pid) <- false;
+              if in_graph t pid then begin
+                Bytes.unsafe_set t.role pid '\000';
                 mark_plan pid;
                 t.is_start.(pid) <- false;
                 t.ep_of.(pid) <- None;
@@ -1247,8 +1154,7 @@ let refresh t =
             List.iter
               (fun pid ->
                 let r = pin_role t.dsg pid in
-                if r <> '\000' && not t.in_graph.(pid) then begin
-                  t.in_graph.(pid) <- true;
+                if r <> '\000' && not (in_graph t pid) then begin
                   Bytes.set t.role pid r;
                   mark_plan pid;
                   new_pins := pid :: !new_pins
@@ -1260,15 +1166,12 @@ let refresh t =
         (fun cid ->
           List.iter
             (fun pid ->
-              if t.in_graph.(pid) then begin
-                match (Design.pin t.dsg pid).Types.p_kind with
-                | Types.Pin_q _ -> mark_fwd pid
-                | Types.Pin_d _ -> mark_bwd pid
-                | _ -> ()
-              end)
+              match Bytes.get t.role pid with
+              | 'q' -> mark_fwd pid
+              | 'd' -> mark_bwd pid
+              | _ -> ())
             (Design.pins_of t.dsg cid))
         !retyped;
-      (* 4. resplice every dirty net *)
       (* status flips only touch the flag arrays here; the start/end
          *lists* are rebuilt once after the splice (the old per-flip
          [List.filter] over a 10k+-long startpoint list made bulk
@@ -1288,87 +1191,82 @@ let refresh t =
           sts_dirty := true;
           mark_bwd pid
       in
+      (* a driver's output load changed: comb delay through it and a
+         startpoint's launch both depend on it *)
+      let mark_load d =
+        if t.is_start.(d) then mark_fwd d;
+        if Bytes.get t.role d = 'o' then
+          iter_in_arcs t d (fun src ->
+              mark_fwd d;
+              mark_bwd src)
+      in
+      (* 4. rewired pins: the net arcs a pin had when the plan was last
+         made are its succ row if it drives (its pred row is cell arcs
+         or none) and its pred row if it loads; every in-graph end of
+         such an arc is marked, as an arc that may have vanished. A
+         driver that stays in the graph changed load, and its status
+         follows its connectivity. *)
+      let on = Array.length o.st_slot in
+      List.iter
+        (fun pid ->
+          let live = in_graph t pid in
+          let drives = (Design.pin t.dsg pid).Types.p_dir = Types.Output in
+          let off, ends, mark_end, mark_pin =
+            if drives then (o.su_off, o.su_dst, mark_fwd, mark_bwd)
+            else (o.pr_off, o.pr_src, mark_bwd, mark_fwd)
+          in
+          if pid < on then
+            for j = off.(pid) to off.(pid + 1) - 1 do
+              if in_graph t ends.(j) then mark_end ends.(j);
+              if live then mark_pin pid
+            done;
+          if live then begin
+            if drives then mark_load pid;
+            check_status pid
+          end)
+        !rewired;
+      (* 5. every dirty net: its current arcs and its driver's load *)
       Hashtbl.iter
         (fun nid () ->
-          let old =
-            match Hashtbl.find_opt t.net_arcs nid with Some l -> l | None -> []
-          in
-          List.iter
-            (fun (d, s) ->
-              t.succs.(d) <- List.filter (fun x -> x <> s) t.succs.(d);
-              t.preds.(s) <- List.filter (fun x -> x <> d) t.preds.(s);
-              if t.in_graph.(s) then mark_fwd s;
-              if t.in_graph.(d) then mark_bwd d)
-            old;
-          let pairs = net_arc_pairs t.dsg t.in_graph nid in
-          List.iter
-            (fun (d, s) ->
-              if
-                t.topo_pos.(d) >= 0 && t.topo_pos.(s) >= 0
-                && t.topo_pos.(d) > t.topo_pos.(s)
-              then raise Bail;
-              t.succs.(d) <- s :: t.succs.(d);
-              t.preds.(s) <- d :: t.preds.(s);
-              mark_fwd s;
-              mark_bwd d)
-            pairs;
-          if pairs = [] then Hashtbl.remove t.net_arcs nid
-          else Hashtbl.replace t.net_arcs nid pairs;
-          (* the driver's output load changed: comb delay through it and
-             a startpoint's launch both depend on it *)
+          let net = Design.net t.dsg nid in
           (match Design.driver t.dsg nid with
-          | Some d when t.in_graph.(d) ->
-            if t.is_start.(d) then mark_fwd d;
-            (* a driver's incoming arcs are all cell arcs or none *)
-            if Bytes.get t.role d = 'o' then
+          | Some d when in_graph t d ->
+            if not net.Types.n_is_clock then
               List.iter
-                (fun src ->
-                  mark_fwd d;
-                  mark_bwd src)
-                t.preds.(d)
+                (fun s ->
+                  if in_graph t s then begin
+                    if
+                      t.topo_pos.(d) >= 0 && t.topo_pos.(s) >= 0
+                      && t.topo_pos.(d) > t.topo_pos.(s)
+                    then raise Bail;
+                    mark_fwd s;
+                    mark_bwd d
+                  end)
+                (Design.sinks t.dsg nid);
+            mark_load d
           | Some _ | None -> ());
           (* start/endpoint status follows connectivity *)
           List.iter
-            (fun pid -> if t.in_graph.(pid) then check_status pid)
-            (Design.net t.dsg nid).Types.n_pins;
-          List.iter
-            (fun (d, s) ->
-              if t.in_graph.(d) then check_status d;
-              if t.in_graph.(s) then check_status s)
-            old)
+            (fun pid -> if in_graph t pid then check_status pid)
+            net.Types.n_pins)
         dirty_nets;
-      (* 5. local topo repair: new pins are register/port pins, i.e.
-         pure sources or pure sinks of the data graph *)
+      (* 6. local topo repair: new pins are register/port pins, i.e.
+         pure sources (outputs) or pure sinks (inputs) of the data
+         graph *)
       if !new_pins <> [] then begin
-        List.iter
-          (fun pid ->
-            if t.preds.(pid) <> [] && t.succs.(pid) <> [] then raise Bail)
-          !new_pins;
         let sources, sinks =
-          List.partition (fun pid -> t.preds.(pid) = []) !new_pins
+          List.partition
+            (fun pid -> (Design.pin t.dsg pid).Types.p_dir = Types.Output)
+            !new_pins
         in
-        let kept =
-          List.filter (fun pid -> t.in_graph.(pid)) (Array.to_list t.topo)
-        in
+        let kept = List.filter (in_graph t) (Array.to_list t.topo) in
         t.topo <- Array.of_list (sources @ kept @ sinks);
         let tp = Array.make t.n (-1) in
         Array.iteri (fun idx pid -> tp.(pid) <- idx) t.topo;
         t.topo_pos <- tp
       end;
-      (* 5b. start/endpoint lists, rebuilt from the flag arrays in one
-         pass over the pins *)
-      if !sts_dirty then begin
-        let sts = ref [] and eps = ref [] in
-        for pid = t.n - 1 downto 0 do
-          if t.is_start.(pid) then sts := pid :: !sts;
-          match t.ep_of.(pid) with
-          | Some k -> eps := (pid, k) :: !eps
-          | None -> ()
-        done;
-        t.startpoints <- !sts;
-        t.endpoints <- !eps
-      end);
-      (* 6. numeric repair: patch the plan with the pins flagged above
+      if !sts_dirty then status_lists t);
+      (* 7. numeric repair: patch the plan with the pins flagged above
          (the skew sweeps and metrics that follow reuse it as-is), then
          repair both planes with the mark-skip scans from the dirty
          pins. A pin is recomputed off its final predecessors and its
@@ -1398,6 +1296,7 @@ let refresh t =
     with Bail ->
       Mbr_obs.Metrics.incr m_rebuild_fallbacks;
       rebuild t
+
 
 let full_builds t = t.n_full_builds
 
@@ -1452,11 +1351,10 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
       (fun (cid, _) ->
         List.iter
           (fun pid ->
-            if t.in_graph.(pid) then
-              match Bytes.get t.role pid with
-              | 'q' -> q_seeds := pid :: !q_seeds
-              | 'd' -> d_seeds := pid :: !d_seeds
-              | _ -> ())
+            match Bytes.get t.role pid with
+            | 'q' -> q_seeds := pid :: !q_seeds
+            | 'd' -> d_seeds := pid :: !d_seeds
+            | _ -> ())
           (Design.pins_of t.dsg cid))
       moved;
     if !q_seeds = [] && !d_seeds = [] then []
@@ -1580,7 +1478,7 @@ let pin_worst_slack t pid =
 
 let arrival t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if pid < 0 || pid >= t.n || not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let best = ref neg_infinity in
@@ -1593,7 +1491,7 @@ let arrival t pid =
 
 let required t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if pid < 0 || pid >= t.n || not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let best = ref infinity in
@@ -1606,7 +1504,7 @@ let required t pid =
 
 let slack t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if pid < 0 || pid >= t.n || not (in_graph t pid) then None
   else begin
     let s = pin_worst_slack t pid in
     if s < infinity then Some s
@@ -1631,7 +1529,7 @@ let check_corner t name k =
 
 let corner_slack t k pid =
   check_corner t "corner_slack" k;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if pid < 0 || pid >= t.n || not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let a = pget t.arrival ((pid * nc) + k)
@@ -1642,7 +1540,7 @@ let corner_slack t k pid =
 (* Corner [k]'s value at [pid] in [plane], [None] outside the graph or
    at the plane's [unset] value (unreached). *)
 let corner_value t k pid plane unset =
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if pid < 0 || pid >= t.n || not (in_graph t pid) then None
   else begin
     let v = pget plane ((pid * Array.length t.corners) + k) in
     if v = unset then None else Some v
@@ -1747,7 +1645,7 @@ let reg_pin_slack t cid want_d =
         | Types.Pin_q _ -> (not want_d) && p.Types.p_net <> None
         | _ -> false
       in
-      if relevant && pid >= 0 && pid < t.n && t.in_graph.(pid) then begin
+      if relevant && pid >= 0 && pid < t.n && in_graph t pid then begin
         let s = pin_worst_slack t pid in
         if s < acc then s else acc
       end

@@ -9,22 +9,29 @@
     (setup checks against the capturing register's skewed clock) and
     output ports.
 
+    The propagation plan is the graph: a CSR image of the arcs with
+    each arc's per-corner derated delay alongside, and the only place
+    the engine stores arcs. Whoever needs a pin's incoming arcs afresh
+    derives them from the design: a comb output's come from its cell's
+    inputs, any other input pin's single arc from its net's driver.
+
     The engine is incremental: it remembers the design revision and
     placement revision it has absorbed and {!refresh} drains the edit
-    logs from there, splicing only the touched arcs into the graph,
-    repairing the topological order locally and re-propagating
-    arrivals/requireds from the dirty pins only, stopping where values
-    converge. {!analyze} remains the full-propagation fallback and is
-    what {!refresh} degrades to (via an internal rebuild) when an edit
-    batch is structural in a way local repair cannot express or touches
-    more of the graph than recomputing it would cost.
+    logs from there. It reads the arcs each rewired pin had off the
+    plan, marks the pins whose arcs, loads or start/end status changed,
+    repairs the topological order locally, patches the plan at the
+    marked pins and re-propagates arrivals/requireds from them only,
+    stopping where values converge. {!analyze} remains the
+    full-propagation fallback and is what {!refresh} degrades to (via
+    an internal rebuild) when an edit batch is structural in a way local
+    repair cannot express or touches more of the graph than recomputing
+    it would cost.
 
     Every numeric propagation — {!analyze}, {!refresh}'s repair and
     every {!update_skews} batch — is one shape: a mark-skip scan per
-    direction over the propagation plan, a CSR image of the graph with
-    each arc's per-corner derated delay alongside. A scan streams the
-    topological order and recomputes a pin only when it is a seed or a
-    neighbour it reads actually moved.
+    direction over the plan. A scan streams the topological order and
+    recomputes a pin only when it is a seed or a neighbour it reads
+    actually moved.
 
     The engine is corner-indexed: it carries a set of {!Corner.t}
     derate factors and maintains one flat [Bigarray] float64
@@ -52,8 +59,8 @@ val default_config : config
 type t
 
 exception Combinational_cycle of Mbr_netlist.Types.pin_id list
-(** Raised by {!build} (and by the internal rebuild a {!refresh} may
-    fall back to) when the data graph is cyclic. The payload is a
+(** Raised by {!build} (and by the internal rebuild a {!refresh} or
+    {!analyze} may run) when the data graph is cyclic. The payload is a
     witness pin path in data-flow order, closed by repeating the entry
     pin: [[p0; p1; ...; p0]]. Render it with {!cycle_to_string}; a
     [Printexc] printer is registered for raw backtraces. *)
@@ -86,7 +93,9 @@ val set_corners : t -> Corner.t array -> unit
 
 val set_skew : t -> Mbr_netlist.Types.cell_id -> float -> unit
 (** Useful-skew offset of a register's clock arrival (ps; positive =
-    later). Takes effect at the next {!analyze}. *)
+    later). Marks the engine unanalyzed: the next timing query, or the
+    next {!refresh} or {!update_skews}, runs {!analyze} first, and so
+    also absorbs any netlist edits still pending. *)
 
 val skew : t -> Mbr_netlist.Types.cell_id -> float
 
@@ -97,21 +106,29 @@ val skew_assignments : t -> (Mbr_netlist.Types.cell_id * float) list
     [recompose] sees exactly what a from-scratch run would. *)
 
 val analyze : t -> unit
-(** Full arrival/required propagation over the current graph structure.
-    Absorbs pending placement moves (every delay is recomputed) but not
-    structural design edits — use {!refresh} after netlist surgery. *)
+(** Full arrival/required propagation: every delay is recomputed
+    against the current placement and every pin's timing from scratch.
+    When the design has changed since the graph was last built or
+    refreshed, the graph is first rebuilt from the design (counted by
+    {!full_builds}), so an analysis never reads connectivity the graph
+    has not seen. After netlist surgery, {!refresh} absorbs the same
+    edits incrementally. *)
 
 val refresh : t -> unit
 (** Bring the analysis up to date with everything logged on the design
     and placement since the engine last looked: cells added/removed/
-    retyped, nets rewired, cells moved. Affected net arcs are
-    unspliced/respliced in place, new register/port pins are slotted
-    into the topological order as pure sources/sinks, the propagation
-    plan is patched at the pins the splice touched (see
-    {!update_skews}), and arrivals/requireds are re-propagated from the
-    dirty pins only, stopping as soon as values stop changing. Produces
-    bit-identical results to a fresh {!build} + {!analyze}
-    (property-tested).
+    retyped, pins rewired, cells moved. Each rewired pin's old net arcs
+    are read off the plan (a driver's outgoing arcs, a sink's incoming
+    one) and their in-graph ends marked, the pin's start/end status
+    follows its new connectivity, every dirty net's current arcs and
+    driver load are marked, new register/port pins are slotted into the
+    topological order as pure sources/sinks, the propagation plan is
+    patched at the marked pins (see {!update_skews}), and
+    arrivals/requireds are re-propagated from them only, stopping as
+    soon as values stop changing. Produces bit-identical results to a
+    fresh {!build} + {!analyze} (property-tested, raw rewiring of
+    surviving pins included). On an engine not analyzed yet (or since
+    {!set_skew} or {!set_corners}) it runs {!analyze}.
 
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added, when a new arc contradicts the
@@ -132,7 +149,8 @@ val refresh : t -> unit
 
 val full_builds : t -> int
 (** Full graph constructions so far: 1 for {!build} plus one per
-    internal rebuild a {!refresh} fell back to. *)
+    internal rebuild, whether a {!refresh} fell back to it or an
+    {!analyze} found netlist edits pending. *)
 
 val refreshes : t -> int
 (** Refreshes that took the incremental path. *)
@@ -174,9 +192,10 @@ val update_skews :
     until then. {!refresh} never rebuilds it: before it propagates, it
     patches exactly the pins
     whose incoming arcs, launch base or setup term its splice changed,
-    plus the pins that left or joined the graph, and copies the rest
-    ({!plan_patches}). So this call, and the metrics that follow a
-    refresh, reuse the plan as it is. Patched and fresh plans give
+    plus the pins that left or joined the graph, re-deriving their arcs
+    from the design, and copies the rest ({!plan_patches}). So this
+    call, and the metrics that follow a refresh, reuse the plan as it
+    is. Patched and fresh plans give
     bit-identical slacks (property-tested).
 
     With [jobs > 1] on a multi-corner engine the corners propagate in

@@ -274,6 +274,57 @@ let test_update_skews_matches_full_analysis () =
       regs
   done
 
+(* An analysis never reads connectivity the graph has not absorbed:
+   [analyze], and the lazy one behind every query after [set_skew],
+   first takes in pending netlist edits, so removing a register and
+   then asking for timing gives what a fresh engine gives, bit for
+   bit, instead of walking the dead register's endpoint. *)
+module G = Mbr_designgen.Generate
+module P = Mbr_designgen.Profile
+
+let check_same_timing eng fresh dsg =
+  let bits = Option.map Int64.bits_of_float in
+  let differ = ref [] in
+  for pid = Design.n_pins dsg - 1 downto 0 do
+    if
+      bits (Engine.arrival eng pid) <> bits (Engine.arrival fresh pid)
+      || bits (Engine.required eng pid) <> bits (Engine.required fresh pid)
+    then differ := pid :: !differ
+  done;
+  Alcotest.(check (list int)) "pins timed unlike a fresh build" [] !differ;
+  Alcotest.(check int64) "tns bits" (Int64.bits_of_float (Engine.tns fresh))
+    (Int64.bits_of_float (Engine.tns eng));
+  checki "endpoints" (Engine.n_endpoints fresh) (Engine.n_endpoints eng)
+
+let analyzed_tiny () =
+  let g = G.generate (P.tiny ~seed:4) in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.analyze eng;
+  let removed, kept =
+    match Design.registers g.G.design with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "tiny design has fewer than two registers"
+  in
+  Design.remove_cell g.G.design removed;
+  Placement.remove g.G.placement removed;
+  (g, eng, kept)
+
+let test_analyze_absorbs_edits () =
+  let g, eng, _ = analyzed_tiny () in
+  Engine.analyze eng;
+  let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.analyze fresh;
+  check_same_timing eng fresh g.G.design
+
+let test_query_after_set_skew_absorbs_edits () =
+  let g, eng, kept = analyzed_tiny () in
+  Engine.set_skew eng kept 15.0;
+  ignore (Engine.reg_d_slack eng kept);
+  let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.set_skew fresh kept 15.0;
+  Engine.analyze fresh;
+  check_same_timing eng fresh g.G.design
+
 let test_skew_optimizer_no_op_when_clean () =
   let _, pl, _, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
@@ -294,6 +345,10 @@ let () =
           Alcotest.test_case "output load" `Quick test_output_load;
           Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
           Alcotest.test_case "wire delay grows" `Quick test_wire_delay_increases_with_distance;
+          Alcotest.test_case "analyze absorbs netlist edits" `Quick
+            test_analyze_absorbs_edits;
+          Alcotest.test_case "query after set_skew absorbs netlist edits"
+            `Quick test_query_after_set_skew_absorbs_edits;
         ] );
       ( "skew",
         [

@@ -4,8 +4,11 @@
    required, WNS and TNS, under one corner and under three. The edit
    batches are drawn from the operations the composition flow actually
    performs — cell moves, register retypes (sizing), Compose.execute
-   merges and max-width decomposition — applied through the public APIs
-   so the design and placement edit logs are exercised end to end. *)
+   merges and max-width decomposition — plus raw rewiring of surviving
+   pins that no flow step performs (a driver and every sink leaving a
+   net, a D pin moving to another net, a comb cell removed), applied
+   through the public APIs so the design and placement edit logs are
+   exercised end to end. *)
 
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
@@ -117,44 +120,91 @@ let random_edits rng g =
     | [] | [ _ ] -> ()
   end;
   (* decompose: reopen max-width MBRs *)
-  if Rng.chance rng 0.25 then ignore (Decompose.split_max_width pl lib)
+  if Rng.chance rng 0.25 then ignore (Decompose.split_max_width pl lib);
+  (* raw rewiring of surviving pins *)
+  let reg_pins kind_ok =
+    List.concat_map
+      (fun r ->
+        List.filter
+          (fun pid -> kind_ok (Design.pin dsg pid).Types.p_kind)
+          (Design.pins_of dsg r))
+      (Design.registers dsg)
+  in
+  let connected pid = (Design.pin dsg pid).Types.p_net <> None in
+  let is_q = function Types.Pin_q _ -> true | _ -> false in
+  let is_d = function Types.Pin_d _ -> true | _ -> false in
+  (* a Q pin leaves its net together with every sink, so no arc is
+     left to say it ever drove one *)
+  (if Rng.chance rng 0.5 then
+     match List.filter connected (reg_pins is_q) with
+     | [] -> ()
+     | qs ->
+       let q = Rng.pick_list rng qs in
+       (match (Design.pin dsg q).Types.p_net with
+       | Some nid -> List.iter (Design.disconnect dsg) (Design.sinks dsg nid)
+       | None -> ());
+       Design.disconnect dsg q);
+  (* a D pin moves to another D pin's net *)
+  (if Rng.chance rng 0.5 then
+     let ds = reg_pins is_d in
+     match List.filter connected ds with
+     | [] -> ()
+     | targets -> (
+       let d = Rng.pick_list rng ds in
+       match (Design.pin dsg (Rng.pick_list rng targets)).Types.p_net with
+       | Some nid -> Design.connect dsg d nid
+       | None -> ()));
+  (* a comb cell is removed *)
+  if Rng.chance rng 0.5 then
+    match
+      List.filter
+        (fun cid ->
+          match (Design.cell dsg cid).Types.c_kind with
+          | Types.Comb _ -> true
+          | _ -> false)
+        (Design.live_cells dsg)
+    with
+    | [] -> ()
+    | combs ->
+      let c = Rng.pick_list rng combs in
+      Design.remove_cell dsg c;
+      Placement.remove pl c
 
-let compare_engines ~seed eng fresh dsg =
-  let fail fmt = QCheck.Test.fail_reportf fmt in
+let compare_engines ~fail eng fresh dsg =
+  let fail fmt = Printf.ksprintf fail fmt in
   if not (same_bits (Engine.wns fresh) (Engine.wns eng)) then
-    fail "seed %d: wns %h (fresh) vs %h (refresh)" seed (Engine.wns fresh)
+    fail "wns %h (fresh) vs %h (refresh)" (Engine.wns fresh)
       (Engine.wns eng);
   if not (same_bits (Engine.tns fresh) (Engine.tns eng)) then
-    fail "seed %d: tns %h (fresh) vs %h (refresh)" seed (Engine.tns fresh)
+    fail "tns %h (fresh) vs %h (refresh)" (Engine.tns fresh)
       (Engine.tns eng);
   List.iter2
     (fun (name, w, tn) (_, w', tn') ->
       if not (same_bits w w' && same_bits tn tn') then
-        fail "seed %d: corner %s wns/tns %h/%h (fresh) vs %h/%h (refresh)" seed
+        fail "corner %s wns/tns %h/%h (fresh) vs %h/%h (refresh)"
           name w tn w' tn')
     (Engine.per_corner_wns_tns fresh)
     (Engine.per_corner_wns_tns eng);
   if Engine.n_endpoints fresh <> Engine.n_endpoints eng then
-    fail "seed %d: endpoint count %d vs %d" seed
+    fail "endpoint count %d vs %d"
       (Engine.n_endpoints fresh) (Engine.n_endpoints eng);
   if Engine.failing_endpoints fresh <> Engine.failing_endpoints eng then
-    fail "seed %d: failing count %d vs %d" seed
+    fail "failing count %d vs %d"
       (Engine.failing_endpoints fresh)
       (Engine.failing_endpoints eng);
   for pid = 0 to Design.n_pins dsg - 1 do
     if not (same_bits_opt (Engine.arrival fresh pid) (Engine.arrival eng pid))
-    then fail "seed %d: arrival mismatch at pin %d" seed pid;
+    then fail "arrival mismatch at pin %d" pid;
     if not (same_bits_opt (Engine.required fresh pid) (Engine.required eng pid))
-    then fail "seed %d: required mismatch at pin %d" seed pid;
+    then fail "required mismatch at pin %d" pid;
     for k = 0 to Engine.n_corners eng - 1 do
       if
         not
           (same_bits_opt (Engine.corner_slack fresh k pid)
              (Engine.corner_slack eng k pid))
-      then fail "seed %d: corner %d slack mismatch at pin %d" seed k pid
+      then fail "corner %d slack mismatch at pin %d" k pid
     done
-  done;
-  true
+  done
 
 let refresh_equivalence =
   QCheck.Test.make ~name:"refresh = fresh build over random edit batches"
@@ -167,7 +217,6 @@ let refresh_equivalence =
       let eng = Engine.build ~config:g.G.sta_config ~corners g.G.placement in
       Engine.analyze eng;
       let rounds = 1 + Rng.int rng 3 in
-      let ok = ref true in
       for _ = 1 to rounds do
         random_edits rng g;
         Engine.refresh eng;
@@ -175,9 +224,65 @@ let refresh_equivalence =
           Engine.build ~config:g.G.sta_config ~corners g.G.placement
         in
         Engine.analyze fresh;
-        ok := !ok && compare_engines ~seed eng fresh g.G.design
+        compare_engines
+          ~fail:(fun m -> QCheck.Test.fail_reportf "seed %d: %s" seed m)
+          eng fresh g.G.design
       done;
-      !ok)
+      true)
+
+(* A pin leaving a net loses the start/end status its connection gave
+   it, even when the net carried no arc to show the connection: on
+   tiny seed 3, a register Q pin leaving a net without sinks stops
+   launching, and a D pin leaving a net whose driver left earlier
+   stops being an endpoint (311 endpoints against 310 when status
+   drifted). Both stay on the incremental path. *)
+let first_reg_pin dsg ok =
+  List.find
+    (fun pid -> ok (Design.pin dsg pid))
+    (List.concat_map (Design.pins_of dsg) (Design.registers dsg))
+
+let check_rewired g eng =
+  Engine.refresh eng;
+  Alcotest.(check int) "no rebuild" 1 (Engine.full_builds eng);
+  let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.analyze fresh;
+  compare_engines ~fail:Alcotest.fail eng fresh g.G.design
+
+let test_q_leaves_sinkless_net () =
+  let g = G.generate (P.tiny ~seed:3) in
+  let dsg = g.G.design in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.analyze eng;
+  let q =
+    first_reg_pin dsg (fun p ->
+        match (p.Types.p_kind, p.Types.p_net) with
+        | Types.Pin_q _, Some nid -> Design.sinks dsg nid = []
+        | _ -> false)
+  in
+  Design.disconnect dsg q;
+  check_rewired g eng;
+  Alcotest.(check bool) "Q pin launches nothing" true
+    (Engine.arrival eng q = None)
+
+let test_d_leaves_undriven_net () =
+  let g = G.generate (P.tiny ~seed:3) in
+  let dsg = g.G.design in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  Engine.analyze eng;
+  let d =
+    first_reg_pin dsg (fun p ->
+        match (p.Types.p_kind, p.Types.p_net) with
+        | Types.Pin_d _, Some nid -> Design.driver dsg nid <> None
+        | _ -> false)
+  in
+  (match (Design.pin dsg d).Types.p_net with
+  | Some nid -> Option.iter (Design.disconnect dsg) (Design.driver dsg nid)
+  | None -> ());
+  Engine.refresh eng;
+  let n_ep = Engine.n_endpoints eng in
+  Design.disconnect dsg d;
+  check_rewired g eng;
+  Alcotest.(check int) "one endpoint fewer" (n_ep - 1) (Engine.n_endpoints eng)
 
 (* A move-only batch must take the incremental path, not rebuild. *)
 let test_moves_stay_incremental () =
@@ -261,6 +366,10 @@ let () =
             test_moves_stay_incremental;
           Alcotest.test_case "compose stays incremental" `Quick
             test_compose_stays_incremental;
+          Alcotest.test_case "Q pin leaving a sinkless net stops launching"
+            `Quick test_q_leaves_sinkless_net;
+          Alcotest.test_case "D pin leaving an undriven net stops capturing"
+            `Quick test_d_leaves_undriven_net;
           QCheck_alcotest.to_alcotest refresh_equivalence;
         ] );
     ]

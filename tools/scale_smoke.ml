@@ -29,9 +29,13 @@
    incremental STA refresh patches the propagation plan once, at the
    pins its splice touched, and the skew sweeps and metrics reuse it,
    so the check fails on any full plan build during the round and on
-   more plan patches than incremental refreshes. These are counts, not
-   timings; the round's eco-reset and skew stage times are printed for
-   the log.
+   more plan patches than incremental refreshes. Nor may the STA graph
+   itself be rebuilt after Session.create builds it: a splice that fell
+   back to a rebuild would still give bit-exact timing, so no
+   equivalence test notices, and the check fails when the session's
+   full-build count ends above 1. These are counts, not timings; the
+   round's eco-reset and skew stage times, and Session.create's wall
+   time (which is the engine build), are printed for the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
@@ -57,10 +61,12 @@ let () =
     p.P.n_registers;
   let t0 = Unix.gettimeofday () in
   let g = G.generate p in
+  let t_create = Unix.gettimeofday () in
   let session =
     Flow.Session.create ~design:g.G.design ~placement:g.G.placement
       ~library:g.G.library ~sta_config:g.G.sta_config ()
   in
+  let create_s = Unix.gettimeofday () -. t_create in
   let r = Flow.Session.recompose session in
   let wall = Unix.gettimeofday () -. t0 in
   let rss = Mbr_obs.Rss.peak_mb () in
@@ -75,8 +81,10 @@ let () =
   in
   let skew_s = stage_s r "skew" in
   let metrics_s = stage_s r "metrics-before" +. stage_s r "metrics-after" in
-  Printf.printf "scale-smoke: skew stage %.2f s, metrics stages %.2f s\n%!"
-    skew_s metrics_s;
+  Printf.printf
+    "scale-smoke: Session.create %.2f s, skew stage %.2f s, metrics stages \
+     %.2f s\n%!"
+    create_s skew_s metrics_s;
   (* one ECO round on the same session *)
   ignore (Mbr_designgen.Eco.perturb (Mbr_util.Rng.create 1) g);
   let eng = Flow.Session.engine session in
@@ -88,10 +96,17 @@ let () =
   let eco_refreshes = Engine.refreshes eng - refreshes0 in
   Printf.printf
     "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, plan builds %d, \
-     patches %d, refreshes %d\n%!"
+     patches %d, refreshes %d; STA full builds %d\n%!"
     (stage_s eco "eco-reset") (stage_s eco "skew") eco_builds eco_patches
-    eco_refreshes;
+    eco_refreshes eco.Flow.sta_full_builds;
   let failed = ref false in
+  if eco.Flow.sta_full_builds > 1 then begin
+    Printf.printf
+      "scale-smoke: FAIL the session built the STA graph %d times; only \
+       Session.create may build it, every later refresh must splice\n%!"
+      eco.Flow.sta_full_builds;
+    failed := true
+  end;
   if eco_builds > 0 then begin
     Printf.printf
       "scale-smoke: FAIL eco round built the STA propagation plan from \
