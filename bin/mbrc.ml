@@ -9,7 +9,9 @@
      ablations partition bound / weights / incomplete / skew / decompose
      export    write a design as Verilog + DEF + Liberty
      compose   run the flow on Verilog + DEF + Liberty files from disk
-     example   the paper's Figs. 1-3 worked example *)
+     example   the paper's Figs. 1-3 worked example
+     client    send one request to a running mbrd daemon
+     top       live dashboard over a running mbrd *)
 
 open Cmdliner
 module P = Mbr_designgen.Profile
@@ -137,16 +139,16 @@ module Common_args = struct
 
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the per-block allocate stage (default 1 = \
-                 serial; 0 = auto-detect cores). Results are identical at any \
-                 setting.")
+           ~doc:"Worker domains for the per-block allocate fan-out and the \
+                 multi-corner skew stage (default 1 = serial; 0 = \
+                 auto-detect cores). Results are identical at any setting.")
 
   (* ---- telemetry, shared by every subcommand ---- *)
 
   type telemetry = {
     trace_out : string option;
     metrics_out : string option;
-    log_level : string;
+    log_level : Logs.level option;
   }
 
   let trace_arg =
@@ -162,7 +164,13 @@ module Common_args = struct
                  ...) and write a JSON snapshot at exit.")
 
   let log_level_arg =
-    Arg.(value & opt string "warning" & info [ "log-level" ] ~docv:"LEVEL"
+    let level =
+      Arg.conv ~docv:"LEVEL"
+        ( Mbr_obs.Log.level_of_string,
+          fun ppf l -> Format.pp_print_string ppf (Logs.level_to_string l) )
+    in
+    Arg.(value & opt level (Some Logs.Warning) & info [ "log-level" ]
+           ~docv:"LEVEL"
            ~doc:"Log verbosity on stderr: quiet, error, warning, info or \
                  debug.")
 
@@ -177,9 +185,7 @@ module Common_args = struct
      output files even when the body raises (a trace of a crashed run
      is exactly the trace one wants). *)
   let with_telemetry tele f =
-    (match Mbr_obs.Log.level_of_string tele.log_level with
-    | Ok level -> Mbr_obs.Log.setup ~level ()
-    | Error m -> failwith (Printf.sprintf "--log-level: %s" m));
+    Mbr_obs.Log.setup ~level:tele.log_level ();
     if tele.trace_out <> None then Mbr_obs.Trace.enable ();
     if tele.metrics_out <> None then Mbr_obs.Metrics.enable ();
     Fun.protect
@@ -520,45 +526,6 @@ let socket_arg =
   Arg.(value & opt string Mbr_service.Server.default_config.Mbr_service.Server.socket_path
        & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
-let serve_cmd =
-  let run tele socket workers queue_limit alloc_jobs =
-    with_telemetry tele @@ fun () ->
-    (* the daemon's query-metrics verb is only useful live *)
-    Mbr_obs.Metrics.enable ();
-    Printf.eprintf "mbrd: serving on %s\n%!" socket;
-    Mbr_service.Server.run
-      {
-        Mbr_service.Server.default_config with
-        Mbr_service.Server.socket_path = socket;
-        workers;
-        queue_limit;
-        alloc_jobs;
-      };
-    Printf.eprintf "mbrd: drained, exiting\n%!"
-  in
-  let workers_arg =
-    Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Executor worker domains (0 = auto-detect cores).")
-  in
-  let queue_limit_arg =
-    Arg.(value & opt int Mbr_service.Server.default_config.Mbr_service.Server.queue_limit
-         & info [ "queue-limit" ] ~docv:"N"
-             ~doc:"Pending requests per session before the daemon answers \
-                   overloaded (explicit backpressure).")
-  in
-  let alloc_jobs_arg =
-    Arg.(value & opt int 1 & info [ "alloc-jobs" ] ~docv:"N"
-           ~doc:"Nested allocate-stage fan-out inside each recompose \
-                 (default 1: concurrency comes from serving many sessions).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the mbrd ECO daemon in the foreground: many named flow \
-             sessions behind a line-delimited JSON protocol on a Unix socket. \
-             Stops on the shutdown verb.")
-    Term.(const run $ telemetry_term $ socket_arg $ workers_arg
-          $ queue_limit_arg $ alloc_jobs_arg)
-
 let client_cmd =
   let module C = Mbr_service.Client in
   let module Pr = Mbr_service.Protocol in
@@ -817,4 +784,4 @@ let () =
   let info = Cmd.info "mbrc" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
     [ run_cmd; eco_cmd; table1_cmd; fig5_cmd; fig6_cmd; ablations_cmd;
-      export_cmd; compose_cmd; example_cmd; serve_cmd; client_cmd; top_cmd ]))
+      export_cmd; compose_cmd; example_cmd; client_cmd; top_cmd ]))

@@ -1,19 +1,17 @@
-(* mbrd — the standalone ECO-service daemon.
+(* mbrd — the ECO-service daemon.
 
-   Exactly `mbrc serve` without the rest of the toolbox: holds many
-   named Flow.Sessions behind a line-delimited JSON protocol on a
-   Unix-domain socket and serves load / perturb / recompose /
-   query-metrics / export-trace / shutdown. See DESIGN.md §14 for the
-   protocol and the concurrency architecture. *)
+   Holds many named Flow.Sessions behind a line-delimited JSON protocol
+   on a Unix-domain socket and serves load / perturb / recompose /
+   set-corners / query-metrics / export-trace / telemetry / shutdown.
+   See DESIGN.md §14 for the protocol and the concurrency
+   architecture. *)
 
 open Cmdliner
 module S = Mbr_service.Server
 
 let run socket workers queue_limit alloc_jobs trace log_level prom_file
     sample_period no_session_metrics flight_capacity =
-  (match Mbr_obs.Log.level_of_string log_level with
-  | Ok level -> Mbr_obs.Log.setup ~level ()
-  | Error m -> failwith (Printf.sprintf "--log-level: %s" m));
+  Mbr_obs.Log.setup ~level:log_level ();
   Mbr_obs.Metrics.enable ();
   (* tracing is opt-in: per-domain ring buffers are bounded
      (Trace.default_capacity), but recording still costs per event *)
@@ -53,15 +51,21 @@ let () =
   in
   let alloc_jobs_arg =
     Arg.(value & opt int 1 & info [ "alloc-jobs" ] ~docv:"N"
-           ~doc:"Nested allocate fan-out per recompose (default 1).")
+           ~doc:"Nested allocate and skew fan-out per recompose (default \
+                 1).")
   in
   let trace_arg =
     Arg.(value & flag & info [ "trace" ]
            ~doc:"Record spans so export-trace has something to write.")
   in
   let log_level_arg =
-    Arg.(value & opt string "warning" & info [ "log-level" ] ~docv:"LEVEL"
-           ~doc:"quiet, error, warning, info or debug.")
+    let level =
+      Arg.conv ~docv:"LEVEL"
+        ( Mbr_obs.Log.level_of_string,
+          fun ppf l -> Format.pp_print_string ppf (Logs.level_to_string l) )
+    in
+    Arg.(value & opt level (Some Logs.Warning) & info [ "log-level" ]
+           ~docv:"LEVEL" ~doc:"quiet, error, warning, info or debug.")
   in
   let prom_file_arg =
     Arg.(value & opt (some string) None & info [ "prom-file" ] ~docv:"PATH"

@@ -22,11 +22,16 @@ echo "== ILP kernel (staged solver = oracle; reductions ablation; pool order) ==
 dune exec test/test_ilp.exe > /dev/null
 dune exec test/test_pool.exe > /dev/null
 
-echo "== CLI usage errors (a bad profile is rejected with exit 124) =="
-status=0
-dune exec bin/mbrc.exe -- run -p bogus > /dev/null 2>&1 || status=$?
-[ "$status" -eq 124 ] \
-  || { echo "mbrc run -p bogus exited $status, expected 124"; exit 1; }
+echo "== CLI usage errors (a bad profile or log level is rejected with exit 124) =="
+usage_error() {
+  status=0
+  dune exec "$@" > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 124 ] \
+    || { echo "$* exited $status, expected 124"; exit 1; }
+}
+usage_error bin/mbrc.exe -- run -p bogus
+usage_error bin/mbrc.exe -- run -p tiny --log-level bogus
+usage_error bin/mbrd.exe -- --log-level bogus
 
 echo "== examples (build + execute) =="
 for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \

@@ -20,7 +20,7 @@ let () =
   print_endline "=== Fig. 1: compatibility graph ===";
   Printf.printf "registers: %s (widths 1,1,1,1,4,2)\n"
     (String.concat " " (Array.to_list t.PE.names));
-  let cliques = Bk.maximal_cliques (Mbr_graph.Csr.to_ugraph t.PE.graph.Compat.adj) in
+  let cliques = Bk.maximal_cliques t.PE.graph.Compat.adj in
   List.iter
     (fun c ->
       Printf.printf "maximal clique: {%s}\n"

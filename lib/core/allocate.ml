@@ -8,7 +8,6 @@ type config = {
   candidate : Candidate.config;
   partition_bound : int;
   node_limit : int;
-  jobs : int;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     candidate = Candidate.default_config;
     partition_bound = 30;
     node_limit = 300_000;
-    jobs = 1;
   }
 
 type block_result = {
@@ -276,7 +274,7 @@ let partition_blocks config (graph : Compat.graph) =
   let infos = graph.Compat.infos in
   let position i = infos.(i).Compat.center in
   Array.of_list
-    (Kpart.partition_csr ~bound:config.partition_bound graph.Compat.adj ~position)
+    (Kpart.partition ~bound:config.partition_bound graph.Compat.adj ~position)
 
 (* Claim order for the parallel fan-out: largest predicted solve first.
    Block solve time is driven by the candidate enumeration, which grows
@@ -308,26 +306,6 @@ let schedule_order (graph : Compat.graph) blocks =
       if c <> 0 then c else compare a b)
     order;
   order
-
-let run ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
-    ?(config = default_config) ?cancel graph ~lib ~blocker_index =
-  let blocks = partition_blocks config graph in
-  let idx = Array.init (Array.length blocks) Fun.id in
-  let solve i =
-    (* one token, every worker: the flag is atomic, so a single cancel
-       winds down the whole fan-out at each block's next search node *)
-    solve_block ~block_id:i ~mode ?cancel config graph ~lib ~blocker_index
-      ~block:blocks.(i)
-  in
-  let results =
-    (* jobs = 1: the serial code path, no pool involved *)
-    if config.jobs <= 1 then Array.map solve idx
-    else
-      Pool.map_array ~jobs:config.jobs
-        ~order:(schedule_order graph blocks)
-        solve idx
-  in
-  reduce ~mode results
 
 type cache = { mutable table : (string, block_result) Hashtbl.t }
 
@@ -391,7 +369,8 @@ let remap_result cid_ix r =
   }
 
 let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
-    ?(config = default_config) ?cancel cache graph ~lib ~blocker_index =
+    ?(config = default_config) ?(jobs = 1) ?cancel cache graph ~lib
+    ~blocker_index =
   let blocks = partition_blocks config graph in
   let nb = Array.length blocks in
   let keys =
@@ -413,14 +392,17 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   Mbr_obs.Metrics.incr ~by:(nb - Array.length miss_idx) m_cache_hit;
   Mbr_obs.Metrics.incr ~by:(Array.length miss_idx) m_cache_miss;
   let solve i =
+    (* one token, every worker: the flag is atomic, so a single cancel
+       winds down the whole fan-out at each block's next search node *)
     solve_block ~block_id:i ~mode ?cancel config graph ~lib ~blocker_index
       ~block:blocks.(i)
   in
   let solved =
-    if config.jobs <= 1 then Array.map solve miss_idx
+    (* jobs = 1: the serial code path, no pool involved *)
+    if jobs <= 1 then Array.map solve miss_idx
     else
       let miss_blocks = Array.map (fun i -> blocks.(i)) miss_idx in
-      Pool.map_array ~jobs:config.jobs
+      Pool.map_array ~jobs
         ~order:(schedule_order graph miss_blocks)
         solve miss_idx
   in

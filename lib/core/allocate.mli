@@ -29,8 +29,8 @@
     blocks are being solved and revised only between fan-outs (an ECO
     session swaps in a fresh value from {!Compat.refresh}, it never
     mutates one in place), the library is immutable, and the blocker
-    index is fully reconciled before {!run} is called and untouched
-    until it returns. Everything [solve_block] mutates (hash tables,
+    index is fully reconciled before {!run_cached} is called and
+    untouched until it returns. Everything [solve_block] mutates (hash tables,
     refs, the branch-and-bound state) is created inside the call. This
     is what makes it legal to fan the blocks out over a
     {!Mbr_util.Pool} of domains, and it must be preserved by future
@@ -48,9 +48,6 @@ type config = {
   candidate : Candidate.config;
   partition_bound : int;  (** default 30 *)
   node_limit : int;  (** branch-and-bound cap per block *)
-  jobs : int;
-      (** worker domains for the per-block fan-out; [1] (the default)
-          solves the blocks serially on the calling domain *)
 }
 
 val default_config : config
@@ -99,8 +96,8 @@ val solve_block :
     call concurrently from multiple domains on the same graph.
 
     Each call runs under an ["alloc.solve_block"] trace span carrying
-    the block id ([block_id], default [-1]; {!run} and {!run_cached}
-    pass the block's array index), size and mode; [solve_time_s] is
+    the block id ([block_id], default [-1]; {!run_cached} passes the
+    block's array index), size and mode; [solve_time_s] is
     the span's own duration, and it also feeds the
     [alloc.block_solve_s] histogram.
 
@@ -116,27 +113,7 @@ val reduce :
     Exposed for tests and for callers that run [solve_block]
     themselves. *)
 
-val run :
-  ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
-  ?config:config ->
-  ?cancel:Mbr_util.Cancel.t ->
-  Compat.graph ->
-  lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
-  selection
-(** [partition → solve_block per block → reduce]. With
-    [config.jobs >= 2] the blocks are fanned out over a
-    {!Mbr_util.Pool}; the selection is identical either way.
-
-    The same [cancel] token is handed to every block solve (its flag is
-    an atomic, so the pool workers all see one {!Mbr_util.Cancel.cancel}
-    at their next search node): a cancelled run still returns a
-    complete, feasible selection — each in-flight block falls back to
-    its incumbent, remaining blocks return their greedy seed almost
-    immediately (blocks whose incumbent meets the root LP bound never
-    search at all and stay proven optimal). *)
-
-(** {2 Block-level result reuse (ECO sessions)} *)
+(** {2 The allocator, with block-level result reuse (ECO sessions)} *)
 
 type cache
 (** Memo of solved blocks keyed by a content hash of everything
@@ -163,29 +140,39 @@ type cache_stats = {
 val run_cached :
   ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
   ?config:config ->
+  ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   cache ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
   blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
   selection * cache_stats
-(** {!run}, but blocks whose content hash matches a previous run are
-    spliced in from the cache and only the rest are solved (serially or
-    over the pool, per [config.jobs]); the splice happens before the
-    same deterministic {!reduce}, so the selection is identical to an
-    uncached {!run} on the same inputs (property-tested). The cache is
-    then swapped to exactly this run's blocks (generational eviction),
-    so entries for regions the design drifted away from are dropped.
-    The one observable difference: a reused block reports its original
-    [solve_time_s], so [block_times] measures solve cost, not this
-    run's wall time.
+(** [partition → solve_block per block → reduce], where blocks whose
+    content hash matches the cache's previous run are spliced in and
+    only the rest are solved. With [jobs >= 2] the solves fan out over
+    a {!Mbr_util.Pool} of that many domains; [jobs = 1] (the default)
+    solves them serially on the calling domain. The splice happens
+    before the deterministic {!reduce}, so the selection is identical
+    to a run on a fresh cache over the same inputs, at any [jobs]
+    (property-tested). The cache is then swapped to exactly this run's
+    blocks (generational eviction), so entries for regions the design
+    drifted away from are dropped. The one observable difference: a
+    reused block reports its original [solve_time_s], so [block_times]
+    measures solve cost, not this run's wall time.
+
+    The same [cancel] token is handed to every block solve (its flag is
+    an atomic, so the pool workers all see one {!Mbr_util.Cancel.cancel}
+    at their next search node): a cancelled run still returns a
+    complete, feasible selection — each in-flight block falls back to
+    its incumbent, remaining blocks return their greedy seed almost
+    immediately (blocks whose incumbent meets the root LP bound never
+    search at all and stay proven optimal).
 
     Hits and misses also bump the [alloc.cache.hit] /
     [alloc.cache.miss] registry counters (the same split this function
     returns as {!cache_stats}, accumulated across rounds).
 
-    A run whose [cancel] token tripped returns its (complete, feasible)
-    selection as {!run} does, but leaves the cache generation {e
+    A run whose [cancel] token tripped leaves the cache generation {e
     unswapped}: cancelled incumbents depend on where in time the token
     tripped, and a cached entry must stay the deterministic result for
     its key — the next uncancelled run rebuilds the generation. *)

@@ -60,7 +60,7 @@ let solve_block graph ~block ~lib =
     let nodes = Array.of_list (List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) live [])) in
     if Array.length nodes < 2 then continue_ := false
     else begin
-      let sub = Csr.induced_ugraph graph.Compat.adj nodes in
+      let sub = Csr.induced graph.Compat.adj nodes in
       let cliques = Bk.maximal_cliques sub in
       let bits_of c =
         List.fold_left (fun acc k -> acc + infos.(nodes.(k)).Compat.bits) 0 c

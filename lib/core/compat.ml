@@ -4,7 +4,6 @@ module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
-module Timing_view = Mbr_sta.Timing_view
 module Library = Mbr_liberty.Library
 module Cell_lib = Mbr_liberty.Cell
 module Csr = Mbr_graph.Csr
@@ -78,7 +77,6 @@ let net_box pl pid =
 let feasible_region cfg eng cid footprint =
   let pl = Engine.placement eng in
   (* worst-corner slack: the region must be feasible in every corner *)
-  let tv = Timing_view.of_engine eng in
   let dsg = Placement.design pl in
   let cap = Rect.expand footprint cfg.max_dist in
   let pin_region pid =
@@ -93,7 +91,7 @@ let feasible_region cfg eng cid footprint =
     in
     if not relevant then None
     else
-      match (net_box pl pid, Timing_view.slack tv pid) with
+      match (net_box pl pid, Engine.slack eng pid) with
       | None, _ | _, None -> None
       | Some box, Some s ->
         (* the violation tolerance admits small degradations everywhere:
@@ -119,9 +117,8 @@ let reg_info cfg eng cid =
   let a = Design.reg_attrs dsg cid in
   let lib_cell = a.Types.lib_cell in
   let footprint = Placement.footprint pl cid in
-  let tv = Timing_view.of_engine eng in
-  let d_slack = Timing_view.reg_d_slack tv cid in
-  let q_slack = Timing_view.reg_q_slack tv cid in
+  let d_slack = Engine.reg_d_slack eng cid in
+  let q_slack = Engine.reg_q_slack eng cid in
   let clock =
     match reg_pin_net dsg cid Types.Pin_clock with
     | Some nid -> nid

@@ -17,8 +17,6 @@ type options = {
   decompose : bool;
   corners : Mbr_sta.Corner.t array;
   recover : int;
-  route_config : Mbr_route.Estimator.config option;
-  cts_config : Mbr_cts.Synth.config option;
 }
 
 let default_options =
@@ -32,8 +30,6 @@ let default_options =
     decompose = false;
     corners = Mbr_sta.Corner.default;
     recover = 0;
-    route_config = None;
-    cts_config = None;
   }
 
 type result = {
@@ -117,12 +113,8 @@ let m_recomposes = Mbr_obs.Metrics.counter "flow.recomposes"
 
 let m_recover_rounds = Mbr_obs.Metrics.counter "flow.recover_rounds"
 
-(* The effective allocate configuration: [options.jobs] (the frontends'
-   [-j]) overrides the config's own [jobs] field when given. *)
-let allocate_config options =
-  match options.jobs with
-  | None -> options.allocate
-  | Some j -> { options.allocate with Allocate.jobs = max 1 j }
+(* Worker domains for the allocate fan-out and the skew stage. *)
+let jobs options = match options.jobs with Some j -> max 1 j | None -> 1
 
 (* Find a legal spot for the mapped cell, preferring the LP optimum
    inside the feasible region, then widening the search. *)
@@ -139,20 +131,7 @@ let legalize_merge occ ~(cell : Cell_lib.t) ~region ~desired =
 
 (* ---- stages, in Fig. 4 order ---- *)
 
-let collect_metrics ctx =
-  Metrics.collect ?route_config:ctx.options.route_config
-    ?cts_config:ctx.options.cts_config ctx.eng ctx.library
-
-
-(* optional pre-pass: open up max-width MBRs for recomposition *)
-let stage_decompose ctx =
-  stage ctx "decompose" (fun () ->
-      if ctx.options.decompose then begin
-        let report = Decompose.split_max_width ctx.placement ctx.library in
-        Engine.refresh ctx.eng;
-        report.Decompose.n_split
-      end
-      else 0)
+let collect_metrics ctx = Metrics.collect ctx.eng ctx.library
 
 type merge_outcome = {
   mo_new_mbrs : Mbr_netlist.Types.cell_id list;  (** in creation order *)
@@ -256,8 +235,8 @@ let stage_skew ctx ?cancel () =
   stage ctx "skew" (fun () ->
       match ctx.options.skew with
       | Some cfg ->
-        let jobs = match ctx.options.jobs with Some j -> max 1 j | None -> 1 in
-        Some (Skew.optimize ~config:cfg ~jobs ?cancel ctx.eng)
+        Some
+          (Skew.optimize ~config:cfg ~jobs:(jobs ctx.options) ?cancel ctx.eng)
       | None ->
         Engine.refresh ctx.eng;
         None)
@@ -482,57 +461,56 @@ module Session = struct
 
   let stage_allocate ctx s ?cancel graph =
     stage ctx "allocate" (fun () ->
-        Allocate.run_cached ~mode:s.options.mode
-          ~config:(allocate_config s.options) ?cancel s.cache graph
-          ~lib:s.library ~blocker_index:s.blocker_index)
+        Allocate.run_cached ~mode:s.options.mode ~config:s.options.allocate
+          ~jobs:(jobs s.options) ?cancel s.cache graph ~lib:s.library
+          ~blocker_index:s.blocker_index)
+
+  (* What one pass of the composition core produced. *)
+  type pass = {
+    p_split : int;  (** cells the pass's decompose stage split *)
+    p_selection : Allocate.selection;
+    p_cache : Allocate.cache_stats;
+    p_merged : merge_outcome;
+    p_scan_wl : float;
+    p_skew : Skew.report option;
+    p_resized : int;
+    p_after : Metrics.t;
+  }
+
+  (* One pass of Fig. 4 from the decompose stage on: [decompose] runs
+     as that stage and returns how many cells it split, then the
+     pipeline runs from the compat graph to metrics-after. The main
+     pass and every recovery round are this function; the session's
+     incrementality keeps a recovery round regional (only blocks the
+     splits dirtied are re-solved, only touched cones re-timed). *)
+  let compose_pass ctx s ?cancel decompose =
+    let p_split = stage ctx "decompose" decompose in
+    let graph = stage_graph ctx s in
+    stage_blocker_index ctx s;
+    let p_selection, p_cache = stage_allocate ctx s ?cancel graph in
+    ctx.pg_resolved <- ctx.pg_resolved + p_cache.Allocate.blocks_resolved;
+    ctx.pg_total <- ctx.pg_total + p_selection.Allocate.n_blocks;
+    let p_merged = stage_merge ctx graph p_selection in
+    let scan_report = stage_scan_restitch ctx in
+    let p_skew = stage_skew ctx ?cancel () in
+    let p_resized = stage_resize ctx p_merged.mo_new_mbrs in
+    let p_after = stage_metrics_after ctx in
+    ctx.pg_wns <- p_after.Metrics.wns;
+    {
+      p_split;
+      p_selection;
+      p_cache;
+      p_merged;
+      p_scan_wl = scan_report.Mbr_dft.Scan_stitch.wirelength;
+      p_skew;
+      p_resized;
+      p_after;
+    }
 
   (* The whole pass runs under one ["flow.recompose"] span whose
      duration IS [runtime_s] — the stage spans nest inside it, so the
      exported trace accounts for the run's wall time with no second
      clock involved. *)
-  (* One recovery round: decompose the victims (pinning the halves so
-     they can never re-compose — that monotonicity is what bounds the
-     loop), then re-enter the pipeline from the compat graph. The
-     session's incrementality keeps each round regional: only blocks
-     the splits dirtied are re-solved, only touched cones re-timed. *)
-  let recover_round ctx s ?cancel ~round victims =
-    fst
-    @@ Mbr_obs.Trace.timed_span ~name:"flow.recover"
-         ~args:
-           [
-             ("round", Mbr_obs.Trace.Int round);
-             ("victims", Mbr_obs.Trace.Int (List.length victims));
-           ]
-    @@ fun () ->
-    ctx.pg_round <- round;
-    let split =
-      stage ctx "decompose" (fun () ->
-          let rep =
-            Decompose.split_cells ~pin:true s.placement s.library victims
-          in
-          Engine.refresh s.eng;
-          rep)
-    in
-    let graph = stage_graph ctx s in
-    stage_blocker_index ctx s;
-    let selection, cache_stats = stage_allocate ctx s ?cancel graph in
-    ctx.pg_resolved <- ctx.pg_resolved + cache_stats.Allocate.blocks_resolved;
-    ctx.pg_total <- ctx.pg_total + selection.Allocate.n_blocks;
-    let merged = stage_merge ctx graph selection in
-    let scan_report = stage_scan_restitch ctx in
-    let skew_report = stage_skew ctx ?cancel () in
-    let n_resized = stage_resize ctx merged.mo_new_mbrs in
-    let after = stage_metrics_after ctx in
-    ctx.pg_wns <- after.Metrics.wns;
-    ( split,
-      selection,
-      cache_stats,
-      merged,
-      scan_report,
-      skew_report,
-      n_resized,
-      after )
-
   let recompose ?cancel ?recover ?on_progress s =
     (* Single-writer gate. A caller that already holds the session
        keeps it; an unowned session is claimed for just this call
@@ -569,18 +547,16 @@ module Session = struct
       let skews_zeroed = stage_eco_reset ctx s in
       let before = stage_metrics_before ctx s ~skews_zeroed in
       ctx.pg_wns <- before.Metrics.wns;
-      let n_split = stage_decompose ctx in
-      let graph = stage_graph ctx s in
-      stage_blocker_index ctx s;
-      let selection, cache_stats = stage_allocate ctx s ?cancel graph in
-      ctx.pg_resolved <- ctx.pg_resolved + cache_stats.Allocate.blocks_resolved;
-      ctx.pg_total <- ctx.pg_total + selection.Allocate.n_blocks;
-      let merged = stage_merge ctx graph selection in
-      let scan_report = stage_scan_restitch ctx in
-      let skew_report = stage_skew ctx ?cancel () in
-      let n_resized = stage_resize ctx merged.mo_new_mbrs in
-      let after = stage_metrics_after ctx in
-      ctx.pg_wns <- after.Metrics.wns;
+      (* optional pre-pass: open up max-width MBRs for recomposition *)
+      let main =
+        compose_pass ctx s ?cancel (fun () ->
+            if s.options.decompose then begin
+              let report = Decompose.split_max_width s.placement s.library in
+              Engine.refresh s.eng;
+              report.Decompose.n_split
+            end
+            else 0)
+      in
       (* ---- recovery loop: worst-corner-negative MBRs go back through
          decompose → (partition → allocate → compose) until every MBR
          this pass created is clean or the round budget runs out ---- *)
@@ -597,7 +573,6 @@ module Session = struct
          corner goes negative. Splittability guarantees every round
          makes >= 1 split, so rounds are never spent on unsplittable
          violators. *)
-      let tv = Mbr_sta.Timing_view.of_engine s.eng in
       let victims () =
         List.filter
           (fun cid ->
@@ -606,105 +581,90 @@ module Session = struct
             &&
             let sl =
               Float.min
-                (Mbr_sta.Timing_view.reg_d_slack tv cid)
-                (Mbr_sta.Timing_view.reg_q_slack tv cid)
+                (Engine.reg_d_slack s.eng cid)
+                (Engine.reg_q_slack s.eng cid)
             in
             Float.is_finite sl && sl < 0.0)
           (Design.registers s.design)
       in
-      let r_after = ref after in
-      let r_mbrs = ref merged.mo_new_mbrs in
-      let r_regs = ref merged.mo_n_regs_merged in
-      let r_incomplete = ref merged.mo_n_incomplete in
-      let r_displacement = ref merged.mo_displacement in
-      let r_resized = ref n_resized in
-      let r_cost = ref selection.Allocate.cost in
-      let r_blocks = ref selection.Allocate.n_blocks in
-      let r_candidates = ref selection.Allocate.n_candidates in
-      let r_all_optimal = ref selection.Allocate.all_optimal in
-      let r_resolved = ref cache_stats.Allocate.blocks_resolved in
-      let r_reused = ref cache_stats.Allocate.blocks_reused in
-      let r_scan_wl = ref scan_report.Mbr_dft.Scan_stitch.wirelength in
-      let r_skew = ref skew_report in
-      let recover_rounds = ref 0 in
-      let recover_splits = ref 0 in
-      (try
-         while !recover_rounds < budget do
-           (match cancel with
-           | Some t when Mbr_util.Cancel.cancelled t -> raise Exit
-           | _ -> ());
-           match victims () with
-           | [] -> raise Exit
-           | victims ->
-             incr recover_rounds;
-             Mbr_obs.Metrics.incr m_recover_rounds;
-             let ( split,
-                   selection,
-                   cache_stats,
-                   merged,
-                   scan_report,
-                   skew_report,
-                   n_resized,
-                   after ) =
-               recover_round ctx s ?cancel ~round:!recover_rounds victims
-             in
-             recover_splits := !recover_splits + split.Decompose.n_split;
-             r_after := after;
-             (* dead (split) ids drop out through the final liveness
-                filter on [new_mbrs], so appending is enough *)
-             r_mbrs := !r_mbrs @ merged.mo_new_mbrs;
-             r_regs := !r_regs + merged.mo_n_regs_merged;
-             r_incomplete := !r_incomplete + merged.mo_n_incomplete;
-             r_displacement := !r_displacement +. merged.mo_displacement;
-             r_resized := !r_resized + n_resized;
-             r_cost := !r_cost +. selection.Allocate.cost;
-             r_blocks := !r_blocks + selection.Allocate.n_blocks;
-             r_candidates := !r_candidates + selection.Allocate.n_candidates;
-             r_all_optimal := !r_all_optimal && selection.Allocate.all_optimal;
-             r_resolved := !r_resolved + cache_stats.Allocate.blocks_resolved;
-             r_reused := !r_reused + cache_stats.Allocate.blocks_reused;
-             r_scan_wl := scan_report.Mbr_dft.Scan_stitch.wirelength;
-             r_skew := skew_report
-         done
-       with Exit -> ());
-      let live_mbrs =
-        List.filter (fun cid -> live_register s.design cid) !r_mbrs
+      let cancelled () =
+        match cancel with Some t -> Mbr_util.Cancel.cancelled t | None -> false
       in
+      (* One recovery round: decompose the victims, pinning the halves
+         so they can never re-compose — that monotonicity is what
+         bounds the loop. *)
+      let rec recovery round =
+        if round > budget || cancelled () then []
+        else
+          match victims () with
+          | [] -> []
+          | victims ->
+            Mbr_obs.Metrics.incr m_recover_rounds;
+            let pass =
+              Mbr_obs.Trace.with_span ~name:"flow.recover"
+                ~args:
+                  [
+                    ("round", Mbr_obs.Trace.Int round);
+                    ("victims", Mbr_obs.Trace.Int (List.length victims));
+                  ]
+              @@ fun () ->
+              ctx.pg_round <- round;
+              compose_pass ctx s ?cancel (fun () ->
+                  let report =
+                    Decompose.split_cells ~pin:true s.placement s.library
+                      victims
+                  in
+                  Engine.refresh s.eng;
+                  report.Decompose.n_split)
+            in
+            pass :: recovery (round + 1)
+      in
+      let rounds = recovery 1 in
+      let passes = main :: rounds in
+      let last = List.fold_left (fun _ p -> p) main rounds in
+      let count f = List.fold_left (fun acc p -> acc + f p) 0 passes in
+      (* float totals add in pass order, seeded with the main pass *)
+      let total f = List.fold_left (fun acc p -> acc +. f p) (f main) rounds in
+      (* dead (split) ids drop out through the liveness filter on
+         [new_mbrs], so appending every pass's MBRs is enough *)
+      let mbrs = List.concat_map (fun p -> p.p_merged.mo_new_mbrs) passes in
       s.last_after <-
         Some
-          (!r_after, Design.revision s.design, Placement.revision s.placement);
+          ( last.p_after,
+            Design.revision s.design,
+            Placement.revision s.placement );
       s.n_recomposes <- s.n_recomposes + 1;
       Mbr_obs.Metrics.incr m_recomposes;
       {
         before;
-        after = !r_after;
-        n_split;
-        scan_chain_wl = !r_scan_wl;
-        merge_displacement = !r_displacement;
-        n_merges = List.length !r_mbrs;
-        n_regs_merged = !r_regs;
-        n_incomplete = !r_incomplete;
-        n_resized = !r_resized;
-        ilp_cost = !r_cost;
-        n_blocks = !r_blocks;
-        n_candidates = !r_candidates;
-        all_optimal = !r_all_optimal;
-        alloc_jobs = (allocate_config s.options).Allocate.jobs;
-        alloc_block_times = selection.Allocate.block_times;
-        skew_report = !r_skew;
-        new_mbrs = live_mbrs;
+        after = last.p_after;
+        n_split = main.p_split;
+        scan_chain_wl = last.p_scan_wl;
+        merge_displacement = total (fun p -> p.p_merged.mo_displacement);
+        n_merges = List.length mbrs;
+        n_regs_merged = count (fun p -> p.p_merged.mo_n_regs_merged);
+        n_incomplete = count (fun p -> p.p_merged.mo_n_incomplete);
+        n_resized = count (fun p -> p.p_resized);
+        ilp_cost = total (fun p -> p.p_selection.Allocate.cost);
+        n_blocks = count (fun p -> p.p_selection.Allocate.n_blocks);
+        n_candidates = count (fun p -> p.p_selection.Allocate.n_candidates);
+        all_optimal =
+          List.for_all (fun p -> p.p_selection.Allocate.all_optimal) passes;
+        alloc_jobs = jobs s.options;
+        alloc_block_times = main.p_selection.Allocate.block_times;
+        skew_report = last.p_skew;
+        new_mbrs = List.filter (live_register s.design) mbrs;
         runtime_s = 0.0 (* patched below from the span's duration *);
         stage_times = List.rev ctx.stage_times_rev;
         sta_full_builds = Engine.full_builds s.eng;
         sta_refreshes = Engine.refreshes s.eng;
-        eco_blocks_resolved = !r_resolved;
-        eco_blocks_reused = !r_reused;
-        recover_rounds = !recover_rounds;
-        recover_splits = !recover_splits;
-        cancelled =
-          (match cancel with
-          | Some t -> Mbr_util.Cancel.cancelled t
-          | None -> false);
+        eco_blocks_resolved =
+          count (fun p -> p.p_cache.Allocate.blocks_resolved);
+        eco_blocks_reused = count (fun p -> p.p_cache.Allocate.blocks_reused);
+        recover_rounds = List.length rounds;
+        recover_splits =
+          List.fold_left (fun acc p -> acc + p.p_split) 0 rounds;
+        cancelled = cancelled ();
       }
     in
     { result with runtime_s }

@@ -12,10 +12,11 @@
     graph, the blocker spatial index and the per-block solve cache,
     and {!Session.recompose} consumes the design/placement edit logs
     to refresh each of them incrementally — [run] is just "open a
-    session, recompose once". The allocation stage is the only
-    parallel one: with [jobs >= 2] its per-block solves fan out over a
-    {!Mbr_util.Pool} of domains, with results guaranteed identical to
-    the serial order (see {!Allocate}).
+    session, recompose once". With [jobs >= 2] the allocation stage
+    fans its per-block solves out over a {!Mbr_util.Pool} of domains,
+    with results guaranteed identical to the serial order (see
+    {!Allocate}), and the skew stage propagates the corners of a
+    multi-corner engine in parallel (see {!Mbr_sta.Skew.optimize}).
 
     The flow mutates the design and placement it is given; callers
     wanting a before/after comparison in hand get both metric bundles
@@ -28,10 +29,10 @@ type options = {
       (** allocator: exact ILP, the Fig. 6 greedy on the same weighted
           candidates, or the external clique heuristic *)
   jobs : int option;
-      (** worker domains for the allocate stage; [None] defers to
-          [allocate.jobs] (default 1 = serial), [Some j] overrides it.
-          The frontends' [-j 0] resolves to
-          {!Mbr_util.Pool.recommended_jobs} before it gets here. *)
+      (** worker domains for the allocate fan-out and the skew stage;
+          [None] (the default) is 1 = serial. The frontends' [-j 0]
+          resolves to {!Mbr_util.Pool.recommended_jobs} before it gets
+          here. *)
   skew : Mbr_sta.Skew.config option;  (** None disables useful skew *)
   resize : Resize.config option;  (** None disables MBR sizing *)
   decompose : bool;
@@ -49,8 +50,6 @@ type options = {
           partition→allocate→compose, up to this many rounds (default
           0 = loop off). {!Session.recompose}'s [?recover] overrides
           it per call. *)
-  route_config : Mbr_route.Estimator.config option;
-  cts_config : Mbr_cts.Synth.config option;
 }
 
 val default_options : options

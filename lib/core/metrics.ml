@@ -1,10 +1,8 @@
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
-module Timing_view = Mbr_sta.Timing_view
 module Synth = Mbr_cts.Synth
 module Estimator = Mbr_route.Estimator
-module Stats = Mbr_util.Stats
 module Trace = Mbr_obs.Trace
 
 type t = {
@@ -27,14 +25,12 @@ type t = {
   corners : (string * float * float) list;
 }
 
-let collect ?route_config ?cts_config eng lib =
+let collect ?route_config eng lib =
   let pl = Engine.placement eng in
   let dsg = Placement.design pl in
-  let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
   let cts =
-    Trace.with_span ~name:"metrics.cts" (fun () ->
-        Synth.synthesize ?config:cts_config pl)
+    Trace.with_span ~name:"metrics.cts" (fun () -> Synth.synthesize pl)
   in
   let route =
     Trace.with_span ~name:"metrics.route" (fun () ->
@@ -45,10 +41,7 @@ let collect ?route_config ?cts_config eng lib =
     List.length (List.filter (Compat.is_composable dsg lib) regs)
   in
   let buf_area =
-    float_of_int cts.Synth.n_buffers
-    *. (match cts_config with
-       | Some c -> c.Synth.buf_area
-       | None -> Synth.default_config.Synth.buf_area)
+    float_of_int cts.Synth.n_buffers *. Synth.default_config.Synth.buf_area
   in
   let power =
     Trace.with_span ~name:"metrics.power" (fun () ->
@@ -66,13 +59,13 @@ let collect ?route_config ?cts_config eng lib =
     clk_cap = cts.Synth.total_cap;
     clk_power = power.Power.clock_power;
     clk_power_frac = power.Power.clock_fraction;
-    tns = Timing_view.tns tv;
-    wns = Timing_view.wns tv;
-    failing = Timing_view.failing_endpoints tv;
-    endpoints = Timing_view.n_endpoints tv;
+    tns = Engine.tns eng;
+    wns = Engine.wns eng;
+    failing = Engine.failing_endpoints eng;
+    endpoints = Engine.n_endpoints eng;
     ovfl = route.Estimator.overflow_edges;
     utilization = Placement.utilization pl;
-    corners = Timing_view.per_corner tv;
+    corners = Engine.per_corner_wns_tns eng;
   }
 
 let pp_row ppf m =
@@ -84,19 +77,3 @@ let pp_row ppf m =
     m.clk_cap m.clk_power
     (100.0 *. m.clk_power_frac)
     m.tns m.wns m.failing m.endpoints m.ovfl m.utilization
-
-let save_pct ~before ~after =
-  let f = float_of_int in
-  [
-    ("area", Stats.pct_change before.area after.area);
-    ("clk_wl", Stats.pct_change before.clk_wl after.clk_wl);
-    ("other_wl", Stats.pct_change before.other_wl after.other_wl);
-    ("total_regs", Stats.pct_change (f before.total_regs) (f after.total_regs));
-    ("comp_regs", Stats.pct_change (f before.comp_regs) (f after.comp_regs));
-    ("clk_bufs", Stats.pct_change (f before.clk_bufs) (f after.clk_bufs));
-    ("clk_cap", Stats.pct_change before.clk_cap after.clk_cap);
-    ("clk_power", Stats.pct_change before.clk_power after.clk_power);
-    ("tns", Stats.pct_change before.tns after.tns);
-    ("failing", Stats.pct_change (f before.failing) (f after.failing));
-    ("ovfl", Stats.pct_change (f before.ovfl) (f after.ovfl));
-  ]

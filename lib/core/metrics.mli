@@ -26,7 +26,6 @@ type t = {
 
 val collect :
   ?route_config:Mbr_route.Estimator.config ->
-  ?cts_config:Mbr_cts.Synth.config ->
   Mbr_sta.Engine.t ->
   Mbr_liberty.Library.t ->
   t
@@ -41,7 +40,3 @@ val collect :
 
 val pp_row : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)
-
-val save_pct : before:t -> after:t -> (string * float) list
-(** The paper's "Save" row: percent improvement per column (positive =
-    better). *)

@@ -7,7 +7,6 @@ module Placement = Mbr_place.Placement
 module Library = Mbr_liberty.Library
 module Presets = Mbr_liberty.Presets
 module Cell_lib = Mbr_liberty.Cell
-module Ugraph = Mbr_graph.Ugraph
 module Csr = Mbr_graph.Csr
 module Sp = Mbr_ilp.Set_partition
 
@@ -122,15 +121,15 @@ let build () =
           })
       cids
   in
-  let g = Ugraph.create 6 in
-  List.iter (fun (a, b) -> Ugraph.add_edge g a b) edges;
+  let g = Csr.Builder.create 6 in
+  List.iter (fun (a, b) -> Csr.Builder.add_edge g a b) edges;
   let blocker_index = Spatial.create () in
   Array.iteri (fun i cid -> Spatial.add blocker_index cid centers.(i)) cids;
   {
     design = dsg;
     placement = pl;
     library;
-    graph = { Compat.adj = Csr.of_ugraph g; infos };
+    graph = { Compat.adj = Csr.Builder.finish g; infos };
     blocker_index;
     names;
   }

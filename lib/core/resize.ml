@@ -2,7 +2,6 @@ module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
-module Timing_view = Mbr_sta.Timing_view
 module Library = Mbr_liberty.Library
 module Cell_lib = Mbr_liberty.Cell
 
@@ -27,15 +26,14 @@ let downsize ?(config = default_config) eng lib cids =
   let dsg = Placement.design pl in
   (* downsizing must leave margin in every corner, so the budget reads
      worst-corner slack *)
-  let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
   let swapped = ref 0 in
   List.iter
     (fun cid ->
       let a = Design.reg_attrs dsg cid in
       let cur = a.Types.lib_cell in
-      let s_d = Timing_view.reg_d_slack tv cid in
-      let s_q = Timing_view.reg_q_slack tv cid in
+      let s_d = Engine.reg_d_slack eng cid in
+      let s_q = Engine.reg_q_slack eng cid in
       let slack = Float.min s_d s_q in
       if Float.is_finite slack && slack > config.margin then begin
         let budget = slack -. config.margin in

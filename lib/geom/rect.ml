@@ -17,10 +17,6 @@ let of_points = function
     in
     List.fold_left f { lx = p.x; ly = p.y; hx = p.x; hy = p.y } rest
 
-let of_center (c : Point.t) ~w ~h =
-  make ~lx:(c.x -. (w /. 2.)) ~ly:(c.y -. (h /. 2.)) ~hx:(c.x +. (w /. 2.))
-    ~hy:(c.y +. (h /. 2.))
-
 let width r = r.hx -. r.lx
 
 let height r = r.hy -. r.ly

@@ -11,8 +11,6 @@ val make : lx:float -> ly:float -> hx:float -> hy:float -> t
 val of_points : Point.t list -> t
 (** Tight bounding box of a non-empty point set. *)
 
-val of_center : Point.t -> w:float -> h:float -> t
-
 val width : t -> float
 
 val height : t -> float

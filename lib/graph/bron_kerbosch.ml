@@ -1,12 +1,44 @@
 module Int_set = Set.Make (Int)
 
+(* Smallest-last order: repeatedly remove a minimum-degree node.
+   Buckets by current degree with lazy deletion, O(n + m). *)
+let degeneracy_order g =
+  let n = Csr.n_nodes g in
+  let deg = Array.init n (Csr.degree g) in
+  let removed = Array.make n false in
+  let order = Array.make n 0 in
+  let max_deg = Array.fold_left max 0 deg in
+  let buckets = Array.make (max_deg + 1) [] in
+  for i = 0 to n - 1 do
+    buckets.(deg.(i)) <- i :: buckets.(deg.(i))
+  done;
+  for k = 0 to n - 1 do
+    (* the first live node of the lowest non-empty bucket *)
+    let rec next d =
+      match buckets.(d) with
+      | [] -> next (d + 1)
+      | v :: rest ->
+        buckets.(d) <- rest;
+        if removed.(v) || deg.(v) <> d then next d else v
+    in
+    let v = next 0 in
+    removed.(v) <- true;
+    order.(k) <- v;
+    Csr.iter_neighbors g v (fun w ->
+        if not removed.(w) then begin
+          deg.(w) <- deg.(w) - 1;
+          buckets.(deg.(w)) <- w :: buckets.(deg.(w))
+        end)
+  done;
+  order
+
 (* Bron-Kerbosch with pivoting:
    BK(R, P, X): if P and X empty, report R.
    Choose pivot u in P ∪ X maximizing |P ∩ N(u)|; iterate v over
    P \ N(u): BK(R+v, P ∩ N(v), X ∩ N(v)); move v from P to X. *)
 let iter_cliques g f =
-  let n = Ugraph.n_nodes g in
-  let adj = Array.init n (fun i -> Int_set.of_list (Ugraph.neighbors g i)) in
+  let n = Csr.n_nodes g in
+  let adj = Array.init n (fun i -> Int_set.of_list (Csr.neighbors g i)) in
   let rec bk r p x =
     if Int_set.is_empty p && Int_set.is_empty x then f r
     else begin
@@ -36,7 +68,7 @@ let iter_cliques g f =
   in
   (* Degeneracy-ordered outer level keeps recursion shallow on sparse
      graphs. *)
-  let order = Ugraph.degeneracy_order g in
+  let order = degeneracy_order g in
   let pos = Array.make n 0 in
   Array.iteri (fun k v -> pos.(v) <- k) order;
   Array.iter

@@ -1,6 +1,5 @@
-(* Shared DFS over an abstract neighbour iterator so the Ugraph and Csr
-   entry points stay one implementation. *)
-let component_of_adj ~n ~iter =
+let component_of g =
+  let n = Csr.n_nodes g in
   let comp = Array.make n (-1) in
   let next = ref 0 in
   for v = 0 to n - 1 do
@@ -14,7 +13,7 @@ let component_of_adj ~n ~iter =
         | [] -> ()
         | u :: rest ->
           stack := rest;
-          iter u (fun w ->
+          Csr.iter_neighbors g u (fun w ->
               if comp.(w) < 0 then begin
                 comp.(w) <- id;
                 stack := w :: !stack
@@ -24,7 +23,8 @@ let component_of_adj ~n ~iter =
   done;
   comp
 
-let group comp =
+let components g =
+  let comp = component_of g in
   let n = Array.length comp in
   let k = Array.fold_left (fun acc c -> max acc (c + 1)) 0 comp in
   let buckets = Array.make k [] in
@@ -32,14 +32,3 @@ let group comp =
     buckets.(comp.(v)) <- v :: buckets.(comp.(v))
   done;
   Array.to_list buckets
-
-let component_of g =
-  component_of_adj ~n:(Ugraph.n_nodes g)
-    ~iter:(fun u f -> List.iter f (Ugraph.neighbors g u))
-
-let components g = group (component_of g)
-
-let component_of_csr g =
-  component_of_adj ~n:(Csr.n_nodes g) ~iter:(Csr.iter_neighbors g)
-
-let components_csr g = group (component_of_csr g)

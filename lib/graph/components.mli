@@ -1,14 +1,9 @@
 (** Connected components of an undirected graph. *)
 
-val components : Ugraph.t -> int list list
+val components : Csr.t -> int list list
 (** Each component as an ascending node list; components ordered by
     their smallest node. *)
 
-val component_of : Ugraph.t -> int array
+val component_of : Csr.t -> int array
 (** [.(v)] = component index of node [v] (indices follow the order of
     {!components}). *)
-
-val components_csr : Csr.t -> int list list
-(** {!components} over a CSR adjacency; same ordering contract. *)
-
-val component_of_csr : Csr.t -> int array

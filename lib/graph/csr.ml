@@ -138,39 +138,24 @@ module Builder = struct
     { n = b.bn; row_ptr; cols }
 end
 
-let of_ugraph g =
-  let n = Ugraph.n_nodes g in
-  let b = Builder.create n in
-  for i = 0 to n - 1 do
-    List.iter (fun j -> if i < j then Builder.add_edge b i j) (Ugraph.neighbors g i)
-  done;
-  Builder.finish b
-
-let to_ugraph t =
-  let g = Ugraph.create t.n in
-  for i = 0 to t.n - 1 do
-    iter_neighbors t i (fun j -> if i < j then Ugraph.add_edge g i j)
-  done;
-  g
-
-let induced_ugraph t nodes =
+let induced t nodes =
   let k = Array.length nodes in
   let index = Hashtbl.create k in
   Array.iteri
     (fun i v ->
       check t v;
-      if Hashtbl.mem index v then invalid_arg "Csr.induced_ugraph: duplicate node";
+      if Hashtbl.mem index v then invalid_arg "Csr.induced: duplicate node";
       Hashtbl.add index v i)
     nodes;
-  let sub = Ugraph.create k in
+  let b = Builder.create k in
   Array.iteri
     (fun i v ->
       iter_neighbors t v (fun w ->
           match Hashtbl.find_opt index w with
-          | Some j when i < j -> Ugraph.add_edge sub i j
+          | Some j when i < j -> Builder.add_edge b i j
           | Some _ | None -> ()))
     nodes;
-  sub
+  Builder.finish b
 
 let rewrite t row_of =
   let n = t.n in

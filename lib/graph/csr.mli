@@ -1,12 +1,14 @@
-(** Int-packed compressed-sparse-row adjacency for undirected graphs.
+(** Int-packed compressed-sparse-row adjacency for undirected graphs
+    over integer nodes \[0, n) — the one graph type of the library. The
+    register compatibility graph G of the paper is an instance: nodes
+    are composable registers, edges are pairwise compatibility.
 
-    The register compatibility graph at 100×-paper scale (~150k nodes,
-    millions of edges) is too hot for {!Ugraph}'s per-node [Int_set.t]
-    trees: every neighbour visit chases boxed pointers and every
-    membership test allocates a search path. A CSR graph stores the
-    whole adjacency in two flat [int array]s — [row_ptr] of length
-    n+1 and a column array holding each node's neighbours as a sorted
-    slice — so neighbour iteration is a cache-linear scan and
+    At 100×-paper scale (~150k nodes, millions of edges) per-node set
+    trees would chase boxed pointers on every neighbour visit and
+    allocate a search path on every membership test. A CSR graph
+    stores the whole adjacency in two flat [int array]s — [row_ptr] of
+    length n+1 and a column array holding each node's neighbours as a
+    sorted slice — so neighbour iteration is a cache-linear scan and
     membership is a binary search over unboxed ints.
 
     Values are immutable once built. Construction goes through
@@ -44,15 +46,10 @@ val edges : t -> (int * int) list
 val is_clique : t -> int list -> bool
 (** All pairs adjacent (singletons and empty are cliques). *)
 
-val of_ugraph : Ugraph.t -> t
-
-val to_ugraph : t -> Ugraph.t
-
-val induced_ugraph : t -> int array -> Ugraph.t
-(** [induced_ugraph g nodes]: subgraph on [nodes] as a {!Ugraph} (node
-    [i] of the result is [nodes.(i)]) — the bridge to the set-based
-    algorithms (Bron–Kerbosch) that stay on {!Ugraph} because they run
-    on tiny per-block subgraphs. Duplicates are rejected. *)
+val induced : t -> int array -> t
+(** [induced g nodes]: subgraph on [nodes] (node [i] of the result is
+    [nodes.(i)]). Duplicate entries are rejected with
+    [Invalid_argument]. *)
 
 val rewrite : t -> (int -> [ `Keep | `Replace of int array ]) -> t
 (** [rewrite g row_of]: a new graph where node [i]'s row is the old

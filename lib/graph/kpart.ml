@@ -25,7 +25,7 @@ let split_by_median ~position nodes =
   let left, right = take half [] sorted in
   (List.map fst left, List.map fst right)
 
-let partition_comps ~bound ~position comps =
+let partition ?(bound = 30) g ~position =
   if bound < 1 then invalid_arg "Kpart.partition: bound < 1";
   let rec bisect nodes =
     if List.length nodes <= bound then [ nodes ]
@@ -37,10 +37,4 @@ let partition_comps ~bound ~position comps =
   in
   List.concat_map
     (fun comp -> List.map (List.sort compare) (bisect comp))
-    comps
-
-let partition ?(bound = 30) g ~position =
-  partition_comps ~bound ~position (Components.components g)
-
-let partition_csr ?(bound = 30) g ~position =
-  partition_comps ~bound ~position (Components.components_csr g)
+    (Components.components g)

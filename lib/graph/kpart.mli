@@ -7,16 +7,12 @@
     larger ones only add runtime; see the ablation bench). *)
 
 val partition :
-  ?bound:int -> Ugraph.t -> position:(int -> Mbr_geom.Point.t) -> int list list
+  ?bound:int -> Csr.t -> position:(int -> Mbr_geom.Point.t) -> int list list
 (** [partition ~bound g ~position] returns node blocks such that every
     block has at most [bound] (default 30) nodes, blocks respect
     connected components (never straddle two), and every node appears in
     exactly one block. Within a block nodes are ascending. Raises
     [Invalid_argument] when [bound < 1]. *)
-
-val partition_csr :
-  ?bound:int -> Csr.t -> position:(int -> Mbr_geom.Point.t) -> int list list
-(** {!partition} over a CSR adjacency; identical output contract. *)
 
 val split_by_median :
   position:(int -> Mbr_geom.Point.t) -> int list -> int list * int list

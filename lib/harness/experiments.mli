@@ -20,8 +20,8 @@ val run_profile :
   Mbr_designgen.Profile.t ->
   design_run
 (** Generate the design and run the full Fig. 4 flow. [jobs] (worker
-    domains for the allocate stage) overrides [options.jobs] when
-    given; the selection is identical at any value (see
+    domains for the allocate and skew stages) overrides [options.jobs]
+    when given; the result is identical at any value (see
     {!Mbr_core.Allocate}). *)
 
 val table1 : design_run list -> string

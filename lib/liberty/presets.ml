@@ -119,5 +119,3 @@ let paper_example () =
       ~base_ccap:0.8 ~scan_area_factor:1.0
   in
   Library.make (List.map cell [ 1; 2; 3; 4; 8 ])
-
-let bit_widths lib ~func_class = Library.widths lib ~func_class

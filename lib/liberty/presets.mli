@@ -19,6 +19,3 @@ val paper_example : unit -> Library.t
     ["dff"] with 1, 2, 3, 4 and 8-bit MBRs, one drive strength, sized so
     that incomplete 8-bit mapping is attractive (as the figure
     "highlights on purpose"). *)
-
-val bit_widths : Library.t -> func_class:string -> int list
-(** Convenience re-export of {!Library.widths}. *)

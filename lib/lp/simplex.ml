@@ -31,14 +31,7 @@ let add_var ?(lb = 0.0) ?(ub = infinity) ?(obj = 0.0) t =
   t.nv <- t.nv + 1;
   v
 
-let set_obj t v c =
-  let arr = Array.of_list (List.rev t.objs) in
-  arr.(v) <- c;
-  t.objs <- List.rev (Array.to_list arr)
-
 let add_constraint t terms rel rhs = t.rows <- { terms; rel; rhs } :: t.rows
-
-let n_vars t = t.nv
 
 let eps = 1e-9
 

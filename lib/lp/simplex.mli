@@ -26,20 +26,15 @@ val add_var : ?lb:float -> ?ub:float -> ?obj:float -> t -> var
     be [neg_infinity] for a free variable) and objective coefficient
     [obj] (default 0). *)
 
-val set_obj : t -> var -> float -> unit
-(** Overwrite the objective coefficient. *)
-
 val add_constraint : t -> (var * float) list -> relation -> float -> unit
 (** Add a row; repeated variables in the term list are summed. *)
-
-val n_vars : t -> int
 
 type status = Optimal | Infeasible | Unbounded
 
 type solution = {
   status : status;
   objective : float;  (** meaningful only when [status = Optimal] *)
-  values : float array;  (** indexed by [var]; length [n_vars] *)
+  values : float array;  (** indexed by [var], one entry per variable *)
   duals : float array;
       (** simplex multiplier of every constraint, in {!add_constraint}
           order; empty unless [status = Optimal]. For a minimization
@@ -54,5 +49,4 @@ type solution = {
 
 val solve : t -> solution
 (** Solve the problem as currently stated. The builder is not consumed:
-    more rows/variables can be added and [solve] called again (used by
-    branch-and-bound to add branching bounds). *)
+    more rows/variables can be added and [solve] called again. *)

@@ -81,9 +81,3 @@ let is_data_input = function
   | Pin_q _ | Pin_clock | Pin_reset | Pin_scan_in _ | Pin_scan_out _
   | Pin_scan_enable | Pin_out | Pin_port ->
     false
-
-let is_data_output = function
-  | Pin_q _ | Pin_out -> true
-  | Pin_d _ | Pin_clock | Pin_reset | Pin_scan_in _ | Pin_scan_out _
-  | Pin_scan_enable | Pin_in _ | Pin_port ->
-    false

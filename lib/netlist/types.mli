@@ -85,5 +85,3 @@ type cell = {
 val pin_kind_to_string : pin_kind -> string
 
 val is_data_input : pin_kind -> bool
-
-val is_data_output : pin_kind -> bool

@@ -28,7 +28,4 @@ let setup ?(level = Some Logs.Warning) () =
 let level_of_string s =
   match String.lowercase_ascii s with
   | "quiet" | "none" | "off" -> Ok None
-  | s -> (
-    match Logs.level_of_string s with
-    | Ok l -> Ok l
-    | Error (`Msg m) -> Error m)
+  | s -> Logs.level_of_string s

@@ -15,6 +15,8 @@ val setup : ?level:Logs.level option -> unit -> unit
     since [setup] (the tracer's clock, so log lines correlate with
     trace spans) and the emitting domain's id. *)
 
-val level_of_string : string -> (Logs.level option, string) result
+val level_of_string :
+  string -> (Logs.level option, [ `Msg of string ]) result
 (** [Logs.level_of_string] plus the spellings ["quiet"], ["none"] and
-    ["off"] for [None]. *)
+    ["off"] for [None]; the result type is cmdliner's, so the frontends
+    parse [--log-level] with it directly. *)

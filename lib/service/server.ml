@@ -42,18 +42,9 @@ let m_overloaded = Mbr_obs.Metrics.counter "svc.overloaded"
 
 let m_cancelled = Mbr_obs.Metrics.counter "svc.cancelled"
 
+(* one family, one series per verb — what `mbrc top` and the
+   Prometheus side consume *)
 let latency_histograms =
-  List.map
-    (fun v ->
-      (v, Mbr_obs.Metrics.histogram ("svc.latency." ^ P.verb_to_string v)))
-    P.all_verbs
-
-let latency_histogram verb = List.assq verb latency_histograms
-
-(* the labeled twins: one family, one series per verb — what `mbrc
-   top` and the Prometheus side consume (the dotted per-verb names
-   above predate labels and stay for compatibility) *)
-let labeled_latency_histograms =
   List.map
     (fun v ->
       ( v,
@@ -62,7 +53,7 @@ let labeled_latency_histograms =
           "svc.latency_s" ))
     P.all_verbs
 
-let labeled_latency verb = List.assq verb labeled_latency_histograms
+let latency_histogram verb = List.assq verb latency_histograms
 
 let g_queue_depth = Mbr_obs.Metrics.gauge "svc.exec.queue_depth"
 
@@ -462,16 +453,13 @@ let account t ?sess verb t_recv result =
     | P.Cancelled -> Mbr_obs.Metrics.incr m_cancelled
     | _ -> ()));
   Mbr_obs.Metrics.observe (latency_histogram verb) dt;
-  if t.config.session_metrics then begin
-    Mbr_obs.Metrics.observe (labeled_latency verb) dt;
-    match Option.bind sess (fun s -> s.handles) with
-    | Some h ->
-      Mbr_obs.Metrics.incr h.h_requests;
-      (match result with
-      | Error _ -> Mbr_obs.Metrics.incr h.h_errors
-      | Ok _ -> ())
-    | None -> ()
-  end;
+  (match Option.bind sess (fun s -> s.handles) with
+  | Some h ->
+    Mbr_obs.Metrics.incr h.h_requests;
+    (match result with
+    | Error _ -> Mbr_obs.Metrics.incr h.h_errors
+    | Ok _ -> ())
+  | None -> ());
   let outcome, message =
     match result with
     | Ok _ -> ("ok", "")
@@ -537,28 +525,34 @@ let rec pump t sess () =
 
 (* ---- global verbs (answered on the reader thread: cheap) ---- *)
 
+(* One JSON row per session, [extra] fields appended; the caller holds
+   [t.lock]. *)
+let session_rows ?(extra = fun _ -> []) t =
+  Hashtbl.fold
+    (fun name sess acc ->
+      J.Obj
+        ([
+           ("name", J.Str name);
+           ( "loaded",
+             J.Bool (match sess.state with Ready _ -> true | Loading -> false)
+           );
+           ( "recomposes",
+             J.Num
+               (float_of_int
+                  (match sess.state with
+                  | Ready { flow; _ } -> Flow.Session.recomposes flow
+                  | Loading -> 0)) );
+           ("served", J.Num (float_of_int sess.served));
+           ("pending", J.Num (float_of_int (Queue.length sess.pending)));
+         ]
+        @ extra sess)
+      :: acc)
+    t.sessions []
+
 let metrics_payload t =
   let sessions =
     Mutex.lock t.lock;
-    let l =
-      Hashtbl.fold
-        (fun name sess acc ->
-          J.Obj
-            [
-              ("name", J.Str name);
-              ("loaded", J.Bool (match sess.state with Ready _ -> true | Loading -> false));
-              ( "recomposes",
-                J.Num
-                  (float_of_int
-                     (match sess.state with
-                     | Ready { flow; _ } -> Flow.Session.recomposes flow
-                     | Loading -> 0)) );
-              ("served", J.Num (float_of_int sess.served));
-              ("pending", J.Num (float_of_int (Queue.length sess.pending)));
-            ]
-          :: acc)
-        t.sessions []
-    in
+    let l = session_rows t in
     Mutex.unlock t.lock;
     l
   in
@@ -589,30 +583,10 @@ let telemetry_payload t req =
     t.telem_snaps <-
       (cursor, snap) :: List.filteri (fun i _ -> i < telem_history - 1) t.telem_snaps;
     let sessions =
-      Hashtbl.fold
-        (fun name sess acc ->
-          J.Obj
-            ([
-               ("name", J.Str name);
-               ( "loaded",
-                 J.Bool
-                   (match sess.state with Ready _ -> true | Loading -> false)
-               );
-               ( "recomposes",
-                 J.Num
-                   (float_of_int
-                      (match sess.state with
-                      | Ready { flow; _ } -> Flow.Session.recomposes flow
-                      | Loading -> 0)) );
-               ("served", J.Num (float_of_int sess.served));
-               ("pending", J.Num (float_of_int (Queue.length sess.pending)));
-             ]
-            @
-            match sess.last_progress with
-            | Some ev -> [ ("progress", P.progress_to_json ev) ]
-            | None -> [])
-          :: acc)
-        t.sessions []
+      session_rows t ~extra:(fun sess ->
+          match sess.last_progress with
+          | Some ev -> [ ("progress", P.progress_to_json ev) ]
+          | None -> [])
     in
     Mutex.unlock t.lock;
     (cursor, base, sessions)

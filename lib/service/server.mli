@@ -24,11 +24,11 @@
 
     Observability: every request is a ["svc.<verb>"] trace span on the
     domain that served it, and its receipt-to-response latency feeds
-    the [svc.latency.<verb>] histogram ([svc.requests],
-    [svc.errors], [svc.overloaded], [svc.cancelled] count traffic).
-    With [session_metrics] on (the default), latency also lands in the
-    labeled [svc.latency_s{verb=...}] family, each session gets its
-    own labeled series ([svc.session.requests{session=...}],
+    the labeled [svc.latency_s{verb=...}] histogram family
+    ([svc.requests], [svc.errors], [svc.overloaded], [svc.cancelled]
+    count traffic). With [session_metrics] on (the default), each
+    session also gets its own labeled series
+    ([svc.session.requests{session=...}],
     [flow.session.blocks_resolved{session=...}],
     [svc.session.wns{session=...,corner=...}], ...), and the
     [telemetry] verb serves cursor-stamped snapshots/deltas plus
@@ -51,13 +51,13 @@ type config = {
   workers : int;  (** executor domains; [<= 0] = {!Mbr_util.Pool.recommended_jobs} *)
   queue_limit : int;  (** pending requests per session before [overloaded] *)
   alloc_jobs : int;
-      (** [jobs] inside each recompose's allocate stage. Default 1:
+      (** each session's {!Mbr_core.Flow.options} [jobs]: the fan-out
+          inside a recompose's allocate and skew stages. Default 1:
           with many concurrent sessions the executor already uses the
           machine; nested fan-out only helps a lone giant session. *)
   session_metrics : bool;
-      (** register per-session labeled series and per-verb labeled
-          latency (default [true]; turn off to bound registry growth
-          under hostile session churn) *)
+      (** register per-session labeled series (default [true]; turn off
+          to bound registry growth under hostile session churn) *)
   sample_period_s : float;
       (** {!Mbr_obs.Sampler} period; [<= 0] disables the sampler
           unless [prom_file] forces it (at 1 s) *)

@@ -19,8 +19,6 @@ let harsh = { name = "harsh"; cell = 1.30; wire = 1.50; setup = 1.20 }
 
 let named = [ typical; slow; fast; harsh ]
 
-let is_unit c = c.cell = 1.0 && c.wire = 1.0 && c.setup = 1.0
-
 let default = [| typical |]
 
 let make ~name ~cell ~wire ~setup =

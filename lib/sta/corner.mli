@@ -1,7 +1,7 @@
 (** Timing corners: multiplicative derate sets on the linear delay
     model. The {!Engine} analyzes one shared graph under every corner
-    of its active set; consumers read worst-corner slack through
-    {!Timing_view} rather than indexing corners by hand. *)
+    of its active set; consumers read worst-corner slack through the
+    engine's plain accessors rather than indexing corners by hand. *)
 
 type t = {
   name : string;
@@ -24,8 +24,6 @@ val harsh : t
 
 val named : t list
 (** The built-in corners, addressable by name in {!parse_set}. *)
-
-val is_unit : t -> bool
 
 val default : t array
 (** [[| typical |]] — the single-corner set every entry point assumes

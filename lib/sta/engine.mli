@@ -38,13 +38,13 @@
     arrival/required plane per corner over the single shared graph —
     every scan walks each arc once and relaxes all corners against the
     plan's per-corner delays, reading and writing unboxed doubles.
-    Plain accessors
-    ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report worst-corner
-    values (worst slack = min over per-corner slacks); use
-    {!corner_slack} / {!per_corner_wns_tns} to see individual corners,
-    or {!Timing_view} from consumer code. A single-[Corner.typical]
-    engine (the default) is bit-identical to the historical
-    single-corner engine: unit derates multiply by exactly 1.0. *)
+    Plain accessors ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report
+    worst-corner values (worst slack = min over per-corner slacks), and
+    they are what the composition flow reads; use {!corner_slack} /
+    {!per_corner_wns_tns} to see individual corners. A
+    single-[Corner.typical] engine (the default) is bit-identical to
+    the historical single-corner engine: unit derates multiply by
+    exactly 1.0. *)
 
 type config = {
   clock_period : float;  (** ps *)

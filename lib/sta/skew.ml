@@ -49,14 +49,13 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
      explicit oversubscribed fan-out (the parallel-equivalence
      property) call {!Engine.update_skews_touched} directly. *)
   let jobs = min jobs (Mbr_util.Pool.recommended_jobs ()) in
-  (* all slack reads go through the worst-corner view: under a
-     multi-corner set a sweep balances each register's worst D side
-     against its worst Q side, whichever corners those come from *)
-  let tv = Timing_view.of_engine eng in
+  (* every slack read is worst-corner: under a multi-corner set a sweep
+     balances each register's worst D side against its worst Q side,
+     whichever corners those come from *)
   Engine.refresh eng;
   let regs, slot = Engine.register_index eng in
   let n = Array.length regs in
-  let wns_before, tns_before = Timing_view.wns_tns tv in
+  let wns_before, tns_before = Engine.wns_tns eng in
   let clamp v = Float.max (-.config.bound) (Float.min config.bound v) in
   (* flat mirrors of the engine's skew table: snapshots are an
      Array.blit, restore is a diff — no per-sweep assoc lists *)
@@ -69,8 +68,8 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
   let crit i = Float.min sd.(i) sq.(i) in
   let refresh_slacks i =
     let r = regs.(i) in
-    sd.(i) <- Timing_view.reg_d_slack tv r;
-    sq.(i) <- Timing_view.reg_q_slack tv r
+    sd.(i) <- Engine.reg_d_slack eng r;
+    sq.(i) <- Engine.reg_q_slack eng r
   in
   if not full_sweep then
     for i = 0 to n - 1 do
@@ -98,8 +97,8 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
            let r = regs.(i) in
            let delta =
              step config
-               (Timing_view.reg_d_slack tv r)
-               (Timing_view.reg_q_slack tv r)
+               (Engine.reg_d_slack eng r)
+               (Engine.reg_q_slack eng r)
            in
            let next = clamp (cur.(i) +. delta) in
            if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
@@ -141,7 +140,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
              if r >= 0 && r < Array.length slot && slot.(r) >= 0 then
                refresh_slacks slot.(r))
            touched;
-       let wns, tns = Timing_view.wns_tns tv in
+       let wns, tns = Engine.wns_tns eng in
        if (tns, wns) > (!best_tns, !best_wns) then begin
          best_tns := tns;
          best_wns := wns;
@@ -155,7 +154,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
     if cur.(i) <> best.(i) then restore := (regs.(i), best.(i)) :: !restore
   done;
   if !restore <> [] then Engine.update_skews ~jobs eng !restore;
-  let wns_after, tns_after = Timing_view.wns_tns tv in
+  let wns_after, tns_after = Engine.wns_tns eng in
   let max_abs_skew =
     Array.fold_left (fun acc s -> Float.max acc (Float.abs s)) 0.0 best
   in

@@ -15,7 +15,6 @@ module Placement = Mbr_place.Placement
 module Floorplan = Mbr_place.Floorplan
 module Cell_lib = Mbr_liberty.Cell
 module Engine = Mbr_sta.Engine
-module Timing_view = Mbr_sta.Timing_view
 module Estimator = Mbr_route.Estimator
 module Synth = Mbr_cts.Synth
 module Power = Mbr_core.Power
@@ -407,7 +406,6 @@ let power ~config:cfg ~cts pl =
 let collect ?route_config ?cts_config eng lib =
   let pl = Engine.placement eng in
   let dsg = Placement.design pl in
-  let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
   let cts = Cts.synthesize ?config:cts_config pl in
   let route = Route.estimate ?config:route_config pl in
@@ -435,11 +433,11 @@ let collect ?route_config ?cts_config eng lib =
     clk_cap = cts.Synth.total_cap;
     clk_power = power.Power.clock_power;
     clk_power_frac = power.Power.clock_fraction;
-    tns = Timing_view.tns tv;
-    wns = Timing_view.wns tv;
-    failing = Timing_view.failing_endpoints tv;
-    endpoints = Timing_view.n_endpoints tv;
+    tns = Engine.tns eng;
+    wns = Engine.wns eng;
+    failing = Engine.failing_endpoints eng;
+    endpoints = Engine.n_endpoints eng;
     ovfl = route.Route.overflow_edges;
     utilization = Placement.utilization pl;
-    corners = Timing_view.per_corner tv;
+    corners = Engine.per_corner_wns_tns eng;
   }

@@ -1,4 +1,4 @@
-(* Parallel-allocate determinism: Allocate.run on a domain pool must
+(* Parallel-allocate determinism: Allocate.run_cached on a domain pool must
    return bit-identically the same selection as the serial path, for
    every allocator mode, on hand-built graphs and on randomly generated
    designs (the acceptance bar for running the per-block ILP fan-out in
@@ -9,7 +9,7 @@ module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
 module Spatial = Mbr_core.Spatial
 module Rect = Mbr_geom.Rect
-module Ugraph = Mbr_graph.Ugraph
+module Csr = Mbr_graph.Csr
 module Presets = Mbr_liberty.Presets
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
@@ -55,13 +55,13 @@ let row_graph n =
             center = Rect.center footprint;
           })
   in
-  let g = Ugraph.create n in
+  let g = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Ugraph.add_edge g i j
+      Csr.Builder.add_edge g i j
     done
   done;
-  { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos }
+  { Compat.adj = Csr.Builder.finish g; infos }
 
 let index_of (graph : Compat.graph) =
   let idx = Spatial.create () in
@@ -70,11 +70,14 @@ let index_of (graph : Compat.graph) =
     graph.Compat.infos;
   idx
 
+(* each run on a fresh cache, so every block is solved at [jobs] *)
 let run_with_jobs ~mode ~jobs ?(bound = 30) graph ~lib ~blocker_index =
   let config =
-    { Allocate.default_config with Allocate.jobs; partition_bound = bound }
+    { Allocate.default_config with Allocate.partition_bound = bound }
   in
-  Allocate.run ~mode ~config graph ~lib ~blocker_index
+  fst
+    (Allocate.run_cached ~mode ~config ~jobs (Allocate.create_cache ()) graph
+       ~lib ~blocker_index)
 
 let test_row_graphs_all_modes () =
   (* bound 5 so even small rows produce several blocks to fan out *)
@@ -99,13 +102,13 @@ let test_row_graphs_all_modes () =
     [ 0; 1; 7; 23; 40 ]
 
 let test_solve_block_matches_run () =
-  (* running solve_block + reduce by hand equals Allocate.run *)
+  (* running solve_block + reduce by hand equals the allocator *)
   let graph = row_graph 12 in
   let idx = index_of graph in
   let bound = 6 in
   let position i = graph.Compat.infos.(i).Compat.center in
   let blocks =
-    Mbr_graph.Kpart.partition_csr ~bound graph.Compat.adj ~position
+    Mbr_graph.Kpart.partition ~bound graph.Compat.adj ~position
   in
   let config =
     { Allocate.default_config with Allocate.partition_bound = bound }
@@ -118,7 +121,9 @@ let test_solve_block_matches_run () =
          blocks)
   in
   let manual = Allocate.reduce ~mode:`Ilp results in
-  let auto = Allocate.run ~config graph ~lib ~blocker_index:idx in
+  let auto =
+    run_with_jobs ~mode:`Ilp ~jobs:1 ~bound graph ~lib ~blocker_index:idx
+  in
   check "manual pipeline = run" true (key manual = key auto);
   check "block results carry candidates" true
     (Array.for_all (fun r -> r.Allocate.block_candidates > 0) results);
@@ -157,7 +162,7 @@ let design_inputs seed =
 
 let prop_parallel_equals_serial =
   QCheck2.Test.make ~count:8
-    ~name:"parallel Allocate.run = serial (random designs, all modes)"
+    ~name:"parallel run_cached = serial (random designs, all modes)"
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let graph, lib, idx = design_inputs seed in

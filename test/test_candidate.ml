@@ -7,7 +7,7 @@ module Compat = Mbr_core.Compat
 module Spatial = Mbr_core.Spatial
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
-module Ugraph = Mbr_graph.Ugraph
+module Csr = Mbr_graph.Csr
 module Presets = Mbr_liberty.Presets
 
 let check = Alcotest.(check bool)
@@ -39,13 +39,13 @@ let row_graph ?(bits = 1) ?(feas = 20.0) n =
             center = Rect.center footprint;
           })
   in
-  let g = Ugraph.create n in
+  let g = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Ugraph.add_edge g i j
+      Csr.Builder.add_edge g i j
     done
   done;
-  { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos }
+  { Compat.adj = Csr.Builder.finish g; infos }
 
 let index_of graph =
   let idx = Spatial.create () in

@@ -67,7 +67,7 @@ let streaming_matches_materialized =
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
       let graph = Compat.build_graph eng g.G.library in
       let position v = graph.Compat.infos.(v).Compat.center in
-      let blocks = Kpart.partition_csr graph.Compat.adj ~position in
+      let blocks = Kpart.partition graph.Compat.adj ~position in
       let blocker_index = blocker_index_of graph in
       let cfg = Candidate.default_config in
       let ok = ref true in

@@ -64,16 +64,21 @@ let check_same_selection (expected : Allocate.selection)
       Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
     expected.Allocate.merges sel.Allocate.merges
 
-(* Identity with run on a cold cache; total reuse on an unchanged
-   graph; a total miss once every register's slack drifts (the content
-   key sees slacks, not just member cids); identical selections every
-   time. *)
+(* A warm cache picks what a fresh cache does: total reuse on an
+   unchanged graph, a total miss once every register's slack drifts
+   (the content key sees slacks, not just member cids), and identical
+   selections every time. *)
 let test_run_cached_identity () =
   let g = G.generate (profile 3) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
   let graph = Compat.build_graph eng g.G.library in
   let index = blocker_index_of g.G.placement in
-  let plain = Allocate.run graph ~lib:g.G.library ~blocker_index:index in
+  let fresh graph =
+    fst
+      (Allocate.run_cached (Allocate.create_cache ()) graph ~lib:g.G.library
+         ~blocker_index:index)
+  in
+  let plain = fresh graph in
   let cache = Allocate.create_cache () in
   let cold, s_cold =
     Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
@@ -100,7 +105,7 @@ let test_run_cached_identity () =
           graph.Compat.infos;
     }
   in
-  let plain' = Allocate.run drifted ~lib:g.G.library ~blocker_index:index in
+  let plain' = fresh drifted in
   let miss, s_miss =
     Allocate.run_cached cache drifted ~lib:g.G.library ~blocker_index:index
   in

@@ -1,7 +1,8 @@
-(* Tests for Mbr_graph: Ugraph, Bron–Kerbosch (vs a brute-force maximal
-   clique oracle), connected components, K-partitioning. *)
+(* Tests for Mbr_graph: the undirected graph type (Csr), Bron–Kerbosch
+   (vs a brute-force maximal clique oracle), connected components,
+   K-partitioning. *)
 
-module Ugraph = Mbr_graph.Ugraph
+module Csr = Mbr_graph.Csr
 module Bk = Mbr_graph.Bron_kerbosch
 module Components = Mbr_graph.Components
 module Kpart = Mbr_graph.Kpart
@@ -13,74 +14,96 @@ let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let graph_of_edges n edges =
-  let g = Ugraph.create n in
-  List.iter (fun (a, b) -> Ugraph.add_edge g a b) edges;
-  g
+  let b = Csr.Builder.create n in
+  List.iter (fun (a, c) -> Csr.Builder.add_edge b a c) edges;
+  Csr.Builder.finish b
 
-(* ---- Ugraph ---- *)
+(* ---- the undirected graph type ---- *)
 
-let test_ugraph_basic () =
+let test_csr_basic () =
   let g = graph_of_edges 4 [ (0, 1); (1, 2) ] in
-  check "has 0-1" true (Ugraph.has_edge g 0 1);
-  check "symmetric" true (Ugraph.has_edge g 1 0);
-  check "no 0-2" false (Ugraph.has_edge g 0 2);
-  checki "edges" 2 (Ugraph.n_edges g);
-  checki "deg 1" 2 (Ugraph.degree g 1);
-  Alcotest.(check (list int)) "neighbors" [ 0; 2 ] (Ugraph.neighbors g 1)
+  check "has 0-1" true (Csr.has_edge g 0 1);
+  check "symmetric" true (Csr.has_edge g 1 0);
+  check "no 0-2" false (Csr.has_edge g 0 2);
+  checki "edges" 2 (Csr.n_edges g);
+  checki "deg 1" 2 (Csr.degree g 1);
+  Alcotest.(check (list int)) "neighbors" [ 0; 2 ] (Csr.neighbors g 1)
 
-let test_ugraph_idempotent_edges () =
+let test_csr_idempotent_edges () =
   let g = graph_of_edges 3 [ (0, 1); (0, 1); (1, 0) ] in
-  checki "one edge" 1 (Ugraph.n_edges g)
+  checki "one edge" 1 (Csr.n_edges g);
+  Alcotest.(check (list int)) "row deduplicated" [ 1 ] (Csr.neighbors g 0)
 
-let test_ugraph_self_loop () =
-  let g = Ugraph.create 2 in
-  Alcotest.check_raises "self loop" (Invalid_argument "Ugraph.add_edge: self-loop")
-    (fun () -> Ugraph.add_edge g 1 1)
+let test_csr_self_loop () =
+  let b = Csr.Builder.create 2 in
+  Alcotest.check_raises "self loop"
+    (Invalid_argument "Csr.Builder.add_edge: self-loop")
+    (fun () -> Csr.Builder.add_edge b 1 1)
 
-let test_ugraph_edges_sorted () =
+let test_csr_edges_sorted () =
   let g = graph_of_edges 4 [ (2, 3); (0, 1); (1, 3) ] in
   Alcotest.(check (list (pair int int))) "sorted" [ (0, 1); (1, 3); (2, 3) ]
-    (Ugraph.edges g)
+    (Csr.edges g)
 
-let test_ugraph_induced () =
+let test_csr_induced () =
   let g = graph_of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (0, 4) ] in
-  let sub = Ugraph.induced g [| 0; 1; 4 |] in
-  checki "3 nodes" 3 (Ugraph.n_nodes sub);
-  check "0-1 kept" true (Ugraph.has_edge sub 0 1);
-  check "0-4 kept (as 0-2)" true (Ugraph.has_edge sub 0 2);
-  check "1-4 absent" false (Ugraph.has_edge sub 1 2)
+  let sub = Csr.induced g [| 0; 1; 4 |] in
+  checki "3 nodes" 3 (Csr.n_nodes sub);
+  check "0-1 kept" true (Csr.has_edge sub 0 1);
+  check "0-4 kept (as 0-2)" true (Csr.has_edge sub 0 2);
+  check "1-4 absent" false (Csr.has_edge sub 1 2);
+  Alcotest.check_raises "duplicate node"
+    (Invalid_argument "Csr.induced: duplicate node")
+    (fun () -> ignore (Csr.induced g [| 0; 0 |]))
 
-let test_ugraph_is_clique () =
+let test_csr_is_clique () =
   let g = graph_of_edges 4 [ (0, 1); (0, 2); (1, 2) ] in
-  check "triangle" true (Ugraph.is_clique g [ 0; 1; 2 ]);
-  check "not clique" false (Ugraph.is_clique g [ 0; 1; 3 ]);
-  check "singleton" true (Ugraph.is_clique g [ 3 ]);
-  check "empty" true (Ugraph.is_clique g [])
+  check "triangle" true (Csr.is_clique g [ 0; 1; 2 ]);
+  check "not clique" false (Csr.is_clique g [ 0; 1; 3 ]);
+  check "singleton" true (Csr.is_clique g [ 3 ]);
+  check "empty" true (Csr.is_clique g [])
 
+(* Smallest-last: each node, when it is taken, has the minimum degree
+   among the nodes not yet taken. *)
 let test_degeneracy_order () =
   let g = graph_of_edges 5 [ (0, 1); (0, 2); (1, 2); (3, 0) ] in
-  let order = Ugraph.degeneracy_order g in
+  let order = Bk.degeneracy_order g in
   checki "permutation length" 5 (Array.length order);
   let sorted = Array.copy order in
   Array.sort compare sorted;
-  Alcotest.(check (array int)) "is permutation" [| 0; 1; 2; 3; 4 |] sorted
+  Alcotest.(check (array int)) "is permutation" [| 0; 1; 2; 3; 4 |] sorted;
+  let taken = Array.make 5 false in
+  let live_degree v =
+    Csr.fold_neighbors g v (fun acc w -> if taken.(w) then acc else acc + 1) 0
+  in
+  Array.iter
+    (fun v ->
+      for w = 0 to 4 do
+        if not taken.(w) then
+          check
+            (Printf.sprintf "%d taken before %d has min degree" v w)
+            true
+            (live_degree v <= live_degree w)
+      done;
+      taken.(v) <- true)
+    order
 
 (* ---- Bron–Kerbosch ---- *)
 
 let brute_maximal_cliques g =
   (* all maximal cliques by subset enumeration; n <= ~15 *)
-  let n = Ugraph.n_nodes g in
+  let n = Csr.n_nodes g in
   let cliques = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
     let members = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
-    if Ugraph.is_clique g members then begin
+    if Csr.is_clique g members then begin
       (* maximal iff no external vertex adjacent to all *)
       let maximal =
         not
           (List.exists
              (fun v ->
                (not (List.mem v members))
-               && List.for_all (fun m -> Ugraph.has_edge g v m) members)
+               && List.for_all (fun m -> Csr.has_edge g v m) members)
              (List.init n Fun.id))
       in
       if maximal then cliques := members :: !cliques
@@ -94,18 +117,19 @@ let test_bk_triangle_plus_edge () =
     (Bk.maximal_cliques g)
 
 let test_bk_isolated_nodes () =
-  let g = Ugraph.create 3 in
+  let g = graph_of_edges 3 [] in
   Alcotest.(check (list (list int))) "singletons" [ [ 0 ]; [ 1 ]; [ 2 ] ]
     (Bk.maximal_cliques g)
 
 let test_bk_complete_graph () =
   let n = 6 in
-  let g = Ugraph.create n in
+  let b = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Ugraph.add_edge g i j
+      Csr.Builder.add_edge b i j
     done
   done;
+  let g = Csr.Builder.finish b in
   Alcotest.(check (list (list int))) "one clique" [ List.init n Fun.id ]
     (Bk.maximal_cliques g);
   checki "max size" n (Bk.max_clique_size g)
@@ -128,13 +152,13 @@ let test_bk_count () =
   checki "path cliques" 4 (Bk.count_maximal_cliques g)
 
 let random_graph rng n p =
-  let g = Ugraph.create n in
+  let b = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Rng.chance rng p then Ugraph.add_edge g i j
+      if Rng.chance rng p then Csr.Builder.add_edge b i j
     done
   done;
-  g
+  Csr.Builder.finish b
 
 let bk_matches_oracle =
   QCheck.Test.make ~name:"Bron-Kerbosch = brute-force maximal cliques" ~count:150
@@ -153,12 +177,12 @@ let bk_all_are_cliques_and_maximal =
       let g = random_graph rng n 0.4 in
       List.for_all
         (fun c ->
-          Ugraph.is_clique g c
+          Csr.is_clique g c
           && not
                (List.exists
                   (fun v ->
                     (not (List.mem v c))
-                    && List.for_all (fun m -> Ugraph.has_edge g v m) c)
+                    && List.for_all (fun m -> Csr.has_edge g v m) c)
                   (List.init n Fun.id)))
         (Bk.maximal_cliques g))
 
@@ -183,10 +207,7 @@ let grid_position n i =
 
 let test_kpart_respects_bound () =
   let n = 100 in
-  let g = Ugraph.create n in
-  for i = 0 to n - 2 do
-    Ugraph.add_edge g i (i + 1)
-  done;
+  let g = graph_of_edges n (List.init (n - 1) (fun i -> (i, i + 1))) in
   let blocks = Kpart.partition ~bound:30 g ~position:(grid_position n) in
   List.iter (fun b -> check "bound" true (List.length b <= 30)) blocks;
   checki "all nodes once" n (List.length (List.concat blocks));
@@ -209,7 +230,7 @@ let test_kpart_never_straddles_components () =
     blocks
 
 let test_kpart_invalid_bound () =
-  let g = Ugraph.create 2 in
+  let g = graph_of_edges 2 [] in
   Alcotest.check_raises "bound" (Invalid_argument "Kpart.partition: bound < 1")
     (fun () -> ignore (Kpart.partition ~bound:0 g ~position:(grid_position 2)))
 
@@ -243,14 +264,15 @@ let kpart_partition_property =
 let () =
   Alcotest.run "mbr_graph"
     [
+      (* the undirected graph type, Csr *)
       ( "ugraph",
         [
-          Alcotest.test_case "basic" `Quick test_ugraph_basic;
-          Alcotest.test_case "idempotent edges" `Quick test_ugraph_idempotent_edges;
-          Alcotest.test_case "self loop" `Quick test_ugraph_self_loop;
-          Alcotest.test_case "edges sorted" `Quick test_ugraph_edges_sorted;
-          Alcotest.test_case "induced" `Quick test_ugraph_induced;
-          Alcotest.test_case "is_clique" `Quick test_ugraph_is_clique;
+          Alcotest.test_case "basic" `Quick test_csr_basic;
+          Alcotest.test_case "idempotent edges" `Quick test_csr_idempotent_edges;
+          Alcotest.test_case "self loop" `Quick test_csr_self_loop;
+          Alcotest.test_case "edges sorted" `Quick test_csr_edges_sorted;
+          Alcotest.test_case "induced" `Quick test_csr_induced;
+          Alcotest.test_case "is_clique" `Quick test_csr_is_clique;
           Alcotest.test_case "degeneracy order" `Quick test_degeneracy_order;
         ] );
       ( "bron_kerbosch",

@@ -59,7 +59,7 @@ let test_wide_weights () =
   checkf "AEC 6 bits" (1.0 /. 6.0) (w [ "A"; "C"; "E" ])
 
 let test_fig1_maximal_cliques () =
-  let cliques = Bk.maximal_cliques (Mbr_graph.Csr.to_ugraph t.PE.graph.Compat.adj) in
+  let cliques = Bk.maximal_cliques t.PE.graph.Compat.adj in
   (* {A,B,C,D}, {A,C,E}, {B,C,F} — the cliques the paper discusses *)
   Alcotest.(check (list (list int)))
     "cliques" [ [ 0; 1; 2; 3 ]; [ 0; 2; 4 ]; [ 1; 2; 5 ] ] cliques

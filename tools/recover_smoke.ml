@@ -52,7 +52,7 @@ let period =
   let g = G.generate profile in
   let eng = Mbr_sta.Engine.build ~config:g.G.sta_config ~corners g.G.placement in
   Mbr_sta.Engine.analyze eng;
-  let wns, _ = Mbr_sta.Timing_view.wns_tns (Mbr_sta.Timing_view.of_engine eng) in
+  let wns, _ = Mbr_sta.Engine.wns_tns eng in
   g.G.sta_config.Mbr_sta.Engine.clock_period -. Float.min wns 0.0
 
 (* compose under typical, misplace the composed banks, widen the
