@@ -101,8 +101,21 @@ module Common_args = struct
     Arg.(value & flag & info [ "no-incomplete" ] ~doc:"Disallow incomplete MBRs.")
 
   let bound_arg =
-    Arg.(value & opt int 30 & info [ "bound" ] ~docv:"N"
-           ~doc:"K-partition node bound (paper: 30).")
+    let hi = Candidate.max_block_size in
+    let in_range =
+      Arg.conv ~docv:"N"
+        ( (fun v ->
+            match int_of_string_opt v with
+            | Some n when n >= 1 && n <= hi -> Ok n
+            | Some _ | None ->
+              Error
+                (`Msg (Printf.sprintf "expected an integer in 1..%d, got %S" hi v))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt in_range 30 & info [ "bound" ] ~docv:"N"
+           ~doc:(Printf.sprintf
+                   "K-partition node bound (paper: 30; 1 to %d, the widest \
+                    block a member-set bit mask covers)." hi))
 
   let decompose_arg =
     Arg.(value & flag & info [ "decompose" ]

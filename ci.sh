@@ -22,7 +22,7 @@ echo "== ILP kernel (staged solver = oracle; reductions ablation; pool order) ==
 dune exec test/test_ilp.exe > /dev/null
 dune exec test/test_pool.exe > /dev/null
 
-echo "== CLI usage errors (a bad profile or log level is rejected with exit 124) =="
+echo "== CLI usage errors (a bad profile, log level or partition bound is rejected with exit 124) =="
 usage_error() {
   status=0
   dune exec "$@" > /dev/null 2>&1 || status=$?
@@ -31,6 +31,8 @@ usage_error() {
 }
 usage_error bin/mbrc.exe -- run -p bogus
 usage_error bin/mbrc.exe -- run -p tiny --log-level bogus
+usage_error bin/mbrc.exe -- run -p tiny --bound 0
+usage_error bin/mbrc.exe -- run -p tiny --bound 63
 usage_error bin/mbrd.exe -- --log-level bogus
 
 echo "== examples (build + execute) =="

@@ -55,13 +55,12 @@ let singleton_of (infos : Compat.reg_info array) v =
    enumeration is never buffered as a separate list alongside the
    problem — the per-block vector the chosen indices resolve against is
    the only copy, and nothing outlives the block solve. *)
-let solve_block_ilp ?cancel cfg (graph : Compat.graph) ~lib ~blocker_index
-    block =
+let solve_block_ilp ?cancel cfg (graph : Compat.graph) ~lib ~blockers block =
   (* element ids = positions of nodes within the block *)
   let pos = Hashtbl.create 32 in
   List.iteri (fun k v -> Hashtbl.replace pos v k) block;
   let cands = Vec.create () in
-  Candidate.iter cfg.candidate graph ~block ~lib ~blocker_index (fun c ->
+  Candidate.iter cfg.candidate graph ~block ~lib ~blockers (fun c ->
       ignore (Vec.push cands c));
   let n_cands = Vec.length cands in
   let problem =
@@ -195,7 +194,7 @@ let m_cache_miss = Mbr_obs.Metrics.counter "alloc.cache.miss"
 
 let solve_block ?(block_id = -1)
     ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp) ?cancel config graph
-    ~lib ~blocker_index ~block =
+    ~lib ~blockers ~block =
   (* [timed_span] hands back the duration measured by the same pair of
      clock reads that bound the trace span, so [solve_time_s] and the
      trace agree exactly (and no wall-clock syscall pair remains). *)
@@ -209,10 +208,10 @@ let solve_block ?(block_id = -1)
         ]
       (fun () ->
         match mode with
-        | `Ilp -> solve_block_ilp ?cancel config graph ~lib ~blocker_index block
+        | `Ilp -> solve_block_ilp ?cancel config graph ~lib ~blockers block
         | `Greedy_share ->
           let cands =
-            Candidate.enumerate config.candidate graph ~block ~lib ~blocker_index
+            Candidate.enumerate config.candidate graph ~block ~lib ~blockers
           in
           let n = List.length cands in
           let chosen, cost, opt = solve_block_share cands in
@@ -317,15 +316,15 @@ type cache_stats = { blocks_resolved : int; blocks_reused : int }
 
 (* Everything [solve_block] reads about a block, serialized: the mode,
    the candidate/solver knobs, the member snapshots in block order, the
-   in-block adjacency as member positions, and the blocker-index
-   entries that any weight query for this block can see (every test
-   polygon is a hull of member footprints, so its bbox lies inside the
-   union bbox of the members' footprints). Two blocks with equal keys
-   are solved identically up to node renumbering, which member cids
-   undo. The library is deliberately absent: it is immutable and fixed
-   for the life of a session's cache. *)
+   in-block adjacency as member positions, and the block's blocker
+   entries ([Candidate.blockers]: the union bbox of the members'
+   footprints, which holds every test polygon's bbox), sorted. Two
+   blocks with equal keys are solved identically up to node
+   renumbering, which member cids undo. The library is deliberately
+   absent: it is immutable and fixed for the life of a session's
+   cache. *)
 let block_key ~(mode : [ `Ilp | `Greedy_share | `Clique ]) config
-    (graph : Compat.graph) ~blocker_index ~block =
+    (graph : Compat.graph) ~blockers ~block =
   let infos = graph.Compat.infos in
   let member_infos = List.map (fun v -> infos.(v)) block in
   let arr = Array.of_list block in
@@ -336,19 +335,13 @@ let block_key ~(mode : [ `Ilp | `Greedy_share | `Clique ]) config
       if Csr.has_edge graph.Compat.adj arr.(i) arr.(j) then adj := (i, j) :: !adj
     done
   done;
-  let blockers =
-    match member_infos with
-    | [] -> []
-    | info0 :: rest ->
-      let bbox =
-        List.fold_left
-          (fun acc (i : Compat.reg_info) -> Mbr_geom.Rect.union acc i.Compat.footprint)
-          info0.Compat.footprint rest
-      in
-      List.sort compare (Spatial.query_rect blocker_index bbox)
-  in
   Marshal.to_string
-    (mode, config.candidate, config.node_limit, member_infos, !adj, blockers)
+    ( mode,
+      config.candidate,
+      config.node_limit,
+      member_infos,
+      !adj,
+      List.sort compare blockers )
     [ Marshal.No_sharing ]
 
 (* A cached cover is valid for a new graph revision modulo node
@@ -371,10 +364,23 @@ let remap_result cid_ix r =
 let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
     ?(config = default_config) ?(jobs = 1) ?cancel cache graph ~lib
     ~blocker_index =
+  if
+    config.partition_bound < 1
+    || config.partition_bound > Candidate.max_block_size
+  then
+    invalid_arg
+      (Printf.sprintf "Allocate.run_cached: partition_bound %d outside [1, %d]"
+         config.partition_bound Candidate.max_block_size);
   let blocks = partition_blocks config graph in
   let nb = Array.length blocks in
+  (* one blocker query per block, shared by its cache key and its solve *)
+  let blockers =
+    Array.map (fun block -> Candidate.blockers graph ~block blocker_index) blocks
+  in
   let keys =
-    Array.map (fun block -> block_key ~mode config graph ~blocker_index ~block) blocks
+    Array.mapi
+      (fun i block -> block_key ~mode config graph ~blockers:blockers.(i) ~block)
+      blocks
   in
   let infos = graph.Compat.infos in
   let cid_ix = Hashtbl.create (max 16 (Array.length infos)) in
@@ -394,8 +400,8 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
   let solve i =
     (* one token, every worker: the flag is atomic, so a single cancel
        winds down the whole fan-out at each block's next search node *)
-    solve_block ~block_id:i ~mode ?cancel config graph ~lib ~blocker_index
-      ~block:blocks.(i)
+    solve_block ~block_id:i ~mode ?cancel config graph ~lib
+      ~blockers:blockers.(i) ~block:blocks.(i)
   in
   let solved =
     (* jobs = 1: the serial code path, no pool involved *)

@@ -24,8 +24,9 @@
 
     {b Read-only sharing invariant.} [solve_block] only {e reads} the
     inputs it shares with its siblings — [graph] (both [infos] and the
-    adjacency), the library, and the blocker index. None of those are
-    written {e during the fan-out}: the compat graph is frozen while
+    adjacency), the library, and the blocker entries queried from the
+    blocker index before the fan-out. None of those are written {e
+    during the fan-out}: the compat graph is frozen while
     blocks are being solved and revised only between fan-outs (an ECO
     session swaps in a fresh value from {!Compat.refresh}, it never
     mutates one in place), the library is immutable, and the blocker
@@ -34,8 +35,8 @@
     refs, the branch-and-bound state) is created inside the call. This
     is what makes it legal to fan the blocks out over a
     {!Mbr_util.Pool} of domains, and it must be preserved by future
-    changes (see also the notes on {!Candidate.enumerate}, {!Weight}
-    and {!Spatial.query_rect}).
+    changes (see also the notes on {!Candidate.iter}, where each
+    block's {!Weight.view} is built, and {!Spatial.query_rect}).
 
     {b Determinism.} Results are stored by block index and [reduce]
     folds them in block order, performing exactly the additions and
@@ -46,7 +47,9 @@
 
 type config = {
   candidate : Candidate.config;
-  partition_bound : int;  (** default 30 *)
+  partition_bound : int;
+      (** default 30; {!run_cached} accepts 1 ..
+          {!Candidate.max_block_size} *)
   node_limit : int;  (** branch-and-bound cap per block *)
 }
 
@@ -88,12 +91,14 @@ val solve_block :
   config ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
+  blockers:(Mbr_netlist.Types.cell_id * Mbr_geom.Point.t) list ->
   block:int list ->
   block_result
-(** Enumerate and solve one partition block. Pure with respect to its
-    arguments (reads only — see the sharing invariant above); safe to
-    call concurrently from multiple domains on the same graph.
+(** Enumerate and solve one partition block; [blockers] is the block's
+    {!Candidate.blockers}. Pure with respect to its arguments (reads
+    only — see the sharing invariant above); safe to call concurrently
+    from multiple domains on the same graph. Raises [Invalid_argument]
+    on a block of more than {!Candidate.max_block_size} nodes.
 
     Each call runs under an ["alloc.solve_block"] trace span carrying
     the block id ([block_id], default [-1]; {!run_cached} passes the
@@ -167,6 +172,12 @@ val run_cached :
     its incumbent, remaining blocks return their greedy seed almost
     immediately (blocks whose incumbent meets the root LP bound never
     search at all and stay proven optimal).
+
+    Each block's blocker entries are queried once ({!Candidate.blockers})
+    and serve both its cache key and its solve. Raises
+    [Invalid_argument] when [config.partition_bound] is outside 1 ..
+    {!Candidate.max_block_size}: a block wider than a bit mask cannot
+    be enumerated.
 
     Hits and misses also bump the [alloc.cache.hit] /
     [alloc.cache.miss] registry counters (the same split this function

@@ -142,20 +142,25 @@ let node t name =
   in
   find 0
 
+let block t = List.init (Array.length t.names) Fun.id
+
+(* The enumeration's own kernel: a view of the whole example (node i at
+   position i), queried with the member mask. *)
 let weight_of t member_names =
   let members = List.map (node t) member_names in
   match members with
   | [ _ ] -> 1.0
   | _ ->
     let infos = t.graph.Compat.infos in
-    let rects = List.map (fun i -> infos.(i).Compat.footprint) members in
-    let polygon = Weight.test_polygon rects in
-    let constituents = List.map (fun i -> infos.(i).Compat.cid) members in
-    let blockers =
-      Weight.count_blockers ~polygon ~constituents ~index:t.blocker_index
+    let view =
+      Weight.view
+        ~footprints:(Array.map (fun i -> i.Compat.footprint) infos)
+        ~cids:(Array.map (fun i -> i.Compat.cid) infos)
+        (Candidate.blockers t.graph ~block:(block t) t.blocker_index)
     in
+    let mask = List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 members in
     let bits = List.fold_left (fun acc i -> acc + infos.(i).Compat.bits) 0 members in
-    Weight.formula ~bits ~blockers
+    Weight.formula ~bits ~blockers:(Weight.blockers view mask)
 
 let candidates ?(allow_incomplete = false) ?(incomplete_area_overhead = 0.05) t =
   let cfg =
@@ -166,8 +171,8 @@ let candidates ?(allow_incomplete = false) ?(incomplete_area_overhead = 0.05) t 
       use_weights = true;
     }
   in
-  Candidate.enumerate cfg t.graph ~block:[ 0; 1; 2; 3; 4; 5 ] ~lib:t.library
-    ~blocker_index:t.blocker_index
+  Candidate.enumerate cfg t.graph ~block:(block t) ~lib:t.library
+    ~blockers:(Candidate.blockers t.graph ~block:(block t) t.blocker_index)
 
 let solve ?allow_incomplete ?incomplete_area_overhead t =
   let cands = candidates ?allow_incomplete ?incomplete_area_overhead t in

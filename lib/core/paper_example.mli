@@ -25,8 +25,9 @@ val node : t -> string -> int
 
 val weight_of : t -> string list -> float
 (** Weight of the candidate formed by the named registers (the Fig. 3
-    table), computed with the real hull/blocker machinery. Singletons
-    cost 1. *)
+    table), counted by the kernel {!Candidate.iter} weighs with: a
+    {!Weight.view} of the example, queried with the members' mask.
+    Singletons cost 1. *)
 
 val candidates :
   ?allow_incomplete:bool ->

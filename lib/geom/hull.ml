@@ -1,74 +1,100 @@
-let dedup_sorted pts =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | [ p ] -> List.rev (p :: acc)
-    | p :: (q :: _ as rest) ->
-      if Point.equal ~eps:0.0 p q then go acc rest else go (p :: acc) rest
-  in
-  go [] pts
+type t = { mutable len : int; xs : float array; ys : float array }
 
-(* Andrew's monotone chain. Returns CCW vertices, first vertex not
-   repeated. Strictly convex output: collinear boundary points dropped. *)
-let convex pts =
-  let pts = dedup_sorted (List.sort Point.compare_lex pts) in
-  match pts with
-  | [] | [ _ ] | [ _; _ ] -> pts
-  | _ ->
-    let build input =
-      List.fold_left
-        (fun chain p ->
-          let rec pop = function
-            | b :: a :: rest when Point.cross ~o:a b p <= 0.0 -> pop (a :: rest)
-            | chain -> chain
-          in
-          p :: pop chain)
-        [] input
-    in
-    let lower = build pts in
-    let upper = build (List.rev pts) in
-    (* Each chain ends with its endpoint duplicated in the other chain. *)
-    let drop_last l = List.rev (List.tl (List.rev l)) in
-    let hull = drop_last (List.rev lower) @ drop_last (List.rev upper) in
-    (match hull with
-    | [] | [ _ ] -> dedup_sorted (List.sort Point.compare_lex hull)
-    | _ -> hull)
+(* The monotone chain's stack holds the lower chain plus the upper one:
+   at most 2n entries for n input points. *)
+let create capacity =
+  if capacity < 0 then invalid_arg "Hull.create: negative capacity";
+  let cap = (2 * capacity) + 1 in
+  { len = 0; xs = Array.make cap 0.0; ys = Array.make cap 0.0 }
 
-let seg_distance (a : Point.t) (b : Point.t) (p : Point.t) =
-  let abx = b.x -. a.x and aby = b.y -. a.y in
-  let len2 = (abx *. abx) +. (aby *. aby) in
-  if len2 <= 0.0 then Point.euclid a p
+let length h = h.len
+
+let vertex h i =
+  if i < 0 || i >= h.len then invalid_arg "Hull.vertex: index out of range";
+  Point.make h.xs.(i) h.ys.(i)
+
+(* Point.cross ~o a b, on coordinates *)
+let cross ox oy ax ay bx by =
+  ((ax -. ox) *. (by -. oy)) -. ((ay -. oy) *. (bx -. ox))
+
+(* Andrew's monotone chain over the stack [h.xs]/[h.ys]: the lower
+   chain left to right, then the upper chain right to left on top of
+   it; a point pops the top while the turn to it is not strictly left
+   (so collinear boundary points are dropped). The upper chain ends on
+   the first point again, which is not kept. *)
+let of_sorted h xs ys n =
+  if n < 0 || (2 * n) + 1 > Array.length h.xs then
+    invalid_arg "Hull.of_sorted: more points than the buffer holds";
+  if n <= 2 then begin
+    Array.blit xs 0 h.xs 0 n;
+    Array.blit ys 0 h.ys 0 n;
+    h.len <- n
+  end
   else begin
-    let t = (((p.x -. a.x) *. abx) +. ((p.y -. a.y) *. aby)) /. len2 in
-    let t = Float.max 0.0 (Float.min 1.0 t) in
-    Point.euclid (Point.make (a.x +. (t *. abx)) (a.y +. (t *. aby))) p
+    let hx = h.xs and hy = h.ys in
+    let k = ref 0 in
+    let push floor i =
+      let px = xs.(i) and py = ys.(i) in
+      while
+        !k >= floor
+        && cross hx.(!k - 2) hy.(!k - 2) hx.(!k - 1) hy.(!k - 1) px py <= 0.0
+      do
+        decr k
+      done;
+      hx.(!k) <- px;
+      hy.(!k) <- py;
+      incr k
+    in
+    for i = 0 to n - 1 do
+      push 2 i
+    done;
+    let floor = !k + 1 in
+    for i = n - 2 downto 0 do
+      push floor i
+    done;
+    (* both chains hold at least their two end points, so three or more
+       distinct points always leave at least two vertices *)
+    h.len <- !k - 1
   end
 
-let contains hull p =
-  match hull with
-  | [] -> false
-  | [ a ] -> Point.euclid a p <= 1e-9
-  | [ a; b ] -> seg_distance a b p <= 1e-9
-  | _ ->
-    let n = List.length hull in
-    let arr = Array.of_list hull in
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      let a = arr.(i) and b = arr.((i + 1) mod n) in
-      if Point.cross ~o:a b p < -1e-9 then ok := false
-    done;
-    !ok
+let euclid ax ay bx by =
+  let dx = ax -. bx and dy = ay -. by in
+  sqrt ((dx *. dx) +. (dy *. dy))
 
-let area hull =
-  match hull with
-  | [] | [ _ ] | [ _; _ ] -> 0.0
-  | _ ->
-    let arr = Array.of_list hull in
-    let n = Array.length arr in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      let a : Point.t = arr.(i) and b : Point.t = arr.((i + 1) mod n) in
-      acc := !acc +. ((a.x *. b.y) -. (b.x *. a.y))
-    done;
-    Float.abs !acc /. 2.0
+let seg_distance ax ay bx by px py =
+  let abx = bx -. ax and aby = by -. ay in
+  let len2 = (abx *. abx) +. (aby *. aby) in
+  if len2 <= 0.0 then euclid ax ay px py
+  else begin
+    let t = (((px -. ax) *. abx) +. ((py -. ay) *. aby)) /. len2 in
+    let t = Float.max 0.0 (Float.min 1.0 t) in
+    euclid (ax +. (t *. abx)) (ay +. (t *. aby)) px py
+  end
 
-let of_rects rects = convex (List.concat_map Rect.corners rects)
+let contains h px py =
+  let xs = h.xs and ys = h.ys in
+  match h.len with
+  | 0 -> false
+  | 1 -> euclid xs.(0) ys.(0) px py <= 1e-9
+  | 2 -> seg_distance xs.(0) ys.(0) xs.(1) ys.(1) px py <= 1e-9
+  | n ->
+    let rec edges i =
+      if i = n then true
+      else begin
+        let j = if i = n - 1 then 0 else i + 1 in
+        (not (cross xs.(i) ys.(i) xs.(j) ys.(j) px py < -1e-9)) && edges (i + 1)
+      end
+    in
+    edges 0
+
+let bbox h =
+  if h.len = 0 then invalid_arg "Hull.bbox: empty hull";
+  let lx = ref h.xs.(0) and hx = ref h.xs.(0) in
+  let ly = ref h.ys.(0) and hy = ref h.ys.(0) in
+  for i = 1 to h.len - 1 do
+    lx := Float.min !lx h.xs.(i);
+    hx := Float.max !hx h.xs.(i);
+    ly := Float.min !ly h.ys.(i);
+    hy := Float.max !hy h.ys.(i)
+  done;
+  { Rect.lx = !lx; ly = !ly; hx = !hx; hy = !hy }

@@ -143,6 +143,9 @@ type t = {
          and clears the flags. *)
   mutable n_plan_builds : int;
   mutable n_plan_patches : int;
+  plan_srcs : ivec;
+      (* a plan make's dirty-pin arc sources, in pin order: the count
+         pass records them, the fill pass reads them back *)
   mutable reg_cache : (int * Types.cell_id array * int array) option;
       (* design revision, registers in [Design.registers] order, dense
          cell-id -> slot map (-1 for non-registers) *)
@@ -416,6 +419,7 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
       plan_dirty = Bytes.empty;
       n_plan_builds = 0;
       n_plan_patches = 0;
+      plan_srcs = ivec_create ();
       reg_cache = None;
       analyzed = false;
       dsg_cursor = 0;
@@ -588,14 +592,17 @@ let make_plan t =
   let on = Array.length o.st_slot in
   let flags = t.plan_dirty in
   let dirty pid = pid >= on || Bytes.unsafe_get flags pid <> '\000' in
-  (* pred CSR *)
+  (* pred CSR: a dirty pin's arcs are derived once, their sources
+     recorded in [srcs] for the fill pass *)
+  let srcs = t.plan_srcs in
+  srcs.iv_len <- 0;
   let pr_off = Array.make (n + 1) 0 in
   for pid = 0 to n - 1 do
     let len =
       if dirty pid then begin
-        let c = ref 0 in
-        iter_in_arcs t pid (fun _ -> incr c);
-        !c
+        let before = srcs.iv_len in
+        iter_in_arcs t pid (ivec_push srcs);
+        srcs.iv_len - before
       end
       else o.pr_off.(pid + 1) - o.pr_off.(pid)
     in
@@ -615,6 +622,7 @@ let make_plan t =
   in
   let cfg = t.cfg in
   let run = ref (-1) in
+  let next_src = ref 0 in
   for pid = 0 to n - 1 do
     if not (dirty pid) then begin
       if !run < 0 then run := pid
@@ -630,30 +638,31 @@ let make_plan t =
            memo, wire-derated *)
         let cell = Bytes.unsafe_get t.role pid = 'o' in
         let cell_base = if cell then comb_base t pid else 0.0 in
-        let j = ref pr_off.(pid) in
-        iter_in_arcs t pid (fun s ->
-            pr_src.(!j) <- s;
-            if cell then
-              for k = 0 to nc - 1 do
-                pr_delay.((!j * nc) + k) <- cell_base *. t.corners.(k).Corner.cell
-              done
-            else begin
-              let base =
-                if pin_geometry t s && pin_geometry t pid then begin
-                  let len =
-                    Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
-                    +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
-                  in
-                  cfg.wire_res *. len
-                  *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
-                end
-                else 0.0
-              in
-              for k = 0 to nc - 1 do
-                pr_delay.((!j * nc) + k) <- base *. t.corners.(k).Corner.wire
-              done
-            end;
-            incr j)
+        for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
+          let s = srcs.iv_a.(!next_src) in
+          incr next_src;
+          pr_src.(j) <- s;
+          if cell then
+            for k = 0 to nc - 1 do
+              pr_delay.((j * nc) + k) <- cell_base *. t.corners.(k).Corner.cell
+            done
+          else begin
+            let base =
+              if pin_geometry t s && pin_geometry t pid then begin
+                let len =
+                  Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
+                  +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
+                in
+                cfg.wire_res *. len
+                *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
+              end
+              else 0.0
+            in
+            for k = 0 to nc - 1 do
+              pr_delay.((j * nc) + k) <- base *. t.corners.(k).Corner.wire
+            done
+          end
+        done
       end
     end
   done;

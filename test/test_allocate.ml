@@ -115,6 +115,22 @@ let test_partition_bound_respected () =
       check "merge within a block" true (List.length c.Candidate.members <= 10))
     sel.Allocate.merges
 
+let test_bound_range () =
+  let graph = row_graph 5 in
+  let run bound =
+    allocate
+      ~config:{ Allocate.default_config with Allocate.partition_bound = bound }
+      graph ~lib ~blocker_index:(index_of graph)
+  in
+  List.iter
+    (fun bound ->
+      match run bound with
+      | _ -> Alcotest.failf "partition_bound %d was accepted" bound
+      | exception Invalid_argument _ -> ())
+    [ 0; Candidate.max_block_size + 1 ];
+  check "the widest bound runs" true
+    (exact_cover graph (run Candidate.max_block_size))
+
 let test_empty_graph () =
   let graph = row_graph 0 in
   let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
@@ -158,6 +174,7 @@ let () =
           Alcotest.test_case "exact cover" `Quick test_exact_cover_small;
           Alcotest.test_case "eight into one" `Quick test_full_merge_of_eight;
           Alcotest.test_case "partition bound" `Quick test_partition_bound_respected;
+          Alcotest.test_case "bound range" `Quick test_bound_range;
           Alcotest.test_case "empty graph" `Quick test_empty_graph;
           Alcotest.test_case "isolated kept" `Quick test_isolated_nodes_kept;
         ] );

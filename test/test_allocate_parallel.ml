@@ -117,7 +117,9 @@ let test_solve_block_matches_run () =
     Array.of_list
       (List.map
          (fun block ->
-           Allocate.solve_block config graph ~lib ~blocker_index:idx ~block)
+           Allocate.solve_block config graph ~lib
+             ~blockers:(Candidate.blockers graph ~block idx)
+             ~block)
          blocks)
   in
   let manual = Allocate.reduce ~mode:`Ilp results in

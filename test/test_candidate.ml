@@ -55,9 +55,9 @@ let index_of graph =
   idx
 
 let enumerate ?(cfg = Candidate.default_config) graph =
-  let n = Array.length graph.Compat.infos in
-  Candidate.enumerate cfg graph ~block:(List.init n Fun.id) ~lib
-    ~blocker_index:(index_of graph)
+  let block = List.init (Array.length graph.Compat.infos) Fun.id in
+  Candidate.enumerate cfg graph ~block ~lib
+    ~blockers:(Candidate.blockers graph ~block (index_of graph))
 
 let members_sets cands = List.map (fun c -> c.Candidate.members) cands
 
@@ -188,6 +188,20 @@ let test_cap_respected () =
   (* the DFS path counts nodes; output is bounded accordingly *)
   check "bounded output" true (List.length cands <= 60)
 
+let test_block_size_limit () =
+  (* a member set is a bit mask over block positions: 62 nodes is the
+     widest block that fits, 63 is refused *)
+  let cands = enumerate (row_graph 62) in
+  checki "singletons for all 62" 62
+    (List.length (List.filter Candidate.is_singleton cands));
+  check "the highest position merges" true
+    (List.exists
+       (fun c -> List.length c.Candidate.members > 1 && List.mem 61 c.Candidate.members)
+       cands);
+  match enumerate (row_graph 63) with
+  | _ -> Alcotest.fail "a 63-node block was enumerated"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "mbr_core.candidate"
     [
@@ -208,5 +222,6 @@ let () =
             test_structured_path_covers_large_blocks;
           Alcotest.test_case "region recorded" `Quick test_region_recorded;
           Alcotest.test_case "cap respected" `Quick test_cap_respected;
+          Alcotest.test_case "block size limit" `Quick test_block_size_limit;
         ] );
     ]

@@ -1,7 +1,11 @@
-(* Equivalence properties backing the streaming/worklist rewrites and
-   the multi-corner engine:
-   - the streaming candidate enumerator, when materialized, is exactly
-     the list-building enumeration (same candidates, same order);
+(* Equivalence properties backing the candidate kernel, the worklist
+   rewrites and the multi-corner engine:
+   - the candidate stream of every partition block of D1–D5, over a
+     blocker index with entries on footprint corners and edge
+     midpoints, and of a hand-built row whose area sums round by
+     member order, is the pre-change enumeration kept in
+     [Candidate_reference] — same candidates in the same order, every
+     field equal, weights and regions by their bits;
    - the worklist-driven skew optimizer is bit-identical to the
      whole-design reference sweep ([~full_sweep:true]) — same report,
      same final per-register skews;
@@ -35,6 +39,8 @@ module Cell_lib = Mbr_liberty.Cell
 module Compose = Mbr_core.Compose
 module Scan_stitch = Mbr_dft.Scan_stitch
 module Point = Mbr_geom.Point
+module Rect = Mbr_geom.Rect
+module Csr = Mbr_graph.Csr
 module Corner = Mbr_sta.Corner
 module Skew = Mbr_sta.Skew
 module Kpart = Mbr_graph.Kpart
@@ -48,48 +54,184 @@ module Estimator = Mbr_route.Estimator
 module Synth = Mbr_cts.Synth
 module Reference = Qor_reference
 
-let blocker_index_of graph =
+(* A candidate with its floats as bits. *)
+let candidate_bits (c : Candidate.t) =
+  let r = c.Candidate.region in
+  ( (c.Candidate.members, c.Candidate.member_cids, c.Candidate.func_class),
+    (c.Candidate.bits, c.Candidate.target_bits, c.Candidate.incomplete),
+    Int64.bits_of_float c.Candidate.weight,
+    List.map Int64.bits_of_float Rect.[ r.lx; r.ly; r.hx; r.hy ] )
+
+(* One block's stream from the library and from the reference, in
+   emission order; [None] when they are equal, else the first index
+   where they part (or the shorter length). *)
+let stream_mismatch cfg graph ~lib ~index block =
+  let collect iter =
+    let out = ref [] in
+    iter (fun c -> out := candidate_bits c :: !out);
+    List.rev !out
+  in
+  let got =
+    collect
+      (Candidate.iter cfg graph ~block ~lib
+         ~blockers:(Candidate.blockers graph ~block index))
+  in
+  let want =
+    collect (Candidate_reference.iter cfg graph ~block ~lib ~blocker_index:index)
+  in
+  let rec first k a b =
+    match (a, b) with
+    | [], [] -> None
+    | x :: a', y :: b' -> if x = y then first (k + 1) a' b' else Some k
+    | [], _ :: _ | _ :: _, [] -> Some k
+  in
+  Option.map
+    (fun k -> (k, List.length got, List.length want))
+    (first 0 got want)
+
+let weight_configs =
+  List.concat_map
+    (fun use_weights ->
+      List.map
+        (fun allow_incomplete ->
+          { Candidate.default_config with Candidate.use_weights; allow_incomplete })
+        [ true; false ])
+    [ true; false ]
+
+(* The design's registers at their centres, plus foreign entries (cell
+   ids no register has) where the closed bounding box and the 1e-9
+   tolerance decide: on footprint corners, which are hull vertices
+   whenever they are extreme, on the midpoint of a footprint's bottom
+   edge, and on the midpoint between the upper-right corners of two
+   compatible registers, on their hull's edge whenever both corners
+   are hull vertices. *)
+let stress_index (graph : Compat.graph) =
+  let infos = graph.Compat.infos in
   let idx = Spatial.create () in
-  Array.iter
-    (fun i -> Spatial.add idx i.Compat.cid i.Compat.center)
-    graph.Compat.infos;
+  Array.iter (fun i -> Spatial.add idx i.Compat.cid i.Compat.center) infos;
+  let next = ref (1 + Array.fold_left (fun acc i -> max acc i.Compat.cid) 0 infos) in
+  let foreign p =
+    Spatial.add idx !next p;
+    incr next
+  in
+  Array.iteri
+    (fun k (i : Compat.reg_info) ->
+      let r = i.Compat.footprint in
+      let corners = Array.of_list (Rect.corners r) in
+      if k mod 5 = 0 then foreign corners.(k / 5 mod 4);
+      if k mod 7 = 1 then
+        foreign (Point.make ((r.Rect.lx +. r.Rect.hx) /. 2.0) r.Rect.ly);
+      if k mod 11 = 2 then
+        match Csr.neighbors graph.Compat.adj k with
+        | j :: _ ->
+          let cj = Array.of_list (Rect.corners infos.(j).Compat.footprint) in
+          foreign (Point.midpoint corners.(2) cj.(2))
+        | [] -> ())
+    infos;
   idx
 
-(* Candidate.iter collected into a list must equal Candidate.enumerate
-   on every block the partitioner produces — streaming changes when
-   work happens, never what is produced. *)
-let streaming_matches_materialized =
-  QCheck.Test.make ~name:"candidate stream = materialized enumeration"
-    ~count:30
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let g = G.generate (P.scaled (P.tiny ~seed:(seed mod 37)) 0.5) in
+(* Every Kpart block of D1–D5 (×0.4), under each weights/incomplete
+   setting: blocks of at most 13 nodes take the DFS path, larger ones
+   the structured path, and both must show up. *)
+let stream_matches_reference () =
+  let dfs = ref 0 and structured = ref 0 in
+  List.iter
+    (fun (name, profile) ->
+      let g = G.generate (P.scaled profile 0.4) in
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
       let graph = Compat.build_graph eng g.G.library in
       let position v = graph.Compat.infos.(v).Compat.center in
-      let blocks = Kpart.partition graph.Compat.adj ~position in
-      let blocker_index = blocker_index_of graph in
-      let cfg = Candidate.default_config in
-      let ok = ref true in
+      let blocks = Kpart.partition ~bound:30 graph.Compat.adj ~position in
+      let index = stress_index graph in
       List.iter
         (fun block ->
-          let materialized =
-            Candidate.enumerate cfg graph ~block ~lib:g.G.library ~blocker_index
-          in
-          let streamed = ref [] in
-          Candidate.iter cfg graph ~block ~lib:g.G.library ~blocker_index
-            (fun c -> streamed := c :: !streamed);
-          let streamed = List.rev !streamed in
-          if streamed <> materialized then begin
-            ok := false;
-            QCheck.Test.fail_reportf
-              "seed %d: block of %d nodes: stream has %d candidates, \
-               materialized %d (or order/content differs)"
-              seed (List.length block) (List.length streamed)
-              (List.length materialized)
-          end)
-        blocks;
-      !ok)
+          if List.length block > 13 then incr structured else incr dfs;
+          List.iter
+            (fun cfg ->
+              match stream_mismatch cfg graph ~lib:g.G.library ~index block with
+              | None -> ()
+              | Some (k, got, want) ->
+                Alcotest.failf
+                  "%s: %d-node block (weights %b, incomplete %b): streams part \
+                   at candidate %d (%d candidates, reference %d)"
+                  name (List.length block) cfg.Candidate.use_weights
+                  cfg.Candidate.allow_incomplete k got want)
+            weight_configs)
+        blocks)
+    [ ("d1", P.d1); ("d2", P.d2); ("d3", P.d3); ("d4", P.d4); ("d5", P.d5) ];
+  Alcotest.(check bool) "DFS blocks compared" true (!dfs > 0);
+  Alcotest.(check bool) "structured blocks compared" true (!structured > 0)
+
+(* A row of 16 one-bit registers 3 µm apart, all compatible: a 1×1
+   footprint at position 8, 2^-27 × 2^-26 ones elsewhere, so a member
+   area sum is 1.0 when the big register comes first and 1 + 2^-52
+   when two small ones precede it. The chain seeded at 8 first emits
+   {6, 7, 8} in the order 8, 7, 6 (ties go to the lower position), and
+   the incomplete overhead puts the 4-bit cell's area between the two
+   sums: the area rule holds only for the order it is summed in. *)
+let rounding_row_matches_reference () =
+  let lib = Mbr_liberty.Presets.default () in
+  let n = 16 in
+  let infos =
+    Array.init n (fun i ->
+        let x = 3.0 *. float_of_int i in
+        let footprint =
+          if i = 8 then Rect.make ~lx:(x -. 0.5) ~ly:(-0.5) ~hx:(x +. 0.5) ~hy:0.5
+          else Rect.make ~lx:x ~ly:0.0 ~hx:(x +. 0x1p-27) ~hy:0x1p-26
+        in
+        Compat.
+          {
+            cid = i;
+            bits = 1;
+            func_class = "dff";
+            clock = 0;
+            enable = None;
+            reset = None;
+            scan = None;
+            drive_res = 2.0;
+            d_slack = 50.0;
+            q_slack = 50.0;
+            footprint;
+            feasible = Rect.expand footprint 60.0;
+            center = Point.make x 0.0;
+          })
+  in
+  let b = Csr.Builder.create n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      Csr.Builder.add_edge b i j
+    done
+  done;
+  let graph = { Compat.adj = Csr.Builder.finish b; infos } in
+  let index = Spatial.create () in
+  Array.iter (fun i -> Spatial.add index i.Compat.cid i.Compat.center) infos;
+  let area4 =
+    match
+      Mbr_core.Mapping.best_for lib ~func_class:"dff" ~bits:4 ~max_drive_res:2.0
+        ~need:`No
+    with
+    | Some c -> c.Cell_lib.area
+    | None -> Alcotest.fail "no 4-bit dff"
+  in
+  let overhead = Float.pred area4 -. 1.0 in
+  Alcotest.(check bool) "1 + overhead is exact" true (1.0 +. overhead = Float.pred area4);
+  List.iter
+    (fun use_weights ->
+      let cfg =
+        {
+          Candidate.default_config with
+          Candidate.use_weights;
+          allow_incomplete = true;
+          incomplete_area_overhead = overhead;
+        }
+      in
+      match stream_mismatch cfg graph ~lib ~index (List.init n Fun.id) with
+      | None -> ()
+      | Some (k, got, want) ->
+        Alcotest.failf
+          "weights %b: streams part at candidate %d (%d candidates, reference %d)"
+          use_weights k got want)
+    [ true; false ]
 
 (* The worklist sweep must be indistinguishable from the full sweep:
    identical report fields and identical final skew on every register,
@@ -787,8 +929,13 @@ let congested_matches_reference () =
 let () =
   Alcotest.run "mbr.equivalence"
     [
-      ( "streaming",
-        [ QCheck_alcotest.to_alcotest streaming_matches_materialized ] );
+      ( "candidate",
+        [
+          Alcotest.test_case "candidate stream = pre-change reference (bits)"
+            `Quick stream_matches_reference;
+          Alcotest.test_case "area rule at the rounding edge = reference"
+            `Quick rounding_row_matches_reference;
+        ] );
       ( "skew",
         [
           QCheck_alcotest.to_alcotest worklist_skew_matches_full_sweep;

@@ -1,6 +1,6 @@
 (* Tests for Mbr_geom: Point, Rect, Hull — including property tests that
-   the convex hull contains all input points and is convex, and that
-   point-in-polygon agrees with an O(n) half-plane oracle. *)
+   the convex hull contains all input points, is convex and keeps the
+   points' bounding box. *)
 
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
@@ -115,43 +115,73 @@ let test_rect_of_points () =
 
 (* ---- Hull ---- *)
 
+(* A hull built the way the weight kernel builds one: the distinct
+   points in lexicographic order, into a buffer. *)
+let hull pts =
+  let pts = Array.of_list (List.sort_uniq Point.compare_lex pts) in
+  let n = Array.length pts in
+  let h = Hull.create n in
+  Hull.of_sorted h
+    (Array.map (fun (q : Point.t) -> q.Point.x) pts)
+    (Array.map (fun (q : Point.t) -> q.Point.y) pts)
+    n;
+  h
+
+let vertices h = List.init (Hull.length h) (Hull.vertex h)
+
+let contains h (q : Point.t) = Hull.contains h q.Point.x q.Point.y
+
+(* shoelace over the vertices, counter-clockwise *)
+let area h =
+  let arr = Array.of_list (vertices h) in
+  let n = Array.length arr in
+  if n < 3 then 0.0
+  else begin
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      let a = arr.(i) and b = arr.((i + 1) mod n) in
+      acc := !acc +. ((a.Point.x *. b.Point.y) -. (b.Point.x *. a.Point.y))
+    done;
+    !acc /. 2.0
+  end
+
 let test_hull_square () =
   let pts = [ p 0.0 0.0; p 2.0 0.0; p 2.0 2.0; p 0.0 2.0; p 1.0 1.0 ] in
-  let h = Hull.convex pts in
-  Alcotest.(check int) "4 vertices" 4 (List.length h);
+  let h = hull pts in
+  Alcotest.(check int) "4 vertices" 4 (Hull.length h);
   check "interior point dropped" true
-    (not (List.exists (fun q -> Point.equal q (p 1.0 1.0)) h))
+    (not (List.exists (fun q -> Point.equal q (p 1.0 1.0)) (vertices h)))
 
 let test_hull_collinear () =
-  let h = Hull.convex [ p 0.0 0.0; p 1.0 1.0; p 2.0 2.0; p 3.0 3.0 ] in
-  Alcotest.(check int) "segment" 2 (List.length h)
+  let h = hull [ p 0.0 0.0; p 1.0 1.0; p 2.0 2.0; p 3.0 3.0 ] in
+  Alcotest.(check int) "segment" 2 (Hull.length h)
 
 let test_hull_degenerate () =
-  Alcotest.(check int) "empty" 0 (List.length (Hull.convex []));
-  Alcotest.(check int) "point" 1 (List.length (Hull.convex [ p 1.0 1.0 ]));
+  Alcotest.(check int) "empty" 0 (Hull.length (hull []));
+  Alcotest.(check int) "point" 1 (Hull.length (hull [ p 1.0 1.0 ]));
   Alcotest.(check int) "dup points" 1
-    (List.length (Hull.convex [ p 1.0 1.0; p 1.0 1.0 ]))
+    (Hull.length (hull [ p 1.0 1.0; p 1.0 1.0 ]))
 
 let test_hull_contains () =
-  let h = Hull.convex [ p 0.0 0.0; p 4.0 0.0; p 4.0 4.0; p 0.0 4.0 ] in
-  check "inside" true (Hull.contains h (p 2.0 2.0));
-  check "vertex" true (Hull.contains h (p 0.0 0.0));
-  check "edge" true (Hull.contains h (p 2.0 0.0));
-  check "outside" false (Hull.contains h (p 5.0 2.0));
-  check "outside diagonal" false (Hull.contains h (p 4.1 4.1))
+  let h = hull [ p 0.0 0.0; p 4.0 0.0; p 4.0 4.0; p 0.0 4.0 ] in
+  check "inside" true (contains h (p 2.0 2.0));
+  check "vertex" true (contains h (p 0.0 0.0));
+  check "edge" true (contains h (p 2.0 0.0));
+  check "outside" false (contains h (p 5.0 2.0));
+  check "outside diagonal" false (contains h (p 4.1 4.1))
 
 let test_hull_contains_degenerate () =
-  check "single point yes" true (Hull.contains [ p 1.0 1.0 ] (p 1.0 1.0));
-  check "single point no" false (Hull.contains [ p 1.0 1.0 ] (p 1.0 1.1));
-  let seg = [ p 0.0 0.0; p 2.0 2.0 ] in
-  check "on segment" true (Hull.contains seg (p 1.0 1.0));
-  check "off segment" false (Hull.contains seg (p 1.0 0.0));
-  check "empty hull" false (Hull.contains [] (p 0.0 0.0))
+  check "single point yes" true (contains (hull [ p 1.0 1.0 ]) (p 1.0 1.0));
+  check "single point no" false (contains (hull [ p 1.0 1.0 ]) (p 1.0 1.1));
+  let seg = hull [ p 0.0 0.0; p 2.0 2.0 ] in
+  check "on segment" true (contains seg (p 1.0 1.0));
+  check "off segment" false (contains seg (p 1.0 0.0));
+  check "empty hull" false (contains (hull []) (p 0.0 0.0))
 
 let test_hull_area () =
-  let h = Hull.convex [ p 0.0 0.0; p 2.0 0.0; p 2.0 3.0; p 0.0 3.0 ] in
-  checkf "area" 6.0 (Hull.area h);
-  checkf "triangle" 2.0 (Hull.area (Hull.convex [ p 0.0 0.0; p 2.0 0.0; p 0.0 2.0 ]))
+  let h = hull [ p 0.0 0.0; p 2.0 0.0; p 2.0 3.0; p 0.0 3.0 ] in
+  checkf "area" 6.0 (area h);
+  checkf "triangle" 2.0 (area (hull [ p 0.0 0.0; p 2.0 0.0; p 0.0 2.0 ]))
 
 let test_hull_of_rects () =
   let rects =
@@ -160,10 +190,10 @@ let test_hull_of_rects () =
       Rect.make ~lx:3.0 ~ly:3.0 ~hx:4.0 ~hy:4.0;
     ]
   in
-  let h = Hull.of_rects rects in
-  Alcotest.(check int) "hexagon" 6 (List.length h);
-  check "contains between" true (Hull.contains h (p 2.0 2.0));
-  check "not corner" false (Hull.contains h (p 0.0 4.0))
+  let h = hull (List.concat_map Rect.corners rects) in
+  Alcotest.(check int) "hexagon" 6 (Hull.length h);
+  check "contains between" true (contains h (p 2.0 2.0));
+  check "not corner" false (contains h (p 0.0 4.0))
 
 (* ---- properties ---- *)
 
@@ -181,17 +211,17 @@ let points_arb =
 let hull_contains_all =
   QCheck.Test.make ~name:"hull contains all input points" ~count:300 points_arb
     (fun pts ->
-      let h = Hull.convex pts in
-      List.for_all (fun q -> Hull.contains h q) pts)
+      let h = hull pts in
+      List.for_all (contains h) pts)
 
 let hull_is_convex =
   QCheck.Test.make ~name:"hull vertices are in convex position (CCW)" ~count:300
     points_arb (fun pts ->
-      let h = Hull.convex pts in
-      match h with
+      let h = hull pts in
+      match vertices h with
       | [] | [ _ ] | [ _; _ ] -> true
-      | _ ->
-        let arr = Array.of_list h in
+      | vs ->
+        let arr = Array.of_list vs in
         let n = Array.length arr in
         let ok = ref true in
         for i = 0 to n - 1 do
@@ -202,20 +232,16 @@ let hull_is_convex =
 
 let hull_idempotent =
   QCheck.Test.make ~name:"hull of hull = hull" ~count:300 points_arb (fun pts ->
-      let h = Hull.convex pts in
-      let h2 = Hull.convex h in
-      List.length h = List.length h2)
+      let h = hull pts in
+      let h2 = hull (vertices h) in
+      Hull.length h = Hull.length h2)
 
 let hull_bbox_consistent =
   QCheck.Test.make ~name:"hull bbox = points bbox" ~count:300 points_arb
     (fun pts ->
       match pts with
       | [] -> true
-      | _ ->
-        let h = Hull.convex pts in
-        (match h with
-        | [] -> false
-        | _ -> Rect.of_points h = Rect.of_points pts))
+      | _ -> Hull.bbox (hull pts) = Rect.of_points pts)
 
 let () =
   Alcotest.run "mbr_geom"

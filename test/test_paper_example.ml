@@ -98,6 +98,19 @@ let test_candidate_enumeration_incomplete () =
             c.Candidate.members = List.sort compare [ PE.node t "A"; PE.node t "E" ])
           strict))
 
+(* The stream and weight_of count blockers with the same kernel: every
+   emitted candidate carries exactly the weight of its member set. *)
+let test_candidate_weights_match_weight_of () =
+  List.iter
+    (fun (allow_incomplete, incomplete_area_overhead) ->
+      List.iter
+        (fun (c : Candidate.t) ->
+          let names = List.map (fun i -> t.PE.names.(i)) c.Candidate.members in
+          Alcotest.(check (float 0.0))
+            (String.concat "" names) (w names) c.Candidate.weight)
+        (PE.candidates ~allow_incomplete ~incomplete_area_overhead t))
+    [ (false, 0.05); (true, 0.05); (true, 0.6) ]
+
 let test_ilp_without_incomplete () =
   (* paper: {B,F} + {A,C,D} + E kept = 3 registers, cost 1/3+1/3+1 *)
   let groups, cost = PE.solve ~allow_incomplete:false t in
@@ -145,6 +158,8 @@ let () =
           Alcotest.test_case "no incomplete" `Quick test_candidate_enumeration_no_incomplete;
           Alcotest.test_case "incomplete admitted/rejected" `Quick
             test_candidate_enumeration_incomplete;
+          Alcotest.test_case "weights = weight_of" `Quick
+            test_candidate_weights_match_weight_of;
         ] );
       ( "ilp",
         [
