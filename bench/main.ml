@@ -532,7 +532,6 @@ let scaling_to_json row =
       ("recover_splits", int r.Flow.recover_splits);
       ("skew_frontier_pins", int (counter "sta.skew.frontier_pins"));
       ("skew_level_passes", int (counter "sta.skew.level_passes"));
-      ("skew_corner_par", int (counter "sta.skew.corner_par"));
       ("corners", json_corners r.Flow.after);
       ("stages", J.Obj (List.map (fun (k, t) -> (k, num t)) stages));
       (* counters only: the histograms are summarized by the row's own

@@ -152,9 +152,9 @@ module Common_args = struct
 
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the per-block allocate fan-out and the \
-                 multi-corner skew stage (default 1 = serial; 0 = \
-                 auto-detect cores). Results are identical at any setting.")
+           ~doc:"Worker domains for the per-block allocate fan-out \
+                 (default 1 = serial; 0 = auto-detect cores). Results are \
+                 identical at any setting.")
 
   (* ---- telemetry, shared by every subcommand ---- *)
 

@@ -51,8 +51,7 @@ let () =
   in
   let alloc_jobs_arg =
     Arg.(value & opt int 1 & info [ "alloc-jobs" ] ~docv:"N"
-           ~doc:"Nested allocate and skew fan-out per recompose (default \
-                 1).")
+           ~doc:"Nested allocate fan-out per recompose (default 1).")
   in
   let trace_arg =
     Arg.(value & flag & info [ "trace" ]

@@ -53,8 +53,11 @@ trace_tmp=$(mktemp /tmp/mbrc_trace.XXXXXX.json)
 metrics_tmp=$(mktemp /tmp/mbrc_metrics.XXXXXX.json)
 # scale 4: the bare tiny run is ~20 ms, where a single scheduler or GC
 # hiccup between stages can eat the 5 % slack the coverage gate allows;
-# at scale 4 the stage work dominates and the gate is stable
+# at scale 4 the stage work dominates and the gate is stable. Three
+# corners at -j 2: the parallel allocate next to a multi-corner skew
+# stage.
 dune exec bin/mbrc.exe -- run -p tiny --scale 4 -j 2 \
+  --corners typical,slow,fast \
   --trace "$trace_tmp" --metrics "$metrics_tmp" > /dev/null
 dune exec tools/telemetry_check.exe -- "$trace_tmp" "$metrics_tmp"
 

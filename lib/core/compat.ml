@@ -257,13 +257,6 @@ let composable_infos config eng lib =
   in
   Array.of_list (List.map (reg_info config eng) composable)
 
-let build_graph ?(config = default_config) eng lib =
-  let infos = composable_infos config eng lib in
-  let b = Csr.Builder.create (Array.length infos) in
-  iter_near_pairs config infos (fun i j ->
-      if compatible config infos.(i) infos.(j) then Csr.Builder.add_edge b i j);
-  { adj = Csr.Builder.finish b; infos }
-
 type refresh_stats = {
   nodes_total : int;
   nodes_dirty : int;
@@ -280,102 +273,7 @@ let m_pairs_checked = Mbr_obs.Metrics.counter "compat.pairs_checked"
 
 let m_edges_copied = Mbr_obs.Metrics.counter "compat.edges_copied"
 
-(* Fast path: the composable register set is unchanged (same cids in
-   the same ascending order), only some snapshots differ. Then old and
-   new node indices coincide, a clean node's row can only change in its
-   dirty columns, and only the spatial neighbourhoods of dirty nodes
-   need pair checks. New rows are spliced into the CSR arrays with
-   [Csr.rewrite]: clean rows whose dirty-column set is empty are kept
-   as raw [Array.blit] slices, affected rows get a merge of (old row
-   minus dirty columns) with the re-checked dirty edges. *)
-let refresh_same_nodes config prev (infos : reg_info array) clean =
-  let n = Array.length infos in
-  let is_dirty = Array.make n false in
-  let dirty = ref [] in
-  for i = n - 1 downto 0 do
-    if clean.(i) < 0 then begin
-      is_dirty.(i) <- true;
-      dirty := i :: !dirty
-    end
-  done;
-  let checked = ref 0 and found = ref 0 in
-  (* re-check every near pair with a dirty endpoint *)
-  let add : int list array = Array.make n [] in
-  let bucket = pair_bucket config infos in
-  let tbl = near_hash bucket infos in
-  List.iter
-    (fun d ->
-      iter_near tbl bucket infos.(d).center (fun x ->
-          if x <> d && ((not is_dirty.(x)) || x > d) then begin
-            incr checked;
-            if compatible config infos.(d) infos.(x) then begin
-              incr found;
-              add.(d) <- x :: add.(d);
-              add.(x) <- d :: add.(x)
-            end
-          end))
-    !dirty;
-  (* affected clean rows: had an old dirty neighbour, or gained one *)
-  let affected = Array.make n false in
-  List.iter
-    (fun d ->
-      affected.(d) <- true;
-      Csr.iter_neighbors prev.adj d (fun x -> affected.(x) <- true))
-    !dirty;
-  Array.iteri (fun i l -> if l <> [] then affected.(i) <- true) add;
-  let merged i =
-    let adds = List.sort_uniq compare add.(i) in
-    if is_dirty.(i) then Array.of_list adds
-    else begin
-      (* old row (sorted) minus dirty columns, merged with the sorted
-         additions — all additions are dirty, so no duplicates *)
-      let old_row = Csr.row prev.adj i in
-      let keep = List.filter (fun j -> not is_dirty.(j)) (Array.to_list old_row) in
-      let rec merge a b =
-        match (a, b) with
-        | [], r | r, [] -> r
-        | x :: xs, y :: ys ->
-          if x < y then x :: merge xs b else y :: merge a ys
-      in
-      Array.of_list (merge keep adds)
-    end
-  in
-  let adj =
-    Csr.rewrite prev.adj (fun i -> if affected.(i) then `Replace (merged i) else `Keep)
-  in
-  let copied = Csr.n_edges adj - !found in
-  ( { adj; infos },
-    {
-      nodes_total = n;
-      nodes_dirty = List.length !dirty;
-      pairs_checked = !checked;
-      edges_copied = copied;
-    } )
-
-(* General path (registers added/removed/re-ordered): rebuild the CSR,
-   copying clean-clean verdicts from the previous adjacency. *)
-let refresh_general config prev (infos : reg_info array) clean dirty =
-  let n = Array.length infos in
-  let b = Csr.Builder.create n in
-  let checked = ref 0 and copied = ref 0 in
-  iter_near_pairs config infos (fun i j ->
-      if clean.(i) >= 0 && clean.(j) >= 0 then begin
-        if Csr.has_edge prev.adj clean.(i) clean.(j) then begin
-          incr copied;
-          Csr.Builder.add_edge b i j
-        end
-      end
-      else begin
-        incr checked;
-        if compatible config infos.(i) infos.(j) then Csr.Builder.add_edge b i j
-      end);
-  ( { adj = Csr.Builder.finish b; infos },
-    {
-      nodes_total = n;
-      nodes_dirty = dirty;
-      pairs_checked = !checked;
-      edges_copied = !copied;
-    } )
+let empty = { adj = Csr.Builder.finish (Csr.Builder.create 0); infos = [||] }
 
 let refresh ?(config = default_config) prev eng lib =
   let infos = composable_infos config eng lib in
@@ -398,21 +296,30 @@ let refresh ?(config = default_config) prev eng lib =
       | Some _ | None -> ());
       if clean.(i) < 0 then incr dirty)
     infos;
-  let same_nodes =
-    n = Array.length prev.infos
-    &&
-    let ok = ref true in
-    Array.iteri
-      (fun i (info : reg_info) ->
-        if info.cid <> prev.infos.(i).cid then ok := false)
-      infos;
-    !ok
-  in
-  let result, stats =
-    if same_nodes then refresh_same_nodes config prev infos clean
-    else refresh_general config prev infos clean !dirty
+  let b = Csr.Builder.create n in
+  let checked = ref 0 and copied = ref 0 in
+  iter_near_pairs config infos (fun i j ->
+      if clean.(i) >= 0 && clean.(j) >= 0 then begin
+        if Csr.has_edge prev.adj clean.(i) clean.(j) then begin
+          incr copied;
+          Csr.Builder.add_edge b i j
+        end
+      end
+      else begin
+        incr checked;
+        if compatible config infos.(i) infos.(j) then Csr.Builder.add_edge b i j
+      end);
+  let stats =
+    {
+      nodes_total = n;
+      nodes_dirty = !dirty;
+      pairs_checked = !checked;
+      edges_copied = !copied;
+    }
   in
   Mbr_obs.Metrics.incr ~by:stats.nodes_dirty m_nodes_dirty;
   Mbr_obs.Metrics.incr ~by:stats.pairs_checked m_pairs_checked;
   Mbr_obs.Metrics.incr ~by:stats.edges_copied m_edges_copied;
-  (result, stats)
+  ({ adj = Csr.Builder.finish b; infos }, stats)
+
+let build_graph ?config eng lib = fst (refresh ?config empty eng lib)

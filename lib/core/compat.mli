@@ -91,16 +91,9 @@ type graph = {
     produces a fresh value, it never mutates one a worker might still
     hold. *)
 
-val build_graph :
-  ?config:config ->
-  Mbr_sta.Engine.t ->
-  Mbr_liberty.Library.t ->
-  graph
-(** G over the composable, placed registers. Pair checks are limited to
-    spatial-hash neighbourhoods — two feasible regions can only overlap
-    when the footprint centers are within [2 * max_dist] plus the
-    largest footprint dimension per axis, which sizes the hash bucket —
-    so construction is near-linear for clustered designs. *)
+val empty : graph
+(** The graph over no registers: {!refresh} against it is a build from
+    scratch. *)
 
 type refresh_stats = {
   nodes_total : int;  (** composable registers in the new graph *)
@@ -115,18 +108,30 @@ val refresh :
   Mbr_sta.Engine.t ->
   Mbr_liberty.Library.t ->
   graph * refresh_stats
-(** Incremental {!build_graph}: recomputes the (cheap) per-register
-    snapshots, then re-runs the four pair checks only for pairs
-    involving a register whose snapshot differs from the previous
-    graph's — removed/retyped/newly-fixed registers drop out with their
-    edges, new composable ones are checked against their spatial
-    neighbourhood, and clean-clean pair verdicts are copied. When the
-    composable register set is unchanged (the common pure-move ECO),
-    pair checks run only over the spatial neighbourhoods of the dirty
-    registers and the new adjacency is assembled by {!Mbr_graph.Csr}
-    row rewriting — untouched rows are blitted over as raw slices.
+(** G over the composable, placed registers, built against the previous
+    graph: the (cheap) per-register snapshots are recomputed, then the
+    pair loop visits every spatial-hash neighbourhood pair — two
+    feasible regions can only overlap when the footprint centers are
+    within [2 * max_dist] plus the largest footprint dimension per axis,
+    which sizes the hash bucket, so the loop is near-linear for
+    clustered designs. A pair of registers whose snapshots equal their
+    previous ones copies its verdict from the previous adjacency; every
+    pair touching a changed, added or newly composable register runs
+    the four checks. Removed, retyped and newly fixed registers drop out
+    with their edges. Against {!empty} every register is dirty, so the
+    same loop is the from-scratch build.
+
     Returns a new graph (the input is not mutated) that is structurally
-    identical to what {!build_graph} would build from scratch on the
-    same state: same node order (registers in ascending cell id), same
-    edge set (property-tested). [config] must match the one the
-    previous graph was built with. *)
+    identical to a build from scratch on the same state: same node
+    order (registers in ascending cell id), same edge set
+    (property-tested, moves-only rounds included). [config] must match
+    the one the previous graph was built with. Adds the returned stats
+    to the [compat.nodes_dirty], [compat.pairs_checked] and
+    [compat.edges_copied] counters. *)
+
+val build_graph :
+  ?config:config ->
+  Mbr_sta.Engine.t ->
+  Mbr_liberty.Library.t ->
+  graph
+(** [fst (refresh ?config empty eng lib)]. *)

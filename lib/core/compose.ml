@@ -10,8 +10,6 @@ type spec = {
   corner : Point.t;
 }
 
-let mbr_counter = ref 0
-
 let pin_net dsg cid kind =
   match Design.pin_of dsg cid kind with
   | Some pid -> (Design.pin dsg pid).Types.p_net
@@ -139,8 +137,7 @@ let execute pl spec =
       scan_outs = [];
     }
   in
-  let name = Printf.sprintf "mbr_%d" !mbr_counter in
-  incr mbr_counter;
+  let name = Printf.sprintf "mbr_%d" (Design.next_cell_id dsg) in
   let id = Design.add_register dsg name attrs conn in
   Placement.set pl id spec.corner;
   id

@@ -16,8 +16,6 @@ let m_requested = Mbr_obs.Metrics.counter "decompose.requested"
 
 let m_splits = Mbr_obs.Metrics.counter "decompose.splits"
 
-let split_counter = ref 0
-
 let pin_net dsg cid kind =
   match Design.pin_of dsg cid kind with
   | Some pid -> (Design.pin dsg pid).Types.p_net
@@ -141,8 +139,7 @@ let split_one ?(pin = false) pl occ lib cid =
           scan_outs = [];
         }
       in
-      let name = Printf.sprintf "split_%d" !split_counter in
-      incr split_counter;
+      let name = Printf.sprintf "split_%d" (Design.next_cell_id dsg) in
       let fallback =
         if lo = 0 then corner
         else Point.add corner (Point.make half.Cell_lib.width 0.0)

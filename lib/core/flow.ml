@@ -113,7 +113,7 @@ let m_recomposes = Mbr_obs.Metrics.counter "flow.recomposes"
 
 let m_recover_rounds = Mbr_obs.Metrics.counter "flow.recover_rounds"
 
-(* Worker domains for the allocate fan-out and the skew stage. *)
+(* Worker domains for the allocate fan-out. *)
 let jobs options = match options.jobs with Some j -> max 1 j | None -> 1
 
 (* Find a legal spot for the mapped cell, preferring the LP optimum
@@ -130,8 +130,6 @@ let legalize_merge occ ~(cell : Cell_lib.t) ~region ~desired =
     | None -> try_region None)
 
 (* ---- stages, in Fig. 4 order ---- *)
-
-let collect_metrics ctx = Metrics.collect ctx.eng ctx.library
 
 type merge_outcome = {
   mo_new_mbrs : Mbr_netlist.Types.cell_id list;  (** in creation order *)
@@ -235,8 +233,7 @@ let stage_skew ctx ?cancel () =
   stage ctx "skew" (fun () ->
       match ctx.options.skew with
       | Some cfg ->
-        Some
-          (Skew.optimize ~config:cfg ~jobs:(jobs ctx.options) ?cancel ctx.eng)
+        Some (Skew.optimize ~config:cfg ?cancel ctx.eng)
       | None ->
         Engine.refresh ctx.eng;
         None)
@@ -247,10 +244,11 @@ let stage_resize ctx new_mbrs =
       | Some cfg -> Resize.downsize ~config:cfg ctx.eng ctx.library new_mbrs
       | None -> 0)
 
-(* pin caps changed under resize: the final refresh inside the metrics
-   pass absorbs the retypes *)
-let stage_metrics_after ctx =
-  stage ctx "metrics-after" (fun () -> collect_metrics ctx)
+(* A Table 1 snapshot, measured afresh: "metrics-before" or
+   "metrics-after". The refresh inside the pass absorbs whatever moved
+   since the last one (after resize: the retyped pin caps). *)
+let stage_metrics ctx name =
+  stage ctx name (fun () -> Metrics.collect ctx.eng ctx.library)
 
 module Session = struct
   type s = {
@@ -260,19 +258,11 @@ module Session = struct
     library : Mbr_liberty.Library.t;
     eng : Engine.t;
     cache : Allocate.cache;
-    blocker_index : Mbr_netlist.Types.cell_id Spatial.t;
-    blocker_pos : (Mbr_netlist.Types.cell_id, Point.t) Hashtbl.t;
-        (** mirror of [blocker_index]'s current entry per register, so
-            edits can be reconciled without a linear scan *)
-    mutable graph : Compat.graph option;  (** last recompose's graph *)
-    mutable blk_dsg_cursor : int;  (** design edits reconciled into the index *)
-    mutable blk_pl_cursor : int;  (** placement moves reconciled *)
+    mutable graph : Compat.graph;
+        (** last compat-graph pass's graph; {!Compat.empty} before the
+            first *)
     mutable n_recomposes : int;
     mutable last_compat_stats : Compat.refresh_stats option;
-    mutable last_after : (Metrics.t * int * int) option;
-        (** previous recompose's "after" snapshot with the design and
-            placement revisions it measured; the next "before" pass is
-            this value verbatim when nothing moved in between *)
     owner : int Atomic.t;
         (** domain id currently holding the session, [-1] when unowned;
             the single-writer gate every recompose passes through *)
@@ -296,14 +286,9 @@ module Session = struct
       library;
       eng = Engine.build ~config:sta_config ~corners:options.corners placement;
       cache = Allocate.create_cache ();
-      blocker_index = Spatial.create ();
-      blocker_pos = Hashtbl.create 1024;
-      graph = None;
-      blk_dsg_cursor = 0;
-      blk_pl_cursor = 0;
+      graph = Compat.empty;
       n_recomposes = 0;
       last_compat_stats = None;
-      last_after = None;
       owner = Atomic.make (-1);
     }
 
@@ -317,13 +302,7 @@ module Session = struct
 
   let last_compat_stats s = s.last_compat_stats
 
-  (* Swapping the corner set invalidates every timing-derived number;
-     the engine re-analyzes lazily, but the cached "after" snapshot is
-     keyed only on design/placement revisions and would otherwise be
-     served stale by the next metrics-before pass. *)
-  let set_corners s cs =
-    Engine.set_corners s.eng cs;
-    s.last_after <- None
+  let set_corners s cs = Engine.set_corners s.eng cs
 
   (* ---- ownership: the single-writer discipline ----
 
@@ -378,92 +357,38 @@ module Session = struct
               if live_register s.design cid then Some (cid, 0.0) else None)
             (Engine.skew_assignments s.eng)
         with
-        | [] -> false
-        | zeros ->
-          Engine.update_skews s.eng zeros;
-          true)
+        | [] -> ()
+        | zeros -> Engine.update_skews s.eng zeros)
 
-  (* The "before" snapshot only differs from the previous recompose's
-     "after" snapshot if something happened in between: an ECO edit
-     (design or placement revision moved) or a skew zeroing in
-     eco-reset (timing columns shift). When neither did, the cached
-     snapshot IS the measurement — the stage still runs (and appears in
-     the trace) but costs nothing. *)
-  let stage_metrics_before ctx s ~skews_zeroed =
-    stage ctx "metrics-before" (fun () ->
-        match s.last_after with
-        | Some (m, drev, prev)
-          when (not skews_zeroed)
-               && drev = Design.revision s.design
-               && prev = Placement.revision s.placement ->
-          m
-        | _ -> collect_metrics ctx)
-
+  (* Against the previous pass's graph ({!Compat.empty} on the first),
+     so only pairs touching a changed register are re-checked. *)
   let stage_graph ctx s =
     stage ctx "compat-graph" (fun () ->
-        match s.graph with
-        | None ->
-          let g = Compat.build_graph ~config:s.options.compat s.eng s.library in
-          s.graph <- Some g;
-          g
-        | Some prev ->
-          let g, stats =
-            Compat.refresh ~config:s.options.compat prev s.eng s.library
-          in
-          s.graph <- Some g;
-          s.last_compat_stats <- Some stats;
-          g)
+        let g, stats =
+          Compat.refresh ~config:s.options.compat s.graph s.eng s.library
+        in
+        s.graph <- g;
+        s.last_compat_stats <- Some stats;
+        g)
 
   (* The blocker population is every live placed register's center
-     (§3.2 counts any register inside a test polygon). Instead of
-     rebuilding the index per run, drain the edit logs from the
-     session's cursors and touch only the registers they name; on the
-     first recompose the cursors are 0, so the drain IS the full
-     build. *)
+     (§3.2 counts any register inside a test polygon), indexed afresh
+     each pass. *)
   let stage_blocker_index ctx s =
     stage ctx "blocker-index" (fun () ->
-        let dsg = s.design in
-        let touched = Hashtbl.create 64 in
+        let index = Spatial.create () in
         List.iter
-          (function
-            | Design.Cell_added cid
-            | Design.Cell_removed cid
-            | Design.Cell_retyped cid ->
-              Hashtbl.replace touched cid ()
-            | Design.Net_changed _ -> ())
-          (Design.edits_since dsg s.blk_dsg_cursor);
-        List.iter
-          (fun cid -> Hashtbl.replace touched cid ())
-          (Placement.moves_since s.placement s.blk_pl_cursor);
-        s.blk_dsg_cursor <- Design.revision dsg;
-        s.blk_pl_cursor <- Placement.revision s.placement;
-        Hashtbl.iter
-          (fun cid () ->
-            let now =
-              if live_register dsg cid && Placement.is_placed s.placement cid
-              then Some (Placement.center s.placement cid)
-              else None
-            in
-            match (Hashtbl.find_opt s.blocker_pos cid, now) with
-            | None, None -> ()
-            | None, Some p ->
-              Spatial.add s.blocker_index cid p;
-              Hashtbl.replace s.blocker_pos cid p
-            | Some p, None ->
-              Spatial.remove s.blocker_index cid p;
-              Hashtbl.remove s.blocker_pos cid
-            | Some p, Some p' ->
-              if not (Point.equal ~eps:0.0 p p') then begin
-                Spatial.update s.blocker_index cid ~from:p ~to_:p';
-                Hashtbl.replace s.blocker_pos cid p'
-              end)
-          touched)
+          (fun cid ->
+            if Placement.is_placed s.placement cid then
+              Spatial.add index cid (Placement.center s.placement cid))
+          (Design.registers s.design);
+        index)
 
-  let stage_allocate ctx s ?cancel graph =
+  let stage_allocate ctx s ?cancel graph blocker_index =
     stage ctx "allocate" (fun () ->
         Allocate.run_cached ~mode:s.options.mode ~config:s.options.allocate
           ~jobs:(jobs s.options) ?cancel s.cache graph ~lib:s.library
-          ~blocker_index:s.blocker_index)
+          ~blocker_index)
 
   (* What one pass of the composition core produced. *)
   type pass = {
@@ -486,15 +411,15 @@ module Session = struct
   let compose_pass ctx s ?cancel decompose =
     let p_split = stage ctx "decompose" decompose in
     let graph = stage_graph ctx s in
-    stage_blocker_index ctx s;
-    let p_selection, p_cache = stage_allocate ctx s ?cancel graph in
+    let blocker_index = stage_blocker_index ctx s in
+    let p_selection, p_cache = stage_allocate ctx s ?cancel graph blocker_index in
     ctx.pg_resolved <- ctx.pg_resolved + p_cache.Allocate.blocks_resolved;
     ctx.pg_total <- ctx.pg_total + p_selection.Allocate.n_blocks;
     let p_merged = stage_merge ctx graph p_selection in
     let scan_report = stage_scan_restitch ctx in
     let p_skew = stage_skew ctx ?cancel () in
     let p_resized = stage_resize ctx p_merged.mo_new_mbrs in
-    let p_after = stage_metrics_after ctx in
+    let p_after = stage_metrics ctx "metrics-after" in
     ctx.pg_wns <- p_after.Metrics.wns;
     {
       p_split;
@@ -544,8 +469,8 @@ module Session = struct
           pg_wns = Float.nan;
         }
       in
-      let skews_zeroed = stage_eco_reset ctx s in
-      let before = stage_metrics_before ctx s ~skews_zeroed in
+      stage_eco_reset ctx s;
+      let before = stage_metrics ctx "metrics-before" in
       ctx.pg_wns <- before.Metrics.wns;
       (* optional pre-pass: open up max-width MBRs for recomposition *)
       let main =
@@ -628,11 +553,6 @@ module Session = struct
       (* dead (split) ids drop out through the liveness filter on
          [new_mbrs], so appending every pass's MBRs is enough *)
       let mbrs = List.concat_map (fun p -> p.p_merged.mo_new_mbrs) passes in
-      s.last_after <-
-        Some
-          ( last.p_after,
-            Design.revision s.design,
-            Placement.revision s.placement );
       s.n_recomposes <- s.n_recomposes + 1;
       Mbr_obs.Metrics.incr m_recomposes;
       {

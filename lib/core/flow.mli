@@ -7,16 +7,14 @@
 
     Internally each arrow is a named stage function over one shared
     flow context (the inputs, the single incremental STA engine, and
-    the stage-time accumulator). The whole pipeline is edit-log
-    driven: a persistent {!Session} holds the engine, the compat
-    graph, the blocker spatial index and the per-block solve cache,
-    and {!Session.recompose} consumes the design/placement edit logs
-    to refresh each of them incrementally — [run] is just "open a
-    session, recompose once". With [jobs >= 2] the allocation stage
-    fans its per-block solves out over a {!Mbr_util.Pool} of domains,
-    with results guaranteed identical to the serial order (see
-    {!Allocate}), and the skew stage propagates the corners of a
-    multi-corner engine in parallel (see {!Mbr_sta.Skew.optimize}).
+    the stage-time accumulator). A persistent {!Session} holds the
+    engine, the compat graph and the per-block solve cache, and
+    {!Session.recompose} brings each of them up to date incrementally
+    — [run] is just "open a session, recompose once". With
+    [jobs >= 2] the allocation stage fans its per-block solves out
+    over a {!Mbr_util.Pool} of domains, with results guaranteed
+    identical to the serial order (see {!Allocate}); every other
+    stage runs on the calling domain.
 
     The flow mutates the design and placement it is given; callers
     wanting a before/after comparison in hand get both metric bundles
@@ -29,8 +27,8 @@ type options = {
       (** allocator: exact ILP, the Fig. 6 greedy on the same weighted
           candidates, or the external clique heuristic *)
   jobs : int option;
-      (** worker domains for the allocate fan-out and the skew stage;
-          [None] (the default) is 1 = serial. The frontends' [-j 0]
+      (** worker domains for the allocate fan-out, the one parallel
+          stage; [None] (the default) is 1 = serial. The frontends' [-j 0]
           resolves to {!Mbr_util.Pool.recommended_jobs} before it gets
           here. *)
   skew : Mbr_sta.Skew.config option;  (** None disables useful skew *)
@@ -141,25 +139,28 @@ type result = {
     Open a session once over a design/placement/library, then mutate
     the design and placement freely through their normal editing APIs
     (move cells, add/remove/retype registers, rewire nets) and call
-    {!Session.recompose} after each batch. The session owns every
-    derived structure the pipeline needs — the incremental STA engine,
-    the compatibility graph, the blocker spatial index, and the
-    per-block allocation cache — and [recompose] consumes the
-    design/placement edit logs (the same pull-based cursor scheme the
-    STA engine uses) to bring each one up to date incrementally:
+    {!Session.recompose} after each batch. The session owns the
+    derived structures that pay to carry across passes — the
+    incremental STA engine, the compatibility graph and the per-block
+    allocation cache — and [recompose] brings each one up to date
+    incrementally:
 
-    - the STA engine via {!Mbr_sta.Engine.refresh}, after zeroing the
-      useful skew a previous recompose applied (a from-scratch run
-      starts skewless, so a recompose must too);
-    - the compat graph via {!Compat.refresh} — only registers whose
-      snapshot (slacks, feasible region, attributes, position) changed
-      are re-checked against their spatial neighbourhood;
-    - the blocker index via {!Spatial.update}/add/remove for exactly
-      the cells the logs name;
+    - the STA engine via {!Mbr_sta.Engine.refresh}, which consumes the
+      design/placement edit logs, after zeroing the useful skew a
+      previous recompose applied (a from-scratch run starts skewless,
+      so a recompose must too);
+    - the compat graph via {!Compat.refresh} — only pairs touching a
+      register whose snapshot (slacks, feasible region, attributes,
+      position) changed are re-checked;
     - the allocation via {!Allocate.run_cached} — blocks of the
       K-partition whose content hash is unchanged are spliced in from
       the cache and only blocks intersecting the dirty region are
       re-solved.
+
+    Everything else is a pure function of the design and placement,
+    recomputed every pass: the metrics-before and metrics-after
+    snapshots, and the blocker spatial index (every live placed
+    register's center, indexed afresh).
 
     Each [recompose] is property-tested equivalent to a from-scratch
     {!run} on the same mutated inputs (same register count, ILP cost,
@@ -269,15 +270,14 @@ module Session : sig
 
   val set_corners : t -> Mbr_sta.Corner.t array -> unit
   (** Swap the corner set the session's engine analyzes (see
-      {!Mbr_sta.Engine.set_corners}); the next recompose re-measures
-      everything under the new set (the cached "after" snapshot is
-      dropped — its timing columns are stale). Raises
-      [Invalid_argument] on an empty set. *)
+      {!Mbr_sta.Engine.set_corners}); the next recompose measures
+      everything under the new set. Raises [Invalid_argument] on an
+      empty set. *)
 
   val last_compat_stats : t -> Compat.refresh_stats option
-  (** Dirtiness accounting of the most recent incremental compat-graph
-      refresh; [None] until the second {!recompose} (the first builds
-      the graph from scratch). *)
+  (** Dirtiness accounting of the most recent compat-graph pass; [None]
+      before the first {!recompose}, whose pass counts every register
+      dirty (it refreshes against {!Compat.empty}). *)
 end
 
 val run :

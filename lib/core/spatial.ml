@@ -28,54 +28,6 @@ let add t v p =
   Hashtbl.replace t.cells k ((v, p) :: cur);
   t.n <- t.n + 1
 
-let remove t v p =
-  let k = key t p in
-  match Hashtbl.find_opt t.cells k with
-  | None -> ()
-  | Some l ->
-    let removed = ref false in
-    let l' =
-      List.filter
-        (fun (v', p') ->
-          if (not !removed) && v' = v && Point.equal ~eps:0.0 p' p then begin
-            removed := true;
-            false
-          end
-          else true)
-        l
-    in
-    if !removed then begin
-      (* drop emptied buckets so churn does not grow the table *)
-      if l' = [] then Hashtbl.remove t.cells k
-      else Hashtbl.replace t.cells k l';
-      t.n <- t.n - 1
-    end
-
-let update t v ~from ~to_ =
-  let kf = key t from and kt = key t to_ in
-  if kf = kt then begin
-    (* same grid cell: rewrite the entry in place, no churn *)
-    match Hashtbl.find_opt t.cells kf with
-    | None -> add t v to_
-    | Some l ->
-      let moved = ref false in
-      let l' =
-        List.map
-          (fun ((v', p') as entry) ->
-            if (not !moved) && v' = v && Point.equal ~eps:0.0 p' from then begin
-              moved := true;
-              (v, to_)
-            end
-            else entry)
-          l
-      in
-      if !moved then Hashtbl.replace t.cells kf l' else add t v to_
-  end
-  else begin
-    remove t v from;
-    add t v to_
-  end
-
 let query_rect t (r : Rect.t) =
   let i0 = int_of_float (Float.floor (r.Rect.lx /. t.bucket)) in
   let i1 = int_of_float (Float.floor (r.Rect.hx /. t.bucket)) in
@@ -93,5 +45,3 @@ let query_rect t (r : Rect.t) =
   !acc
 
 let size t = t.n
-
-let n_buckets t = Hashtbl.length t.cells

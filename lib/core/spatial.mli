@@ -1,6 +1,8 @@
 (** Point index on a uniform grid: blocker lookups for the weight
     heuristic (which registers' centers fall inside a candidate's test
-    polygon) and other range queries over cell centers. *)
+    polygon) and other range queries over cell centers. Entries are
+    only ever added: a population that changed is indexed afresh, as
+    the flow does with its blocker index on every pass. *)
 
 type 'a t
 
@@ -9,28 +11,13 @@ val create : ?bucket:float -> unit -> 'a t
 
 val add : 'a t -> 'a -> Mbr_geom.Point.t -> unit
 
-val remove : 'a t -> 'a -> Mbr_geom.Point.t -> unit
-(** Removes one occurrence of the (value, point) pair, if present. *)
-
-val update : 'a t -> 'a -> from:Mbr_geom.Point.t -> to_:Mbr_geom.Point.t -> unit
-(** Moves one occurrence of [(value, from)] to [(value, to_)].
-    Equivalent to [remove] + [add] but rewrites the entry in place when
-    both points hash to the same grid cell, so ECO sessions that jitter
-    blockers by less than a bucket pitch do not churn the table. If the
-    [(value, from)] entry is absent, the value is simply added at
-    [to_]. *)
-
 val query_rect : 'a t -> Mbr_geom.Rect.t -> ('a * Mbr_geom.Point.t) list
 (** All entries whose point lies in the closed rectangle.
 
     {b Domain safety:} a pure read — it never touches the index's
     mutable state. Any number of domains may query the same index
-    concurrently provided no [add]/[remove] runs at the same time;
+    concurrently provided no [add] runs at the same time;
     the allocate stage upholds this by fully populating the blocker
     index before fanning out (see {!Allocate}). *)
 
 val size : 'a t -> int
-
-val n_buckets : 'a t -> int
-(** Grid buckets currently allocated; emptied buckets are reclaimed, so
-    this tracks the live population, not the historical footprint. *)

@@ -97,7 +97,7 @@ let add_one rng dsg pl lib core =
       with
       | [] -> false
       | cell :: _ ->
-        let name = Printf.sprintf "eco_reg_%d" (Design.n_cells dsg) in
+        let name = Printf.sprintf "eco_reg_%d" (Design.next_cell_id dsg) in
         let attrs =
           {
             Types.lib_cell = cell;

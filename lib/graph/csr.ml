@@ -66,10 +66,6 @@ let neighbors t i =
   done;
   !acc
 
-let row t i =
-  check t i;
-  Array.sub t.cols t.row_ptr.(i) (t.row_ptr.(i + 1) - t.row_ptr.(i))
-
 let edges t =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do
@@ -157,32 +153,3 @@ let induced t nodes =
     nodes;
   Builder.finish b
 
-let rewrite t row_of =
-  let n = t.n in
-  let rows = Array.init n row_of in
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let sz =
-      match rows.(i) with
-      | `Keep -> t.row_ptr.(i + 1) - t.row_ptr.(i)
-      | `Replace a -> Array.length a
-    in
-    row_ptr.(i + 1) <- row_ptr.(i) + sz
-  done;
-  let cols = Array.make row_ptr.(n) 0 in
-  for i = 0 to n - 1 do
-    match rows.(i) with
-    | `Keep ->
-      Array.blit t.cols t.row_ptr.(i) cols row_ptr.(i)
-        (t.row_ptr.(i + 1) - t.row_ptr.(i))
-    | `Replace a ->
-      Array.iteri
-        (fun k j ->
-          if j < 0 || j >= n || j = i then
-            invalid_arg "Csr.rewrite: bad replacement column";
-          if k > 0 && a.(k - 1) >= j then
-            invalid_arg "Csr.rewrite: replacement row not sorted";
-          cols.(row_ptr.(i) + k) <- j)
-        a
-  done;
-  { n; row_ptr; cols }

@@ -12,10 +12,8 @@
     membership is a binary search over unboxed ints.
 
     Values are immutable once built. Construction goes through
-    {!Builder} (packed edge list, sorted and deduplicated once at
-    {!Builder.finish}) or {!rewrite}, which re-packs an existing graph
-    copying unchanged row slices with [Array.blit] — the primitive
-    behind [Compat.refresh]'s dirty-row rewriting. *)
+    {!Builder}: a packed edge list, sorted and deduplicated once at
+    {!Builder.finish}, so every graph is symmetric by construction. *)
 
 type t
 
@@ -37,9 +35,6 @@ val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 val neighbors : t -> int -> int list
 (** Ascending order (allocates; prefer {!iter_neighbors} in hot code). *)
 
-val row : t -> int -> int array
-(** Copy of node [i]'s neighbour slice, ascending. *)
-
 val edges : t -> (int * int) list
 (** Each undirected edge once, as (lo, hi), lexicographically sorted. *)
 
@@ -50,14 +45,6 @@ val induced : t -> int array -> t
 (** [induced g nodes]: subgraph on [nodes] (node [i] of the result is
     [nodes.(i)]). Duplicate entries are rejected with
     [Invalid_argument]. *)
-
-val rewrite : t -> (int -> [ `Keep | `Replace of int array ]) -> t
-(** [rewrite g row_of]: a new graph where node [i]'s row is the old
-    slice when [row_of i] is [`Keep], else the given array (which must
-    be sorted ascending, duplicate- and self-loop-free). Kept and
-    replaced slices are packed with [Array.blit]; no per-edge work is
-    done for kept rows. The caller is responsible for symmetry — a
-    replaced row naming [j] must be matched by [j]'s row naming [i]. *)
 
 module Builder : sig
   type b

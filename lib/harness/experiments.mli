@@ -20,7 +20,7 @@ val run_profile :
   Mbr_designgen.Profile.t ->
   design_run
 (** Generate the design and run the full Fig. 4 flow. [jobs] (worker
-    domains for the allocate and skew stages) overrides [options.jobs]
+    domains for the allocate stage) overrides [options.jobs]
     when given; the result is identical at any value (see
     {!Mbr_core.Allocate}). *)
 

@@ -159,6 +159,8 @@ let add_register t rname (attrs : reg_attrs) conn =
 
 let n_cells t = t.live
 
+let next_cell_id t = Vec.length t.cells
+
 let n_nets t = Vec.length t.nets
 
 let n_pins t = Vec.length t.pins

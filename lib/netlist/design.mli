@@ -104,6 +104,11 @@ val net : t -> Types.net_id -> Types.net
 val n_cells : t -> int
 (** Live cells only. *)
 
+val next_cell_id : t -> Types.cell_id
+(** The id the next added cell receives. Ids are never reused, so a
+    name built from a fixed prefix and this id is unique in the design
+    and depends only on the design's own edit history. *)
+
 val n_nets : t -> int
 
 val n_pins : t -> int

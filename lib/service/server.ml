@@ -724,11 +724,45 @@ let handle_line t conn line =
         route_session_verb t conn req t_recv)
     )
 
+(* The longest request line the daemon buffers, newline excluded. Real
+   requests stay well under 4 KiB; the bound keeps one client's
+   unterminated line from growing the daemon without limit. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] with the bound: [`Too_long] once a line passes
+   [max_line_bytes], after skipping the rest of it up to its newline.
+   Raises [End_of_file] at the end of input, like [input_line]. *)
+let input_line_bounded ic =
+  let buf = Buffer.create 256 in
+  let rec fill () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c when Buffer.length buf < max_line_bytes ->
+      Buffer.add_char buf c;
+      fill ()
+    | _ -> skip ()
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then raise End_of_file
+      else `Line (Buffer.contents buf)
+  and skip () =
+    match input_char ic with
+    | '\n' -> `Too_long
+    | _ -> skip ()
+    | exception End_of_file -> `Too_long
+  in
+  fill ()
+
 let reader t conn () =
   let rec loop () =
-    match input_line conn.ic with
-    | line ->
+    match input_line_bounded conn.ic with
+    | `Line line ->
       if String.length line > 0 then handle_line t conn line;
+      loop ()
+    | `Too_long ->
+      Mbr_obs.Metrics.incr m_requests;
+      send conn
+        (P.fail (-1) P.Bad_request
+           (Printf.sprintf "request line longer than %d bytes" max_line_bytes));
       loop ()
     | exception (End_of_file | Sys_error _) -> ()
   in

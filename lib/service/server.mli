@@ -10,6 +10,9 @@
       session verbs (load, perturb, recompose) onto the target
       session's bounded queue — a full queue is answered [overloaded]
       immediately (explicit backpressure, the client retries);
+    - a request line is at most 1 MiB: a longer one is skipped to its
+      newline and answered [bad-request] with id -1, and the
+      connection keeps serving;
     - a shared {!Mbr_util.Pool.Executor} of worker domains drains the
       session queues, {b one in-flight request per session} (the
       single-writer discipline: the worker holds the
@@ -52,7 +55,7 @@ type config = {
   queue_limit : int;  (** pending requests per session before [overloaded] *)
   alloc_jobs : int;
       (** each session's {!Mbr_core.Flow.options} [jobs]: the fan-out
-          inside a recompose's allocate and skew stages. Default 1:
+          inside a recompose's allocate stage. Default 1:
           with many concurrent sessions the executor already uses the
           machine; nested fan-out only helps a lone giant session. *)
   session_metrics : bool;

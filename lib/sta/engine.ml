@@ -60,8 +60,8 @@ let ivec_push v x =
   v.iv_a.(v.iv_len) <- x;
   v.iv_len <- v.iv_len + 1
 
-(* The propagation plan and its per-corner scratch; see the plan
-   section below. *)
+(* The propagation plan and the scans' scratch; see the plan section
+   below. *)
 type plan_scratch = {
   ps_mark : int array;  (* per-pin epoch stamp: to recompute this pass *)
   ps_tmp : float array;  (* per-corner recompute scratch *)
@@ -95,11 +95,7 @@ type plan = {
   ep_slot : int array;
   ep_cell : int array;
   ep_term : float array;
-  pl_scratch : plan_scratch option array;
-      (* one lazily-created scratch per corner slot; slot 0 doubles as
-         the serial (all-corners-at-once) scratch. A parallel fan-out
-         gives each corner its own slot, so tasks never share mutable
-         scratch. *)
+  pl_scratch : plan_scratch;
 }
 
 type t = {
@@ -517,7 +513,7 @@ let no_plan =
     ep_slot = [||];
     ep_cell = [||];
     ep_term = [||];
-    pl_scratch = [||];
+    pl_scratch = { ps_mark = [||]; ps_tmp = [||]; ps_epoch = 0 };
   }
 
 let m_plan_builds = Mbr_obs.Metrics.counter "sta.plan.builds"
@@ -770,7 +766,12 @@ let make_plan t =
       ep_slot;
       ep_cell;
       ep_term;
-      pl_scratch = Array.make (max nc 1) None;
+      pl_scratch =
+        {
+          ps_mark = Array.make (max n 1) 0;
+          ps_tmp = Array.make (max nc 1) 0.0;
+          ps_epoch = 0;
+        };
     }
   in
   t.plan <- Some p;
@@ -778,20 +779,6 @@ let make_plan t =
 
 
 let ensure_plan t = match t.plan with Some p -> p | None -> make_plan t
-
-let plan_scratch_for p slot =
-  match p.pl_scratch.(slot) with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        ps_mark = Array.make (max (Array.length p.st_slot) 1) 0;
-        ps_tmp = Array.make (max p.pl_nc 1) 0.0;
-        ps_epoch = 0;
-      }
-    in
-    p.pl_scratch.(slot) <- Some s;
-    s
 
 (* Mark-skip scans, the engine's one propagation shape: stream the
    whole topo order (reversed for requireds) and recompute a pin only
@@ -808,8 +795,9 @@ let plan_scratch_for p slot =
    their own sweep boundary), so a cancelled batch leaves exactly the
    planes an uncancelled one would. Returns the recomputed-pin
    count. *)
-let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
+let forward_scan t p ~seeds ~changed ~cancel =
   let nc = p.pl_nc in
+  let scr = p.pl_scratch in
   scr.ps_epoch <- scr.ps_epoch + 1;
   let epoch = scr.ps_epoch in
   let mark = scr.ps_mark in
@@ -833,23 +821,23 @@ let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
         let cid = Array.unsafe_get p.st_cell sl in
         if cid >= 0 then begin
           let sk = skew t cid in
-          for k = k0 to k1 do
+          for k = 0 to nc - 1 do
             Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
           done
         end
         else
-          for k = k0 to k1 do
+          for k = 0 to nc - 1 do
             Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
           done
       end
       else
-        for k = k0 to k1 do
+        for k = 0 to nc - 1 do
           Array.unsafe_set tmp k neg_infinity
         done;
       for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
         let sb = Array.unsafe_get p.pr_src j * nc in
         let b = j * nc in
-        for k = k0 to k1 do
+        for k = 0 to nc - 1 do
           let a =
             pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
           in
@@ -858,7 +846,7 @@ let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
       done;
       let moved = ref false in
       let qb = q * nc in
-      for k = k0 to k1 do
+      for k = 0 to nc - 1 do
         let v = Array.unsafe_get tmp k in
         if v <> pget arr (qb + k) then begin
           moved := true;
@@ -875,8 +863,9 @@ let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
   done;
   !processed
 
-let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
+let backward_scan t p ~seeds ~changed ~cancel =
   let nc = p.pl_nc in
+  let scr = p.pl_scratch in
   scr.ps_epoch <- scr.ps_epoch + 1;
   let epoch = scr.ps_epoch in
   let mark = scr.ps_mark in
@@ -901,23 +890,23 @@ let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
         let cid = Array.unsafe_get p.ep_cell sl in
         if cid >= 0 then begin
           let sk = skew t cid in
-          for k = k0 to k1 do
+          for k = 0 to nc - 1 do
             Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
           done
         end
         else
-          for k = k0 to k1 do
+          for k = 0 to nc - 1 do
             Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
           done
       end
       else
-        for k = k0 to k1 do
+        for k = 0 to nc - 1 do
           Array.unsafe_set tmp k infinity
         done;
       for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
         let db = Array.unsafe_get p.su_dst j * nc in
         let b = j * nc in
-        for k = k0 to k1 do
+        for k = 0 to nc - 1 do
           let r =
             pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
           in
@@ -926,7 +915,7 @@ let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
       done;
       let moved = ref false in
       let qb = q * nc in
-      for k = k0 to k1 do
+      for k = 0 to nc - 1 do
         let v = Array.unsafe_get tmp k in
         if v <> pget req (qb + k) then begin
           moved := true;
@@ -970,18 +959,15 @@ let rec analyze t =
     Mbr_obs.Trace.with_span ~name:"sta.analyze"
       ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
     @@ fun () ->
-    let nc = Array.length t.corners in
     t.plan <- None;
     let p = make_plan t in
     Bigarray.Array1.fill t.arrival neg_infinity;
     Bigarray.Array1.fill t.required infinity;
-    let scr = plan_scratch_for p 0 in
     ignore
-      (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:t.startpoints
-         ~changed:None ~cancel:None);
+      (forward_scan t p ~seeds:t.startpoints ~changed:None ~cancel:None);
     ignore
-      (backward_scan t p scr ~k0:0 ~k1:(nc - 1)
-         ~seeds:(List.map fst t.endpoints) ~changed:None ~cancel:None);
+      (backward_scan t p ~seeds:(List.map fst t.endpoints) ~changed:None
+         ~cancel:None);
     t.pl_cursor <- Placement.revision t.pl;
     t.analyzed <- true
 
@@ -1290,13 +1276,8 @@ let refresh t =
       done;
       Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
       let p = make_plan t in
-      let scr = plan_scratch_for p 0 in
-      ignore
-        (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!fseeds ~changed:None
-           ~cancel:None);
-      ignore
-        (backward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!bseeds ~changed:None
-           ~cancel:None);
+      ignore (forward_scan t p ~seeds:!fseeds ~changed:None ~cancel:None);
+      ignore (backward_scan t p ~seeds:!bseeds ~changed:None ~cancel:None);
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
       t.analyzed <- true;
@@ -1317,31 +1298,17 @@ let plan_patches t = t.n_plan_patches
 
 (* Telemetry for the skew-update hot path: [sta.skew.frontier_pins]
    accumulates the pins the scans recomputed, [sta.skew.level_passes]
-   the scan passes run (two per batch, one per direction; two per
-   corner under a parallel fan-out), [sta.skew.corner_par] the corners
-   fanned out to parallel per-corner scans. *)
+   the scan passes run (two per batch, one per direction). *)
 let m_skew_frontier = Mbr_obs.Metrics.counter "sta.skew.frontier_pins"
 
 let m_skew_levels = Mbr_obs.Metrics.counter "sta.skew.level_passes"
-
-let m_skew_corner_par = Mbr_obs.Metrics.counter "sta.skew.corner_par"
 
 (* [collect_touched] additionally reports which registers own a D or Q
    pin whose arrival or required actually changed — the complete set of
    registers whose [reg_d_slack]/[reg_q_slack] can differ from before
    the call. The worklist-driven skew optimizer uses this to re-examine
-   only those registers.
-
-   With [jobs > 1] and more than one corner, corners propagate in
-   parallel on [Mbr_util.Pool]: corner [k]'s fixpoint at a pin depends
-   only on corner-[k] predecessor values, so per-corner passes reach
-   exactly the per-corner fixpoints of the all-corners pass, and the
-   union of per-corner changed sets equals the serial changed set.
-   Each task owns its corner's interleaved plane columns and its own
-   plan scratch slot;
-   everything else it touches (plan, skew table, design) is read-only
-   for the duration of the call. *)
-let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
+   only those registers. *)
+let update_skews_impl ?cancel t ~collect_touched assignments =
   if not t.analyzed then begin
     List.iter (fun (cid, s) -> write_skew t cid s) assignments;
     analyze t;
@@ -1369,61 +1336,11 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
     if !q_seeds = [] && !d_seeds = [] then []
     else begin
       let p = ensure_plan t in
-      let nc = Array.length t.corners in
-      (* one scan per direction over corners [k0..k1]; the
-         recomputed-pin count *)
-      let scan scr ~k0 ~k1 ~changed =
-        let pf = forward_scan t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel in
-        let pb = backward_scan t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel in
-        pf + pb
-      in
-      let changed =
-        if jobs > 1 && nc > 1 then begin
-          Mbr_obs.Metrics.incr ~by:nc m_skew_corner_par;
-          let per =
-            Mbr_util.Pool.map_array ~jobs:(min jobs nc)
-              (fun k ->
-                let scr = plan_scratch_for p k in
-                let cv = if collect_touched then Some (ivec_create ()) else None in
-                (cv, scan scr ~k0:k ~k1:k ~changed:cv))
-              (Array.init nc Fun.id)
-          in
-          let pins = Array.fold_left (fun a (_, c) -> a + c) 0 per in
-          Mbr_obs.Metrics.incr ~by:pins m_skew_frontier;
-          Mbr_obs.Metrics.incr ~by:(2 * nc) m_skew_levels;
-          if not collect_touched then None
-          else begin
-            (* union of the per-corner changed sets, deduped with an
-               epoch mark (slot 0's scratch — the fan-out has joined) *)
-            let scr = plan_scratch_for p 0 in
-            scr.ps_epoch <- scr.ps_epoch + 1;
-            let epoch = scr.ps_epoch in
-            let u = ivec_create () in
-            Array.iter
-              (fun (cv, _) ->
-                match cv with
-                | Some v ->
-                  for i = 0 to v.iv_len - 1 do
-                    let pid = v.iv_a.(i) in
-                    if scr.ps_mark.(pid) <> epoch then begin
-                      scr.ps_mark.(pid) <- epoch;
-                      ivec_push u pid
-                    end
-                  done
-                | None -> ())
-              per;
-            Some u
-          end
-        end
-        else begin
-          let scr = plan_scratch_for p 0 in
-          let cv = if collect_touched then Some (ivec_create ()) else None in
-          Mbr_obs.Metrics.incr ~by:(scan scr ~k0:0 ~k1:(nc - 1) ~changed:cv)
-            m_skew_frontier;
-          Mbr_obs.Metrics.incr ~by:2 m_skew_levels;
-          cv
-        end
-      in
+      let changed = if collect_touched then Some (ivec_create ()) else None in
+      let pf = forward_scan t p ~seeds:!q_seeds ~changed ~cancel in
+      let pb = backward_scan t p ~seeds:!d_seeds ~changed ~cancel in
+      Mbr_obs.Metrics.incr ~by:(pf + pb) m_skew_frontier;
+      Mbr_obs.Metrics.incr ~by:2 m_skew_levels;
       match changed with
       | None -> []
       | Some v ->
@@ -1454,11 +1371,11 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
     end
   end
 
-let update_skews ?jobs ?cancel t assignments =
-  ignore (update_skews_impl ?jobs ?cancel t ~collect_touched:false assignments)
+let update_skews ?cancel t assignments =
+  ignore (update_skews_impl ?cancel t ~collect_touched:false assignments)
 
-let update_skews_touched ?jobs ?cancel t assignments =
-  update_skews_impl ?jobs ?cancel t ~collect_touched:true assignments
+let update_skews_touched ?cancel t assignments =
+  update_skews_impl ?cancel t ~collect_touched:true assignments
 
 (* ---- worst-corner accessors ----
 

@@ -169,7 +169,6 @@ val plan_patches : t -> int
     span. *)
 
 val update_skews :
-  ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   t ->
   (Mbr_netlist.Types.cell_id * float) list ->
@@ -198,12 +197,6 @@ val update_skews :
     is. Patched and fresh plans give
     bit-identical slacks (property-tested).
 
-    With [jobs > 1] on a multi-corner engine the corners propagate in
-    parallel on [Mbr_util.Pool] (capped at one task per corner):
-    per-corner fixpoints are independent, so the result is bit-identical
-    to the serial pass (property-tested) and multi-corner cost
-    approaches max-over-corners instead of sum.
-
     [cancel] is polled every 4,096 pins by the scans, so a deadline or
     check budget trips promptly, but a batch is atomic — the scans
     always complete, leaving exactly the planes an uncancelled call
@@ -211,12 +204,10 @@ val update_skews :
     (see {!Skew.optimize}).
 
     Telemetry: [sta.skew.frontier_pins] accumulates the pins the scans
-    recomputed, [sta.skew.level_passes] the scan passes run (2 per
-    batch, one per direction; 2 per corner under a parallel fan-out),
-    and [sta.skew.corner_par] the corners fanned out in parallel. *)
+    recomputed, and [sta.skew.level_passes] the scan passes run (2 per
+    batch, one per direction). *)
 
 val update_skews_touched :
-  ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   t ->
   (Mbr_netlist.Types.cell_id * float) list ->

@@ -39,16 +39,7 @@ let step cfg s_d s_q =
    set of a whole-design sweep ([full_sweep:true], kept as the
    property-test reference) while reading O(active + touched) slacks
    per iteration instead of O(registers). *)
-let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
-    ?cancel eng =
-  (* never fan the per-corner sweeps out to more domains than the host
-     actually has: on a single hardware thread the per-sweep domain
-     spawn + join overhead (x2 passes x iterations) costs far more
-     than the interleaved serial walk it displaces — measured ~2x on
-     the scale-4 3-corner ladder vs ~1.2x serial. Callers that want an
-     explicit oversubscribed fan-out (the parallel-equivalence
-     property) call {!Engine.update_skews_touched} directly. *)
-  let jobs = min jobs (Mbr_util.Pool.recommended_jobs ()) in
+let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
   (* every slack read is worst-corner: under a multi-corner set a sweep
      balances each register's worst D side against its worst Q side,
      whichever corners those come from *)
@@ -132,7 +123,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
        end;
        if !moves = [] then raise Exit;
        let assignments = List.map (fun (i, next) -> (regs.(i), next)) !moves in
-       let touched = Engine.update_skews_touched ~jobs ?cancel eng assignments in
+       let touched = Engine.update_skews_touched ?cancel eng assignments in
        List.iter (fun (i, next) -> cur.(i) <- next) !moves;
        if not full_sweep then
          List.iter
@@ -153,7 +144,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
   for i = n - 1 downto 0 do
     if cur.(i) <> best.(i) then restore := (regs.(i), best.(i)) :: !restore
   done;
-  if !restore <> [] then Engine.update_skews ~jobs eng !restore;
+  if !restore <> [] then Engine.update_skews eng !restore;
   let wns_after, tns_after = Engine.wns_tns eng in
   let max_abs_skew =
     Array.fold_left (fun acc s -> Float.max acc (Float.abs s)) 0.0 best

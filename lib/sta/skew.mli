@@ -31,7 +31,6 @@ type report = {
 val optimize :
   ?config:config ->
   ?full_sweep:bool ->
-  ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   Engine.t ->
   report
@@ -52,10 +51,6 @@ val optimize :
     the whole-design sweep; it exists as the reference implementation
     for the equivalence property test and for diagnostics. The register
     index comes from {!Engine.register_index} — no per-call hashing.
-
-    [jobs] is handed to {!Engine.update_skews_touched}: with
-    [jobs > 1] on a multi-corner engine each move batch propagates its
-    corners in parallel (bit-identical to serial).
 
     [cancel] is polled once per sweep before any move is read, and
     every 4,096 pins by the scans inside {!Engine.update_skews_touched}

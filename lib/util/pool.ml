@@ -5,13 +5,10 @@ let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
    no-ops while the obs layer is disabled. *)
 let m_maps = Mbr_obs.Metrics.counter "pool.maps"
 
-let m_chunks = Mbr_obs.Metrics.counter "pool.chunks"
-
 let m_tasks = Mbr_obs.Metrics.counter "pool.tasks"
 
-let map_array ?(chunk = 1) ?order ~jobs f tasks =
+let map_array ?order ~jobs f tasks =
   if jobs < 1 then invalid_arg "Pool.map_array: jobs < 1";
-  if chunk < 1 then invalid_arg "Pool.map_array: chunk < 1";
   let n = Array.length tasks in
   (match order with
   | None -> ()
@@ -40,16 +37,12 @@ let map_array ?(chunk = 1) ?order ~jobs f tasks =
       Mbr_obs.Trace.with_span ~name:"pool.worker" (fun () ->
       let continue = ref true in
       while !continue do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= n || Atomic.get failure <> None then continue := false
+        let p = Atomic.fetch_and_add next 1 in
+        if p >= n || Atomic.get failure <> None then continue := false
         else begin
-          Mbr_obs.Metrics.incr m_chunks;
-          let stop = min n (start + chunk) in
           try
-            for p = start to stop - 1 do
-              let i = task_of p in
-              results.(i) <- Some (f tasks.(i))
-            done
+            let i = task_of p in
+            results.(i) <- Some (f tasks.(i))
           with e ->
             let bt = Printexc.get_raw_backtrace () in
             ignore (Atomic.compare_and_set failure None (Some (e, bt)));

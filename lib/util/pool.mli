@@ -9,11 +9,10 @@
     calling domain works too, so [jobs] is the total parallelism.
 
     Work distribution is an atomic index over the task array: each
-    worker repeatedly claims the next chunk of [chunk] consecutive
-    indices ([1] by default — right for coarse tasks like per-block ILP
-    solves; raise it for many tiny tasks). Every result lands in the
-    slot of its task index, so the output is deterministic and
-    independent of scheduling.
+    worker repeatedly claims the next task (one at a time — the tasks
+    this repo fans out are coarse, like per-block ILP solves). Every
+    result lands in the slot of its task index, so the output is
+    deterministic and independent of scheduling.
 
     [order], when given, is a permutation of the task indices naming
     the order in which tasks are {e claimed} — longest-first
@@ -30,7 +29,7 @@
     read. All callers in this repo uphold that by construction — see
     the read-only sharing invariant in [Mbr_core.Allocate].
 
-    If any call to [f] raises, the pool stops handing out new chunks,
+    If any call to [f] raises, the pool stops handing out new tasks,
     the remaining workers drain, and the first exception (in claim
     order) is re-raised on the calling domain with its original
     backtrace.
@@ -39,7 +38,7 @@
     stint (spawned domains and the calling domain's) is a
     [Mbr_obs.Trace] span named ["pool.worker"], so spans recorded
     inside [f] nest under the worker lane of the domain that ran them;
-    the [pool.maps] / [pool.chunks] / [pool.tasks] counters record the
+    the [pool.maps] / [pool.tasks] counters record the
     fan-out. All of it is no-op when [Mbr_obs] is disabled, and the
     [jobs = 1] serial path is never instrumented at all. *)
 
@@ -49,9 +48,9 @@ val recommended_jobs : unit -> int
     [jobs = None] auto setting of the frontends resolves to this. *)
 
 val map_array :
-  ?chunk:int -> ?order:int array -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** See above. Raises [Invalid_argument] when [jobs < 1], [chunk < 1],
-    or [order] is not a permutation of the task indices. *)
+  ?order:int array -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** See above. Raises [Invalid_argument] when [jobs < 1] or [order] is
+    not a permutation of the task indices. *)
 
 (** Long-lived worker domains draining a shared job queue.
 

@@ -244,7 +244,12 @@ let pruning_matches_brute_force =
       !ok)
 
 (* Compat.refresh must rebuild exactly build_graph's structure — same
-   node order, same edge set — after arbitrary ECO batches. *)
+   node order, same edge set — after arbitrary ECO batches. Even rounds
+   only move registers, so the composable set stays the same and only
+   some snapshots change. *)
+let moves_only =
+  { Eco.default_config with Eco.retype_frac = 0.0; remove_frac = 0.0; add_frac = 0.0 }
+
 let refresh_matches_fresh =
   QCheck.Test.make ~name:"refresh = fresh build over random ECO batches"
     ~count:40
@@ -254,15 +259,22 @@ let refresh_matches_fresh =
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
       let prev = ref (Compat.build_graph eng g.G.library) in
       let rng = Rng.create ((seed * 13) + 5) in
-      let rounds = 1 + (seed mod 3) in
+      let rounds = 2 + (seed mod 3) in
       let ok = ref true in
+      let cids (gr : Compat.graph) = Array.map (fun i -> i.Compat.cid) gr.Compat.infos in
       for round = 1 to rounds do
-        ignore (Eco.perturb rng g);
+        let move_round = round mod 2 = 0 in
+        ignore (Eco.perturb ?config:(if move_round then Some moves_only else None) rng g);
         let fresh = Compat.build_graph eng g.G.library in
         let refreshed, stats = Compat.refresh !prev eng g.G.library in
         if refreshed.Compat.infos <> fresh.Compat.infos then begin
           ok := false;
           QCheck.Test.fail_reportf "seed %d round %d: node mismatch" seed round
+        end;
+        if move_round && cids refreshed <> cids !prev then begin
+          ok := false;
+          QCheck.Test.fail_reportf "seed %d round %d: a move changed the node set"
+            seed round
         end;
         let n = Array.length fresh.Compat.infos in
         if stats.Compat.nodes_total <> n then begin

@@ -417,55 +417,6 @@ let batched_update_skews_matches_analyze =
       done;
       true)
 
-(* Per-corner parallel propagation must be bit-identical to the serial
-   all-corners pass — planes, wns/tns, and the touched-register list. *)
-let parallel_corners_match_serial =
-  QCheck.Test.make ~name:"parallel per-corner update_skews = serial"
-    ~count:15
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let g = G.generate (P.scaled (P.tiny ~seed:(seed mod 37)) 0.5) in
-      let corners =
-        [|
-          Corner.make ~name:"fast" ~cell:0.9 ~wire:0.85 ~setup:1.0;
-          Corner.make ~name:"typ" ~cell:1.0 ~wire:1.0 ~setup:1.0;
-          Corner.make ~name:"slow" ~cell:1.15 ~wire:1.25 ~setup:1.05;
-        |]
-      in
-      let config =
-        { g.G.sta_config with
-          Engine.clock_period = g.G.sta_config.Engine.clock_period *. 0.7 }
-      in
-      let par = Engine.build ~config ~corners g.G.placement in
-      let ser = Engine.build ~config ~corners g.G.placement in
-      Engine.analyze par;
-      Engine.analyze ser;
-      let rng = Rng.create ((seed * 17) + 3) in
-      let regs = Array.of_list (Design.registers g.G.design) in
-      let fail fmt = QCheck.Test.fail_reportf fmt in
-      for round = 1 to 3 do
-        let batch = ref [] in
-        for _ = 1 to 1 + Rng.int rng 6 do
-          let r = regs.(Rng.int rng (Array.length regs)) in
-          if not (List.mem_assoc r !batch) then
-            batch := (r, Rng.float rng 40.0 -. 20.0) :: !batch
-        done;
-        let t_par = Engine.update_skews_touched ~jobs:4 par !batch in
-        let t_ser = Engine.update_skews_touched ser !batch in
-        if t_par <> t_ser then
-          fail "seed %d round %d: touched lists differ (%d vs %d)" seed round
-            (List.length t_par) (List.length t_ser);
-        if Engine.wns_tns par <> Engine.wns_tns ser then
-          fail "seed %d round %d: wns/tns differ" seed round;
-        for pid = 0 to Design.n_pins g.G.design - 1 do
-          for k = 0 to 2 do
-            if Engine.corner_slack par k pid <> Engine.corner_slack ser k pid
-            then fail "seed %d round %d: corner %d pin %d differs" seed round k pid
-          done
-        done
-      done;
-      true)
-
 (* ---- propagation plan: patched = fresh, bit for bit ---- *)
 
 let three_corners =
@@ -940,7 +891,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest worklist_skew_matches_full_sweep;
           QCheck_alcotest.to_alcotest batched_update_skews_matches_analyze;
-          QCheck_alcotest.to_alcotest parallel_corners_match_serial;
         ] );
       ( "corners",
         [ QCheck_alcotest.to_alcotest unit_corner_matches_default ] );

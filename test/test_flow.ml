@@ -133,6 +133,26 @@ let test_incomplete_disabled () =
   let _, r = run ~options 888 in
   checki "no incomplete merges" 0 r.Flow.n_incomplete
 
+(* With skew off nothing moves timing between passes, so a recompose
+   right after another measures, in its metrics-before pass, exactly
+   the previous metrics-after: every field, floats by their bits
+   (marshalled without sharing, a float is its 8 bytes). *)
+let test_metrics_before_is_previous_after () =
+  let g = G.generate (P.tiny ~seed:606) in
+  let options = { Flow.default_options with Flow.skew = None } in
+  let session =
+    Flow.Session.create ~options ~design:g.G.design ~placement:g.G.placement
+      ~library:g.G.library ~sta_config:g.G.sta_config ()
+  in
+  let r1 = Flow.Session.recompose session in
+  let r2 = Flow.Session.recompose session in
+  let bytes (m : Metrics.t) = Marshal.to_string m [ Marshal.No_sharing ] in
+  check
+    (Format.asprintf "before@.  %a@.= previous after@.  %a" Metrics.pp_row
+       r2.Flow.before Metrics.pp_row r1.Flow.after)
+    true
+    (bytes r2.Flow.before = bytes r1.Flow.after)
+
 let test_deterministic () =
   let _, ra = run 42 in
   let _, rb = run 42 in
@@ -177,6 +197,8 @@ let () =
         [
           Alcotest.test_case "greedy mode" `Quick test_greedy_mode_worse_or_equal;
           Alcotest.test_case "skew disabled" `Quick test_skew_disabled;
+          Alcotest.test_case "metrics-before = previous metrics-after (bits)"
+            `Quick test_metrics_before_is_previous_after;
           Alcotest.test_case "incomplete disabled" `Quick test_incomplete_disabled;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "second pass" `Quick test_flow_idempotent_second_pass_smaller;

