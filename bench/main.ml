@@ -301,7 +301,10 @@ let smoke () =
    The subject is the flat (aggregation-hostile) profile deliberately:
    its compatible registers are scattered across the die, so composed
    banks serve cones whose centers of gravity lie far apart — long
-   nets whose load the stress corner derates hardest. *)
+   nets whose load the stress corner derates hardest.
+
+   The scenario itself is [Experiments.recovery_run], which
+   tools/recover_smoke pins at the first margin below. *)
 
 type recovery_row = {
   rc_profile : string;
@@ -318,94 +321,10 @@ type recovery_row = {
 
 let section_recovery () =
   banner "8. compose <-> decompose recovery loop (worst-corner closure)";
-  let p = P.flat ~seed:3 in
-  (* stress corner heavy on the cell derate: a drifted bank's microns
-     cost load (wire cap into the driving cells' delay — a cell-derated
-     term in this model), so the derate multiplies what each micron of
-     drift costs and drifted MBRs go worst-corner-negative without ever
-     showing up at typical *)
-  let corners =
-    match Mbr_sta.Corner.parse_set "typical,stress:2.0:2.0:1.2" with
-    | Ok c -> c
-    | Error m -> failwith m
-  in
+  let p = E.recovery_profile and corners = E.recovery_corners in
   let budget = 4 in
-  let run_attempt ~period ~recover =
-    (* generation is deterministic, so each attempt gets a pristine
-       copy — composition mutates the design *)
-    let g = G.generate p in
-    let sta_config =
-      { g.G.sta_config with Mbr_sta.Engine.clock_period = period }
-    in
-    (* useful skew stays on but with a tight post-CTS bound: it can
-       absorb the mild baseline violations the derated corner uncovers
-       (that is ordinary corner-aware closure) but not the tens of ps a
-       drifted bank loses — those only splitting repairs, which is what
-       separates the recovery loop's work from the skew stage's *)
-    let options =
-      {
-        Flow.default_options with
-        Flow.skew =
-          Some { Mbr_sta.Skew.default_config with Mbr_sta.Skew.bound = 5.0 };
-        Flow.corners = [| Mbr_sta.Corner.typical |];
-      }
-    in
-    let session =
-      Flow.Session.create ~options ~design:g.G.design ~placement:g.G.placement
-        ~library:g.G.library ~sta_config ()
-    in
-    let first = Flow.Session.recompose session in
-    (* post-compose placement drift on the composed banks, through the
-       edit-logged placement API (the session refreshes from the log) *)
-    let pl = Flow.Session.placement session in
-    let fp = Mbr_place.Placement.floorplan pl in
-    let total_drift = ref 0.0 in
-    List.iter
-      (fun cid ->
-        let loc = Mbr_place.Placement.location pl cid in
-        let box = Mbr_place.Placement.footprint pl cid in
-        let w = box.Mbr_geom.Rect.hx -. box.Mbr_geom.Rect.lx in
-        let h = box.Mbr_geom.Rect.hy -. box.Mbr_geom.Rect.ly in
-        (* of the four die corners, the one farthest from where the
-           flow placed the bank (its nets' weighted centroid) *)
-        let far =
-          List.fold_left
-            (fun acc cand ->
-              let p = Mbr_place.Floorplan.clamp_ll fp ~w ~h cand in
-              if
-                Mbr_geom.Point.manhattan p loc
-                > Mbr_geom.Point.manhattan acc loc
-              then p
-              else acc)
-            loc
-            [
-              { Mbr_geom.Point.x = -1e9; y = -1e9 };
-              { Mbr_geom.Point.x = -1e9; y = 1e9 };
-              { Mbr_geom.Point.x = 1e9; y = -1e9 };
-              { Mbr_geom.Point.x = 1e9; y = 1e9 };
-            ]
-        in
-        total_drift := !total_drift +. Mbr_geom.Point.manhattan far loc;
-        Mbr_place.Placement.set pl cid far)
-      first.Flow.new_mbrs;
-    let mean_drift =
-      !total_drift /. float_of_int (max 1 (List.length first.Flow.new_mbrs))
-    in
-    Flow.Session.set_corners session corners;
-    let t0 = Unix.gettimeofday () in
-    let r = Flow.Session.recompose ~recover session in
-    (first, r, Unix.gettimeofday () -. t0, mean_drift)
-  in
   (* stress-corner baseline WNS at the calibrated period, un-composed *)
-  let wns0, base_period =
-    let g = G.generate p in
-    let eng =
-      Mbr_sta.Engine.build ~config:g.G.sta_config ~corners g.G.placement
-    in
-    Mbr_sta.Engine.analyze eng;
-    let wns, _ = Mbr_sta.Engine.wns_tns eng in
-    (wns, g.G.sta_config.Mbr_sta.Engine.clock_period)
-  in
+  let wns0, base_period = E.recovery_probe () in
   Printf.printf
     "probe: worst-corner WNS %.1f ps at the calibrated period %.1f ps\n" wns0
     base_period;
@@ -416,7 +335,9 @@ let section_recovery () =
      worst-corner timing *)
   let attempt margin =
     let period = base_period -. Float.min wns0 0.0 +. margin in
-    let first, r, wall, drift = run_attempt ~period ~recover:budget in
+    let { E.first; recovered = r; wall_s; mean_drift_um = drift } =
+      E.recovery_run ~widen:true ~period ~recover:budget
+    in
     Printf.printf
       "  margin %5.1f drift %5.1f: period %7.1f, %d merges then rounds %d, \
        splits %3d, final wns %8.1f\n%!"
@@ -431,7 +352,7 @@ let section_recovery () =
       rc_drift_um = drift;
       rc_budget = budget;
       rc_result = r;
-      rc_wall_s = wall;
+      rc_wall_s = wall_s;
       rc_converged = r.Flow.after.Mbr_core.Metrics.wns >= 0.0;
     }
   in

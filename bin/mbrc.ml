@@ -27,20 +27,9 @@ module E = Mbr_harness.Experiments
    assembly, and the cmdliner terms themselves. Subcommands compose
    their Term from these — no per-command redefinitions. *)
 module Common_args = struct
+  (* [name] passed [profile_arg]'s enum, so it resolves *)
   let profile_of_name name seed scale =
-    let gen_seed = Option.value seed ~default:1 in
-    let base =
-      match name with
-      | `D1 -> P.d1
-      | `D2 -> P.d2
-      | `D3 -> P.d3
-      | `D4 -> P.d4
-      | `D5 -> P.d5
-      | `Tiny -> P.tiny ~seed:gen_seed
-      | `Flat -> P.flat ~seed:gen_seed
-    in
-    let base = match seed with Some s -> { base with P.seed = s } | None -> base in
-    P.scaled base scale
+    P.scaled (Option.get (P.of_name ?seed name)) scale
 
   (* -j 0 means "use every core the runtime recommends" *)
   let resolve_jobs = function
@@ -73,11 +62,8 @@ module Common_args = struct
   (* Bad values are usage errors: cmdliner rejects them with a usage
      message and exit code 124 before any subcommand runs. *)
   let profile_arg =
-    let names =
-      [ ("d1", `D1); ("d2", `D2); ("d3", `D3); ("d4", `D4); ("d5", `D5);
-        ("tiny", `Tiny); ("flat", `Flat) ]
-    in
-    Arg.(value & opt (enum names) `D1 & info [ "p"; "profile" ] ~docv:"NAME"
+    let names = List.map (fun n -> (n, n)) P.names in
+    Arg.(value & opt (enum names) "d1" & info [ "p"; "profile" ] ~docv:"NAME"
            ~doc:"Design profile: d1..d5, tiny, or flat (aggregation-hostile \
                  flat netlist).")
 
@@ -598,7 +584,8 @@ let client_cmd =
   in
   let opt_profile_arg =
     Arg.(value & opt (some string) None & info [ "p"; "profile" ] ~docv:"NAME"
-           ~doc:"load: design profile (tiny, d1..d5).")
+           ~doc:"load: design profile (tiny, flat, d1..d5); D1-D5 keep \
+                 their shipped seed unless --seed is given.")
   in
   let opt_scale_arg =
     Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"F"

@@ -45,7 +45,7 @@ done
 echo "== bench smoke (parallel allocate jobs = 2; ECO recompose round) =="
 dune exec bench/main.exe -- --smoke
 
-echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes; the session builds the STA graph once) =="
+echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes, nor add more nets than it created scan-out pins; the session builds the STA graph once) =="
 dune exec tools/scale_smoke.exe
 
 echo "== telemetry smoke (traced flow -> Chrome JSON + metrics snapshot) =="

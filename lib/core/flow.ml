@@ -1,4 +1,3 @@
-module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
@@ -36,8 +35,6 @@ type result = {
   before : Metrics.t;
   after : Metrics.t;
   n_split : int;
-  scan_chain_wl : float;
-  merge_displacement : float;
   n_merges : int;
   n_regs_merged : int;
   n_incomplete : int;
@@ -135,27 +132,11 @@ type merge_outcome = {
   mo_new_mbrs : Mbr_netlist.Types.cell_id list;  (** in creation order *)
   mo_n_incomplete : int;
   mo_n_regs_merged : int;
-  mo_displacement : float;
 }
-
-(* Centers of the members that are actually placed; the merge loop
-   needs them once for the displacement metric. *)
-let placed_member_centers placement members =
-  List.filter_map
-    (fun cid ->
-      if Placement.is_placed placement cid then
-        Some (Placement.center placement cid)
-      else None)
-    members
 
 let execute_one_merge ctx occ infos (c : Candidate.t) outcome =
   let placement = ctx.placement in
   let members = c.Candidate.member_cids in
-  let member_centroid =
-    match placed_member_centers placement members with
-    | [] -> None
-    | centers -> Some (Point.centroid centers)
-  in
   match
     Mapping.for_members ctx.library infos ~members:c.Candidate.members
       ~target_bits:c.Candidate.target_bits
@@ -182,18 +163,11 @@ let execute_one_merge ctx occ infos (c : Candidate.t) outcome =
         Compose.execute placement { Compose.member_cids = members; cell; corner }
       in
       Legalizer.Occupancy.add occ (Placement.footprint placement id);
-      let displacement =
-        match member_centroid with
-        | Some old_center ->
-          Point.manhattan old_center (Placement.center placement id)
-        | None -> 0.0
-      in
       {
         mo_new_mbrs = id :: outcome.mo_new_mbrs;
         mo_n_incomplete =
           (outcome.mo_n_incomplete + if c.Candidate.incomplete then 1 else 0);
         mo_n_regs_merged = outcome.mo_n_regs_merged + List.length members;
-        mo_displacement = outcome.mo_displacement +. displacement;
       }
     | None ->
       (* nowhere to put it: abandon the merge, restore occupancy *)
@@ -211,12 +185,7 @@ let stage_merge ctx graph (selection : Allocate.selection) =
       let outcome =
         List.fold_left
           (fun acc c -> execute_one_merge ctx occ infos c acc)
-          {
-            mo_new_mbrs = [];
-            mo_n_incomplete = 0;
-            mo_n_regs_merged = 0;
-            mo_displacement = 0.0;
-          }
+          { mo_new_mbrs = []; mo_n_incomplete = 0; mo_n_regs_merged = 0 }
           selection.Allocate.merges
       in
       { outcome with mo_new_mbrs = List.rev outcome.mo_new_mbrs })
@@ -225,7 +194,8 @@ let stage_merge ctx graph (selection : Allocate.selection) =
    leave dangling SI/SO hops, and new MBRs need threading (§2's scan
    rules guaranteed this stays possible). No-op without scan cells. *)
 let stage_scan_restitch ctx =
-  stage ctx "scan-restitch" (fun () -> Mbr_dft.Scan_stitch.stitch ctx.placement)
+  stage ctx "scan-restitch" (fun () ->
+      ignore (Mbr_dft.Scan_stitch.stitch ctx.placement))
 
 (* splice the merge/scan edits into the timing graph, then useful
    skew + sizing; skews live in the engine so they carry through *)
@@ -396,7 +366,6 @@ module Session = struct
     p_selection : Allocate.selection;
     p_cache : Allocate.cache_stats;
     p_merged : merge_outcome;
-    p_scan_wl : float;
     p_skew : Skew.report option;
     p_resized : int;
     p_after : Metrics.t;
@@ -416,7 +385,7 @@ module Session = struct
     ctx.pg_resolved <- ctx.pg_resolved + p_cache.Allocate.blocks_resolved;
     ctx.pg_total <- ctx.pg_total + p_selection.Allocate.n_blocks;
     let p_merged = stage_merge ctx graph p_selection in
-    let scan_report = stage_scan_restitch ctx in
+    stage_scan_restitch ctx;
     let p_skew = stage_skew ctx ?cancel () in
     let p_resized = stage_resize ctx p_merged.mo_new_mbrs in
     let p_after = stage_metrics ctx "metrics-after" in
@@ -426,7 +395,6 @@ module Session = struct
       p_selection;
       p_cache;
       p_merged;
-      p_scan_wl = scan_report.Mbr_dft.Scan_stitch.wirelength;
       p_skew;
       p_resized;
       p_after;
@@ -559,8 +527,6 @@ module Session = struct
         before;
         after = last.p_after;
         n_split = main.p_split;
-        scan_chain_wl = last.p_scan_wl;
-        merge_displacement = total (fun p -> p.p_merged.mo_displacement);
         n_merges = List.length mbrs;
         n_regs_merged = count (fun p -> p.p_merged.mo_n_regs_merged);
         n_incomplete = count (fun p -> p.p_merged.mo_n_incomplete);

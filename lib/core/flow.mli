@@ -76,13 +76,6 @@ type result = {
   before : Metrics.t;
   after : Metrics.t;
   n_split : int;  (** max-width MBRs decomposed before composition *)
-  scan_chain_wl : float;
-      (** wirelength of the re-stitched scan chains, µm (0 when the
-          design has no scan cells) *)
-  merge_displacement : float;
-      (** total Manhattan distance between each merge's member centroid
-          and the placed MBR's center, µm — the placement disturbance
-          §3.2 aims to keep small *)
   n_merges : int;  (** MBRs created *)
   n_regs_merged : int;  (** registers absorbed into them *)
   n_incomplete : int;  (** merges using an incomplete MBR *)

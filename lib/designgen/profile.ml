@@ -175,3 +175,15 @@ let flat ~seed =
 
 let scaled p f =
   { p with n_registers = max 10 (int_of_float (float_of_int p.n_registers *. f)) }
+
+let names = List.map (fun p -> String.lowercase_ascii p.name) all @ [ "tiny"; "flat" ]
+
+let of_name ?seed name =
+  match List.find_opt (fun p -> String.lowercase_ascii p.name = name) all with
+  | Some p -> Some (match seed with Some seed -> { p with seed } | None -> p)
+  | None -> (
+    let seed = Option.value seed ~default:1 in
+    match name with
+    | "tiny" -> Some (tiny ~seed)
+    | "flat" -> Some (flat ~seed)
+    | _ -> None)

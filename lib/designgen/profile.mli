@@ -66,3 +66,12 @@ val flat : seed:int -> t
 val scaled : t -> float -> t
 (** [scaled p f] multiplies the register count by [f] (for quick runs:
     [scaled d1 0.25]). *)
+
+val names : string list
+(** The names {!of_name} resolves: ["d1"]..["d5"], ["tiny"], ["flat"]. *)
+
+val of_name : ?seed:int -> string -> t option
+(** The profile a frontend names, [None] for any other name. D1–D5
+    keep their shipped seed unless [seed] is given; tiny and flat use
+    [seed], 1 by default. The one resolver behind [mbrc -p] and the
+    daemon's [load]. *)

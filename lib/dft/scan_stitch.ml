@@ -6,9 +6,11 @@ module Cell_lib = Mbr_liberty.Cell
 
 type report = { n_chains : int; n_hops : int; wirelength : float }
 
-(* Scannable live registers grouped by partition. *)
+(* Scannable live registers grouped by partition, and the live
+   registers outside every partition. *)
 let by_partition dsg =
   let tbl = Hashtbl.create 8 in
+  let chainless = ref [] in
   List.iter
     (fun cid ->
       match (Design.reg_attrs dsg cid).Types.scan with
@@ -19,9 +21,10 @@ let by_partition dsg =
           | None -> []
         in
         Hashtbl.replace tbl s.Types.partition (cid :: cur)
-      | None -> ())
+      | None -> chainless := cid :: !chainless)
     (Design.registers dsg);
-  List.sort compare (Hashtbl.fold (fun p l acc -> (p, List.rev l) :: acc) tbl [])
+  ( List.sort compare (Hashtbl.fold (fun p l acc -> (p, List.rev l) :: acc) tbl []),
+    !chainless )
 
 (* The SI/SO hop pins a register contributes, in chain order. *)
 let hops dsg cid =
@@ -40,141 +43,119 @@ let hops dsg cid =
   | Cell_lib.Per_bit_scan ->
     List.filter_map bit_pair (List.init a.Types.lib_cell.Cell_lib.bits Fun.id)
 
-let disconnect_scan_wiring dsg =
-  List.iter
-    (fun cid ->
-      List.iter
-        (fun pid ->
-          match (Design.pin dsg pid).Types.p_kind with
-          | Types.Pin_scan_in _ | Types.Pin_scan_out _ -> Design.disconnect dsg pid
-          | Types.Pin_d _ | Types.Pin_q _ | Types.Pin_clock | Types.Pin_reset
-          | Types.Pin_scan_enable | Types.Pin_in _ | Types.Pin_out | Types.Pin_port
-            ->
-            ())
-        (Design.pins_of dsg cid))
-    (Design.registers dsg)
-
-(* Chain order within one partition: section runs first, then unordered
-   registers nearest-neighbour from the previous chain endpoint. *)
 let chain_order pl members =
   let dsg = Placement.design pl in
-  let sectioned, free =
-    List.partition
-      (fun cid ->
-        match (Design.reg_attrs dsg cid).Types.scan with
-        | Some { Types.section = Some _; _ } -> true
-        | Some { Types.section = None; _ } | None -> false)
-      members
-  in
-  let sec_key cid =
+  let section cid =
     match (Design.reg_attrs dsg cid).Types.scan with
-    | Some { Types.section = Some (sec, pos); _ } -> (sec, pos, cid)
-    | Some { Types.section = None; _ } | None -> (max_int, 0, cid)
+    | Some { Types.section = Some (sec, pos); _ } -> Some (sec, pos, cid)
+    | Some { Types.section = None; _ } | None -> None
   in
-  let sectioned = List.sort (fun a b -> compare (sec_key a) (sec_key b)) sectioned in
-  let pos_of cid =
-    match Placement.location_opt pl cid with
-    | Some _ -> Some (Placement.center pl cid)
-    | None -> None
+  let sectioned =
+    List.map (fun (_, _, cid) -> cid) (List.sort compare (List.filter_map section members))
   in
-  (* greedy nearest-neighbour walk over the free registers *)
-  let placed_free, unplaced_free = List.partition (fun c -> pos_of c <> None) free in
-  let start =
+  let placed cid = Placement.location_opt pl cid <> None in
+  let placed_free, unplaced_free =
+    List.partition placed (List.filter (fun cid -> section cid = None) members)
+  in
+  (* greedy nearest-neighbour walk over the placed free registers from
+     the last sectioned one: the nearest unused register is next, the
+     earliest on a tie (with no start every distance is infinite, so
+     the walk begins at the first) *)
+  let ax, ay =
     match List.rev sectioned with
-    | last :: _ -> pos_of last
-    | [] -> None
+    | last :: _ when placed last ->
+      let c = Placement.center pl last in
+      (ref c.Point.x, ref c.Point.y)
+    | _ :: _ | [] -> (ref infinity, ref infinity)
   in
-  let rec walk at remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let dist c =
-        match (at, pos_of c) with
-        | Some p, Some q -> Point.manhattan p q
-        | _, _ -> 0.0
-      in
-      let next =
-        List.fold_left
-          (fun best c ->
-            match best with
-            | Some (b, bd) when bd <= dist c -> Some (b, bd)
-            | Some _ | None -> Some (c, dist c))
-          None remaining
-      in
-      (match next with
-      | Some (c, _) ->
-        walk (pos_of c) (List.filter (fun x -> x <> c) remaining) (c :: acc)
-      | None -> List.rev acc)
-  in
-  let start =
-    match (start, placed_free) with
-    | None, c :: _ -> pos_of c
-    | s, _ -> s
-  in
-  sectioned @ walk start placed_free [] @ unplaced_free
+  let cids = Array.of_list placed_free in
+  let n = Array.length cids in
+  let xs = Array.map (fun c -> (Placement.center pl c).Point.x) cids in
+  let ys = Array.map (fun c -> (Placement.center pl c).Point.y) cids in
+  let used = Array.make n false and walked = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let best = ref (-1) and best_d = ref 0.0 in
+    for i = 0 to n - 1 do
+      if not used.(i) then begin
+        (* Point.manhattan, written out: calls across modules are not
+           inlined, and a float returned from one is boxed *)
+        let d = Float.abs (!ax -. xs.(i)) +. Float.abs (!ay -. ys.(i)) in
+        if !best < 0 || d < !best_d then begin
+          best := i;
+          best_d := d
+        end
+      end
+    done;
+    used.(!best) <- true;
+    walked.(k) <- cids.(!best);
+    ax := xs.(!best);
+    ay := ys.(!best)
+  done;
+  sectioned @ Array.to_list walked @ unplaced_free
+
+let port_pin dsg name =
+  match Design.find_cell dsg name with
+  | Some cid -> ( match Design.pins_of dsg cid with pid :: _ -> Some pid | [] -> None)
+  | None -> None
 
 let stitch pl =
   let dsg = Placement.design pl in
-  disconnect_scan_wiring dsg;
-  let chains = by_partition dsg in
+  let chains, chainless = by_partition dsg in
+  (* registers outside every chain keep no scan wiring *)
+  List.iter
+    (fun cid ->
+      List.iter
+        (fun (si, so) ->
+          Design.disconnect dsg si;
+          Design.disconnect dsg so)
+        (hops dsg cid))
+    chainless;
   let n_hops = ref 0 in
   let wirelength = ref 0.0 in
+  let placed pid = Placement.location_opt pl (Design.pin dsg pid).Types.p_cell <> None in
+  (* The one wiring rule: a chain driver (the scan-in port or a
+     register SO) keeps the net it drives, and one without a net gets a
+     fresh one. Each SI joins the net its predecessor drives ([connect]
+     leaves an unchanged hop alone) and the scan-out port joins the
+     last SO's net; every SI of the chain is attached once, so a stale
+     sink moves off its old net. *)
   let stitch_one (partition, members) =
-    let ordered = chain_order pl members in
-    let hop_list = List.concat_map (fun cid -> hops dsg cid) ordered in
-    match hop_list with
+    match List.concat_map (hops dsg) (chain_order pl members) with
     | [] -> false
-    | _ ->
-      let port_net name dir =
-        let nid =
-          match Design.find_cell dsg name with
-          | Some cell_id -> (
-            (* reuse the existing port's net *)
-            match (Design.cell dsg cell_id).Types.c_pins with
-            | pid :: _ -> (
-              match (Design.pin dsg pid).Types.p_net with
-              | Some n -> n
-              | None ->
-                let n = Design.add_net dsg (name ^ "_net") in
-                Design.connect dsg pid n;
-                n)
-            | [] -> Design.add_net dsg (name ^ "_net"))
-          | None ->
-            let n = Design.add_net dsg (name ^ "_net") in
-            ignore (Design.add_port dsg name dir n);
-            n
-        in
-        nid
-      in
-      let si_net = port_net (Printf.sprintf "scan_si%d" partition) Types.In_port in
-      let so_net = port_net (Printf.sprintf "scan_so%d" partition) Types.Out_port in
-      let pin_pos pid =
-        let cid = (Design.pin dsg pid).Types.p_cell in
-        match Placement.location_opt pl cid with
-        | Some _ -> Some (Placement.pin_location pl pid)
-        | None -> None
-      in
-      let rec thread prev_so = function
-        | [] ->
-          (* close the chain into the scan-out port *)
-          Design.connect dsg prev_so so_net
-        | (si, so) :: rest ->
+    | hop_list ->
+      let net_of driver =
+        match (Design.pin dsg driver).Types.p_net with
+        | Some nid -> nid
+        | None ->
           let nid = Design.add_net dsg (Printf.sprintf "scan%d_%d" partition !n_hops) in
-          Design.connect dsg prev_so nid;
-          Design.connect dsg si nid;
-          incr n_hops;
-          (match (pin_pos prev_so, pin_pos si) with
-          | Some a, Some b -> wirelength := !wirelength +. Point.manhattan a b
-          | _, _ -> ());
-          thread so rest
+          Design.connect dsg driver nid;
+          nid
       in
-      (match hop_list with
-      | (first_si, first_so) :: rest ->
-        (* scan-in port drives the first SI directly *)
-        Design.connect dsg first_si si_net;
-        incr n_hops;
-        thread first_so rest
-      | [] -> ());
+      let si_name = Printf.sprintf "scan_si%d" partition in
+      let si_port =
+        match port_pin dsg si_name with
+        | Some pid -> pid
+        | None ->
+          let nid = Design.add_net dsg (si_name ^ "_net") in
+          List.hd (Design.pins_of dsg (Design.add_port dsg si_name Types.In_port nid))
+      in
+      let last_so =
+        List.fold_left
+          (fun driver (si, so) ->
+            Design.connect dsg si (net_of driver);
+            incr n_hops;
+            if driver <> si_port && placed driver && placed si then
+              wirelength :=
+                !wirelength
+                +. Point.manhattan (Placement.pin_location pl driver)
+                     (Placement.pin_location pl si);
+            so)
+          si_port hop_list
+      in
+      let so_name = Printf.sprintf "scan_so%d" partition in
+      (match port_pin dsg so_name with
+      | Some pid -> Design.connect dsg pid (net_of last_so)
+      | None -> ignore (Design.add_port dsg so_name Types.Out_port (net_of last_so)));
       true
   in
   let n_chains = List.length (List.filter stitch_one chains) in
@@ -183,7 +164,7 @@ let stitch pl =
 let verify dsg =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let chains = by_partition dsg in
+  let chains, _ = by_partition dsg in
   List.iter
     (fun (partition, members) ->
       let expected_hops =

@@ -3,8 +3,8 @@
     The paper's scan-compatibility rules (§2) exist to keep the scan
     chains stitchable after composition; this module makes that
     concrete: it wires one chain per scan partition (SI port → SI/SO
-    hops → SO port), re-wires after composition, and verifies chain
-    integrity.
+    hops → SO port), re-wires it in place after composition (only the
+    hops that changed), and verifies chain integrity.
 
     Ordering inside a partition: ordered sections first, section by
     section, each in ascending position (§2's order constraint), then
@@ -20,11 +20,25 @@ type report = {
   wirelength : float;  (** Manhattan length of the stitched nets, µm *)
 }
 
+val chain_order :
+  Mbr_place.Placement.t -> Mbr_netlist.Types.cell_id list -> Mbr_netlist.Types.cell_id list
+(** One partition's registers in chain order: sectioned registers by
+    (section, position, id), then the placed unordered ones by a
+    nearest-neighbour walk (Manhattan distance between centres) from
+    the last sectioned register, or from the first unordered one when
+    that is unplaced or absent — the earliest register wins a tie —
+    then the unplaced unordered ones, in the given order. *)
+
 val stitch : Mbr_place.Placement.t -> report
-(** (Re)stitch every partition of the design. Existing scan wiring is
-    dropped first, so the call is idempotent; chain ports are created
-    on demand (named [scan_si<p>] / [scan_so<p>]). Unplaced scannable
-    registers are appended at the end of their partition's chain. *)
+(** (Re)stitch every partition of the design in place. A chain driver
+    (the [scan_si<p>] port, a register's SO) keeps the net it drives:
+    the next SI (or the [scan_so<p>] port after the last SO) joins that
+    net, and a fresh net is made only for a driver that has none (a
+    new MBR's, a split half's or an added register's SO). A hop whose
+    ends are unchanged logs no edit, so a second call changes nothing.
+    Ports are created on demand. The SI/SO pins of registers outside
+    every partition end unconnected. Unplaced scannable registers are
+    appended at the end of their partition's chain. *)
 
 val verify : Mbr_netlist.Design.t -> string list
 (** Chain-integrity violations (empty = healthy): every scannable

@@ -8,6 +8,8 @@ module Compat = Mbr_core.Compat
 module Weight = Mbr_core.Weight
 module Texttab = Mbr_util.Texttab
 module Stats = Mbr_util.Stats
+module Point = Mbr_geom.Point
+module Placement = Mbr_place.Placement
 
 type design_run = {
   profile : P.t;
@@ -409,3 +411,91 @@ let ablation_skew ?jobs profile =
   row "after composition (Fig. 4)" on;
   row "disabled" off;
   Texttab.render tab
+
+(* ---- the §8 recovery scenario ---- *)
+
+let recovery_profile = P.flat ~seed:3
+
+(* stress corner heavy on the cell derate: a drifted bank's microns
+   cost load (wire cap into the driving cells' delay — a cell-derated
+   term in this model), so the derate multiplies what each micron of
+   drift costs and drifted MBRs go worst-corner-negative without ever
+   showing up at typical *)
+let recovery_corners =
+  match Mbr_sta.Corner.parse_set "typical,stress:2.0:2.0:1.2" with
+  | Ok c -> c
+  | Error m -> failwith m
+
+let recovery_probe () =
+  let g = G.generate recovery_profile in
+  let eng =
+    Mbr_sta.Engine.build ~config:g.G.sta_config ~corners:recovery_corners
+      g.G.placement
+  in
+  Mbr_sta.Engine.analyze eng;
+  let wns, _ = Mbr_sta.Engine.wns_tns eng in
+  (wns, g.G.sta_config.Mbr_sta.Engine.clock_period)
+
+type recovery_run = {
+  first : Flow.result;
+  recovered : Flow.result;
+  wall_s : float;
+  mean_drift_um : float;
+}
+
+let recovery_run ~widen ~period ~recover =
+  (* generation is deterministic, so each run gets a pristine copy —
+     composition mutates the design *)
+  let g = G.generate recovery_profile in
+  let sta_config = { g.G.sta_config with Mbr_sta.Engine.clock_period = period } in
+  (* useful skew stays on but with a tight post-CTS bound: it can
+     absorb the mild baseline violations the derated corner uncovers
+     (that is ordinary corner-aware closure) but not the tens of ps a
+     drifted bank loses — those only splitting repairs, which is what
+     separates the recovery loop's work from the skew stage's *)
+  let options =
+    {
+      Flow.default_options with
+      Flow.skew = Some { Mbr_sta.Skew.default_config with Mbr_sta.Skew.bound = 5.0 };
+      Flow.corners = [| Mbr_sta.Corner.typical |];
+    }
+  in
+  let session =
+    Flow.Session.create ~options ~design:g.G.design ~placement:g.G.placement
+      ~library:g.G.library ~sta_config ()
+  in
+  let first = Flow.Session.recompose session in
+  (* post-compose placement drift on the composed banks, through the
+     edit-logged placement API (the session refreshes from the log):
+     each lands at the die corner farthest from where the flow placed
+     it (its nets' weighted centroid) *)
+  let pl = Flow.Session.placement session in
+  let fp = Placement.floorplan pl in
+  let total_drift = ref 0.0 in
+  List.iter
+    (fun cid ->
+      let loc = Placement.location pl cid in
+      let box = Placement.footprint pl cid in
+      let w = box.Mbr_geom.Rect.hx -. box.Mbr_geom.Rect.lx in
+      let h = box.Mbr_geom.Rect.hy -. box.Mbr_geom.Rect.ly in
+      let far =
+        List.fold_left
+          (fun acc (x, y) ->
+            let p = Mbr_place.Floorplan.clamp_ll fp ~w ~h (Point.make x y) in
+            if Point.manhattan p loc > Point.manhattan acc loc then p else acc)
+          loc
+          [ (-1e9, -1e9); (-1e9, 1e9); (1e9, -1e9); (1e9, 1e9) ]
+      in
+      total_drift := !total_drift +. Point.manhattan far loc;
+      Placement.set pl cid far)
+    first.Flow.new_mbrs;
+  if widen then Flow.Session.set_corners session recovery_corners;
+  let t0 = Unix.gettimeofday () in
+  let recovered = Flow.Session.recompose ~recover session in
+  {
+    first;
+    recovered;
+    wall_s = Unix.gettimeofday () -. t0;
+    mean_drift_um =
+      !total_drift /. float_of_int (max 1 (List.length first.Flow.new_mbrs));
+  }

@@ -71,3 +71,35 @@ val ablation_decompose : ?jobs:int -> Mbr_designgen.Profile.t -> string
     before composition and recompose. Most interesting on the
     8-bit-rich D4, where the paper says plain composition helps
     least. *)
+
+(** {1 The recovery scenario}
+
+    The compose ↔ decompose recovery loop under a widened corner set,
+    shared by `bench/main`'s section 8 and `tools/recover_smoke`. The
+    flat profile composes under the typical corner, every composed bank
+    is then misplaced to the die corner farthest from where the flow
+    put it, sign-off widens the corner set to {!recovery_corners}, and
+    the session recomposes with a recovery budget. *)
+
+val recovery_profile : Mbr_designgen.Profile.t
+(** [flat ~seed:3]. *)
+
+val recovery_corners : Mbr_sta.Corner.t array
+(** typical plus a cell-derated stress corner
+    (["typical,stress:2.0:2.0:1.2"]). *)
+
+val recovery_probe : unit -> float * float
+(** The un-composed design's worst-corner WNS under
+    {!recovery_corners}, and its calibrated clock period (ps). *)
+
+type recovery_run = {
+  first : Mbr_core.Flow.result;  (** the compose under typical *)
+  recovered : Mbr_core.Flow.result;  (** the recompose after the drift *)
+  wall_s : float;  (** the recompose's wall time *)
+  mean_drift_um : float;  (** Manhattan displacement per composed bank *)
+}
+
+val recovery_run : widen:bool -> period:float -> recover:int -> recovery_run
+(** One run of the scenario at the given clock period, with useful skew
+    bounded at 5 ps; [widen:false] keeps the corner set at typical
+    through the same drift (the control). *)

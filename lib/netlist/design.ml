@@ -265,16 +265,18 @@ let clock_nets t =
 
 let connect t pid nid =
   let p = pin t pid in
-  (match p.p_net with
-  | Some old ->
-    let n = net t old in
-    n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
-    log t (Net_changed (old, pid))
-  | None -> ());
-  p.p_net <- Some nid;
-  let n = net t nid in
-  n.n_pins <- pid :: n.n_pins;
-  log t (Net_changed (nid, pid))
+  if p.p_net <> Some nid then begin
+    (match p.p_net with
+    | Some old ->
+      let n = net t old in
+      n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
+      log t (Net_changed (old, pid))
+    | None -> ());
+    p.p_net <- Some nid;
+    let n = net t nid in
+    n.n_pins <- pid :: n.n_pins;
+    log t (Net_changed (nid, pid))
+  end
 
 let disconnect t pid =
   let p = pin t pid in

@@ -30,8 +30,8 @@ type edit =
           One is logged per pin created on a net and per pin that
           {!connect}, {!disconnect} or {!remove_cell} moves ([connect]
           of a wired pin logs two: leaving the old net, joining the
-          new), so a consumer can tell which pins lost their old
-          connections. *)
+          new; [connect] to the pin's own net logs none), so a consumer
+          can tell which pins lost their old connections. *)
 
 val revision : t -> int
 (** Monotonically increasing edit count (the log length). *)
@@ -153,7 +153,9 @@ val clock_nets : t -> Types.net_id list
 (** {1 Edits} *)
 
 val connect : t -> Types.pin_id -> Types.net_id -> unit
-(** Reconnects (disconnecting from any previous net first). *)
+(** Reconnects (disconnecting from any previous net first). A pin
+    already on the net is left as it is: nothing is logged and the
+    net's pin order does not change. *)
 
 val disconnect : t -> Types.pin_id -> unit
 

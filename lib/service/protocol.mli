@@ -52,9 +52,13 @@ type request = {
   id : int;  (** echoed in the response; client's correlation key *)
   verb : verb;
   session : string option;  (** required by load / perturb / recompose *)
-  profile : string option;  (** load: ["tiny"] (default) or ["d1"]..["d5"] *)
+  profile : string option;
+      (** load: ["tiny"] (default), ["flat"] or ["d1"]..["d5"]
+          ({!Mbr_designgen.Profile.of_name}) *)
   scale : float option;  (** load: register-count multiplier, > 0 *)
-  seed : int option;  (** load: generator seed; perturb: ECO seed *)
+  seed : int option;
+      (** load: generator seed — D1–D5 keep their shipped seed when it
+          is absent, tiny and flat use 1; perturb: ECO seed *)
   frac : float option;  (** perturb: scales the default ECO fractions *)
   timeout_s : float option;  (** recompose: cancellation deadline *)
   path : string option;  (** export-trace: file to write *)

@@ -218,17 +218,11 @@ let dump_flight_stderr t =
 (* ---- request execution (on executor worker domains) ---- *)
 
 let profile_of req =
-  let seed = Option.value req.P.seed ~default:1 in
+  let name = Option.value req.P.profile ~default:"tiny" in
   let base =
-    match Option.value req.P.profile ~default:"tiny" with
-    | "tiny" -> Prof.tiny ~seed
-    | "flat" -> Prof.flat ~seed
-    | "d1" -> { Prof.d1 with Prof.seed }
-    | "d2" -> { Prof.d2 with Prof.seed }
-    | "d3" -> { Prof.d3 with Prof.seed }
-    | "d4" -> { Prof.d4 with Prof.seed }
-    | "d5" -> { Prof.d5 with Prof.seed }
-    | other -> P.reject P.Bad_request "unknown profile %S" other
+    match Prof.of_name ?seed:req.P.seed name with
+    | Some p -> p
+    | None -> P.reject P.Bad_request "unknown profile %S" name
   in
   match req.P.scale with
   | None -> base
@@ -767,12 +761,23 @@ let reader t conn () =
     | exception (End_of_file | Sys_error _) -> ()
   in
   loop ();
+  (* closing ic closes the shared fd; oc's buffer is already flushed
+     after every response. Closed under the lock, so [hang_up] never
+     meets a closed (or reused) descriptor. *)
   Mutex.lock conn.wlock;
   conn.alive <- false;
-  Mutex.unlock conn.wlock;
-  (* closing ic closes the shared fd; oc's buffer is already flushed
-     after every response *)
-  try close_in conn.ic with Sys_error _ -> ()
+  (try close_in conn.ic with Sys_error _ -> ());
+  Mutex.unlock conn.wlock
+
+(* End a connection's input so its reader sees end of input and
+   leaves: the receiving side only, so a response being written still
+   goes out. A reader that has already left closed the channel, and
+   its descriptor lookup raises. *)
+let hang_up conn =
+  Mutex.lock conn.wlock;
+  (try Unix.shutdown (Unix.descr_of_in_channel conn.ic) Unix.SHUTDOWN_RECEIVE
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  Mutex.unlock conn.wlock
 
 (* ---- lifecycle ---- *)
 
@@ -834,7 +839,7 @@ let run ?on_ready config =
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
   Unix.listen listen_fd 64;
   Option.iter (fun f -> f ()) on_ready;
-  let threads = ref [] in
+  let readers = ref [] in
   let rec accept_loop () =
     if not t.stopping then begin
       match Unix.accept listen_fd with
@@ -849,7 +854,7 @@ let run ?on_ready config =
               alive = true;
             }
           in
-          threads := Thread.create (reader t conn) () :: !threads
+          readers := (Thread.create (reader t conn) (), conn) :: !readers
         end;
         accept_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
@@ -863,7 +868,9 @@ let run ?on_ready config =
   (* final sampler tick runs before the join, so a prom_file always
      reflects the drained state *)
   Option.iter Mbr_obs.Sampler.stop sampler;
-  (* readers exit on client EOF; shutdown-side nudge is the socket file
-     disappearing — clients close when their last response arrives *)
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-  List.iter Thread.join !threads
+  (* every queued response has been written: end the connections
+     clients still hold open, or an idle one keeps its reader (and so
+     the daemon) waiting for input that never comes *)
+  List.iter (fun (_, conn) -> hang_up conn) !readers;
+  List.iter (fun (th, _) -> Thread.join th) !readers

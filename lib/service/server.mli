@@ -83,5 +83,7 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Bind the socket (replacing a stale file), call [on_ready] once
     accepting (test/launcher synchronization), and serve until a
     [shutdown] request arrives. Returns after the full drain: accepted
-    requests are answered, worker domains joined, socket unlinked.
+    requests are answered, worker domains joined, socket unlinked, and
+    the connections clients still hold open ended (their input is shut
+    down; responses already written are delivered).
     Raises [Unix.Unix_error] if the socket cannot be bound. *)

@@ -1,6 +1,7 @@
 (* Tests for Mbr_dft.Scan_stitch: chain construction, verification,
-   ordered-section order, per-bit-scan threading, idempotency, and
-   integration with the composition flow. *)
+   ordered-section order, per-bit-scan threading, idempotency (no edit
+   and no net on a second stitch), chain-less registers, and
+   integration with the composition flow and ECO rounds. *)
 
 module Scan_stitch = Mbr_dft.Scan_stitch
 module Design = Mbr_netlist.Design
@@ -135,10 +136,54 @@ let test_restitch_idempotent () =
   let _ = add_scan_reg d pl clk rst se ~name:"a" ~cell:sdffr1 ~partition:0 5.0 in
   let _ = add_scan_reg d pl clk rst se ~name:"b" ~cell:sdffr1 ~partition:0 10.0 in
   let r1 = Scan_stitch.stitch pl in
+  let revision = Design.revision d and n_nets = Design.n_nets d in
   let r2 = Scan_stitch.stitch pl in
   checki "same hops" r1.Scan_stitch.n_hops r2.Scan_stitch.n_hops;
+  checki "no edit logged" revision (Design.revision d);
+  checki "no net added" n_nets (Design.n_nets d);
   Alcotest.(check (list string)) "still verified" [] (Scan_stitch.verify d);
   Alcotest.(check (list string)) "netlist valid after restitch" [] (Design.validate d)
+
+(* A scan register outside every partition, wired onto the chain's
+   nets (its SI beside a chain SI, its SO as a second driver of the
+   scan-out net), ends with both scan pins unconnected. *)
+let test_chainless_register_unwired () =
+  let d, pl, clk, rst, se = fresh () in
+  let a = add_scan_reg d pl clk rst se ~name:"a" ~cell:sdffr1 ~partition:0 5.0 in
+  let _ = add_scan_reg d pl clk rst se ~name:"b" ~cell:sdffr1 ~partition:0 10.0 in
+  let _ = Scan_stitch.stitch pl in
+  let net_of cid kind =
+    match Design.pin_of d cid kind with
+    | Some pid -> (Design.pin d pid).Types.p_net
+    | None -> Alcotest.fail "scan pin"
+  in
+  let so_port =
+    match Design.find_cell d "scan_so0" with Some c -> c | None -> Alcotest.fail "port"
+  in
+  let net_exn = function Some n -> n | None -> Alcotest.fail "chain net" in
+  let attrs =
+    Types.
+      { lib_cell = sdffr1; fixed = false; size_only = false; scan = None; gate_enable = None }
+  in
+  let c =
+    Design.add_register d "c" attrs
+      {
+        Design.d_nets = [| None |];
+        q_nets = [| None |];
+        clock = clk;
+        reset = Some rst;
+        scan_enable = Some se;
+        scan_ins = [ (0, net_exn (net_of a (Types.Pin_scan_out 0))) ];
+        scan_outs = [ (0, net_exn (net_of so_port Types.Pin_port)) ];
+      }
+  in
+  Placement.set pl c (Point.make 7.0 2.4);
+  check "verify sees the stray wiring" true (Scan_stitch.verify d <> []);
+  let _ = Scan_stitch.stitch pl in
+  check "SI unconnected" true (net_of c (Types.Pin_scan_in 0) = None);
+  check "SO unconnected" true (net_of c (Types.Pin_scan_out 0) = None);
+  Alcotest.(check (list string)) "verified" [] (Scan_stitch.verify d);
+  Alcotest.(check (list string)) "netlist valid" [] (Design.validate d)
 
 let test_verify_catches_broken_chain () =
   let d, pl, clk, rst, se = fresh () in
@@ -150,6 +195,36 @@ let test_verify_catches_broken_chain () =
   | Some pid -> Design.disconnect d pid
   | None -> Alcotest.fail "SO pin");
   check "verify reports a problem" true (Scan_stitch.verify d <> [])
+
+(* Restitching mints a net only for a scan-out pin without one, so
+   across ECO rounds a recompose adds at most as many nets as the round
+   (the perturb and the recompose) created scan-out pins. *)
+let test_eco_rounds_keep_nets () =
+  let g = G.generate (P.scaled P.d1 0.4) in
+  let d = g.G.design in
+  let s =
+    Flow.Session.create ~design:d ~placement:g.G.placement ~library:g.G.library
+      ~sta_config:g.G.sta_config ()
+  in
+  ignore (Flow.Session.recompose s);
+  for round = 1 to 6 do
+    let pins = Design.n_pins d in
+    ignore (Mbr_designgen.Eco.perturb (Mbr_util.Rng.create round) g);
+    let nets = Design.n_nets d in
+    ignore (Flow.Session.recompose s);
+    let new_so = ref 0 in
+    for pid = pins to Design.n_pins d - 1 do
+      match (Design.pin d pid).Types.p_kind with
+      | Types.Pin_scan_out _ -> incr new_so
+      | _ -> ()
+    done;
+    let added = Design.n_nets d - nets in
+    if added > !new_so then
+      Alcotest.failf "round %d: recompose added %d nets for %d new scan-out pins"
+        round added !new_so;
+    Alcotest.(check (list string)) "chains verified" [] (Scan_stitch.verify d);
+    Alcotest.(check (list string)) "netlist valid" [] (Design.validate d)
+  done
 
 let test_generated_design_chains_ok () =
   let g = G.generate (P.tiny ~seed:606) in
@@ -163,7 +238,8 @@ let test_flow_restitches () =
       ~sta_config:g.G.sta_config ()
   in
   check "merges happened" true (r.Flow.n_merges > 0);
-  check "scan wl reported" true (r.Flow.scan_chain_wl > 0.0);
+  check "scan wl reported" true
+    ((Scan_stitch.stitch g.G.placement).Scan_stitch.wirelength > 0.0);
   Alcotest.(check (list string)) "chains verified after composition" []
     (Scan_stitch.verify g.G.design);
   Alcotest.(check (list string)) "netlist valid" [] (Design.validate g.G.design)
@@ -185,6 +261,8 @@ let () =
           Alcotest.test_case "per-bit scan threads bits" `Quick
             test_per_bit_scan_threads_every_bit;
           Alcotest.test_case "restitch idempotent" `Quick test_restitch_idempotent;
+          Alcotest.test_case "chain-less register unwired" `Quick
+            test_chainless_register_unwired;
           Alcotest.test_case "verify catches breaks" `Quick
             test_verify_catches_broken_chain;
         ] );
@@ -193,5 +271,7 @@ let () =
           Alcotest.test_case "generated design chains" `Quick
             test_generated_design_chains_ok;
           Alcotest.test_case "flow restitches" `Quick test_flow_restitches;
+          Alcotest.test_case "ECO rounds add nets only for new SO pins" `Quick
+            test_eco_rounds_keep_nets;
         ] );
     ]

@@ -24,7 +24,11 @@
      analyze, skew batches, merges, scan restitching and ECO refreshes,
      equal an independent full sweep kept in [Sta_reference] — the
      per-pin formulas over adjacency rebuilt from the design, no plan,
-     compared by their bits. *)
+     compared by their bits;
+   - the array walk behind [Scan_stitch.chain_order] gives every
+     partition of D1–D5, tiny and flat designs the order of the
+     list walk kept in [Scan_reference], ties and unplaced registers
+     included. *)
 
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
@@ -877,6 +881,68 @@ let congested_matches_reference () =
   Alcotest.(check (list string)) "no field differs" [] bad;
   Alcotest.(check bool) "overflow present" true (m.Metrics.ovfl > 0)
 
+(* ---- scan-chain order ---- *)
+
+(* The partitions whose order differs between [Scan_stitch.chain_order]
+   and the pre-change list walk, members in ascending id order. *)
+let chain_order_mismatches (g : G.t) =
+  let dsg = g.G.design in
+  let parts = Hashtbl.create 8 in
+  List.iter
+    (fun cid ->
+      match (Design.reg_attrs dsg cid).Types.scan with
+      | Some s ->
+        let l = Option.value (Hashtbl.find_opt parts s.Types.partition) ~default:[] in
+        Hashtbl.replace parts s.Types.partition (cid :: l)
+      | None -> ())
+    (Design.registers dsg);
+  Hashtbl.fold
+    (fun p members acc ->
+      let members = List.rev members in
+      if
+        Scan_stitch.chain_order g.G.placement members
+        = Scan_reference.chain_order g.G.placement members
+      then acc
+      else p :: acc)
+    parts []
+
+(* On a generated design; then with every register's corner snapped to
+   a 10 µm grid, so equal distances (ties) are everywhere, and one
+   register in eight unplaced. *)
+let chain_order_matches_reference =
+  QCheck.Test.make ~name:"chain order = pre-change walk (D1-D5, tiny, flat)" ~count:14
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let profile =
+        match seed mod 7 with
+        | 5 -> P.tiny ~seed
+        | 6 -> P.flat ~seed
+        | k ->
+          let p = List.nth P.all k in
+          { (P.scaled p 0.4) with P.seed = p.P.seed + seed }
+      in
+      let g = G.generate profile in
+      let check what =
+        match chain_order_mismatches g with
+        | [] -> ()
+        | p :: _ ->
+          QCheck.Test.fail_reportf "%s %s: partition %d orders differently" profile.P.name
+            what p
+      in
+      check "as generated";
+      let rng = Rng.create seed in
+      let snap v = 10.0 *. Float.round (v /. 10.0) in
+      List.iter
+        (fun cid ->
+          if Rng.int rng 8 = 0 then Placement.remove g.G.placement cid
+          else
+            match Placement.location_opt g.G.placement cid with
+            | Some { Point.x; y } -> Placement.set g.G.placement cid (Point.make (snap x) (snap y))
+            | None -> ())
+        (Design.registers g.G.design);
+      check "snapped";
+      true)
+
 let () =
   Alcotest.run "mbr.equivalence"
     [
@@ -908,4 +974,5 @@ let () =
           Alcotest.test_case "congested design = reference" `Quick
             congested_matches_reference;
         ] );
+      ("scan", [ QCheck_alcotest.to_alcotest chain_order_matches_reference ]);
     ]

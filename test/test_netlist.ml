@@ -169,6 +169,19 @@ let test_connect_moves_pin () =
   checki "new net has it" 1 (List.length (Design.sinks d other));
   check "valid" true (Design.validate d = [])
 
+let test_connect_same_net_noop () =
+  (* the gate output joined n1 before the register's D pin, so it is
+     not at the head of the net's pin list *)
+  let d, _, n1, _, g, _ = small_design () in
+  let pid =
+    match Design.pin_of d g Types.Pin_out with Some p -> p | None -> assert false
+  in
+  let pins = (Design.net d n1).Types.n_pins and revision = Design.revision d in
+  Design.connect d pid n1;
+  checki "nothing logged" revision (Design.revision d);
+  Alcotest.(check (list int)) "pin order kept" pins (Design.net d n1).Types.n_pins;
+  check "valid" true (Design.validate d = [])
+
 let test_remove_cell () =
   let d, _, _, _, _, r = small_design () in
   let before = Design.n_cells d in
@@ -283,6 +296,8 @@ let () =
         [
           Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect;
           Alcotest.test_case "connect moves pin" `Quick test_connect_moves_pin;
+          Alcotest.test_case "connect to own net is a no-op" `Quick
+            test_connect_same_net_noop;
           Alcotest.test_case "remove cell" `Quick test_remove_cell;
           Alcotest.test_case "retype register" `Quick test_retype_register;
           Alcotest.test_case "validate double driver" `Quick

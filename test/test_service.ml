@@ -127,8 +127,9 @@ let fresh_socket =
     Printf.sprintf "%s/mbrd-test-%d-%d.sock" (Filename.get_temp_dir_name ())
       (Unix.getpid ()) !n
 
-(* Run the daemon on its own thread; returns after it is accepting. *)
-let start_server config =
+(* Run the daemon on its own thread; returns after it is accepting.
+   [returned] is set once [S.run] returns. *)
+let start_server ?(returned = Atomic.make false) config =
   let ready = Mutex.create () and cond = Condition.create () in
   let up = ref false in
   let on_ready () =
@@ -137,7 +138,9 @@ let start_server config =
     Condition.signal cond;
     Mutex.unlock ready
   in
-  let th = Thread.create (fun () -> S.run ~on_ready config) () in
+  let th =
+    Thread.create (fun () -> S.run ~on_ready config; Atomic.set returned true) ()
+  in
   Mutex.lock ready;
   while not !up do
     Condition.wait cond ready
@@ -267,6 +270,57 @@ let test_malformed_lines () =
   expect_code "{nonsense" P.Invalid_json);
   (* the daemon survived: a real client still gets served *)
   ignore (get_ok (C.query_metrics c));
+  ignore (get_ok (C.shutdown c))
+
+(* A client that connected and never spoke must not keep the daemon
+   alive after a shutdown: [run] returns with the idle connection still
+   open, and that connection sees end of input. *)
+let test_shutdown_with_idle_client () =
+  let socket_path = fresh_socket () in
+  let returned = Atomic.make false in
+  let th = start_server ~returned { S.default_config with S.socket_path } in
+  let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect idle (Unix.ADDR_UNIX socket_path);
+  let c = C.connect socket_path in
+  ignore (get_ok (C.shutdown c));
+  C.close c;
+  let rec wait n =
+    Atomic.get returned
+    || n > 0
+       && begin
+            Unix.sleepf 0.01;
+            wait (n - 1)
+          end
+  in
+  let ok = wait 1000 in
+  let eof = ok && Unix.read idle (Bytes.create 1) 0 1 = 0 in
+  (* closing the idle socket lets a hung daemon return, so the join
+     cannot hang the suite *)
+  Unix.close idle;
+  Thread.join th;
+  check "run returned within 10 s" true ok;
+  check "idle connection ended" true eof
+
+(* The daemon resolves profile names as mbrc does: D1 keeps its
+   shipped seed when the load names none. *)
+let test_load_keeps_shipped_seed () =
+  let g = G.generate (Prof.scaled Prof.d1 0.2) in
+  let want =
+    Flow.run ~design:g.G.design ~placement:g.G.placement ~library:g.G.library
+      ~sta_config:g.G.sta_config ()
+  in
+  with_server @@ fun socket_path ->
+  let c = C.connect socket_path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  ignore (get_ok (C.load c ~session:"d" ~profile:"d1" ~scale:0.2 ()));
+  let r = get_ok (C.recompose c ~session:"d" ()) in
+  checki "total_regs" want.Flow.after.Mbr_core.Metrics.total_regs
+    (int_field "total_regs" r);
+  Alcotest.(check string) "tns"
+    (Printf.sprintf "%.12g" want.Flow.after.Mbr_core.Metrics.tns)
+    (match Option.bind (J.member "tns" r) J.to_float with
+    | Some f -> Printf.sprintf "%.12g" f
+    | None -> "missing");
   ignore (get_ok (C.shutdown c))
 
 let test_cancelled_recompose_usable () =
@@ -599,6 +653,10 @@ let () =
         [
           Alcotest.test_case "smoke" `Quick test_smoke;
           Alcotest.test_case "malformed lines" `Quick test_malformed_lines;
+          Alcotest.test_case "shutdown with an idle client" `Quick
+            test_shutdown_with_idle_client;
+          Alcotest.test_case "load keeps the shipped D1 seed" `Quick
+            test_load_keeps_shipped_seed;
           Alcotest.test_case "cancelled recompose leaves session usable" `Quick
             test_cancelled_recompose_usable;
           Alcotest.test_case "overload backpressure" `Quick

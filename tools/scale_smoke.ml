@@ -33,9 +33,15 @@
    itself be rebuilt after Session.create builds it: a splice that fell
    back to a rebuild would still give bit-exact timing, so no
    equivalence test notices, and the check fails when the session's
-   full-build count ends above 1. These are counts, not timings; the
-   round's eco-reset and skew stage times, and Session.create's wall
-   time (which is the engine build), are printed for the log.
+   full-build count ends above 1. Nor may the round grow the net
+   table beyond the new scan chain drivers: scan restitching keeps
+   every hop net whose driver survives and mints one only for a
+   scan-out pin without a net, so the check fails when the round's
+   recompose adds more nets than the round (the ECO batch and the
+   recompose) created scan-out pins. These are counts, not timings;
+   the round's eco-reset, skew and scan-restitch stage times, the net
+   count, and Session.create's wall time (which is the engine build),
+   are printed for the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
@@ -45,6 +51,7 @@ module P = Mbr_designgen.Profile
 module G = Mbr_designgen.Generate
 module Flow = Mbr_core.Flow
 module Engine = Mbr_sta.Engine
+module Design = Mbr_netlist.Design
 
 let () =
   Mbr_util.Runtime.tune ();
@@ -86,20 +93,40 @@ let () =
      %.2f s\n%!"
     create_s skew_s metrics_s;
   (* one ECO round on the same session *)
+  let dsg = g.G.design in
+  let pins0 = Design.n_pins dsg in
   ignore (Mbr_designgen.Eco.perturb (Mbr_util.Rng.create 1) g);
   let eng = Flow.Session.engine session in
   let builds0 = Engine.plan_builds eng and patches0 = Engine.plan_patches eng in
   let refreshes0 = Engine.refreshes eng in
+  let nets0 = Design.n_nets dsg in
   let eco = Flow.Session.recompose session in
   let eco_builds = Engine.plan_builds eng - builds0 in
   let eco_patches = Engine.plan_patches eng - patches0 in
   let eco_refreshes = Engine.refreshes eng - refreshes0 in
+  let eco_nets = Design.n_nets dsg - nets0 in
+  let new_so = ref 0 in
+  for pid = pins0 to Design.n_pins dsg - 1 do
+    match (Design.pin dsg pid).Mbr_netlist.Types.p_kind with
+    | Mbr_netlist.Types.Pin_scan_out _ -> incr new_so
+    | _ -> ()
+  done;
   Printf.printf
-    "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, plan builds %d, \
-     patches %d, refreshes %d; STA full builds %d\n%!"
-    (stage_s eco "eco-reset") (stage_s eco "skew") eco_builds eco_patches
-    eco_refreshes eco.Flow.sta_full_builds;
+    "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, scan-restitch \
+     %.3f s, plan builds %d, patches %d, refreshes %d; STA full builds %d; \
+     nets %d (+%d for %d new scan-out pins)\n%!"
+    (stage_s eco "eco-reset") (stage_s eco "skew") (stage_s eco "scan-restitch")
+    eco_builds eco_patches eco_refreshes eco.Flow.sta_full_builds
+    (Design.n_nets dsg) eco_nets !new_so;
   let failed = ref false in
+  if eco_nets > !new_so then begin
+    Printf.printf
+      "scale-smoke: FAIL eco round's recompose added %d nets for %d new \
+       scan-out pins; restitching may mint a net only for a scan-out pin \
+       without one\n%!"
+      eco_nets !new_so;
+    failed := true
+  end;
   if eco.Flow.sta_full_builds > 1 then begin
     Printf.printf
       "scale-smoke: FAIL the session built the STA graph %d times; only \
