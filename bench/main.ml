@@ -5,7 +5,8 @@
 
    Sections, in run order:
      5. Runtime scaling (D1 from 0.25x to 70x: median flow wall time of
-        three trials per rung up to 8x, peak RSS, per-stage breakdown)
+        three trials per rung up to 8x, the session set-up beside it,
+        peak RSS, per-stage breakdown)
      1. Table 1  (Base / Ours / Save per design + section-5 averages)
      2. Fig. 5   (MBR bit-width histograms before/after)
      3. Fig. 6   (ILP vs greedy weighted allocator, normalized registers)
@@ -19,12 +20,6 @@
    and per-layer regression numbers come from perfbench/, not from
    here.
 
-   `bench/main.exe --smoke` instead runs only a tiny design through the
-   parallel (jobs = 2) allocate path plus one ECO perturb + recompose
-   round and checks both against from-scratch results — the CI smoke
-   test for the domain-pool and session code paths (a few seconds, no
-   BENCH.json rewrite).
-
    Expected wall time (full run): about 7 minutes on a 2-vCPU host,
    most of it the generation and flow of the 70x (>=100k-register)
    rung, which also needs several GB of memory. *)
@@ -32,7 +27,6 @@
 module E = Mbr_harness.Experiments
 module P = Mbr_designgen.Profile
 module G = Mbr_designgen.Generate
-module Eco = Mbr_designgen.Eco
 module Flow = Mbr_core.Flow
 module J = Mbr_obs.Json
 
@@ -94,6 +88,9 @@ type scaling_row = {
   sc_cells : int;
   sc_walls : float array;  (* flow wall time per trial, sorted *)
   sc_result : Flow.result;  (* the median trial's run *)
+  sc_create_s : float;
+      (* the median trial's Session.create: the STA graph build and
+         initial analysis, which [runtime_s] (the recompose) excludes *)
   sc_metrics : Mbr_obs.Metrics.snapshot;  (* registry state for that run *)
   sc_rss_mb : float option;
       (* process peak RSS (VmHWM) right after the row's first trial.
@@ -103,19 +100,23 @@ type scaling_row = {
          smaller). Later trials of the same rung are not counted. *)
 }
 
-(* One flow on a freshly generated copy (the flow mutates the design).
-   Reset and compact first, so the run's counters price one flow and
-   it allocates into a heap the previous run no longer fragments. *)
+(* One flow on a freshly generated copy (the flow mutates the design),
+   spelled Session.create + recompose as Flow.run does, so the set-up
+   is timed apart from the recompose. Reset and compact first, so the
+   run's counters price one flow and it allocates into a heap the
+   previous run no longer fragments. *)
 let scaling_trial p =
   let g = G.generate p in
   let cells = Mbr_netlist.Design.n_cells g.G.design in
   Mbr_obs.Metrics.reset ();
   Gc.compact ();
-  let r =
-    Flow.run ~design:g.G.design ~placement:g.G.placement ~library:g.G.library
-      ~sta_config:g.G.sta_config ()
+  let s, create_s =
+    Mbr_obs.Trace.timed_span ~name:"bench.session_create" (fun () ->
+        Flow.Session.create ~design:g.G.design ~placement:g.G.placement
+          ~library:g.G.library ~sta_config:g.G.sta_config ())
   in
-  (cells, (r, Mbr_obs.Metrics.snapshot ()))
+  let r = Flow.Session.recompose s in
+  (cells, (r, create_s, Mbr_obs.Metrics.snapshot ()))
 
 let scaling_row scale =
   let p = P.scaled P.d1 scale in
@@ -125,25 +126,26 @@ let scaling_row scale =
   let runs = first :: List.init (n - 1) (fun _ -> snd (scaling_trial p)) in
   let by_wall =
     List.sort
-      (fun (a, _) (b, _) -> compare a.Flow.runtime_s b.Flow.runtime_s)
+      (fun (a, _, _) (b, _, _) -> compare a.Flow.runtime_s b.Flow.runtime_s)
       runs
   in
-  let result, snap = List.nth by_wall (n / 2) in
+  let result, create_s, snap = List.nth by_wall (n / 2) in
   {
     sc_profile = P.d1.P.name;
     sc_scale = scale;
     sc_registers = p.P.n_registers;
     sc_cells = cells;
-    sc_walls = Array.of_list (List.map (fun (r, _) -> r.Flow.runtime_s) by_wall);
+    sc_walls = Array.of_list (List.map (fun (r, _, _) -> r.Flow.runtime_s) by_wall);
     sc_result = result;
+    sc_create_s = create_s;
     sc_metrics = snap;
     sc_rss_mb = rss;
   }
 
 let section_scaling () =
   banner "5. Runtime scaling (flow wall time vs design size, D1 profile)";
-  Printf.printf "%-10s %-8s %-7s %-15s %-8s %-7s | %s\n" "registers" "cells"
-    "flow s" "min-max (n)" "rss MB" "sta b/r" "stage breakdown (s)";
+  Printf.printf "%-10s %-8s %-7s %-15s %-8s %-8s %-7s | %s\n" "registers" "cells"
+    "flow s" "min-max (n)" "create s" "rss MB" "sta b/r" "stage breakdown (s)";
   let rows =
     List.map
       (fun scale ->
@@ -157,10 +159,11 @@ let section_scaling () =
                  if t >= 0.05 then Some (Printf.sprintf "%s=%.1f" name t) else None)
                r.Flow.stage_times)
         in
-        Printf.printf "%-10d %-8d %-7.1f %-15s %-8s %d/%-5d | %s\n%!"
+        Printf.printf "%-10d %-8d %-7.1f %-15s %-8.2f %-8s %d/%-5d | %s\n%!"
           row.sc_registers row.sc_cells r.Flow.runtime_s
           (Printf.sprintf "%.1f-%.1f (%d)" w.(0) w.(Array.length w - 1)
              (Array.length w))
+          row.sc_create_s
           (match row.sc_rss_mb with
           | Some m -> Printf.sprintf "%.0f" m
           | None -> "n/a")
@@ -169,103 +172,12 @@ let section_scaling () =
       [ 0.25; 0.5; 1.0; 2.0; 8.0; 70.0 ]
   in
   print_endline
-    "(flow s is the median trial, its stage breakdown beside it; rss is the\n\
-     process peak after each rung's first trial, so it prices one flow at\n\
-     that size; the 70x row is the >=100k-register checkpoint, run once)";
+    "(flow s is the median trial's recompose, its stage breakdown beside it;\n\
+     create s is that trial's Session.create, the STA graph build and\n\
+     initial analysis; rss is the process peak after each rung's first\n\
+     trial, so it prices one flow at that size; the 70x row is the\n\
+     >=100k-register checkpoint, run once)";
   rows
-
-(* ---- --smoke: the CI parallel-path check (tiny design, jobs = 2) ---- *)
-
-let results_close (ra : Flow.result) (rb : Flow.result) =
-  let module M = Mbr_core.Metrics in
-  let close a b =
-    a = b || (Float.is_finite a && Float.is_finite b && Float.abs (a -. b) <= 1e-6)
-  in
-  ra.Flow.after.M.total_regs = rb.Flow.after.M.total_regs
-  && ra.Flow.n_merges = rb.Flow.n_merges
-  && close ra.Flow.ilp_cost rb.Flow.ilp_cost
-  && close ra.Flow.after.M.wns rb.Flow.after.M.wns
-  && close ra.Flow.after.M.tns rb.Flow.after.M.tns
-
-let smoke_allocate () =
-  let g = G.generate (P.tiny ~seed:1) in
-  let eng = Mbr_sta.Engine.build ~config:g.G.sta_config g.G.placement in
-  Mbr_sta.Engine.analyze eng;
-  let graph = Mbr_core.Compat.build_graph eng g.G.library in
-  let blocker_index = Mbr_core.Spatial.create () in
-  List.iter
-    (fun cid ->
-      if Mbr_place.Placement.is_placed g.G.placement cid then
-        Mbr_core.Spatial.add blocker_index cid
-          (Mbr_place.Placement.center g.G.placement cid))
-    (Mbr_netlist.Design.registers g.G.design);
-  (* the decision content of a selection (everything but block_times),
-     and the run's wall time *)
-  let run jobs =
-    let module A = Mbr_core.Allocate in
-    let t0 = Unix.gettimeofday () in
-    let s, _ =
-      A.run_cached ~jobs (A.create_cache ()) graph ~lib:g.G.library
-        ~blocker_index
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let open A in
-    ((s.merges, s.kept, s.cost, s.n_blocks, s.n_candidates, s.all_optimal), dt)
-  in
-  let serial, dt = run 1 in
-  Printf.printf "jobs=1: %.3f s, identical=true\n" dt;
-  let pooled, dt = run 2 in
-  Printf.printf "jobs=2: %.3f s, identical=%b\n" dt (pooled = serial);
-  if pooled <> serial then failwith "smoke: parallel allocate diverged"
-
-(* Lockstep protocol (as in test_flow_eco): two identically seeded
-   copies settle over two rounds, take the same seeded ECO batch, then
-   copy A advances by the session's recompose and copy B by a
-   from-scratch Flow.run. *)
-let smoke_eco () =
-  let p = P.tiny ~seed:3 in
-  let ga = G.generate p and gb = G.generate p in
-  let session =
-    Flow.Session.create ~design:ga.G.design ~placement:ga.G.placement
-      ~library:ga.G.library ~sta_config:ga.G.sta_config ()
-  in
-  let fresh () =
-    Flow.run ~design:gb.G.design ~placement:gb.G.placement ~library:gb.G.library
-      ~sta_config:gb.G.sta_config ()
-  in
-  for _ = 1 to 2 do
-    ignore (Flow.Session.recompose session);
-    ignore (fresh ())
-  done;
-  (* the same seeded batch on both copies *)
-  let rng () = Mbr_util.Rng.create 1097 in
-  let batch = Eco.perturb (rng ()) ga in
-  ignore (Eco.perturb (rng ()) gb);
-  let ra = Flow.Session.recompose session in
-  let identical = results_close ra (fresh ()) in
-  Printf.printf "eco: %d edits, %d/%d blocks re-solved (%d reused), identical=%b\n"
-    (Eco.total batch) ra.Flow.eco_blocks_resolved ra.Flow.n_blocks
-    ra.Flow.eco_blocks_reused identical;
-  if not identical then failwith "smoke: recompose diverged";
-  if ra.Flow.eco_blocks_resolved + ra.Flow.eco_blocks_reused <> ra.Flow.n_blocks
-  then failwith "smoke: reuse counters do not cover the partition"
-
-let smoke () =
-  banner "smoke: parallel allocate path (tiny design, jobs = 2)";
-  smoke_allocate ();
-  (* once through the full staged flow with the pool engaged *)
-  let g = G.generate (P.tiny ~seed:7) in
-  let options = { Flow.default_options with Flow.jobs = Some 2 } in
-  let r =
-    Flow.run ~options ~design:g.G.design ~placement:g.G.placement
-      ~library:g.G.library ~sta_config:g.G.sta_config ()
-  in
-  Printf.printf "flow (jobs=2): %d MBRs from %d registers, %d blocks, %.1f s\n"
-    r.Flow.n_merges r.Flow.n_regs_merged r.Flow.n_blocks r.Flow.runtime_s;
-  if r.Flow.alloc_jobs <> 2 then failwith "smoke: jobs not plumbed";
-  if r.Flow.n_merges <= 0 then failwith "smoke: no merges";
-  smoke_eco ();
-  print_endline "smoke OK"
 
 (* ---- section 8: compose <-> decompose recovery loop ----
 
@@ -441,6 +353,7 @@ let scaling_to_json row =
       ("cells", int row.sc_cells);
       ("trials", int (Array.length w));
       ("wall_s", num r.Flow.runtime_s);
+      ("create_s", num row.sc_create_s);
       ("wall_min_s", num w.(0));
       ("wall_max_s", num w.(Array.length w - 1));
       ("rss_mb", match row.sc_rss_mb with Some m -> num m | None -> J.Null);
@@ -481,16 +394,13 @@ let () =
   (* counters on for the whole harness; each ladder trial resets and
      snapshots around the run it describes *)
   Mbr_obs.Metrics.enable ();
-  if Array.exists (fun a -> a = "--smoke") Sys.argv then smoke ()
-  else begin
-    Printf.printf "MBR composition benchmark harness (DAC'17 reproduction)\n";
-    let scaling = section_scaling () in
-    section_tables ();
-    section_ablations ();
-    let recovery = section_recovery () in
-    write_bench_json ~path:"BENCH.json" ~scaling ~recovery;
-    banner "done";
-    print_endline
-      "Recorded paper-vs-measured comparisons live in EXPERIMENTS.md;\n\
-       the experiment-to-module map is in DESIGN.md section 4."
-  end
+  Printf.printf "MBR composition benchmark harness (DAC'17 reproduction)\n";
+  let scaling = section_scaling () in
+  section_tables ();
+  section_ablations ();
+  let recovery = section_recovery () in
+  write_bench_json ~path:"BENCH.json" ~scaling ~recovery;
+  banner "done";
+  print_endline
+    "Recorded paper-vs-measured comparisons live in EXPERIMENTS.md;\n\
+     the experiment-to-module map is in DESIGN.md section 4."

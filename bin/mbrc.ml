@@ -31,12 +31,6 @@ module Common_args = struct
   let profile_of_name name seed scale =
     P.scaled (Option.get (P.of_name ?seed name)) scale
 
-  (* -j 0 means "use every core the runtime recommends" *)
-  let resolve_jobs = function
-    | None -> None
-    | Some 0 -> Some (Mbr_util.Pool.recommended_jobs ())
-    | Some n -> Some n
-
   let options_of ~mode ~no_skew ~no_incomplete ~bound ~decompose ~jobs
       ~corners ~recover =
     {
@@ -45,11 +39,10 @@ module Common_args = struct
       decompose;
       corners = Option.value corners ~default:Flow.default_options.Flow.corners;
       recover;
-      jobs = resolve_jobs jobs;
+      jobs;
       skew = (if no_skew then None else Flow.default_options.Flow.skew);
       allocate =
         {
-          Allocate.default_config with
           Allocate.partition_bound = bound;
           candidate =
             {
@@ -137,10 +130,11 @@ module Common_args = struct
                  on the affected region, up to N rounds (default 0 = off).")
 
   let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
+    let count = Arg.conv' ~docv:"N" (Mbr_util.Pool.parse_jobs, Format.pp_print_int) in
+    Arg.(value & opt (some count) None & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains for the per-block allocate fan-out \
-                 (default 1 = serial; 0 = auto-detect cores). Results are \
-                 identical at any setting.")
+                 (default 1 = serial; 0 = auto-detect cores; a negative count \
+                 is rejected). Results are identical at any setting.")
 
   (* ---- telemetry, shared by every subcommand ---- *)
 
@@ -309,7 +303,6 @@ let profiles_scaled scale = List.map (fun p -> P.scaled p scale) P.all
 let table1_cmd =
   let run tele scale jobs =
     with_telemetry tele @@ fun () ->
-    let jobs = resolve_jobs jobs in
     let runs = List.map (E.run_profile ?jobs) (profiles_scaled scale) in
     print_string (E.table1 runs);
     print_newline ();
@@ -321,7 +314,6 @@ let table1_cmd =
 let fig5_cmd =
   let run tele scale jobs =
     with_telemetry tele @@ fun () ->
-    let jobs = resolve_jobs jobs in
     let runs = List.map (E.run_profile ?jobs) (profiles_scaled scale) in
     print_string (E.fig5 runs)
   in
@@ -331,7 +323,7 @@ let fig5_cmd =
 let fig6_cmd =
   let run tele scale jobs =
     with_telemetry tele @@ fun () ->
-    let _, s = E.fig6 ?jobs:(resolve_jobs jobs) (profiles_scaled scale) in
+    let _, s = E.fig6 ?jobs (profiles_scaled scale) in
     print_string s
   in
   Cmd.v (Cmd.info "fig6" ~doc:"ILP vs heuristic allocator (Fig. 6).")
@@ -340,7 +332,6 @@ let fig6_cmd =
 let ablations_cmd =
   let run tele profile seed scale jobs =
     with_telemetry tele @@ fun () ->
-    let jobs = resolve_jobs jobs in
     let p = profile_of_name profile seed scale in
     print_endline "--- partition bound (section 3) ---";
     print_string (E.ablation_partition_bound ?jobs p [ 10; 20; 30; 40 ]);
@@ -378,7 +369,7 @@ let export_cmd =
     let highlight =
       if compose then begin
         let options =
-          { Flow.default_options with Flow.jobs = resolve_jobs jobs }
+          { Flow.default_options with Flow.jobs }
         in
         let r =
           Flow.run ~options ~design:g.Mbr_designgen.Generate.design

@@ -40,9 +40,11 @@ let () =
     Arg.(value & opt string S.default_config.S.socket_path
          & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
   in
+  let count = Arg.conv' ~docv:"N" (Mbr_util.Pool.parse_jobs, Format.pp_print_int) in
   let workers_arg =
-    Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Executor worker domains (0 = auto-detect cores).")
+    Arg.(value & opt count S.default_config.S.workers
+         & info [ "workers" ] ~docv:"N"
+             ~doc:"Executor worker domains (0 = auto-detect cores).")
   in
   let queue_limit_arg =
     Arg.(value & opt int S.default_config.S.queue_limit
@@ -50,8 +52,10 @@ let () =
              ~doc:"Pending requests per session before overloaded.")
   in
   let alloc_jobs_arg =
-    Arg.(value & opt int 1 & info [ "alloc-jobs" ] ~docv:"N"
-           ~doc:"Nested allocate fan-out per recompose (default 1).")
+    Arg.(value & opt count S.default_config.S.alloc_jobs
+         & info [ "alloc-jobs" ] ~docv:"N"
+             ~doc:"Nested allocate fan-out per recompose (default 1; 0 = \
+                   auto-detect cores).")
   in
   let trace_arg =
     Arg.(value & flag & info [ "trace" ]

@@ -51,7 +51,6 @@ let () =
   print_endline "=== the reloaded copy behaves identically ===";
   let timing pl =
     let eng = Engine.build ~config:g.G.sta_config pl in
-    Engine.analyze eng;
     (Engine.wns eng, Engine.tns eng, Engine.failing_endpoints eng)
   in
   let w1, t1, f1 = timing g.G.placement in

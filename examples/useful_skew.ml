@@ -49,7 +49,7 @@ let () =
 
   print_endline "\n=== useful skew on a composed design ===";
   let g = G.generate (P.tiny ~seed:1101) in
-  let options = { Flow.default_options with Flow.skew = None; resize = None } in
+  let options = { Flow.default_options with Flow.skew = None; resize = false } in
   let r =
     Flow.run ~options ~design:g.G.design ~placement:g.G.placement
       ~library:g.G.library ~sta_config:g.G.sta_config ()

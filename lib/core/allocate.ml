@@ -4,18 +4,12 @@ module Pool = Mbr_util.Pool
 module Vec = Mbr_util.Vec
 module Sp = Mbr_ilp.Set_partition
 
-type config = {
-  candidate : Candidate.config;
-  partition_bound : int;
-  node_limit : int;
-}
+type config = { candidate : Candidate.config; partition_bound : int }
 
-let default_config =
-  {
-    candidate = Candidate.default_config;
-    partition_bound = 30;
-    node_limit = 300_000;
-  }
+let default_config = { candidate = Candidate.default_config; partition_bound = 30 }
+
+(* branch-and-bound cap per block *)
+let node_limit = 300_000
 
 type block_result = {
   chosen : Candidate.t list;
@@ -76,7 +70,7 @@ let solve_block_ilp ?cancel cfg (graph : Compat.graph) ~lib ~blockers block =
           cands;
     }
   in
-  let result = Sp.solve ~node_limit:cfg.node_limit ?cancel problem in
+  let result = Sp.solve ~node_limit ?cancel problem in
   match result.Sp.status with
   | Sp.Infeasible ->
     (* cannot happen when the enumeration emits every singleton; if it
@@ -96,7 +90,7 @@ let solve_block_ilp ?cancel cfg (graph : Compat.graph) ~lib ~blockers block =
     Logs.warn (fun m ->
         m "Allocate: set-partition ILP returned no cover on a %d-node \
            block (node limit %d); keeping its registers unmerged"
-          (List.length block) cfg.node_limit);
+          (List.length block) node_limit);
     let keeps = List.map (singleton_of graph.Compat.infos) block in
     (keeps, float_of_int (List.length block), false, n_cands)
   | Sp.Optimal | Sp.Feasible ->
@@ -338,7 +332,6 @@ let block_key ~(mode : [ `Ilp | `Greedy_share | `Clique ]) config
   Marshal.to_string
     ( mode,
       config.candidate,
-      config.node_limit,
       member_infos,
       !adj,
       List.sort compare blockers )
@@ -421,7 +414,7 @@ let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
      from do not accumulate across a long session. A cancelled run
      skips the swap entirely: its incumbents are time-dependent (where
      the token tripped), and a cached entry must mean "the
-     deterministic result at this key's node limit" — so the previous
+     deterministic result at the node limit" — so the previous
      generation stays, and the next uncancelled run repairs coverage. *)
   let tripped =
     match cancel with Some t -> Mbr_util.Cancel.cancelled t | None -> false

@@ -50,7 +50,6 @@ type config = {
   partition_bound : int;
       (** default 30; {!run_cached} accepts 1 ..
           {!Candidate.max_block_size} *)
-  node_limit : int;  (** branch-and-bound cap per block *)
 }
 
 val default_config : config
@@ -106,7 +105,8 @@ val solve_block :
     the span's own duration, and it also feeds the
     [alloc.block_solve_s] histogram.
 
-    [cancel] reaches the [`Ilp] branch-and-bound (see
+    The [`Ilp] branch-and-bound visits at most 300,000 nodes per
+    block. [cancel] reaches it (see
     {!Mbr_ilp.Set_partition.solve}): a tripped token makes the solve
     return its current incumbent cover, still exact, just unproven
     ([optimal = false]). The heuristic modes ignore it — they are
@@ -122,7 +122,7 @@ val reduce :
 
 type cache
 (** Memo of solved blocks keyed by a content hash of everything
-    [solve_block] reads about a block: the mode, the candidate/solver
+    [solve_block] reads about a block: the mode, the candidate
     knobs, the member register snapshots in block order, the in-block
     adjacency (as member positions), and the blocker-index entries
     inside the union bounding box of the member footprints — the

@@ -7,12 +7,11 @@ module Skew = Mbr_sta.Skew
 module Cell_lib = Mbr_liberty.Cell
 
 type options = {
-  compat : Compat.config;
   allocate : Allocate.config;
   mode : [ `Ilp | `Greedy_share | `Clique ];
   jobs : int option;
   skew : Skew.config option;
-  resize : Resize.config option;
+  resize : bool;
   decompose : bool;
   corners : Mbr_sta.Corner.t array;
   recover : int;
@@ -20,12 +19,11 @@ type options = {
 
 let default_options =
   {
-    compat = Compat.default_config;
     allocate = Allocate.default_config;
     mode = `Ilp;
     jobs = None;
     skew = Some Skew.default_config;
-    resize = Some Resize.default_config;
+    resize = true;
     decompose = false;
     corners = Mbr_sta.Corner.default;
     recover = 0;
@@ -110,8 +108,9 @@ let m_recomposes = Mbr_obs.Metrics.counter "flow.recomposes"
 
 let m_recover_rounds = Mbr_obs.Metrics.counter "flow.recover_rounds"
 
-(* Worker domains for the allocate fan-out. *)
-let jobs options = match options.jobs with Some j -> max 1 j | None -> 1
+(* Worker domains for the allocate fan-out ([Session.create] rejects
+   a count below 1). *)
+let jobs options = Option.value options.jobs ~default:1
 
 (* Find a legal spot for the mapped cell, preferring the LP optimum
    inside the feasible region, then widening the search. *)
@@ -210,9 +209,8 @@ let stage_skew ctx ?cancel () =
 
 let stage_resize ctx new_mbrs =
   stage ctx "resize" (fun () ->
-      match ctx.options.resize with
-      | Some cfg -> Resize.downsize ~config:cfg ctx.eng ctx.library new_mbrs
-      | None -> 0)
+      if ctx.options.resize then Resize.downsize ctx.eng ctx.library new_mbrs
+      else 0)
 
 (* A Table 1 snapshot, measured afresh: "metrics-before" or
    "metrics-after". The refresh inside the pass absorbs whatever moved
@@ -245,10 +243,11 @@ module Session = struct
     if Placement.design placement != design then
       invalid_arg
         "Flow.Session.create: placement does not belong to the given design";
-    (* The one full graph construction of the session: every stage of
-       every recompose brings this same engine up to date through
-       Engine.refresh, which consumes the design/placement edit logs
-       instead of rebuilding. *)
+    if jobs options < 1 then invalid_arg "Flow.Session.create: jobs < 1";
+    (* The session's one full graph construction and analysis: every
+       stage of every recompose brings this same engine up to date
+       through Engine.refresh, which consumes the design/placement edit
+       logs instead of rebuilding. *)
     {
       options;
       design;
@@ -312,12 +311,14 @@ module Session = struct
     | Mbr_netlist.Types.Register _ -> true
     | _ -> false
 
-  (* Return the engine to the neutral clock tree: a from-scratch run
-     starts with zero useful skew everywhere, so a recompose must too.
-     Structural edits are absorbed first (the supported refresh path);
-     zeroing then patches only the affected cones. Skew entries of
-     registers an ECO removed are skipped — their pins detach from the
-     timing graph and contribute to no endpoint. *)
+  (* Absorb the ECO and return the engine to the neutral clock tree: a
+     from-scratch run starts with zero useful skew everywhere, so a
+     recompose must too. Structural edits are absorbed first (the
+     supported refresh path); zeroing then patches only the affected
+     cones. Skew entries of registers an ECO removed are skipped —
+     their pins detach from the timing graph and contribute to no
+     endpoint. On a from-scratch run the engine is analyzed and
+     skewless already, so the stage does no timing work. *)
   let stage_eco_reset ctx s =
     stage ctx "eco-reset" (fun () ->
         Engine.refresh s.eng;
@@ -335,7 +336,7 @@ module Session = struct
   let stage_graph ctx s =
     stage ctx "compat-graph" (fun () ->
         let g, stats =
-          Compat.refresh ~config:s.options.compat s.graph s.eng s.library
+          Compat.refresh s.graph s.eng s.library
         in
         s.graph <- g;
         s.last_compat_stats <- Some stats;

@@ -21,18 +21,17 @@
     in the result. *)
 
 type options = {
-  compat : Compat.config;
   allocate : Allocate.config;
   mode : [ `Ilp | `Greedy_share | `Clique ];
       (** allocator: exact ILP, the Fig. 6 greedy on the same weighted
           candidates, or the external clique heuristic *)
   jobs : int option;
       (** worker domains for the allocate fan-out, the one parallel
-          stage; [None] (the default) is 1 = serial. The frontends' [-j 0]
-          resolves to {!Mbr_util.Pool.recommended_jobs} before it gets
-          here. *)
+          stage; [None] (the default) is 1 = serial, and a count below 1
+          is rejected. The frontends' [-j 0] resolves to
+          {!Mbr_util.Pool.recommended_jobs} before it gets here. *)
   skew : Mbr_sta.Skew.config option;  (** None disables useful skew *)
-  resize : Resize.config option;  (** None disables MBR sizing *)
+  resize : bool;  (** false disables MBR sizing *)
   decompose : bool;
       (** split max-width MBRs first and let composition rebuild better
           groupings — the paper's §5 future work (off by default, as in
@@ -94,14 +93,18 @@ type result = {
   runtime_s : float;
       (** duration of the pass's ["flow.recompose"] trace span — same
           monotonic clock, same two reads, so an exported Chrome trace
-          and this field can never disagree *)
+          and this field can never disagree. {!Session.create}'s graph
+          build and initial analysis lie outside it. *)
   stage_times : (string * float) list;
       (** seconds per stage, in execution order: "eco-reset",
           "metrics-before", "decompose", "compat-graph",
           "blocker-index", "allocate", "merge", "scan-restitch",
           "skew", "resize", "metrics-after". Each entry is the duration
           of that stage's trace span (see {!Mbr_obs.Trace}) — derived
-          from the trace clock, not a second [gettimeofday] pair *)
+          from the trace clock, not a second [gettimeofday] pair.
+          "eco-reset" refreshes the engine with the edits since the
+          last pass and zeroes the useful skew that pass applied, so on
+          a from-scratch {!run} it does no timing work. *)
   sta_full_builds : int;
       (** full STA graph constructions over the whole session: 1 (the
           initial build) unless an edit batch forced {!Mbr_sta.Engine.refresh}
@@ -181,10 +184,11 @@ module Session : sig
     sta_config:Mbr_sta.Engine.config ->
     unit ->
     t
-  (** Builds the STA engine (the session's one full graph
-      construction); everything else is materialized lazily by the
-      first {!recompose}. Raises [Invalid_argument] when [placement]
-      was not built over [design]. *)
+  (** Builds and analyzes the STA engine (the session's one full graph
+      construction and analysis); everything else is materialized
+      lazily by the first {!recompose}. Raises [Invalid_argument] when
+      [placement] was not built over [design] or [options.jobs] is
+      below 1. *)
 
   val recompose :
     ?cancel:Mbr_util.Cancel.t ->
@@ -262,10 +266,10 @@ module Session : sig
   (** Completed {!recompose} calls. *)
 
   val set_corners : t -> Mbr_sta.Corner.t array -> unit
-  (** Swap the corner set the session's engine analyzes (see
-      {!Mbr_sta.Engine.set_corners}); the next recompose measures
-      everything under the new set. Raises [Invalid_argument] on an
-      empty set. *)
+  (** Swap the corner set the session's engine analyzes and re-analyze
+      under it (see {!Mbr_sta.Engine.set_corners}); the next recompose
+      measures everything under the new set. Raises [Invalid_argument]
+      on an empty set. *)
 
   val last_compat_stats : t -> Compat.refresh_stats option
   (** Dirtiness accounting of the most recent compat-graph pass; [None]
@@ -283,4 +287,5 @@ val run :
   result
 (** [Session.create] + one [Session.recompose]: the one-shot flow.
     Raises [Invalid_argument] when [placement] was not built over
-    [design] (the two would silently drift apart mid-flow otherwise). *)
+    [design] (the two would silently drift apart mid-flow otherwise)
+    or [options.jobs] is below 1. *)

@@ -5,9 +5,8 @@ module Engine = Mbr_sta.Engine
 module Library = Mbr_liberty.Library
 module Cell_lib = Mbr_liberty.Cell
 
-type config = { margin : float }
-
-let default_config = { margin = 20.0 }
+(* ps of slack never spent *)
+let margin = 20.0
 
 let worst_q_load eng dsg cid =
   List.fold_left
@@ -21,7 +20,7 @@ let worst_q_load eng dsg cid =
         acc)
     0.0 (Design.pins_of dsg cid)
 
-let downsize ?(config = default_config) eng lib cids =
+let downsize eng lib cids =
   let pl = Engine.placement eng in
   let dsg = Placement.design pl in
   (* downsizing must leave margin in every corner, so the budget reads
@@ -35,8 +34,8 @@ let downsize ?(config = default_config) eng lib cids =
       let s_d = Engine.reg_d_slack eng cid in
       let s_q = Engine.reg_q_slack eng cid in
       let slack = Float.min s_d s_q in
-      if Float.is_finite slack && slack > config.margin then begin
-        let budget = slack -. config.margin in
+      if Float.is_finite slack && slack > margin then begin
+        let budget = slack -. margin in
         let load = worst_q_load eng dsg cid in
         let alternatives =
           List.filter

@@ -4,20 +4,14 @@
     positive margin is spent on a weaker drive of the same cell family,
     reducing area and clock-pin capacitance. The delay increase of
     every Q output is bounded by (Δdrive_res × measured load) and must
-    fit inside the available slack minus the configured margin. *)
-
-type config = {
-  margin : float;  (** ps of slack never spent (default 20) *)
-}
-
-val default_config : config
+    fit inside the available slack minus a 20 ps margin that is never
+    spent. *)
 
 val downsize :
-  ?config:config ->
   Mbr_sta.Engine.t ->
   Mbr_liberty.Library.t ->
   Mbr_netlist.Types.cell_id list ->
   int
 (** Try to downsize each given register; returns how many were swapped.
-    The engine must be rebuilt by the caller afterwards (pin caps and
-    drive resistances changed). *)
+    The swaps are logged retypes, so the engine's next
+    {!Mbr_sta.Engine.refresh} absorbs them. *)

@@ -587,7 +587,6 @@ let generate (p : Profile.t) =
   (* ---- clock-period calibration against the failing-endpoint target ---- *)
   let probe_cfg = { Engine.default_config with Engine.clock_period = 100000.0 } in
   let eng = Engine.build ~config:probe_cfg pl in
-  Engine.analyze eng;
   let slacks = List.map snd (Engine.endpoint_slacks eng) in
   let period =
     match slacks with

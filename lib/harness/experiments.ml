@@ -392,7 +392,7 @@ let ablation_decompose ?jobs profile =
 
 let ablation_skew ?jobs profile =
   let run skew =
-    let options = { Flow.default_options with Flow.skew; resize = None } in
+    let options = { Flow.default_options with Flow.skew; resize = false } in
     run_profile ~options ?jobs profile
   in
   let on = run (Some Mbr_sta.Skew.default_config) and off = run None in
@@ -432,7 +432,6 @@ let recovery_probe () =
     Mbr_sta.Engine.build ~config:g.G.sta_config ~corners:recovery_corners
       g.G.placement
   in
-  Mbr_sta.Engine.analyze eng;
   let wns, _ = Mbr_sta.Engine.wns_tns eng in
   (wns, g.G.sta_config.Mbr_sta.Engine.clock_period)
 
@@ -456,7 +455,7 @@ let recovery_run ~widen ~period ~recover =
   let options =
     {
       Flow.default_options with
-      Flow.skew = Some { Mbr_sta.Skew.default_config with Mbr_sta.Skew.bound = 5.0 };
+      Flow.skew = Some { Mbr_sta.Skew.bound = 5.0 };
       Flow.corners = [| Mbr_sta.Corner.typical |];
     }
   in

@@ -297,7 +297,7 @@ let exec_pending t sess p =
       let options =
         {
           Flow.default_options with
-          Flow.jobs = Some (max 1 t.config.alloc_jobs);
+          Flow.jobs = Some t.config.alloc_jobs;
           Flow.corners = corners;
         }
       in
@@ -782,13 +782,18 @@ let hang_up conn =
 (* ---- lifecycle ---- *)
 
 let run ?on_ready config =
+  let jobs n =
+    match Mbr_util.Pool.resolve_jobs n with
+    | Ok j -> j
+    | Error m -> invalid_arg ("Server.run: " ^ m)
+  in
+  let config =
+    { config with workers = jobs config.workers; alloc_jobs = jobs config.alloc_jobs }
+  in
   let t =
     {
       config;
-      exec =
-        Executor.create
-          ?workers:(if config.workers <= 0 then None else Some config.workers)
-          ();
+      exec = Executor.create ~workers:config.workers ();
       lock = Mutex.create ();
       sessions = Hashtbl.create 64;
       stopping = false;

@@ -51,11 +51,12 @@
 
 type config = {
   socket_path : string;
-  workers : int;  (** executor domains; [<= 0] = {!Mbr_util.Pool.recommended_jobs} *)
+  workers : int;  (** executor domains; 0 = {!Mbr_util.Pool.recommended_jobs} *)
   queue_limit : int;  (** pending requests per session before [overloaded] *)
   alloc_jobs : int;
       (** each session's {!Mbr_core.Flow.options} [jobs]: the fan-out
-          inside a recompose's allocate stage. Default 1:
+          inside a recompose's allocate stage (0 as for [workers]).
+          Default 1:
           with many concurrent sessions the executor already uses the
           machine; nested fan-out only helps a lone giant session. *)
   session_metrics : bool;
@@ -86,4 +87,5 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
     requests are answered, worker domains joined, socket unlinked, and
     the connections clients still hold open ended (their input is shut
     down; responses already written are delivered).
-    Raises [Unix.Unix_error] if the socket cannot be bound. *)
+    Raises [Invalid_argument] on a negative [workers] or [alloc_jobs]
+    and [Unix.Unix_error] if the socket cannot be bound. *)

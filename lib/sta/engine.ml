@@ -128,9 +128,9 @@ type t = {
   mutable required : plane;
   mutable plan : plan option;
       (* the only stored copy of the graph's arcs, current whenever
-         present outside a refresh: [analyze], [set_corners] and
-         [rebuild] drop it, and [refresh] reads the rewired pins' old
-         arcs off it, then patches it before returning *)
+         present outside a refresh: [analyze] and [rebuild] drop it,
+         and [refresh] reads the rewired pins' old arcs off it, then
+         patches it before returning *)
   mutable plan_dirty : Bytes.t;
       (* per pin, 1 when the pin's incoming arcs, launch base or setup
          term may differ from what [plan] holds: every pin the running
@@ -146,6 +146,10 @@ type t = {
       (* design revision, registers in [Design.registers] order, dense
          cell-id -> slot map (-1 for non-registers) *)
   mutable analyzed : bool;
+      (* false only after a rebuild whose walk raised: the planes may
+         be sized for an unfinished graph, so queries and skew updates
+         [ensure] first, which retries the rebuild and raises again
+         while the cycle stands. An analyzed engine holds a plan. *)
   mutable dsg_cursor : int;  (** design edits already reflected *)
   mutable pl_cursor : int;  (** placement moves already reflected *)
   mutable n_full_builds : int;
@@ -195,17 +199,13 @@ let corners t = t.corners
 
 let n_corners t = Array.length t.corners
 
-let write_skew t id s =
+let set_skew t id s =
   if id >= Array.length t.skew_dense then begin
     let b = Array.make (max (id + 1) (2 * Array.length t.skew_dense)) 0.0 in
     Array.blit t.skew_dense 0 b 0 (Array.length t.skew_dense);
     t.skew_dense <- b
   end;
   t.skew_dense.(id) <- s
-
-let set_skew t id s =
-  write_skew t id s;
-  t.analyzed <- false
 
 let skew t id =
   if id >= 0 && id < Array.length t.skew_dense then
@@ -387,64 +387,6 @@ let compute_graph t =
   t.plan_dirty <- Bytes.make n '\000';
   t.dsg_cursor <- Design.revision dsg
 
-let m_corners = Mbr_obs.Metrics.counter "sta.corners"
-
-let build ?(config = default_config) ?(corners = Corner.default) pl =
-  if Array.length corners = 0 then
-    invalid_arg "Sta.build: empty corner set";
-  let dsg = Placement.design pl in
-  let nc = Array.length corners in
-  let t =
-    {
-      cfg = config;
-      pl;
-      dsg;
-      corners = Array.copy corners;
-      n = 0;
-      role = Bytes.empty;
-      topo = [||];
-      topo_pos = [||];
-      is_start = [||];
-      ep_of = [||];
-      startpoints = [];
-      endpoints = [];
-      skew_dense = [||];
-      arrival = plane_make 0 neg_infinity;
-      required = plane_make 0 infinity;
-      plan = None;
-      plan_dirty = Bytes.empty;
-      n_plan_builds = 0;
-      n_plan_patches = 0;
-      plan_srcs = ivec_create ();
-      reg_cache = None;
-      analyzed = false;
-      dsg_cursor = 0;
-      pl_cursor = Placement.revision pl;
-      n_full_builds = 1;
-      n_refreshes = 0;
-      pg_epoch = 0;
-      pg_x = [||];
-      pg_y = [||];
-      pg_cap = [||];
-      pg_stamp = [||];
-      nd_stamp = [||];
-      nd_pin = [||];
-    }
-  in
-  compute_graph t;
-  Mbr_obs.Metrics.incr ~by:nc m_corners;
-  t
-
-let set_corners t cs =
-  if Array.length cs = 0 then invalid_arg "Sta.set_corners: empty corner set";
-  t.corners <- Array.copy cs;
-  let nc = Array.length cs in
-  t.arrival <- plane_make (t.n * nc) neg_infinity;
-  t.required <- plane_make (t.n * nc) infinity;
-  t.plan <- None;
-  t.analyzed <- false;
-  Mbr_obs.Metrics.incr ~by:nc m_corners
-
 (* Packed register index, cached per design revision: the registers in
    [Design.registers] order plus a dense cell-id -> slot map. Shared by
    the skew optimizer and the touched-register reporting so neither
@@ -489,12 +431,13 @@ let net_load t nid =
 
    Lifecycle: [make_plan] is the one builder. It re-derives the pins
    the engine's [plan_dirty] flags name and copies every other pin's
-   entries from the previous plan; with no previous plan (none yet, or
-   dropped by [analyze], [set_corners] or [rebuild]) every pin counts
-   as dirty and the same code is a from-scratch build. A refresh never
-   rebuilds the plan: its splice flags the pins whose incoming arcs,
-   launch base or setup term it touched (plus pins that left or joined
-   the graph), and it patches them in before it propagates. *)
+   entries from the previous plan; with no previous plan (dropped by
+   [analyze], which [build] and [set_corners] run, or by [rebuild])
+   every pin counts as dirty and the same code is a from-scratch
+   build. A refresh never rebuilds the plan: its splice flags the pins
+   whose incoming arcs, launch base or setup term it touched (plus
+   pins that left or joined the graph), and it patches them in before
+   it propagates. *)
 
 (* Stand-in for "no previous plan": it covers zero pins, so every pin
    of the next [make_plan] is dirty. *)
@@ -778,8 +721,6 @@ let make_plan t =
   p
 
 
-let ensure_plan t = match t.plan with Some p -> p | None -> make_plan t
-
 (* Mark-skip scans, the engine's one propagation shape: stream the
    whole topo order (reversed for requireds) and recompute a pin only
    when it is a seed or one of its predecessors (successors) actually
@@ -981,6 +922,64 @@ and rebuild t =
 
 let ensure t = if not t.analyzed then analyze t
 
+let m_corners = Mbr_obs.Metrics.counter "sta.corners"
+
+let build ?(config = default_config) ?(corners = Corner.default) pl =
+  if Array.length corners = 0 then
+    invalid_arg "Sta.build: empty corner set";
+  let dsg = Placement.design pl in
+  let nc = Array.length corners in
+  let t =
+    {
+      cfg = config;
+      pl;
+      dsg;
+      corners = Array.copy corners;
+      n = 0;
+      role = Bytes.empty;
+      topo = [||];
+      topo_pos = [||];
+      is_start = [||];
+      ep_of = [||];
+      startpoints = [];
+      endpoints = [];
+      skew_dense = [||];
+      arrival = plane_make 0 neg_infinity;
+      required = plane_make 0 infinity;
+      plan = None;
+      plan_dirty = Bytes.empty;
+      n_plan_builds = 0;
+      n_plan_patches = 0;
+      plan_srcs = ivec_create ();
+      reg_cache = None;
+      analyzed = false;
+      dsg_cursor = 0;
+      pl_cursor = Placement.revision pl;
+      n_full_builds = 1;
+      n_refreshes = 0;
+      pg_epoch = 0;
+      pg_x = [||];
+      pg_y = [||];
+      pg_cap = [||];
+      pg_stamp = [||];
+      nd_stamp = [||];
+      nd_pin = [||];
+    }
+  in
+  compute_graph t;
+  Mbr_obs.Metrics.incr ~by:nc m_corners;
+  analyze t;
+  t
+
+let set_corners t cs =
+  if Array.length cs = 0 then invalid_arg "Sta.set_corners: empty corner set";
+  t.corners <- Array.copy cs;
+  let nc = Array.length cs in
+  t.arrival <- plane_make (t.n * nc) neg_infinity;
+  t.required <- plane_make (t.n * nc) infinity;
+  Mbr_obs.Metrics.incr ~by:nc m_corners;
+  analyze t
+
 (* ---- incremental refresh ---- *)
 
 exception Bail
@@ -1041,15 +1040,15 @@ let rebuild_threshold = 0.6
 let refresh t =
   let dsg_rev = Design.revision t.dsg in
   let pl_rev = Placement.revision t.pl in
-  if not t.analyzed then analyze t
-  else if dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
+  if dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
   else
     Mbr_obs.Trace.with_span ~name:"sta.refresh"
       ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
     @@ fun () ->
     try
       (* the pre-patch plan: an analyzed engine always holds one, and
-         it still carries every arc as of [dsg_cursor] *)
+         it still carries every arc as of [dsg_cursor]; after a rebuild
+         whose walk raised there is none, and the rebuild is retried *)
       let o = match t.plan with Some o -> o | None -> raise Bail in
       let edits = Design.edits_since t.dsg t.dsg_cursor in
       let moved = Placement.moves_since t.pl t.pl_cursor in
@@ -1280,7 +1279,6 @@ let refresh t =
       ignore (backward_scan t p ~seeds:!bseeds ~changed:None ~cancel:None);
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
-      t.analyzed <- true;
       t.n_refreshes <- t.n_refreshes + 1;
       Mbr_obs.Metrics.incr m_refreshes
     with Bail ->
@@ -1309,66 +1307,57 @@ let m_skew_levels = Mbr_obs.Metrics.counter "sta.skew.level_passes"
    the call. The worklist-driven skew optimizer uses this to re-examine
    only those registers. *)
 let update_skews_impl ?cancel t ~collect_touched assignments =
-  if not t.analyzed then begin
-    List.iter (fun (cid, s) -> write_skew t cid s) assignments;
-    analyze t;
-    if collect_touched then
-      (* a full analysis may have moved any slack *)
-      Design.registers t.dsg
-    else []
-  end
+  ensure t;
+  let moved = List.filter (fun (cid, s) -> skew t cid <> s) assignments in
+  List.iter (fun (cid, s) -> set_skew t cid s) moved;
+  (* seed pins: the moved registers' in-graph Q and D pins *)
+  let q_seeds = ref [] and d_seeds = ref [] in
+  List.iter
+    (fun (cid, _) ->
+      List.iter
+        (fun pid ->
+          match Bytes.get t.role pid with
+          | 'q' -> q_seeds := pid :: !q_seeds
+          | 'd' -> d_seeds := pid :: !d_seeds
+          | _ -> ())
+        (Design.pins_of t.dsg cid))
+    moved;
+  if !q_seeds = [] && !d_seeds = [] then []
   else begin
-    let moved = List.filter (fun (cid, s) -> skew t cid <> s) assignments in
-    List.iter (fun (cid, s) -> write_skew t cid s) moved;
-    t.analyzed <- true;
-    (* seed pins: the moved registers' in-graph Q and D pins *)
-    let q_seeds = ref [] and d_seeds = ref [] in
-    List.iter
-      (fun (cid, _) ->
-        List.iter
-          (fun pid ->
-            match Bytes.get t.role pid with
-            | 'q' -> q_seeds := pid :: !q_seeds
-            | 'd' -> d_seeds := pid :: !d_seeds
-            | _ -> ())
-          (Design.pins_of t.dsg cid))
-      moved;
-    if !q_seeds = [] && !d_seeds = [] then []
-    else begin
-      let p = ensure_plan t in
-      let changed = if collect_touched then Some (ivec_create ()) else None in
-      let pf = forward_scan t p ~seeds:!q_seeds ~changed ~cancel in
-      let pb = backward_scan t p ~seeds:!d_seeds ~changed ~cancel in
-      Mbr_obs.Metrics.incr ~by:(pf + pb) m_skew_frontier;
-      Mbr_obs.Metrics.incr ~by:2 m_skew_levels;
-      match changed with
-      | None -> []
-      | Some v ->
-        (* A changed register pin is a connected Q or D pin (an
-           unconnected one keeps arrival -inf / required +inf), i.e. a
-           startpoint or an endpoint, so the plan's slot tables name
-           its register; ports carry cell -1 there. *)
-        let regs, slot = register_index t in
-        let seen = Array.make (max (Array.length regs) 1) false in
-        let acc = ref [] in
-        let note cid =
-          if cid >= 0 && cid < Array.length slot then begin
-            let s = slot.(cid) in
-            if s >= 0 && not seen.(s) then begin
-              seen.(s) <- true;
-              acc := cid :: !acc
-            end
+    (* an analyzed engine always holds its plan *)
+    let p = Option.get t.plan in
+    let changed = if collect_touched then Some (ivec_create ()) else None in
+    let pf = forward_scan t p ~seeds:!q_seeds ~changed ~cancel in
+    let pb = backward_scan t p ~seeds:!d_seeds ~changed ~cancel in
+    Mbr_obs.Metrics.incr ~by:(pf + pb) m_skew_frontier;
+    Mbr_obs.Metrics.incr ~by:2 m_skew_levels;
+    match changed with
+    | None -> []
+    | Some v ->
+      (* A changed register pin is a connected Q or D pin (an
+         unconnected one keeps arrival -inf / required +inf), i.e. a
+         startpoint or an endpoint, so the plan's slot tables name
+         its register; ports carry cell -1 there. *)
+      let regs, slot = register_index t in
+      let seen = Array.make (max (Array.length regs) 1) false in
+      let acc = ref [] in
+      let note cid =
+        if cid >= 0 && cid < Array.length slot then begin
+          let s = slot.(cid) in
+          if s >= 0 && not seen.(s) then begin
+            seen.(s) <- true;
+            acc := cid :: !acc
           end
-        in
-        for i = 0 to v.iv_len - 1 do
-          let pid = v.iv_a.(i) in
-          let sl = p.st_slot.(pid) in
-          if sl >= 0 then note p.st_cell.(sl);
-          let sl = p.ep_slot.(pid) in
-          if sl >= 0 then note p.ep_cell.(sl)
-        done;
-        List.sort compare !acc
-    end
+        end
+      in
+      for i = 0 to v.iv_len - 1 do
+        let pid = v.iv_a.(i) in
+        let sl = p.st_slot.(pid) in
+        if sl >= 0 then note p.st_cell.(sl);
+        let sl = p.ep_slot.(pid) in
+        if sl >= 0 then note p.ep_cell.(sl)
+      done;
+      List.sort compare !acc
   end
 
 let update_skews ?cancel t assignments =

@@ -59,11 +59,14 @@ val default_config : config
 type t
 
 exception Combinational_cycle of Mbr_netlist.Types.pin_id list
-(** Raised by {!build} (and by the internal rebuild a {!refresh} or
-    {!analyze} may run) when the data graph is cyclic. The payload is a
-    witness pin path in data-flow order, closed by repeating the entry
-    pin: [[p0; p1; ...; p0]]. Render it with {!cycle_to_string}; a
-    [Printexc] printer is registered for raw backtraces. *)
+(** Raised by {!build} (and by the internal rebuild a {!refresh},
+    {!analyze} or {!set_corners} may run) when the data graph is
+    cyclic. The payload is a witness pin path in data-flow order,
+    closed by repeating the entry pin: [[p0; p1; ...; p0]]. Render it
+    with {!cycle_to_string}; a [Printexc] printer is registered for
+    raw backtraces. After a rebuild raised it, every later refresh,
+    skew update and timing query retries the rebuild, and raises again
+    while the cycle stands, rather than read a half-built graph. *)
 
 val cycle_to_string :
   Mbr_netlist.Design.t -> Mbr_netlist.Types.pin_id list -> string
@@ -71,7 +74,8 @@ val cycle_to_string :
     ["cell/PIN -> cell/PIN -> ..."] using the design's cell names. *)
 
 val build : ?config:config -> ?corners:Corner.t array -> Mbr_place.Placement.t -> t
-(** Constructs the timing graph. [corners] defaults to
+(** Constructs the timing graph and runs {!analyze} on it, so the
+    engine it returns is analyzed. [corners] defaults to
     [Corner.default] (the single typical corner); the array is copied.
     Raises {!Combinational_cycle} on a combinational cycle and
     [Invalid_argument] on an empty corner set. *)
@@ -86,16 +90,16 @@ val corners : t -> Corner.t array
 val n_corners : t -> int
 
 val set_corners : t -> Corner.t array -> unit
-(** Swap the active corner set (copied). Per-corner state is
-    reallocated and the next timing query triggers a full re-analysis;
-    the graph, skews and edit-log cursors are untouched. Raises
-    [Invalid_argument] on an empty set. *)
+(** Swap the active corner set (copied) and run {!analyze} under it
+    before returning: per-corner state is reallocated and the plan
+    built afresh; the skews are kept. Raises [Invalid_argument] on an
+    empty set. *)
 
 val set_skew : t -> Mbr_netlist.Types.cell_id -> float -> unit
-(** Useful-skew offset of a register's clock arrival (ps; positive =
-    later). Marks the engine unanalyzed: the next timing query, or the
-    next {!refresh} or {!update_skews}, runs {!analyze} first, and so
-    also absorbs any netlist edits still pending. *)
+(** Record a useful-skew offset of a register's clock arrival (ps;
+    positive = later). Only the offset is written: timing reflects it
+    after the next {!analyze}. {!update_skews} applies offsets
+    incrementally instead. *)
 
 val skew : t -> Mbr_netlist.Types.cell_id -> float
 
@@ -126,9 +130,8 @@ val refresh : t -> unit
     patched at the marked pins (see {!update_skews}), and
     arrivals/requireds are re-propagated from them only, stopping as
     soon as values stop changing. Produces bit-identical results to a
-    fresh {!build} + {!analyze} (property-tested, raw rewiring of
-    surviving pins included). On an engine not analyzed yet (or since
-    {!set_skew} or {!set_corners}) it runs {!analyze}.
+    fresh {!build} (property-tested, raw rewiring of surviving pins
+    included).
 
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added, when a new arc contradicts the
@@ -157,10 +160,10 @@ val refreshes : t -> int
 
 val plan_builds : t -> int
 (** Propagation plans built from scratch so far (see {!update_skews}
-    for the plan's lifecycle): one per {!analyze}, which a fallback
-    rebuild runs too, as does the first timing query after {!build},
-    {!set_corners} or {!set_skew}. Registry counter [sta.plan.builds];
-    each build runs under a ["sta.plan.build"] span. *)
+    for the plan's lifecycle): one per {!analyze}, which {!build},
+    {!set_corners} and a fallback rebuild run. Registry counter
+    [sta.plan.builds]; each build runs under a ["sta.plan.build"]
+    span. *)
 
 val plan_patches : t -> int
 (** Propagation plans patched so far: one per incremental {!refresh},
@@ -181,15 +184,14 @@ val update_skews :
     so a batch costs a sequential pass plus its cones. Arc delays come
     from the plan, so placement and netlist must be unchanged since the
     last {!refresh} or {!analyze}. Produces bit-identical slacks to
-    {!analyze} (property-tested). Falls back to a full analysis when
-    the engine has never been analyzed.
+    {!analyze} (property-tested).
 
     The propagation plan (a CSR image of the graph with per-corner arc
     delays and per-start/endpoint launch and setup terms) lives across
     calls, and whenever one is present it is current. Each {!analyze}
-    builds it from scratch ({!plan_builds}); {!set_corners} drops it
-    until then. {!refresh} never rebuilds it: before it propagates, it
-    patches exactly the pins
+    builds it from scratch ({!plan_builds}), and so do {!build} and
+    {!set_corners}. {!refresh} never rebuilds it: before it
+    propagates, it patches exactly the pins
     whose incoming arcs, launch base or setup term its splice changed,
     plus the pins that left or joined the graph, re-deriving their arcs
     from the design, and copies the rest ({!plan_patches}). So this
@@ -221,8 +223,7 @@ val update_skews_touched :
     read off the plan's endpoint/startpoint tables. Any register
     outside the returned
     set is guaranteed unchanged, which is what lets the worklist-driven
-    skew optimizer skip it. On the never-analyzed fallback every
-    register is reported. *)
+    skew optimizer skip it. *)
 
 val register_index :
   t -> Mbr_netlist.Types.cell_id array * int array

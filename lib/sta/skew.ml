@@ -1,8 +1,13 @@
 module Placement = Mbr_place.Placement
 
-type config = { bound : float; iterations : int; damping : float }
+type config = { bound : float }
 
-let default_config = { bound = 120.0; iterations = 8; damping = 0.6 }
+let default_config = { bound = 120.0 }
+
+(* sweeps at most, and the step fraction each sweep applies *)
+let iterations = 8
+
+let damping = 0.6
 
 type report = {
   wns_before : float;
@@ -16,12 +21,12 @@ type report = {
 (* One register's skew step given its current worst D/Q slacks: balance
    the two sides when either violates; one-sided registers are pushed
    whole-hog in the helpful direction. *)
-let step cfg s_d s_q =
+let step s_d s_q =
   if Float.is_finite s_d && Float.is_finite s_q then begin
-    if Float.min s_d s_q < 0.0 then (s_q -. s_d) /. 2.0 *. cfg.damping else 0.0
+    if Float.min s_d s_q < 0.0 then (s_q -. s_d) /. 2.0 *. damping else 0.0
   end
-  else if Float.is_finite s_d && s_d < 0.0 then -.s_d *. cfg.damping
-  else if Float.is_finite s_q && s_q < 0.0 then s_q *. cfg.damping
+  else if Float.is_finite s_d && s_d < 0.0 then -.s_d *. damping
+  else if Float.is_finite s_q && s_q < 0.0 then s_q *. damping
   else 0.0
 
 (* [step] is provably 0 whenever min(s_D, s_Q) >= 0: every branch that
@@ -74,7 +79,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
   in
   Mbr_obs.Trace.with_span ~name:"skew.sweeps" (fun () ->
   try
-     for _ = 1 to config.iterations do
+     for _ = 1 to iterations do
        (* cancellation exits like convergence does: the best assignment
           seen so far is restored below, never a half-applied sweep *)
        if poll () then raise Exit;
@@ -86,11 +91,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
        if full_sweep then
          for i = n - 1 downto 0 do
            let r = regs.(i) in
-           let delta =
-             step config
-               (Engine.reg_d_slack eng r)
-               (Engine.reg_q_slack eng r)
-           in
+           let delta = step (Engine.reg_d_slack eng r) (Engine.reg_q_slack eng r) in
            let next = clamp (cur.(i) +. delta) in
            if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
          done
@@ -115,7 +116,7 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
            sub;
          Array.iter
            (fun i ->
-             let delta = step config sd.(i) sq.(i) in
+             let delta = step sd.(i) sq.(i) in
              let next = clamp (cur.(i) +. delta) in
              if Float.abs (next -. cur.(i)) > 0.5 then
                moves := (i, next) :: !moves)

@@ -6,15 +6,14 @@
     Q-pin (downstream) slack, the per-register optimum balances the two:
     δ* = (s_Q − s_D) / 2, clamped to the skew bound.
     Registers interact through shared paths, so the balancing is
-    applied with damping and iterated to a fixed point (the paper's
+    applied with damping (0.6 of the step per sweep) and iterated to a
+    fixed point, for at most 8 sweeps (the paper's
     Fig. 4 applies useful skew right after composition, which is why
     composition only merges registers with {e similar} D/Q slacks:
     a single δ must fit all merged bits). *)
 
 type config = {
-  bound : float;  (** |skew| limit, ps *)
-  iterations : int;  (** sweeps (default 8) *)
-  damping : float;  (** step fraction per sweep, in (0, 1] *)
+  bound : float;  (** |skew| limit, ps (default 120) *)
 }
 
 val default_config : config

@@ -1,5 +1,15 @@
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
+let resolve_jobs n =
+  if n > 0 then Ok n
+  else if n = 0 then Ok (recommended_jobs ())
+  else Error (Printf.sprintf "expected a jobs count >= 0 (0 = every core), got %d" n)
+
+let parse_jobs s =
+  match int_of_string_opt s with
+  | Some n -> resolve_jobs n
+  | None -> Error (Printf.sprintf "expected a jobs count, got %S" s)
+
 (* Telemetry: worker spans make the fan-out visible as one lane per
    domain in a Chrome trace; the counters price the scheduling. All
    no-ops while the obs layer is disabled. *)
@@ -104,13 +114,8 @@ module Executor = struct
         in
         loop ())
 
-  let create ?workers () =
-    let n_workers =
-      match workers with
-      | None -> recommended_jobs ()
-      | Some w when w >= 1 -> w
-      | Some _ -> invalid_arg "Pool.Executor.create: workers < 1"
-    in
+  let create ~workers () =
+    if workers < 1 then invalid_arg "Pool.Executor.create: workers < 1";
     let t =
       {
         mutex = Mutex.create ();
@@ -118,10 +123,10 @@ module Executor = struct
         queue = Queue.create ();
         stopping = false;
         domains = [||];
-        n_workers;
+        n_workers = workers;
       }
     in
-    t.domains <- Array.init n_workers (fun _ -> Domain.spawn (worker t));
+    t.domains <- Array.init workers (fun _ -> Domain.spawn (worker t));
     t
 
   let workers t = t.n_workers

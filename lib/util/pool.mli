@@ -44,8 +44,17 @@
 
 val recommended_jobs : unit -> int
 (** The runtime's parallelism estimate
-    ({!Domain.recommended_domain_count}), never below 1. The [-j 0] /
-    [jobs = None] auto setting of the frontends resolves to this. *)
+    ({!Domain.recommended_domain_count}), never below 1. *)
+
+val resolve_jobs : int -> (int, string) result
+(** The one meaning of a jobs count: 0 is {!recommended_jobs},
+    [n >= 1] is [n], and a negative count is an [Error] naming the
+    rule. *)
+
+val parse_jobs : string -> (int, string) result
+(** {!resolve_jobs} on a decimal count: the parser of every frontend
+    option that sets one ([mbrc -j], [mbrd --alloc-jobs],
+    [mbrd --workers]), so a bad count is a usage error. *)
 
 val map_array :
   ?order:int array -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
@@ -76,9 +85,9 @@ val map_array :
 module Executor : sig
   type t
 
-  val create : ?workers:int -> unit -> t
-  (** Spawn the worker domains ([workers] defaults to
-      {!recommended_jobs}; raises [Invalid_argument] when [< 1]).
+  val create : workers:int -> unit -> t
+  (** Spawn [workers] domains (a frontend's count goes through
+      {!resolve_jobs} first); raises [Invalid_argument] when [< 1].
       Remember that each worker is an OS-level domain: one executor
       per process, sized to the machine, shared by all sessions — not
       one per request source. *)

@@ -150,7 +150,6 @@ let test_isolated_nodes_kept () =
 let test_generated_design_ilp_beats_greedy () =
   let g = G.generate (P.tiny ~seed:31) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let graph = Compat.build_graph eng g.G.library in
   let idx = Spatial.create () in
   List.iter

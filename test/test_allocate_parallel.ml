@@ -14,6 +14,7 @@ module Presets = Mbr_liberty.Presets
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
+module Flow = Mbr_core.Flow
 module G = Mbr_designgen.Generate
 module P = Mbr_designgen.Profile
 
@@ -147,12 +148,25 @@ let test_time_stats_sane () =
   check "no blocks -> zero stats" true
     (empty.Allocate.block_times = { Allocate.total_s = 0.0; mean_s = 0.0; max_s = 0.0 })
 
+(* The flow reports the fan-out it was asked for, and refuses a count
+   below 1 instead of clamping it. *)
+let test_flow_alloc_jobs () =
+  let run jobs =
+    let g = G.generate (P.tiny ~seed:7) in
+    Flow.run ~options:{ Flow.default_options with Flow.jobs }
+      ~design:g.G.design ~placement:g.G.placement ~library:g.G.library
+      ~sta_config:g.G.sta_config ()
+  in
+  Alcotest.(check int) "alloc_jobs" 2 (run (Some 2)).Flow.alloc_jobs;
+  Alcotest.check_raises "jobs 0 rejected"
+    (Invalid_argument "Flow.Session.create: jobs < 1") (fun () ->
+      ignore (run (Some 0)))
+
 (* ---- qcheck: random generated designs, all three modes ---- *)
 
 let design_inputs seed =
   let g = G.generate (P.tiny ~seed) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let graph = Compat.build_graph eng g.G.library in
   let idx = Spatial.create () in
   List.iter
@@ -185,6 +199,7 @@ let () =
           Alcotest.test_case "solve_block + reduce = run" `Quick
             test_solve_block_matches_run;
           Alcotest.test_case "time stats sane" `Quick test_time_stats_sane;
+          Alcotest.test_case "flow reports alloc jobs" `Quick test_flow_alloc_jobs;
         ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest ~long:true prop_parallel_equals_serial ] );

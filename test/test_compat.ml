@@ -141,10 +141,7 @@ let test_timing_infinite_slack_ok () =
 
 let g = G.generate (P.tiny ~seed:77)
 
-let eng =
-  let e = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze e;
-  e
+let eng = Engine.build ~config:g.G.sta_config g.G.placement
 
 let graph = Compat.build_graph eng g.G.library
 

@@ -65,7 +65,6 @@ let test_width_histogram () =
 
 let test_failing_fraction_calibrated () =
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let frac =
     float_of_int (Engine.failing_endpoints eng) /. float_of_int (Engine.n_endpoints eng)
   in
@@ -74,7 +73,6 @@ let test_failing_fraction_calibrated () =
 let test_timing_graph_acyclic () =
   (* Engine.build raises on cycles; reaching here is the assertion *)
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   check "wns finite" true (Float.is_finite (Engine.wns eng))
 
 let test_clock_domains_exist () =

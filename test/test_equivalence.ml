@@ -358,8 +358,6 @@ let batched_update_skews_matches_analyze =
       in
       let eng = Engine.build ~config ~corners g.G.placement in
       let ref_eng = Engine.build ~config ~corners g.G.placement in
-      Engine.analyze eng;
-      Engine.analyze ref_eng;
       let rng = Rng.create ((seed * 31) + 7) in
       let regs = Array.of_list (Design.registers g.G.design) in
       let fail fmt = QCheck.Test.fail_reportf fmt in
@@ -544,7 +542,6 @@ let plan_patch_matches_fresh =
           ~corners:(if one then Corner.default else three_corners)
           g.G.placement
       in
-      Engine.analyze eng;
       let rng = Rng.create ((seed * 41) + 3) in
       (* the refreshes below stay incremental, so a plan build can only
          come from an analyze or a corner swap *)
@@ -583,7 +580,6 @@ let plan_patch_matches_fresh =
           | _ ->
             Engine.set_corners eng
               (if Engine.n_corners eng = 1 then three_corners else Corner.default);
-            Engine.analyze eng;
             true
         in
         let what = Printf.sprintf "seed %d step %d (kind %d)" seed step kind in
@@ -626,7 +622,6 @@ let refresh_patches_once () =
   let g = G.generate { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + 1 } in
   let config = g.G.sta_config in
   let eng = Engine.build ~config g.G.placement in
-  Engine.analyze eng;
   let rng = Rng.create 17 in
   let builds = Engine.plan_builds eng and patches = Engine.plan_patches eng in
   for _ = 1 to 3 do

@@ -174,7 +174,6 @@ let test_full_save_load_compose () =
   let design = Verilog.of_verilog ~library:g.G.library ~gates:G.gate_resolver v in
   let placement = Def.of_def design d in
   let eng = Engine.build ~config:g.G.sta_config placement in
-  Engine.analyze eng;
   check "timing runs on reloaded design" true (Float.is_finite (Engine.wns eng));
   let r =
     Flow.run ~design ~placement ~library:g.G.library ~sta_config:g.G.sta_config ()

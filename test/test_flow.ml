@@ -146,7 +146,7 @@ let test_greedy_mode_worse_or_equal () =
     (r_ilp.Flow.after.Metrics.total_regs <= r_greedy.Flow.after.Metrics.total_regs)
 
 let test_skew_disabled () =
-  let options = { Flow.default_options with Flow.skew = None; resize = None } in
+  let options = { Flow.default_options with Flow.skew = None; resize = false } in
   let _, r = run ~options 777 in
   check "no skew report" true (r.Flow.skew_report = None);
   checki "no resizes" 0 r.Flow.n_resized

@@ -571,6 +571,25 @@ let test_trace_export () =
         (Float.abs ((dur name *. 1e-6) -. t) < 1e-9))
     r.Flow.stage_times
 
+(* Session.create is the session's one full analysis: on a from-scratch
+   run the eco-reset stage opens no analysis and builds no plan, and
+   the analysis lies before the recompose span. *)
+let test_eco_reset_no_sta_work () =
+  let _, events = run_tiny_traced () in
+  let depth = ref 0 and seen_recompose = ref false and analyzed_before = ref false in
+  List.iter
+    (fun e ->
+      match (e.ph, e.name) with
+      | "B", "eco-reset" -> incr depth
+      | "E", "eco-reset" -> decr depth
+      | "B", "flow.recompose" -> seen_recompose := true
+      | "B", ("sta.analyze" | "sta.plan.build") ->
+        if !depth > 0 then Alcotest.fail (e.name ^ " inside eco-reset");
+        if not !seen_recompose then analyzed_before := true
+      | _ -> ())
+    events;
+  check "analysis before the recompose" true !analyzed_before
+
 let test_trace_disabled () =
   Obs.Trace.clear ();
   check "disabled by default here" false (Obs.Trace.is_enabled ());
@@ -654,6 +673,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "export over traced flow" `Quick test_trace_export;
+          Alcotest.test_case "eco-reset does no STA work" `Quick
+            test_eco_reset_no_sta_work;
           Alcotest.test_case "disabled mode" `Quick test_trace_disabled;
           Alcotest.test_case "ring bound" `Quick test_trace_ring_bound;
         ] );

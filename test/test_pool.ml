@@ -14,6 +14,16 @@ let int_array = Alcotest.(array int)
 let test_recommended_jobs () =
   check "at least one job" true (Pool.recommended_jobs () >= 1)
 
+(* one meaning for a jobs count: 0 = every core, n >= 1 = n, negative
+   or non-numeric = error *)
+let test_resolve_jobs () =
+  check "0 = recommended" true (Pool.resolve_jobs 0 = Ok (Pool.recommended_jobs ()));
+  check "3 = 3" true (Pool.resolve_jobs 3 = Ok 3);
+  check "-1 rejected" true (Result.is_error (Pool.resolve_jobs (-1)));
+  check "parse 2" true (Pool.parse_jobs "2" = Ok 2);
+  check "parse -3 rejected" true (Result.is_error (Pool.parse_jobs "-3"));
+  check "parse x rejected" true (Result.is_error (Pool.parse_jobs "x"))
+
 let test_empty () =
   List.iter
     (fun jobs ->
@@ -239,6 +249,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs;
+          Alcotest.test_case "resolve jobs" `Quick test_resolve_jobs;
           Alcotest.test_case "empty array" `Quick test_empty;
           Alcotest.test_case "tasks > jobs" `Quick test_tasks_exceed_jobs;
           Alcotest.test_case "jobs=1 serial" `Quick test_jobs_one_is_serial;

@@ -12,6 +12,7 @@ module Cell_lib = Mbr_liberty.Cell
 module Floorplan = Mbr_place.Floorplan
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
+module Corner = Mbr_sta.Corner
 module Skew = Mbr_sta.Skew
 
 let check = Alcotest.(check bool)
@@ -84,7 +85,6 @@ let roughly msg expect actual = check msg true (Float.abs (expect -. actual) < 2
 let test_arrival_chain () =
   let d, pl, r1, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let d_pin =
     match Design.pin_of d r1 (Types.Pin_d 0) with Some p -> p | None -> assert false
   in
@@ -98,7 +98,6 @@ let test_arrival_chain () =
 let test_slack_value () =
   let d, pl, r1, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let d_pin =
     match Design.pin_of d r1 (Types.Pin_d 0) with Some p -> p | None -> assert false
   in
@@ -111,7 +110,6 @@ let test_slack_value () =
 let test_endpoints () =
   let _, pl, _, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   (* endpoints: r1.D, r2.D, out port *)
   checki "three endpoints" 3 (Engine.n_endpoints eng);
   checki "none failing at 300ps" 0 (Engine.failing_endpoints eng);
@@ -122,7 +120,6 @@ let test_failing_when_period_short () =
   let _, pl, _, _ = pipeline () in
   let tight = { cfg with Engine.clock_period = 50.0 } in
   let eng = Engine.build ~config:tight pl in
-  Engine.analyze eng;
   check "failing endpoints" true (Engine.failing_endpoints eng > 0);
   check "tns negative" true (Engine.tns eng < 0.0);
   check "wns = min slack" true (Engine.wns eng <= Engine.tns eng /. 3.0 +. 1e-9 || Engine.wns eng < 0.0)
@@ -130,7 +127,6 @@ let test_failing_when_period_short () =
 let test_skew_shifts_required () =
   let d, pl, r1, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let d_pin =
     match Design.pin_of d r1 (Types.Pin_d 0) with Some p -> p | None -> assert false
   in
@@ -143,7 +139,6 @@ let test_skew_shifts_required () =
 let test_skew_propagates_to_downstream () =
   let d, pl, r1, r2 = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let d2 =
     match Design.pin_of d r2 (Types.Pin_d 0) with Some p -> p | None -> assert false
   in
@@ -157,7 +152,6 @@ let test_skew_propagates_to_downstream () =
 let test_reg_slacks () =
   let _, pl, r1, r2 = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   check "r1 d slack finite" true (Float.is_finite (Engine.reg_d_slack eng r1));
   check "r1 q slack finite" true (Float.is_finite (Engine.reg_q_slack eng r1));
   (* r2.Q drives only the out port; still a real endpoint *)
@@ -166,7 +160,6 @@ let test_reg_slacks () =
 let test_output_load () =
   let d, pl, r1, _ = pipeline () in
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let q_pin =
     match Design.pin_of d r1 (Types.Pin_q 0) with Some p -> p | None -> assert false
   in
@@ -213,7 +206,6 @@ let test_wire_delay_increases_with_distance () =
   let d, pl, _r1, r2 = pipeline () in
   ignore d;
   let eng = Engine.build ~config:cfg pl in
-  Engine.analyze eng;
   let s_close = Engine.reg_d_slack eng r2 in
   (* move r2 far away: the r1 -> g2 -> r2 wires lengthen *)
   Placement.set pl r2 (Point.make 55.0 55.0);
@@ -227,7 +219,6 @@ let test_skew_optimizer_improves_tns () =
      stage has margin: skewing r1 later fixes the input stage *)
   let tight = { cfg with Engine.clock_period = 95.0 } in
   let eng = Engine.build ~config:tight pl in
-  Engine.analyze eng;
   let report = Skew.optimize eng in
   check "tns not worse" true (report.Skew.tns_after >= report.Skew.tns_before -. 1e-9);
   check "skew bounded" true (report.Skew.max_abs_skew <= Skew.default_config.Skew.bound +. 1e-9)
@@ -240,8 +231,6 @@ let test_update_skews_matches_full_analysis () =
   let g = G.generate (P.tiny ~seed:909) in
   let eng_inc = Engine.build ~config:g.G.sta_config g.G.placement in
   let eng_full = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng_inc;
-  Engine.analyze eng_full;
   let regs = Design.registers g.G.design in
   let rng = Mbr_util.Rng.create 17 in
   for _round = 1 to 5 do
@@ -275,10 +264,10 @@ let test_update_skews_matches_full_analysis () =
   done
 
 (* An analysis never reads connectivity the graph has not absorbed:
-   [analyze], and the lazy one behind every query after [set_skew],
-   first takes in pending netlist edits, so removing a register and
-   then asking for timing gives what a fresh engine gives, bit for
-   bit, instead of walking the dead register's endpoint. *)
+   [analyze] first takes in pending netlist edits, so removing a
+   register and then asking for timing gives what a fresh engine
+   gives, bit for bit, instead of walking the dead register's
+   endpoint. *)
 module G = Mbr_designgen.Generate
 module P = Mbr_designgen.Profile
 
@@ -296,34 +285,74 @@ let check_same_timing eng fresh dsg =
     (Int64.bits_of_float (Engine.tns eng));
   checki "endpoints" (Engine.n_endpoints fresh) (Engine.n_endpoints eng)
 
-let analyzed_tiny () =
+let test_analyze_absorbs_edits () =
   let g = G.generate (P.tiny ~seed:4) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
-  let removed, kept =
-    match Design.registers g.G.design with
-    | a :: b :: _ -> (a, b)
-    | _ -> Alcotest.fail "tiny design has fewer than two registers"
-  in
+  let removed = List.hd (Design.registers g.G.design) in
   Design.remove_cell g.G.design removed;
   Placement.remove g.G.placement removed;
-  (g, eng, kept)
-
-let test_analyze_absorbs_edits () =
-  let g, eng, _ = analyzed_tiny () in
   Engine.analyze eng;
   let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze fresh;
   check_same_timing eng fresh g.G.design
 
-let test_query_after_set_skew_absorbs_edits () =
-  let g, eng, kept = analyzed_tiny () in
-  Engine.set_skew eng kept 15.0;
-  ignore (Engine.reg_d_slack eng kept);
-  let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.set_skew fresh kept 15.0;
-  Engine.analyze fresh;
-  check_same_timing eng fresh g.G.design
+
+(* [build] returns an analyzed engine: its one plan is built, and a
+   second analysis moves no pin's timing and no TNS bit. *)
+let test_build_analyzes () =
+  let g = G.generate (P.tiny ~seed:4) in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  checki "plan built by build" 1 (Engine.plan_builds eng);
+  let bits = Option.map Int64.bits_of_float in
+  let timing () =
+    ( List.init (Design.n_pins g.G.design) (fun pid ->
+          (bits (Engine.arrival eng pid), bits (Engine.required eng pid))),
+      Int64.bits_of_float (Engine.tns eng) )
+  in
+  let first = timing () in
+  Engine.analyze eng;
+  check "second analysis moves nothing" true (timing () = first);
+  checki "one plan per analysis" 2 (Engine.plan_builds eng)
+
+(* [set_corners] re-analyzes before it returns: the new set's corner
+   slacks equal a fresh build's, with no query in between. *)
+let test_set_corners_analyzes () =
+  let g = G.generate (P.tiny ~seed:4) in
+  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
+  let corners = [| Corner.typical; Corner.slow; Corner.fast |] in
+  Engine.set_corners eng corners;
+  checki "plan built by set_corners" 2 (Engine.plan_builds eng);
+  let fresh = Engine.build ~config:g.G.sta_config ~corners g.G.placement in
+  let bits = Option.map Int64.bits_of_float in
+  for pid = 0 to Design.n_pins g.G.design - 1 do
+    for k = 0 to Array.length corners - 1 do
+      if bits (Engine.corner_slack eng k pid) <> bits (Engine.corner_slack fresh k pid)
+      then Alcotest.failf "corner %d slack of pin %d differs from a fresh build" k pid
+    done
+  done
+
+(* A rebuild that meets a cycle leaves the engine unanalyzed: every
+   later refresh, skew update and query retries the rebuild and raises
+   again, never reading planes sized for the unfinished graph. *)
+let test_cycle_after_build () =
+  let d = Design.create ~name:"loop" in
+  let a = Design.add_net d "a" in
+  let n1 = Design.add_net d "n1" in
+  let n2 = Design.add_net d "n2" in
+  let _ = Design.add_port d "a" Types.In_port a in
+  let g1 = Design.add_comb d "g1" gate ~inputs:[ a ] ~output:n1 in
+  let _ = Design.add_comb d "g2" gate ~inputs:[ n1 ] ~output:n2 in
+  let eng = Engine.build ~config:cfg (Placement.create fp d) in
+  (* g1 now reads g2's output: g1 -> g2 -> g1 *)
+  Design.connect d (Option.get (Design.pin_of d g1 (Types.Pin_in 0))) n2;
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s read the graph instead of raising" what
+    | exception Engine.Combinational_cycle _ -> ()
+  in
+  raises "refresh" (fun () -> Engine.refresh eng);
+  raises "second refresh" (fun () -> Engine.refresh eng);
+  raises "update_skews" (fun () -> Engine.update_skews eng []);
+  raises "wns" (fun () -> ignore (Engine.wns eng))
 
 let test_skew_optimizer_no_op_when_clean () =
   let _, pl, _, _ = pipeline () in
@@ -347,8 +376,11 @@ let () =
           Alcotest.test_case "wire delay grows" `Quick test_wire_delay_increases_with_distance;
           Alcotest.test_case "analyze absorbs netlist edits" `Quick
             test_analyze_absorbs_edits;
-          Alcotest.test_case "query after set_skew absorbs netlist edits"
-            `Quick test_query_after_set_skew_absorbs_edits;
+          Alcotest.test_case "build returns analyzed" `Quick test_build_analyzes;
+          Alcotest.test_case "set_corners re-analyzes" `Quick
+            test_set_corners_analyzes;
+          Alcotest.test_case "cycle after build keeps raising" `Quick
+            test_cycle_after_build;
         ] );
       ( "skew",
         [

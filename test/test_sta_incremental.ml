@@ -215,7 +215,6 @@ let refresh_equivalence =
       let rng = Rng.create (seed * 7 + 1) in
       let corners = if seed mod 2 = 0 then Corner.default else three_corners in
       let eng = Engine.build ~config:g.G.sta_config ~corners g.G.placement in
-      Engine.analyze eng;
       let rounds = 1 + Rng.int rng 3 in
       for _ = 1 to rounds do
         random_edits rng g;
@@ -223,7 +222,6 @@ let refresh_equivalence =
         let fresh =
           Engine.build ~config:g.G.sta_config ~corners g.G.placement
         in
-        Engine.analyze fresh;
         compare_engines
           ~fail:(fun m -> QCheck.Test.fail_reportf "seed %d: %s" seed m)
           eng fresh g.G.design
@@ -245,14 +243,12 @@ let check_rewired g eng =
   Engine.refresh eng;
   Alcotest.(check int) "no rebuild" 1 (Engine.full_builds eng);
   let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze fresh;
   compare_engines ~fail:Alcotest.fail eng fresh g.G.design
 
 let test_q_leaves_sinkless_net () =
   let g = G.generate (P.tiny ~seed:3) in
   let dsg = g.G.design in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let q =
     first_reg_pin dsg (fun p ->
         match (p.Types.p_kind, p.Types.p_net) with
@@ -268,7 +264,6 @@ let test_d_leaves_undriven_net () =
   let g = G.generate (P.tiny ~seed:3) in
   let dsg = g.G.design in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let d =
     first_reg_pin dsg (fun p ->
         match (p.Types.p_kind, p.Types.p_net) with
@@ -288,7 +283,6 @@ let test_d_leaves_undriven_net () =
 let test_moves_stay_incremental () =
   let g = G.generate (P.tiny ~seed:5) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze eng;
   let regs = Design.registers g.G.design in
   let r = List.nth regs 0 in
   let p = Placement.location g.G.placement r in
@@ -297,7 +291,6 @@ let test_moves_stay_incremental () =
   Alcotest.(check int) "no rebuild" 1 (Engine.full_builds eng);
   Alcotest.(check int) "one refresh" 1 (Engine.refreshes eng);
   let fresh = Engine.build ~config:g.G.sta_config g.G.placement in
-  Engine.analyze fresh;
   Alcotest.(check bool) "wns bits equal" true
     (same_bits (Engine.wns fresh) (Engine.wns eng))
 
@@ -308,7 +301,6 @@ let test_compose_stays_incremental () =
   let dsg = g.G.design in
   let lib = g.G.library in
   let eng = Engine.build ~config:g.G.sta_config pl in
-  Engine.analyze eng;
   let merged =
     let placed = List.filter (fun r -> Placement.is_placed pl r) (Design.registers dsg) in
     let rec try_pairs = function
@@ -353,7 +345,6 @@ let test_compose_stays_incremental () =
   Engine.refresh eng;
   Alcotest.(check int) "no rebuild" 1 (Engine.full_builds eng);
   let fresh = Engine.build ~config:g.G.sta_config pl in
-  Engine.analyze fresh;
   Alcotest.(check bool) "tns bits equal" true
     (same_bits (Engine.tns fresh) (Engine.tns eng))
 

@@ -40,8 +40,8 @@
    recompose adds more nets than the round (the ECO batch and the
    recompose) created scan-out pins. These are counts, not timings;
    the round's eco-reset, skew and scan-restitch stage times, the net
-   count, and Session.create's wall time (which is the engine build),
-   are printed for the log.
+   count, and Session.create's wall time (the engine build and its
+   initial analysis), are printed for the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
