@@ -74,6 +74,7 @@ type context = {
   placement : Placement.t;
   library : Mbr_liberty.Library.t;
   eng : Engine.t;
+  metrics : Metrics.state;
   mutable stage_times_rev : (string * float) list;
   notify : (progress -> unit) option;
   mutable pg_round : int;
@@ -212,11 +213,13 @@ let stage_resize ctx new_mbrs =
       if ctx.options.resize then Resize.downsize ctx.eng ctx.library new_mbrs
       else 0)
 
-(* A Table 1 snapshot, measured afresh: "metrics-before" or
-   "metrics-after". The refresh inside the pass absorbs whatever moved
-   since the last one (after resize: the retyped pin caps). *)
+(* A Table 1 snapshot: "metrics-before" or "metrics-after". The
+   refresh inside the pass absorbs whatever moved since the last one
+   (after resize: the retyped pin caps), and the session's metrics
+   state re-sweeps only the nets whose stamps moved since the previous
+   snapshot, with the fields a fresh sweep would give. *)
 let stage_metrics ctx name =
-  stage ctx name (fun () -> Metrics.collect ctx.eng ctx.library)
+  stage ctx name (fun () -> Metrics.collect ctx.metrics ctx.eng ctx.library)
 
 module Session = struct
   type s = {
@@ -225,6 +228,9 @@ module Session = struct
     placement : Placement.t;
     library : Mbr_liberty.Library.t;
     eng : Engine.t;
+    metrics : Metrics.state;
+        (** per-net route and power work, carried from one snapshot to
+            the next *)
     cache : Allocate.cache;
     mutable graph : Compat.graph;
         (** last compat-graph pass's graph; {!Compat.empty} before the
@@ -254,6 +260,7 @@ module Session = struct
       placement;
       library;
       eng = Engine.build ~config:sta_config ~corners:options.corners placement;
+      metrics = Metrics.create_state placement;
       cache = Allocate.create_cache ();
       graph = Compat.empty;
       n_recomposes = 0;
@@ -430,6 +437,7 @@ module Session = struct
           placement = s.placement;
           library = s.library;
           eng = s.eng;
+          metrics = s.metrics;
           stage_times_rev = [];
           notify = on_progress;
           pg_round = 0;

@@ -137,9 +137,9 @@ type result = {
     (move cells, add/remove/retype registers, rewire nets) and call
     {!Session.recompose} after each batch. The session owns the
     derived structures that pay to carry across passes — the
-    incremental STA engine, the compatibility graph and the per-block
-    allocation cache — and [recompose] brings each one up to date
-    incrementally:
+    incremental STA engine, the compatibility graph, the per-block
+    allocation cache and the QoR metrics state — and [recompose]
+    brings each one up to date incrementally:
 
     - the STA engine via {!Mbr_sta.Engine.refresh}, which consumes the
       design/placement edit logs, after zeroing the useful skew a
@@ -151,12 +151,16 @@ type result = {
     - the allocation via {!Allocate.run_cached} — blocks of the
       K-partition whose content hash is unchanged are spliced in from
       the cache and only blocks intersecting the dirty region are
-      re-solved.
+      re-solved;
+    - the metrics-before and metrics-after snapshots via
+      {!Metrics.collect} on the session's {!Metrics.state}, created with
+      the session: the routing and power estimates re-sweep only the
+      nets whose {!Mbr_place.Placement.net_stamp} moved since the
+      previous snapshot, and every field equals a fresh sweep's by its
+      bits.
 
-    Everything else is a pure function of the design and placement,
-    recomputed every pass: the metrics-before and metrics-after
-    snapshots, and the blocker spatial index (every live placed
-    register's center, indexed afresh).
+    The blocker spatial index (every live placed register's center) is
+    indexed afresh every pass.
 
     Each [recompose] is property-tested equivalent to a from-scratch
     {!run} on the same mutated inputs (same register count, ILP cost,
@@ -186,7 +190,8 @@ module Session : sig
     t
   (** Builds and analyzes the STA engine (the session's one full graph
       construction and analysis); everything else is materialized
-      lazily by the first {!recompose}. Raises [Invalid_argument] when
+      lazily by the first {!recompose} (the metrics state starts
+      empty, so that recompose's first snapshot sweeps every net). Raises [Invalid_argument] when
       [placement] was not built over [design] or [options.jobs] is
       below 1. *)
 

@@ -25,17 +25,31 @@ type t = {
   corners : (string * float * float) list;
 }
 
-let collect ?route_config eng lib =
+type state = { pl : Placement.t; route : Estimator.t; power : Power.t }
+
+let create_state ?route_config pl =
+  { pl; route = Estimator.create ?config:route_config pl; power = Power.create pl }
+
+let m_nets_swept = Mbr_obs.Metrics.counter "metrics.nets_swept"
+
+let collect st eng lib =
   let pl = Engine.placement eng in
+  if pl != st.pl then
+    invalid_arg "Metrics.collect: the engine's placement is not the state's";
   let dsg = Placement.design pl in
   Engine.refresh eng;
   let cts =
     Trace.with_span ~name:"metrics.cts" (fun () -> Synth.synthesize pl)
   in
   let route =
-    Trace.with_span ~name:"metrics.route" (fun () ->
-        Estimator.estimate ?config:route_config pl)
+    Trace.with_span ~name:"metrics.route"
+      ~args:
+        (if Trace.is_enabled () then
+           [ ("nets", Trace.Int (Estimator.stale st.route)) ]
+         else [])
+      (fun () -> Estimator.update st.route)
   in
+  Mbr_obs.Metrics.incr ~by:route.Estimator.nets_swept m_nets_swept;
   let regs = Design.registers dsg in
   let comp_regs =
     List.length (List.filter (Compat.is_composable dsg lib) regs)
@@ -45,8 +59,8 @@ let collect ?route_config eng lib =
   in
   let power =
     Trace.with_span ~name:"metrics.power" (fun () ->
-        Power.estimate ~config:(Power.config_of_sta (Engine.config eng)) ~cts
-          ~route pl)
+        Power.update ~config:(Power.config_of_sta (Engine.config eng)) st.power
+          ~cts ~route:st.route)
   in
   {
     cells = Design.n_cells dsg;

@@ -24,19 +24,32 @@ type t = {
           order; a single ["typical"] entry for single-corner runs *)
 }
 
-val collect :
-  ?route_config:Mbr_route.Estimator.config ->
-  Mbr_sta.Engine.t ->
-  Mbr_liberty.Library.t ->
-  t
+type state
+(** The per-net work of the routing estimate and the power estimate
+    ({!Mbr_route.Estimator.t}, {!Power.t}), carried from one snapshot
+    of a placement to the next so that a snapshot re-sweeps only the
+    nets whose {!Mbr_place.Placement.net_stamp} moved. A
+    {!Flow.Session} keeps one for its placement. *)
+
+val create_state :
+  ?route_config:Mbr_route.Estimator.config -> Mbr_place.Placement.t -> state
+(** A state over the placement that has swept nothing: the first
+    {!collect} with it sweeps every net. *)
+
+val collect : state -> Mbr_sta.Engine.t -> Mbr_liberty.Library.t -> t
 (** Runs STA (with whatever useful skew the engine carries), CTS and
-    the congestion estimate on the engine's placement. One CTS run and
-    one routing sweep serve the whole snapshot: {!Power.estimate} reuses
-    both (the tree's capacitance, the sweep's per-net HPWL) instead of
-    recomputing them. The three sub-passes run under the trace spans
-    ["metrics.cts"], ["metrics.route"] and ["metrics.power"], nested in
+    the congestion estimate on the engine's placement, bringing the
+    state up to date. One CTS run and one routing update serve the
+    whole snapshot: {!Power.update} reuses both (the tree's
+    capacitance, the state's per-net HPWL). Every field equals, by its
+    bits, what a fresh state would give: carrying the state changes
+    only how much work a snapshot does. The three sub-passes run under
+    the trace spans ["metrics.cts"], ["metrics.route"] (with a ["nets"]
+    argument: the nets it re-sweeps) and ["metrics.power"], nested in
     whichever Fig. 4 stage (["metrics-before"] / ["metrics-after"])
-    called the snapshot. *)
+    called the snapshot; the ["metrics.nets_swept"] counter adds up
+    the re-swept nets. Raises [Invalid_argument] when the engine's
+    placement is not the state's. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)

@@ -28,19 +28,42 @@ type report = {
   clock_fraction : float;  (** clock_power / total dynamic *)
 }
 
+type t
+(** Per-net signal-cap work carried across estimates of one placement:
+    each net's driver flag and sink input caps (summed in pin order),
+    re-derived only for the nets whose
+    {!Mbr_place.Placement.net_stamp} moved since the state last walked
+    them. A retype, the one edit that changes pin caps, moves the
+    stamps of the cell's nets, and a pin joining or leaving a net moves
+    that net's. *)
+
+val create : Mbr_place.Placement.t -> t
+(** A state that has walked no net: its first {!update} walks them
+    all. *)
+
+val update :
+  ?config:config ->
+  t ->
+  cts:Mbr_cts.Synth.result ->
+  route:Mbr_route.Estimator.t ->
+  report
+(** The report for the placement as it is now, equal by bits to
+    {!estimate} with the same tree. [route] must be a routing state
+    over the same placement, already {!Mbr_route.Estimator.update}d:
+    each signal net's wire cap is [wire_cap] × its
+    {!Mbr_route.Estimator.hpwl}. The signal cap is re-summed over the
+    driven non-clock nets in id order, each added as
+    [(acc + sink caps) + wire cap], which is a full walk's association,
+    so it does not depend on which nets were walked again. Clock
+    capacitance comes from [cts], leakage from the current registers.
+    Raises [Invalid_argument] when [route] is over another
+    placement. *)
+
 val estimate :
   ?config:config ->
   ?cts:Mbr_cts.Synth.result ->
-  ?route:Mbr_route.Estimator.result ->
   Mbr_place.Placement.t ->
   report
-(** Uses the current placement for wire lengths and the current netlist
-    for pin caps and leakage; clock capacitance comes from a CTS run on
-    the current sinks. Pass [?cts] to reuse a tree already synthesized
-    for the same placement instead of synthesizing a second one, and
-    [?route] to reuse a routing estimate of the same placement: each
-    signal net's wire cap is [wire_cap] × its HPWL, read from the
-    estimate's [net_hpwl] (computed when absent). {!Metrics.collect}
-    passes both, so a snapshot runs one CTS and one net sweep. The
-    signal-cap loop walks each net's pin list once, for the driver and
-    the sinks' input caps together. *)
+(** One-shot: {!update} on fresh states, with a fresh routing estimate
+    and, unless [?cts] passes a tree already synthesized for the same
+    placement, a fresh CTS run on the current sinks. *)

@@ -22,6 +22,9 @@ type t = {
   moves : Types.cell_id Vec.t;  (* every set/remove, in order *)
   nets : (Types.net_id, net_cache) Hashtbl.t;
   mutable dsg_cursor : int;  (* design edits already applied to [nets] *)
+  mutable stamps : int array;
+      (* per net id: how often the net's cached points were dropped;
+         grown on demand, since [Design.add_net] logs nothing *)
 }
 
 let create fp dsg =
@@ -32,6 +35,7 @@ let create fp dsg =
     moves = Vec.create ();
     nets = Hashtbl.create 256;
     dsg_cursor = Design.revision dsg;
+    stamps = Array.make (max 256 (Design.n_nets dsg)) 0;
   }
 
 let floorplan t = t.fp
@@ -42,12 +46,23 @@ let revision t = Vec.length t.moves
 
 let moves_since t cursor = Vec.suffix t.moves cursor
 
+(* Drop a net's cached points and move its stamp: the one place either
+   happens. *)
+let drop_net t nid =
+  Hashtbl.remove t.nets nid;
+  if nid >= Array.length t.stamps then begin
+    let b = Array.make (max (2 * Array.length t.stamps) (nid + 1)) 0 in
+    Array.blit t.stamps 0 b 0 (Array.length t.stamps);
+    t.stamps <- b
+  end;
+  t.stamps.(nid) <- t.stamps.(nid) + 1
+
 (* Drop cached boxes of every net the cell's pins touch. *)
 let invalidate_cell_nets t id =
   List.iter
     (fun pid ->
       match (Design.pin t.dsg pid).Types.p_net with
-      | Some nid -> Hashtbl.remove t.nets nid
+      | Some nid -> drop_net t nid
       | None -> ())
     (Design.pins_of t.dsg id)
 
@@ -57,7 +72,7 @@ let sync_design t =
   if rev <> t.dsg_cursor then begin
     List.iter
       (function
-        | Design.Net_changed (nid, _) -> Hashtbl.remove t.nets nid
+        | Design.Net_changed (nid, _) -> drop_net t nid
         | Design.Cell_retyped id ->
           (* pin offsets follow the library cell's pin map *)
           invalidate_cell_nets t id
@@ -149,6 +164,10 @@ let net_cache_of t nid =
 
 let net_pin_points t nid = (net_cache_of t nid).nc_pts
 
+let net_stamp t nid =
+  sync_design t;
+  if nid < Array.length t.stamps then t.stamps.(nid) else 0
+
 let net_box t nid = (net_cache_of t nid).nc_box
 
 let iter f t =
@@ -198,4 +217,5 @@ let copy t =
     loc = Array.copy t.loc;
     moves = Vec.copy t.moves;
     nets = Hashtbl.copy t.nets;
+    stamps = Array.copy t.stamps;
   }

@@ -52,6 +52,19 @@ val net_box : t -> Mbr_netlist.Types.net_id -> Mbr_geom.Rect.t option
 (** Bounding box of {!net_pin_points} ([None] when no pin is placed);
     served from the same cache. *)
 
+val net_stamp : t -> Mbr_netlist.Types.net_id -> int
+(** A per-net change counter: it moves exactly when the placement drops
+    the net's cached {!net_pin_points} — a {!set} or {!remove} of a
+    cell with a pin on the net, a retype of such a register, and every
+    design edit that adds a pin to the net or takes one off it. So a
+    net whose stamp did not move has the same pins, in the same order,
+    at the same locations, with the same input caps, as when the stamp
+    was last read. Pending design edits are folded in before the read.
+    Stamps start at 0 and only grow; a net added to the design after
+    the placement was made reads 0 until its first change, so a
+    consumer that records [-1] for a net it never swept sees every net,
+    new ones included, as changed. *)
+
 val iter : (Mbr_netlist.Types.cell_id -> Mbr_geom.Point.t -> unit) -> t -> unit
 (** Live placed cells only. *)
 
@@ -65,4 +78,7 @@ val overlapping_registers : t -> (Mbr_netlist.Types.cell_id * Mbr_netlist.Types.
     — the legality check the composition flow must keep empty. *)
 
 val copy : t -> t
-(** Snapshot of the locations (shares design/floorplan). *)
+(** Snapshot of the locations, net cache and stamps (shares
+    design/floorplan). The stamps are copied, not shared: a {!set} or
+    {!remove} on one placement leaves the other's stamps alone, while a
+    design edit reaches both, as they share the design. *)

@@ -43,7 +43,10 @@ val route_l_tiles :
 (** {!route_l} between two points already mapped to tiles
     ([(ai, aj)] and [(bi, bj)], as {!col}/{!row} return them):
     callers routing many branches from one point map each point once.
-    [route_l t a b] is [route_l_tiles] on the tiles of [a] and [b]. *)
+    [route_l t a b] is [route_l_tiles] on the tiles of [a] and [b].
+    A negative [demand] takes a route back off the grid: with every
+    demand a multiple of 0.5 (as the estimator's are), [~demand:(-1.0)]
+    undoes [~demand:1.0] exactly. *)
 
 val overflow_edges : t -> int
 (** Edges with demand strictly above capacity. *)

@@ -15,7 +15,9 @@
      numeric drift;
    - the single-sweep QoR pass behind [Metrics.collect] is bit-identical
      to the pre-change pass kept in [Qor_reference] — every field,
-     floats compared by their bits;
+     floats compared by their bits — and so is a session's carried
+     metrics state, in both snapshots of every recompose and after
+     each single kind of edit;
    - a propagation plan patched across refreshes (composition merges,
      scan restitching, ECO batches, runs of small refreshes) gives the
      slacks of a fresh build + analyze, bit for bit, and never costs a
@@ -56,6 +58,7 @@ module Metrics = Mbr_core.Metrics
 module Flow = Mbr_core.Flow
 module Estimator = Mbr_route.Estimator
 module Synth = Mbr_cts.Synth
+module Power = Mbr_core.Power
 module Reference = Qor_reference
 
 (* A candidate with its floats as bits. *)
@@ -753,12 +756,13 @@ let metrics_mismatches (a : Metrics.t) (b : Metrics.t) =
     ]
 
 (* The three sub-passes against their references: the route estimate
-   (old fields by their bits, [net_hpwl] per net against the old
-   per-net HPWL) and the CTS tree (structurally: same tree, same
-   order). *)
+   of a fresh state (old fields by their bits, each net's HPWL against
+   the old per-net HPWL) and the CTS tree (structurally: same tree,
+   same order). *)
 let pass_mismatches ?route_config pl =
   let dsg = Mbr_place.Placement.design pl in
-  let r = Estimator.estimate ?config:route_config pl in
+  let st = Estimator.create ?config:route_config pl in
+  let r = Estimator.update st in
   let r0 = Reference.Route.estimate ?config:route_config pl in
   let route =
     List.concat
@@ -780,25 +784,19 @@ let pass_mismatches ?route_config pl =
       if (Design.net dsg nid).Mbr_netlist.Types.n_is_clock then 0.0
       else Reference.Route.net_hpwl pl nid
     in
-    if not (same_bits r.Estimator.net_hpwl.(nid) expect) then
-      hpwl := Printf.sprintf "route.net_hpwl.(%d)" nid :: !hpwl;
-    if not (same_bits (Estimator.net_hpwl pl nid) (Reference.Route.net_hpwl pl nid))
-    then hpwl := Printf.sprintf "net_hpwl %d" nid :: !hpwl;
-    if
-      not
-        (same_bits (Estimator.net_star_wl pl nid)
-           (Reference.Route.net_star_wl pl nid))
-    then hpwl := Printf.sprintf "net_star_wl %d" nid :: !hpwl
+    if not (same_bits (Estimator.hpwl st nid) expect) then
+      hpwl := Printf.sprintf "route hpwl %d" nid :: !hpwl
   done;
   let cts =
     if Synth.synthesize pl = Reference.Cts.synthesize pl then [] else [ "cts tree" ]
   in
   route @ !hpwl @ cts
 
-(* A fresh snapshot and everything in it that differs from the
-   reference. *)
+(* A snapshot from a fresh metrics state and everything in it that
+   differs from the reference. *)
 let snapshot_mismatches ?route_config eng lib =
-  let m = Metrics.collect ?route_config eng lib in
+  let st = Metrics.create_state ?route_config (Engine.placement eng) in
+  let m = Metrics.collect st eng lib in
   let m0 = Reference.collect ?route_config eng lib in
   (m, metrics_mismatches m m0 @ pass_mismatches ?route_config (Engine.placement eng))
 
@@ -832,9 +830,10 @@ let metrics_match_reference =
       true)
 
 (* ECO sequences: after every perturb + recompose the session's own
-   after-snapshot, and a fresh collect on its engine, both equal the
-   reference — through cache invalidations, tombstoned registers,
-   fresh scan hop nets and skewed timing. *)
+   before- and after-snapshots, both from its carried metrics state,
+   and a fresh collect on its engine, all equal the reference —
+   through cache invalidations, tombstoned registers, fresh scan hop
+   nets and skewed timing. *)
 let recompose_metrics_match_reference =
   QCheck.Test.make ~name:"recompose snapshots = pre-change reference (bits)"
     ~count:6
@@ -850,20 +849,241 @@ let recompose_metrics_match_reference =
           ~library:g.G.library ~sta_config:g.G.sta_config ()
       in
       let rng = Rng.create ((seed * 7) + 1) in
+      let eng = Flow.Session.engine session in
       for round = 0 to 3 do
         if round > 0 then ignore (Eco.perturb rng g);
-        let r = Flow.Session.recompose session in
+        (* the reference before-snapshot, taken as the stage after
+           metrics-before starts: nothing has moved since *)
+        let before0 = ref None in
+        let on_progress (pr : Flow.progress) =
+          if pr.Flow.pr_stage = "decompose" && Option.is_none !before0 then
+            before0 := Some (Reference.collect eng g.G.library)
+        in
+        let r = Flow.Session.recompose ~on_progress session in
         let what = Printf.sprintf "%s seed %d round %d" p.P.name seed round in
-        let eng = Flow.Session.engine session in
-        let m0 = Reference.collect eng g.G.library in
-        (match metrics_mismatches r.Flow.after m0 with
-        | [] -> ()
-        | bad ->
-          QCheck.Test.fail_reportf "%s (after-snapshot): %s" what
-            (String.concat "; " bad));
+        let compare which m m0 =
+          match metrics_mismatches m m0 with
+          | [] -> ()
+          | bad ->
+            QCheck.Test.fail_reportf "%s (%s-snapshot): %s" what which
+              (String.concat "; " bad)
+        in
+        (match !before0 with
+        | Some m0 -> compare "before" r.Flow.before m0
+        | None -> QCheck.Test.fail_reportf "%s: no decompose stage" what);
+        compare "after" r.Flow.after (Reference.collect eng g.G.library);
         check_snapshot ~what eng g.G.library
       done;
       true)
+
+(* What differs between a carried route + power state brought up to
+   date and, by their bits, a fresh state, the pre-change route
+   estimate and the pre-change power loop: every result field, the
+   grid's total demand, every net's HPWL, and the update's swept count
+   against the stale count taken just before it. Returns the carried
+   and fresh route results too. *)
+let incremental_mismatches ~cfg rt pw pl =
+  let dsg = Placement.design pl in
+  let stale = Estimator.stale rt in
+  let r = Estimator.update rt in
+  let cts = Synth.synthesize pl in
+  let p = Power.update ~config:cfg pw ~cts ~route:rt in
+  let ft = Estimator.create pl in
+  let r1 = Estimator.update ft in
+  let p1 = Power.estimate ~config:cfg ~cts pl in
+  let r0 = Reference.Route.estimate pl in
+  let p0 = Reference.power ~config:cfg ~cts pl in
+  let f name x y =
+    if same_bits x y then [] else [ Printf.sprintf "%s %h <> %h" name x y ]
+  in
+  let i name x y = if x = y then [] else [ Printf.sprintf "%s %d <> %d" name x y ] in
+  let route what (wl, ovfl, util, routed) =
+    f (what ^ " signal_wl") r.Estimator.signal_wl wl
+    @ i (what ^ " overflow_edges") r.Estimator.overflow_edges ovfl
+    @ f (what ^ " max_utilization") r.Estimator.max_utilization util
+    @ i (what ^ " n_routed_nets") r.Estimator.n_routed_nets routed
+  in
+  let power what (q : Power.report) =
+    f (what ^ " clock_power") p.Power.clock_power q.Power.clock_power
+    @ f (what ^ " signal_power") p.Power.signal_power q.Power.signal_power
+    @ f (what ^ " leakage_power") p.Power.leakage_power q.Power.leakage_power
+    @ f (what ^ " total") p.Power.total q.Power.total
+    @ f (what ^ " clock_fraction") p.Power.clock_fraction q.Power.clock_fraction
+  in
+  let hpwl =
+    List.concat
+      (List.init (Design.n_nets dsg) (fun nid ->
+           f (Printf.sprintf "hpwl %d" nid) (Estimator.hpwl rt nid)
+             (Estimator.hpwl ft nid)))
+  in
+  ( List.concat
+      [
+        route "fresh"
+          ( r1.Estimator.signal_wl,
+            r1.Estimator.overflow_edges,
+            r1.Estimator.max_utilization,
+            r1.Estimator.n_routed_nets );
+        route "reference"
+          ( r0.Reference.Route.signal_wl,
+            r0.Reference.Route.overflow_edges,
+            r0.Reference.Route.max_utilization,
+            r0.Reference.Route.n_routed_nets );
+        f "total_demand" (Estimator.total_demand rt) (Estimator.total_demand ft);
+        hpwl;
+        power "fresh" p1;
+        power "reference" p0;
+        i "nets_swept vs stale" r.Estimator.nets_swept stale;
+      ],
+    r,
+    r1 )
+
+(* One route + power state over D1 ×0.2, brought up to date after each
+   single edit of every kind a recompose or an ECO makes, equals a
+   fresh sweep by bits each time, and sweeps no more nets than the
+   edit touched; results held across later updates keep their values;
+   a default ECO batch closes the sequence. *)
+let incremental_state_through_edits () =
+  let g = G.generate (P.scaled P.d1 0.2) in
+  let dsg = g.G.design and pl = g.G.placement and lib = g.G.library in
+  let cfg = Power.config_of_sta g.G.sta_config in
+  let rt = Estimator.create pl and pw = Power.create pl in
+  let held = ref [] in
+  let check ?max_swept what =
+    let bad, r, r1 = incremental_mismatches ~cfg rt pw pl in
+    Alcotest.(check (list string)) what [] bad;
+    (match max_swept with
+    | Some m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d nets swept, at most %d" what r.Estimator.nets_swept m)
+        true
+        (r.Estimator.nets_swept <= m)
+    | None -> ());
+    held := (what, r, r1) :: !held
+  in
+  check "first pass";
+  (match !held with
+  | (_, r, _) :: _ ->
+    Alcotest.(check int) "a fresh state sweeps every net" (Design.n_nets dsg)
+      r.Estimator.nets_swept
+  | [] -> ());
+  let pin r kind = Design.pin_of dsg r kind in
+  let net_of pid = (Design.pin dsg pid).Types.p_net in
+  let routed nid =
+    (not (Design.net dsg nid).Types.n_is_clock)
+    && List.length (Placement.net_pin_points pl nid) >= 2
+  in
+  (* live placed registers whose D pin sits on a routed net, with it *)
+  let d_routed () =
+    List.filter_map
+      (fun r ->
+        match Option.bind (pin r (Types.Pin_d 0)) net_of with
+        | Some nid when Placement.is_placed pl r && routed nid -> Some (r, nid)
+        | _ -> None)
+      (Design.registers dsg)
+  in
+  let nth k = List.nth (d_routed ()) k in
+  let n_pins r = List.length (Design.pins_of dsg r) in
+  let ra, _ = nth 0 in
+  Placement.set pl ra (Point.add (Placement.location pl ra) (Point.make 3.0 1.2));
+  check ~max_swept:(n_pins ra) "move";
+  let rb, _ = nth 1 in
+  Placement.remove pl rb;
+  check ~max_swept:(n_pins rb) "unplace";
+  let rc, cell' =
+    List.find_map
+      (fun (r, _) ->
+        let cur = (Design.reg_attrs dsg r).Types.lib_cell in
+        List.find_opt
+          (fun (c : Cell_lib.t) ->
+            c.Cell_lib.scan = cur.Cell_lib.scan
+            && c.Cell_lib.name <> cur.Cell_lib.name)
+          (Library.cells_of lib ~func_class:cur.Cell_lib.func_class
+             ~bits:cur.Cell_lib.bits)
+        |> Option.map (fun c -> (r, c)))
+      (d_routed ())
+    |> Option.get
+  in
+  Design.retype_register dsg rc cell';
+  check ~max_swept:(n_pins rc) "retype";
+  let rd, _ = nth 2 in
+  Design.remove_cell dsg rd;
+  check ~max_swept:(n_pins rd) "remove_cell";
+  Placement.remove pl rd;
+  check ~max_swept:0 "unplace the removed cell";
+  let re, ne = nth 3 in
+  let clk = Option.get (Option.bind (pin re Types.Pin_clock) net_of) in
+  let dff1 = List.hd (Library.cells_of lib ~func_class:"dff" ~bits:1) in
+  let added =
+    Design.add_register dsg "inc_reg"
+      {
+        Types.lib_cell = dff1;
+        fixed = false;
+        size_only = false;
+        scan = None;
+        gate_enable = None;
+      }
+      (Design.simple_conn ~d:[| Some ne |] ~q:[| None |] ~clock:clk)
+  in
+  check ~max_swept:2 "add a register (unplaced)";
+  Placement.set pl added (Point.add (Placement.location pl re) (Point.make 4.0 2.4));
+  check ~max_swept:2 "place it: its D net grows";
+  let rf, _ = nth 4 and _, ng = nth 5 in
+  let pf = Option.get (pin rf (Types.Pin_d 0)) in
+  Design.disconnect dsg pf;
+  check ~max_swept:1 "disconnect one pin";
+  Design.connect dsg pf ng;
+  check ~max_swept:1 "connect it to another net";
+  let e = Design.add_net dsg "inc_empty" in
+  check ~max_swept:1 "a new, empty net (read as never swept)";
+  Design.connect dsg pf e;
+  check ~max_swept:2 "one pin onto the new net";
+  Design.connect dsg (Option.get (pin added (Types.Pin_q 0))) e;
+  check ~max_swept:1 "a second: the new net routes";
+  let two =
+    List.find
+      (fun nid ->
+        routed nid
+        && List.length (Placement.net_pin_points pl nid) = 2
+        && List.exists
+             (fun (_, cid, _) ->
+               match (Design.cell dsg cid).Types.c_kind with
+               | Types.Register _ -> true
+               | _ -> false)
+             (Placement.net_pin_points pl nid))
+      (List.init (Design.n_nets dsg) Fun.id)
+  in
+  let victim =
+    List.find_map
+      (fun (_, cid, _) ->
+        match (Design.cell dsg cid).Types.c_kind with
+        | Types.Register _ -> Some cid
+        | _ -> None)
+      (Placement.net_pin_points pl two)
+    |> Option.get
+  in
+  Placement.remove pl victim;
+  check ~max_swept:(n_pins victim) "a net drops below two placed pins";
+  Alcotest.(check bool) "it is no longer routed" false (routed two);
+  ignore (Eco.perturb (Rng.create 5) g);
+  check "a default ECO batch";
+  List.iter
+    (fun (what, (r : Estimator.result), (r1 : Estimator.result)) ->
+      Alcotest.(check (list string))
+        (what ^ ": held result keeps its values")
+        []
+        (List.concat
+           [
+             (if same_bits r.Estimator.signal_wl r1.Estimator.signal_wl then []
+              else [ "signal_wl" ]);
+             (if r.Estimator.overflow_edges = r1.Estimator.overflow_edges then []
+              else [ "overflow_edges" ]);
+             (if same_bits r.Estimator.max_utilization r1.Estimator.max_utilization
+              then []
+              else [ "max_utilization" ]);
+             (if r.Estimator.n_routed_nets = r1.Estimator.n_routed_nets then []
+              else [ "n_routed_nets" ]);
+           ]))
+    !held
 
 (* A congested design: a tight routing grid puts demand over capacity,
    so overflow counting and max utilisation are compared where they
@@ -968,6 +1188,8 @@ let () =
           QCheck_alcotest.to_alcotest recompose_metrics_match_reference;
           Alcotest.test_case "congested design = reference" `Quick
             congested_matches_reference;
+          Alcotest.test_case "carried state = fresh, edit by edit" `Quick
+            incremental_state_through_edits;
         ] );
       ("scan", [ QCheck_alcotest.to_alcotest chain_order_matches_reference ]);
     ]

@@ -130,6 +130,105 @@ let test_utilization () =
     checkf "util" (dff1.Cell_lib.area /. Rect.area core) (Placement.utilization pl)
   | _ -> Alcotest.fail "one reg")
 
+(* ---- Net stamps ---- *)
+
+(* r0 drives [a]; r1 loads [a] and drives [b]; r2 loads [b] and leaves
+   its Q pin free; [c] starts empty. All three share the clock net. *)
+let stamp_design () =
+  let d = Design.create ~name:"stamps" in
+  let clk = Design.add_net ~is_clock:true d "clk" in
+  let a = Design.add_net d "a" and b = Design.add_net d "b" in
+  let c = Design.add_net d "c" in
+  let reg name ~dn ~qn =
+    Design.add_register d name (attrs dff1)
+      (Design.simple_conn ~d:[| dn |] ~q:[| qn |] ~clock:clk)
+  in
+  let r0 = reg "r0" ~dn:None ~qn:(Some a) in
+  let r1 = reg "r1" ~dn:(Some a) ~qn:(Some b) in
+  let r2 = reg "r2" ~dn:(Some b) ~qn:None in
+  let pl = Placement.create (fp ()) d in
+  List.iteri
+    (fun i r -> Placement.set pl r (Point.make (2.0 *. float_of_int i) 1.2))
+    [ r0; r1; r2 ];
+  (d, pl, (clk, a, b, c), (r0, r1, r2))
+
+let stamps pl d = Array.init (Design.n_nets d) (Placement.net_stamp pl)
+
+(* Apply [edit] with every net's cache filled and tell which nets'
+   stamps moved, after checking that they are exactly the nets whose
+   cached points were dropped (a kept cache entry is the same list). *)
+let moved_by pl d edit =
+  let pts = Array.init (Design.n_nets d) (Placement.net_pin_points pl) in
+  let before = stamps pl d in
+  edit ();
+  let after = stamps pl d in
+  List.filter
+    (fun nid ->
+      let moved = after.(nid) <> before.(nid) in
+      (match pts.(nid) with
+      | [] -> ()
+      | old ->
+        check
+          (Printf.sprintf "net %d: stamp moved iff its points were dropped" nid)
+          moved
+          (Placement.net_pin_points pl nid != old));
+      check (Printf.sprintf "net %d: stamps only grow" nid) true
+        (after.(nid) >= before.(nid));
+      moved)
+    (List.init (Design.n_nets d) Fun.id)
+
+let sorted = List.sort compare
+
+let test_stamps_follow_edits () =
+  let d, pl, (clk, a, b, c), (r0, r1, r2) = stamp_design () in
+  let ints = Alcotest.(check (list int)) in
+  ints "move r1: its clock, D and Q nets" (sorted [ clk; a; b ])
+    (moved_by pl d (fun () -> Placement.set pl r1 (Point.make 9.0 3.6)));
+  ints "unplace r0" (sorted [ clk; a ])
+    (moved_by pl d (fun () -> Placement.remove pl r0));
+  ints "unplacing an unplaced cell moves nothing" []
+    (moved_by pl d (fun () -> Placement.remove pl r0));
+  let q2 = Option.get (Design.pin_of d r2 (Types.Pin_q 0)) in
+  ints "connect a free pin" [ c ]
+    (moved_by pl d (fun () -> Design.connect d q2 c));
+  ints "reconnect: the old net and the new" (sorted [ b; c ])
+    (moved_by pl d (fun () -> Design.connect d q2 b));
+  ints "connect to its own net moves nothing" []
+    (moved_by pl d (fun () -> Design.connect d q2 b));
+  ints "disconnect" [ b ] (moved_by pl d (fun () -> Design.disconnect d q2));
+  let dff1_x2 = Library.find lib "DFF1_X2" in
+  ints "retype r2: every net on its pins" (sorted [ clk; b ])
+    (moved_by pl d (fun () -> Design.retype_register d r2 dff1_x2));
+  ints "remove r1: the nets it leaves" (sorted [ clk; a; b ])
+    (moved_by pl d (fun () -> Design.remove_cell d r1))
+
+let test_stamps_new_net () =
+  let d, pl, _, (r0, _, _) = stamp_design () in
+  let n = Design.add_net d "late" in
+  checki "a net the placement never saw reads 0" 0 (Placement.net_stamp pl n);
+  check "0 differs from a consumer's never-swept -1" true
+    (Placement.net_stamp pl n <> -1);
+  (* far beyond the initial stamp array: read, then grow on a bump *)
+  let last = ref n in
+  for i = 1 to 600 do
+    last := Design.add_net d (Printf.sprintf "n%d" i)
+  done;
+  checki "read past the array" 0 (Placement.net_stamp pl !last);
+  let d0 = Option.get (Design.pin_of d r0 (Types.Pin_d 0)) in
+  Design.connect d d0 !last;
+  checki "its first change moves it" 1 (Placement.net_stamp pl !last)
+
+let test_stamps_copy () =
+  let _, pl, (clk, a, _, _), (r0, _, _) = stamp_design () in
+  let cp = Placement.copy pl in
+  let s = Placement.net_stamp pl a and c0 = Placement.net_stamp cp clk in
+  Placement.set cp r0 (Point.make 5.0 6.0);
+  checki "a move on the copy leaves the original" s (Placement.net_stamp pl a);
+  check "and moves the copy" true (Placement.net_stamp cp clk > c0);
+  let s' = Placement.net_stamp cp a in
+  Placement.set pl r0 (Point.make 7.0 6.0);
+  checki "a move on the original leaves the copy" s' (Placement.net_stamp cp a)
+
 (* ---- Occupancy ---- *)
 
 let test_occupancy_fits () =
@@ -482,6 +581,9 @@ let () =
           Alcotest.test_case "pin location" `Quick test_placement_pin_location;
           Alcotest.test_case "overlapping registers" `Quick test_overlapping_registers;
           Alcotest.test_case "utilization" `Quick test_utilization;
+          Alcotest.test_case "stamps follow edits" `Quick test_stamps_follow_edits;
+          Alcotest.test_case "stamps of a new net" `Quick test_stamps_new_net;
+          Alcotest.test_case "copy keeps its own stamps" `Quick test_stamps_copy;
         ] );
       ( "occupancy",
         [

@@ -102,6 +102,27 @@ let test_composition_reduces_clock_power () =
     (r.Flow.before.Metrics.clk_power_frac > 0.0
     && r.Flow.before.Metrics.clk_power_frac < 1.0)
 
+(* A carried state belongs to one placement: handing it an engine (or
+   a routing state) over another, even a copy of it, is a caller bug. *)
+let test_state_bound_to_placement () =
+  let g = G.generate (P.tiny ~seed:717) in
+  let copy = Placement.copy g.G.placement in
+  let st = Metrics.create_state g.G.placement in
+  let eng = Engine.build ~config:g.G.sta_config copy in
+  check "collect rejects an engine over another placement" true
+    (match Metrics.collect st eng g.G.library with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let route = Mbr_route.Estimator.create copy in
+  ignore (Mbr_route.Estimator.update route);
+  check "Power.update rejects a route state over another placement" true
+    (match
+       Power.update (Power.create g.G.placement)
+         ~cts:(Mbr_cts.Synth.synthesize g.G.placement) ~route
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "mbr_core.power"
     [
@@ -116,5 +137,7 @@ let () =
           Alcotest.test_case "clock share 20-40%" `Quick test_clock_share_in_paper_range;
           Alcotest.test_case "composition reduces clock power" `Quick
             test_composition_reduces_clock_power;
+          Alcotest.test_case "a state is bound to its placement" `Quick
+            test_state_bound_to_placement;
         ] );
     ]

@@ -99,12 +99,19 @@ let placed_pair () =
   Placement.set pl r2 (Point.make 40.0 12.0);
   (d, pl, n)
 
+(* The one signal net's star wirelength (the clock net is excluded) and
+   its HPWL. *)
+let one_net pl n =
+  let st = Estimator.create pl in
+  let r = Estimator.update st in
+  (r.Estimator.signal_wl, Estimator.hpwl st n)
+
 let test_net_star_wl () =
   let _, pl, n = placed_pair () in
-  let wl = Estimator.net_star_wl pl n in
+  let wl, hpwl = one_net pl n in
   (* two pins: star wl = manhattan distance between them *)
   check "positive" true (wl > 25.0 && wl < 35.0);
-  checkf "hpwl matches for 2 pins" (Estimator.net_hpwl pl n) wl
+  checkf "hpwl matches for 2 pins" hpwl wl
 
 let test_estimate_excludes_clock () =
   let _, pl, _ = placed_pair () in
@@ -154,7 +161,7 @@ let test_star_center_median () =
   let _ = reg "a" 0.0 ~drives:true in
   let _ = reg "b" 20.0 ~drives:false in
   let _ = reg "c" 50.0 ~drives:false in
-  let wl = Estimator.net_star_wl pl n in
+  let wl, _ = one_net pl n in
   (* pins at x ~ 0/20/50 (pin offsets shift all equally): star from the
      median pin ~= 50 total in x *)
   check "around 50" true (wl > 45.0 && wl < 56.0)
@@ -180,9 +187,11 @@ let port_net pts =
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Every field of the estimate, floats by their bits, equals the
-   reference; so do the per-net HPWL and star wirelength. *)
+   reference; so does the net's HPWL, returned with the estimate (the
+   star wirelength is the estimate's: the design has one net). *)
 let check_reference ?config pl n =
-  let r = Estimator.estimate ?config pl in
+  let st = Estimator.create ?config pl in
+  let r = Estimator.update st in
   let r0 = Reference.Route.estimate ?config pl in
   check "signal_wl bits" true
     (same_bits r.Estimator.signal_wl r0.Reference.Route.signal_wl);
@@ -190,11 +199,11 @@ let check_reference ?config pl n =
   check "max utilization bits" true
     (same_bits r.Estimator.max_utilization r0.Reference.Route.max_utilization);
   checki "routed nets" r0.Reference.Route.n_routed_nets r.Estimator.n_routed_nets;
-  check "net_hpwl bits" true
-    (same_bits r.Estimator.net_hpwl.(n) (Reference.Route.net_hpwl pl n));
+  check "net hpwl bits" true
+    (same_bits (Estimator.hpwl st n) (Reference.Route.net_hpwl pl n));
   check "star wl bits" true
-    (same_bits (Estimator.net_star_wl pl n) (Reference.Route.net_star_wl pl n));
-  r
+    (same_bits r.Estimator.signal_wl (Reference.Route.net_star_wl pl n));
+  (r, Estimator.hpwl st n)
 
 (* Deterministic scatter, some points repeated. *)
 let scatter ?(salt = 0) k =
@@ -209,9 +218,9 @@ let test_even_pin_count () =
      the star length is the same anywhere between them, so only the
      grid sees where the centre lands *)
   let pl, n = port_net [ (0.0, 5.0); (10.0, 5.0); (30.0, 5.0); (70.0, 5.0) ] in
-  let r = check_reference pl n in
+  let r, hpwl = check_reference pl n in
   checkf "star wl" (20.0 +. 10.0 +. 10.0 +. 50.0) r.Estimator.signal_wl;
-  checkf "hpwl" 70.0 r.Estimator.net_hpwl.(n);
+  checkf "hpwl" 70.0 hpwl;
   (* many even-sized nets on a tight grid: an off-by-one centre tile
      changes which edges overflow *)
   for salt = 1 to 60 do
@@ -227,7 +236,7 @@ let test_large_net () =
   List.iter
     (fun k ->
       let pl, n = port_net (scatter k) in
-      let r = check_reference pl n in
+      let r, _ = check_reference pl n in
       checki "one routed net" 1 r.Estimator.n_routed_nets)
     [ 17; 40; 41; 600 ]
 
@@ -237,18 +246,87 @@ let test_pins_outside_core () =
   let pl, n =
     port_net [ (-25.0, 50.0); (150.0, 50.0); (50.0, -5.0); (50.0, 180.0); (3.0, 3.0) ]
   in
-  let r = check_reference ~config:{ Estimator.gcell = 10.0; cap_h = 0.5; cap_v = 0.5 } pl n in
+  let r, hpwl =
+    check_reference ~config:{ Estimator.gcell = 10.0; cap_h = 0.5; cap_v = 0.5 } pl n
+  in
   check "overflow on clamped routes" true (r.Estimator.overflow_edges > 0);
-  checkf "hpwl spans outside" (175.0 +. 185.0) r.Estimator.net_hpwl.(n)
+  checkf "hpwl spans outside" (175.0 +. 185.0) hpwl
 
 let test_coincident_pins () =
   let pl, n = port_net [ (42.0, 17.0); (42.0, 17.0); (42.0, 17.0) ] in
-  let r = check_reference pl n in
+  let r, hpwl = check_reference pl n in
   checkf "no wire" 0.0 r.Estimator.signal_wl;
-  checkf "no hpwl" 0.0 r.Estimator.net_hpwl.(n);
+  checkf "no hpwl" 0.0 hpwl;
   checki "still routed" 1 r.Estimator.n_routed_nets;
   let pl, n = port_net [ (5.0, 5.0); (5.0, 5.0); (65.0, 45.0); (65.0, 45.0) ] in
   ignore (check_reference pl n)
+
+(* ---- the carried state ---- *)
+
+(* A state carried through edits equals a fresh estimate after each (on
+   the tight grid, where demand overflows): every result field, floats
+   by their bits, the grid's total demand and the nets' HPWL. *)
+let check_state what st pl nets =
+  let r = Estimator.update st in
+  let fresh = Estimator.create ~config:tight pl in
+  let r1 = Estimator.update fresh in
+  check (what ^ ": signal_wl bits") true
+    (same_bits r.Estimator.signal_wl r1.Estimator.signal_wl);
+  checki (what ^ ": overflow edges") r1.Estimator.overflow_edges r.Estimator.overflow_edges;
+  check (what ^ ": max utilization bits") true
+    (same_bits r.Estimator.max_utilization r1.Estimator.max_utilization);
+  checki (what ^ ": routed nets") r1.Estimator.n_routed_nets r.Estimator.n_routed_nets;
+  check (what ^ ": total demand bits") true
+    (same_bits (Estimator.total_demand st) (Estimator.total_demand fresh));
+  List.iter
+    (fun n ->
+      check (what ^ ": hpwl bits") true
+        (same_bits (Estimator.hpwl st n) (Estimator.hpwl fresh n)))
+    nets;
+  r
+
+(* Two nets of ports grow one pin at a time, in turn, on a tight grid:
+   each growth moves a net to a fresh pool slot, so the pools fill and
+   are compacted (the first state's pools hold only the two starting
+   pins, later ones 1,024 slots or twice the live count); then pins
+   leave until one net drops below two placed pins, and it regrows. *)
+let test_state_through_growth () =
+  let pl, n = port_net [ (5.0, 5.0); (60.0, 40.0) ] in
+  let d = Placement.design pl in
+  let m = Design.add_net d "m" in
+  let st = Estimator.create ~config:tight pl in
+  ignore (check_state "start" st pl [ n; m ]);
+  let port net k (x, y) =
+    let c = Design.add_port d (Printf.sprintf "q%d" k) Types.Out_port net in
+    Placement.set pl c (Point.make x y);
+    c
+  in
+  let ports =
+    List.mapi
+      (fun k xy ->
+        let c = port (if k mod 2 = 0 then n else m) k xy in
+        let r = check_state (Printf.sprintf "grow %d" k) st pl [ n; m ] in
+        checki "one net swept per growth" 1 r.Estimator.nets_swept;
+        c)
+      (scatter ~salt:3 90)
+  in
+  List.iteri
+    (fun k c ->
+      if k mod 3 = 0 then begin
+        Placement.remove pl c;
+        ignore (check_state (Printf.sprintf "unplace %d" k) st pl [ n; m ])
+      end)
+    ports;
+  (* [m] holds only ports; take its pins off until fewer than two stay *)
+  List.iter
+    (fun pid -> Design.disconnect d pid)
+    (List.filteri (fun i _ -> i > 0) (Design.net d m).Types.n_pins);
+  let r = check_state "m below two pins" st pl [ n; m ] in
+  checki "only n routes" 1 r.Estimator.n_routed_nets;
+  List.iteri
+    (fun k c -> if k mod 3 = 0 then Placement.set pl c (Point.make 50.0 (float_of_int k)))
+    ports;
+  ignore (check_state "regrow" st pl [ n; m ])
 
 let () =
   Alcotest.run "mbr_route"
@@ -277,5 +355,7 @@ let () =
           Alcotest.test_case "large net (heapsort)" `Quick test_large_net;
           Alcotest.test_case "pins outside the core" `Quick test_pins_outside_core;
           Alcotest.test_case "coincident pins" `Quick test_coincident_pins;
+          Alcotest.test_case "carried state through growth" `Quick
+            test_state_through_growth;
         ] );
     ]

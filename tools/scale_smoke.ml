@@ -38,10 +38,16 @@
    every hop net whose driver survives and mints one only for a
    scan-out pin without a net, so the check fails when the round's
    recompose adds more nets than the round (the ECO batch and the
-   recompose) created scan-out pins. These are counts, not timings;
-   the round's eco-reset, skew and scan-restitch stage times, the net
-   count, and Session.create's wall time (the engine build and its
-   initial analysis), are printed for the log.
+   recompose) created scan-out pins. Nor may the round's two metrics
+   snapshots fall back to full sweeps: the session's metrics state
+   re-sweeps only the nets whose placement stamps moved, and a full
+   sweep would give the same bits, so the check reads the
+   [metrics.nets_swept] counter over the round and fails when the two
+   snapshots together re-swept at least as many nets as the design
+   has. These are counts, not timings; the round's eco-reset, skew,
+   scan-restitch and metrics stage times, the net count, and
+   Session.create's wall time (the engine build and its initial
+   analysis), are printed for the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
@@ -100,7 +106,13 @@ let () =
   let builds0 = Engine.plan_builds eng and patches0 = Engine.plan_patches eng in
   let refreshes0 = Engine.refreshes eng in
   let nets0 = Design.n_nets dsg in
+  (* the registry is off until here, so the first flow runs as mbrc's
+     does *)
+  Mbr_obs.Metrics.enable ();
+  let swept = Mbr_obs.Metrics.counter "metrics.nets_swept" in
+  let swept0 = Mbr_obs.Metrics.counter_value swept in
   let eco = Flow.Session.recompose session in
+  let eco_swept = Mbr_obs.Metrics.counter_value swept - swept0 in
   let eco_builds = Engine.plan_builds eng - builds0 in
   let eco_patches = Engine.plan_patches eng - patches0 in
   let eco_refreshes = Engine.refreshes eng - refreshes0 in
@@ -111,14 +123,23 @@ let () =
     | Mbr_netlist.Types.Pin_scan_out _ -> incr new_so
     | _ -> ()
   done;
+  let eco_metrics_s = stage_s eco "metrics-before" +. stage_s eco "metrics-after" in
   Printf.printf
     "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, scan-restitch \
-     %.3f s, plan builds %d, patches %d, refreshes %d; STA full builds %d; \
-     nets %d (+%d for %d new scan-out pins)\n%!"
+     %.3f s, metrics %.3f s (nets swept %d of %d), plan builds %d, patches \
+     %d, refreshes %d; STA full builds %d; nets %d (+%d for %d new scan-out \
+     pins)\n%!"
     (stage_s eco "eco-reset") (stage_s eco "skew") (stage_s eco "scan-restitch")
-    eco_builds eco_patches eco_refreshes eco.Flow.sta_full_builds
-    (Design.n_nets dsg) eco_nets !new_so;
+    eco_metrics_s eco_swept (Design.n_nets dsg) eco_builds eco_patches
+    eco_refreshes eco.Flow.sta_full_builds (Design.n_nets dsg) eco_nets !new_so;
   let failed = ref false in
+  if eco_swept >= Design.n_nets dsg then begin
+    Printf.printf
+      "scale-smoke: FAIL eco round's metrics snapshots re-swept %d nets of \
+       %d; each may re-sweep only the nets whose stamps moved\n%!"
+      eco_swept (Design.n_nets dsg);
+    failed := true
+  end;
   if eco_nets > !new_so then begin
     Printf.printf
       "scale-smoke: FAIL eco round's recompose added %d nets for %d new \
