@@ -39,7 +39,7 @@ for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
   dune exec "examples/$ex.exe" > /dev/null
 done
 
-echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes, nor add more nets than it created scan-out pins, nor re-sweep in its metrics snapshots as many nets as the design has; the session builds the STA graph once) =="
+echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes, nor add more nets than it created scan-out pins, nor re-sweep in its metrics snapshots as many nets as the design has, nor flag in its STA refreshes as many pins as the design has; the session builds the STA graph once) =="
 dune exec tools/scale_smoke.exe
 
 echo "== telemetry smoke (traced flow -> Chrome JSON + metrics snapshot) =="

@@ -141,10 +141,10 @@ type result = {
     allocation cache and the QoR metrics state — and [recompose]
     brings each one up to date incrementally:
 
-    - the STA engine via {!Mbr_sta.Engine.refresh}, which consumes the
-      design/placement edit logs, after zeroing the useful skew a
-      previous recompose applied (a from-scratch run starts skewless,
-      so a recompose must too);
+    - the STA engine via {!Mbr_sta.Engine.refresh}, which reads the
+      design's edit log and the placement's net stamps, after zeroing
+      the useful skew a previous recompose applied (a from-scratch run
+      starts skewless, so a recompose must too);
     - the compat graph via {!Compat.refresh} — only pairs touching a
       register whose snapshot (slacks, feasible region, attributes,
       position) changed are re-checked;
@@ -202,7 +202,8 @@ module Session : sig
     t ->
     result
   (** Run the composition pipeline over the current design/placement
-      state, reusing everything the edit logs prove untouched. The
+      state, reusing everything the design's edit log and the
+      placement's net stamps prove untouched. The
       first call is exactly {!run}; later calls report
       [eco_blocks_reused] > 0 whenever the ECO left partition blocks
       clean.

@@ -60,7 +60,7 @@ let collect st eng lib =
   let power =
     Trace.with_span ~name:"metrics.power" (fun () ->
         Power.update ~config:(Power.config_of_sta (Engine.config eng)) st.power
-          ~cts ~route:st.route)
+          ~cts ~route:st.route ~regs)
   in
   {
     cells = Design.n_cells dsg;

@@ -39,9 +39,10 @@ val create_state :
 val collect : state -> Mbr_sta.Engine.t -> Mbr_liberty.Library.t -> t
 (** Runs STA (with whatever useful skew the engine carries), CTS and
     the congestion estimate on the engine's placement, bringing the
-    state up to date. One CTS run and one routing update serve the
-    whole snapshot: {!Power.update} reuses both (the tree's
-    capacitance, the state's per-net HPWL). Every field equals, by its
+    state up to date. One CTS run, one routing update and one walk of
+    {!Mbr_netlist.Design.registers} serve the whole snapshot:
+    {!Power.update} reuses all three (the tree's capacitance, the
+    state's per-net HPWL, the register list for leakage). Every field equals, by its
     bits, what a fresh state would give: carrying the state changes
     only how much work a snapshot does. The three sub-passes run under
     the trace spans ["metrics.cts"], ["metrics.route"] (with a ["nets"]

@@ -85,7 +85,7 @@ let grow_nets t n =
     t.sink <- grow t.sink 0.0
   end
 
-let update ?config t ~cts ~route =
+let update ?config t ~cts ~route ~regs =
   if Estimator.placement route != t.pl then
     invalid_arg "Power.update: route state over another placement";
   let cfg =
@@ -123,7 +123,7 @@ let update ?config t ~cts ~route =
     List.fold_left
       (fun acc cid ->
         acc +. (Design.reg_attrs dsg cid).Types.lib_cell.Mbr_liberty.Cell.leakage)
-      0.0 (Design.registers dsg)
+      0.0 regs
     /. 1000.0
   in
   let dynamic = clock_power +. signal_power in
@@ -140,3 +140,4 @@ let estimate ?config ?cts pl =
   let route = Estimator.create pl in
   ignore (Estimator.update route);
   update ?config (create pl) ~cts ~route
+    ~regs:(Design.registers (Placement.design pl))

@@ -46,6 +46,7 @@ val update :
   t ->
   cts:Mbr_cts.Synth.result ->
   route:Mbr_route.Estimator.t ->
+  regs:Mbr_netlist.Types.cell_id list ->
   report
 (** The report for the placement as it is now, equal by bits to
     {!estimate} with the same tree. [route] must be a routing state
@@ -55,7 +56,10 @@ val update :
     driven non-clock nets in id order, each added as
     [(acc + sink caps) + wire cap], which is a full walk's association,
     so it does not depend on which nets were walked again. Clock
-    capacitance comes from [cts], leakage from the current registers.
+    capacitance comes from [cts]; leakage is summed over [regs] in
+    list order, which must be the design's live registers as
+    {!Mbr_netlist.Design.registers} lists them (ascending id), so a
+    caller that already walked them hands its list over.
     Raises [Invalid_argument] when [route] is over another
     placement. *)
 

@@ -4,7 +4,8 @@
 
     One {!perturb} call applies a batch of the edits a real engineering
     change order is made of, all through the public design/placement
-    APIs so the edit logs record every one of them:
+    APIs so the design's edit log and the placement's net stamps
+    record every one of them:
 
     - {b moves}: a fraction of the placed registers is jittered by a
       clamped Gaussian (incremental-placement drift);

@@ -93,14 +93,31 @@ let chain_order pl members =
   done;
   sectioned @ Array.to_list walked @ unplaced_free
 
-let port_pin dsg name =
-  match Design.find_cell dsg name with
-  | Some cid -> ( match Design.pins_of dsg cid with pid :: _ -> Some pid | [] -> None)
-  | None -> None
+(* The chain ports by name, from one pass over the cells: the first
+   live cell of each [scan_si<p>]/[scan_so<p>] name, as
+   [Design.find_cell] would find it. *)
+let scan_ports dsg =
+  let tbl = Hashtbl.create 16 in
+  for cid = 0 to Design.next_cell_id dsg - 1 do
+    let c = Design.cell dsg cid in
+    if
+      (not c.Types.c_dead)
+      && String.starts_with ~prefix:"scan_s" c.Types.c_name
+      && not (Hashtbl.mem tbl c.Types.c_name)
+    then Hashtbl.add tbl c.Types.c_name cid
+  done;
+  Hashtbl.find_opt tbl
 
 let stitch pl =
   let dsg = Placement.design pl in
   let chains, chainless = by_partition dsg in
+  let find_port = scan_ports dsg in
+  let port_pin name =
+    match find_port name with
+    | Some cid -> (
+      match Design.pins_of dsg cid with pid :: _ -> Some pid | [] -> None)
+    | None -> None
+  in
   (* registers outside every chain keep no scan wiring *)
   List.iter
     (fun cid ->
@@ -133,7 +150,7 @@ let stitch pl =
       in
       let si_name = Printf.sprintf "scan_si%d" partition in
       let si_port =
-        match port_pin dsg si_name with
+        match port_pin si_name with
         | Some pid -> pid
         | None ->
           let nid = Design.add_net dsg (si_name ^ "_net") in
@@ -153,7 +170,7 @@ let stitch pl =
           si_port hop_list
       in
       let so_name = Printf.sprintf "scan_so%d" partition in
-      (match port_pin dsg so_name with
+      (match port_pin so_name with
       | Some pid -> Design.connect dsg pid (net_of last_so)
       | None -> ignore (Design.add_port dsg so_name Types.Out_port (net_of last_so)));
       true
@@ -165,13 +182,14 @@ let verify dsg =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let chains, _ = by_partition dsg in
+  let find_port = scan_ports dsg in
   List.iter
     (fun (partition, members) ->
       let expected_hops =
         List.fold_left (fun acc cid -> acc + List.length (hops dsg cid)) 0 members
       in
       if expected_hops > 0 then begin
-        match Design.find_cell dsg (Printf.sprintf "scan_si%d" partition) with
+        match find_port (Printf.sprintf "scan_si%d" partition) with
         | None -> bad "partition %d has scan registers but no scan-in port" partition
         | Some port -> (
           let start_net =

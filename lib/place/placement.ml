@@ -3,7 +3,6 @@ module Rect = Mbr_geom.Rect
 module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Cell_lib = Mbr_liberty.Cell
-module Vec = Mbr_util.Vec
 
 (* Placed pins of one net: the points every geometric net query needs,
    plus their bounding box. Rebuilt lazily after an invalidation. *)
@@ -19,7 +18,7 @@ type t = {
       (* dense cell_id -> location; grown on demand. An array beats a
          hash table here because [location] sits under every wire-delay
          and net-box computation — the hottest lookups in the repo. *)
-  moves : Types.cell_id Vec.t;  (* every set/remove, in order *)
+  mutable rev : int;  (* count of set calls and unplacing removes *)
   nets : (Types.net_id, net_cache) Hashtbl.t;
   mutable dsg_cursor : int;  (* design edits already applied to [nets] *)
   mutable stamps : int array;
@@ -32,7 +31,7 @@ let create fp dsg =
     fp;
     dsg;
     loc = Array.make (max 1024 (Design.n_cells dsg)) None;
-    moves = Vec.create ();
+    rev = 0;
     nets = Hashtbl.create 256;
     dsg_cursor = Design.revision dsg;
     stamps = Array.make (max 256 (Design.n_nets dsg)) 0;
@@ -42,9 +41,7 @@ let floorplan t = t.fp
 
 let design t = t.dsg
 
-let revision t = Vec.length t.moves
-
-let moves_since t cursor = Vec.suffix t.moves cursor
+let revision t = t.rev
 
 (* Drop a net's cached points and move its stamp: the one place either
    happens. *)
@@ -91,13 +88,13 @@ let set t id p =
   end;
   t.loc.(id) <- Some p;
   invalidate_cell_nets t id;
-  ignore (Vec.push t.moves id)
+  t.rev <- t.rev + 1
 
 let remove t id =
   if id < Array.length t.loc && t.loc.(id) <> None then begin
     t.loc.(id) <- None;
     invalidate_cell_nets t id;
-    ignore (Vec.push t.moves id)
+    t.rev <- t.rev + 1
   end
 
 let location t id =
@@ -215,7 +212,6 @@ let copy t =
   {
     t with
     loc = Array.copy t.loc;
-    moves = Vec.copy t.moves;
     nets = Hashtbl.copy t.nets;
     stamps = Array.copy t.stamps;
   }

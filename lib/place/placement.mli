@@ -34,13 +34,10 @@ val pin_location : t -> Mbr_netlist.Types.pin_id -> Mbr_geom.Point.t
     Raises [Not_found] when the owning cell is unplaced. *)
 
 val revision : t -> int
-(** Monotonically increasing count of {!set}/{!remove} calls. Together
-    with {!moves_since} this is the placement half of the edit
-    notification surface the incremental STA engine consumes. *)
-
-val moves_since : t -> int -> Mbr_netlist.Types.cell_id list
-(** Cells placed, moved or removed at or after the given revision,
-    oldest first (duplicates possible). *)
+(** Count of {!set} calls and of {!remove} calls that unplaced a
+    cell: a consumer that recorded it sees at a glance whether any
+    cell moved since. Which nets the moves touched is what
+    {!net_stamp} records; the placement keeps no log of moved cells. *)
 
 val net_pin_points : t -> Mbr_netlist.Types.net_id -> (Mbr_netlist.Types.pin_id * Mbr_netlist.Types.cell_id * Mbr_geom.Point.t) list
 (** The net's placed pins with their absolute locations, cached per net
@@ -53,17 +50,20 @@ val net_box : t -> Mbr_netlist.Types.net_id -> Mbr_geom.Rect.t option
     served from the same cache. *)
 
 val net_stamp : t -> Mbr_netlist.Types.net_id -> int
-(** A per-net change counter: it moves exactly when the placement drops
-    the net's cached {!net_pin_points} — a {!set} or {!remove} of a
-    cell with a pin on the net, a retype of such a register, and every
-    design edit that adds a pin to the net or takes one off it. So a
-    net whose stamp did not move has the same pins, in the same order,
-    at the same locations, with the same input caps, as when the stamp
-    was last read. Pending design edits are folded in before the read.
-    Stamps start at 0 and only grow; a net added to the design after
-    the placement was made reads 0 until its first change, so a
-    consumer that records [-1] for a net it never swept sees every net,
-    new ones included, as changed. *)
+(** A per-net change counter, and the placement's one record of what
+    changed: it moves exactly when the placement drops the net's cached
+    {!net_pin_points} — a {!set} or {!remove} of a cell with a pin on
+    the net, a retype of such a register, and every design edit that
+    adds a pin to the net or takes one off it. So a net whose stamp did
+    not move has the same pins, in the same order, at the same
+    locations, with the same input caps, as when the stamp was last
+    read. Pending design edits are folded in before the read. Stamps
+    start at 0 and only grow; a net added to the design after the
+    placement was made reads 0 until its first change, so a consumer
+    that records [-1] for a net it never swept sees every net, new ones
+    included, as changed. Consumers keep their own copy of the stamps
+    they have seen (the routing and power states of a metrics snapshot,
+    the STA engine), so any number of them can read one placement. *)
 
 val iter : (Mbr_netlist.Types.cell_id -> Mbr_geom.Point.t -> unit) -> t -> unit
 (** Live placed cells only. *)

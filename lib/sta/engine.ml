@@ -21,8 +21,6 @@ let default_config =
     output_delay = 40.0;
   }
 
-type endpoint_kind = Ep_reg_d of Types.cell_id | Ep_out_port
-
 (* Arrival/required storage: one flat [Bigarray] float64 plane per
    corner, indexed by pin id. Unboxed end to end — the propagation
    inner loops and the worst-corner folds read and write raw doubles,
@@ -83,16 +81,21 @@ type plan = {
   su_off : int array;
   su_dst : int array;
   su_delay : float array;
-  (* startpoint launch = skew(st_cell) + st_base (st_base alone for
-     skewless startpoints); endpoint required =
+  (* The start/endpoint table, the engine's only record of which pins
+     launch and capture: [st_slot]/[ep_slot] map a pin to its slot (-1
+     for none), [st_pin]/[ep_pin] a slot back to its pin, with slots in
+     ascending pin order. Startpoint launch = skew(st_cell) + st_base
+     (st_base alone for skewless startpoints); endpoint required =
      (clock_period + skew(ep_cell)) - ep_term (period - ep_term when
      skewless). [st_cell]/[ep_cell] name the register behind a Q/D pin
      (-1 for ports). [st_slot]'s length is the pin count the plan
      covers. *)
   st_slot : int array;
+  st_pin : int array;
   st_cell : int array;
   st_base : float array;
   ep_slot : int array;
+  ep_pin : int array;
   ep_cell : int array;
   ep_term : float array;
   pl_scratch : plan_scratch;
@@ -111,10 +114,6 @@ type t = {
   mutable topo : Types.pin_id array;
   mutable topo_pos : int array;
       (** pin -> index in [topo] (-1 outside graph) *)
-  mutable is_start : bool array;
-  mutable ep_of : endpoint_kind option array;
-  mutable startpoints : Types.pin_id list;
-  mutable endpoints : (Types.pin_id * endpoint_kind) list;
   mutable skew_dense : float array;
       (* useful skew per cell id (0.0 = unset, the default), grown on
          demand: the propagation passes read a skew per start/endpoint
@@ -132,11 +131,12 @@ type t = {
          and [refresh] reads the rewired pins' old arcs off it, then
          patches it before returning *)
   mutable plan_dirty : Bytes.t;
-      (* per pin, 1 when the pin's incoming arcs, launch base or setup
-         term may differ from what [plan] holds: every pin the running
-         refresh's splice marked, plus pins that left or joined the
-         graph. The refresh's plan patch re-derives exactly these pins
-         and clears the flags. *)
+      (* per pin, 1 when the pin's incoming arcs, start/endpoint status,
+         launch base or setup term may differ from what [plan] holds:
+         every pin the running refresh's splice touched, pins that left
+         or joined the graph included. The refresh seeds both scans
+         with the flagged in-graph pins, and its plan patch re-derives
+         exactly the flagged pins and clears the flags. *)
   mutable n_plan_builds : int;
   mutable n_plan_patches : int;
   plan_srcs : ivec;
@@ -151,7 +151,11 @@ type t = {
          [ensure] first, which retries the rebuild and raises again
          while the cycle stands. An analyzed engine holds a plan. *)
   mutable dsg_cursor : int;  (** design edits already reflected *)
-  mutable pl_cursor : int;  (** placement moves already reflected *)
+  mutable pl_cursor : int;  (** placement revision already reflected *)
+  mutable net_seen : int array;
+      (* per net id, its [Placement.net_stamp] as of the last analysis
+         or refresh (-1 past the end): a net whose stamp moved since
+         has new pins, pin locations or pin caps *)
   mutable n_full_builds : int;
   mutable n_refreshes : int;
   (* Memos for deriving arcs, one epoch per plan make or graph walk
@@ -243,19 +247,19 @@ let pin_role dsg pid =
 
 let in_graph t pid = Bytes.unsafe_get t.role pid <> '\000'
 
-(* The start/endpoint status a pin should have given the current
-   connectivity (None kind for pins that are neither). *)
-let pin_start_end dsg pid =
+(* An in-graph pin's start/endpoint status under the current
+   connectivity: 's' for a startpoint (an input port, or a connected
+   register Q pin), 'e' for an endpoint (an output port or register D
+   pin with a net), '\000' for neither. It changes only when the pin
+   joins or leaves a net, or its cell joins or leaves the graph. *)
+let pin_status dsg pid =
   let p = Design.pin dsg pid in
-  let c = Design.cell dsg p.Types.p_cell in
-  match (c.Types.c_kind, p.Types.p_kind) with
-  | Types.Register _, Types.Pin_q _ -> (p.Types.p_net <> None, None)
-  | Types.Register _, Types.Pin_d _ ->
-    (false, if p.Types.p_net <> None then Some (Ep_reg_d p.Types.p_cell) else None)
-  | Types.Port Types.In_port, _ -> (true, None)
-  | Types.Port Types.Out_port, _ ->
-    (false, if p.Types.p_net <> None then Some Ep_out_port else None)
-  | _, _ -> (false, None)
+  match ((Design.cell dsg p.Types.p_cell).Types.c_kind, p.Types.p_kind) with
+  | Types.Port Types.In_port, _ -> 's'
+  | Types.Register _, Types.Pin_q _ when p.Types.p_net <> None -> 's'
+  | Types.Register _, Types.Pin_d _ when p.Types.p_net <> None -> 'e'
+  | Types.Port Types.Out_port, _ when p.Types.p_net <> None -> 'e'
+  | _, _ -> '\000'
 
 (* ---- arcs, derived from the design ----
 
@@ -316,28 +320,13 @@ let iter_in_arcs t pid f =
       if d >= 0 then f d
     | Some _ | None -> ())
 
-(* The start/endpoint lists, rebuilt from the status flags in one pass
-   and walked downward so both come out in ascending pin order: a
-   fresh build and a refresh list them alike, so TNS (a float sum over
-   [endpoints]) has the same bits on both paths. *)
-let status_lists t =
-  let sts = ref [] and eps = ref [] in
-  for pid = t.n - 1 downto 0 do
-    if t.is_start.(pid) then sts := pid :: !sts;
-    match t.ep_of.(pid) with
-    | Some k -> eps := (pid, k) :: !eps
-    | None -> ()
-  done;
-  t.startpoints <- !sts;
-  t.endpoints <- !eps
-
-(* (Re)build the graph from the design, straight into [t]: roles,
-   start/endpoint status and the topological order; fresh planes, no
-   plan. The order is one depth-first walk over incoming arcs (a pin
-   is appended once all its sources are), with [topo_pos] as the walk
-   state: -1 unvisited, -2 on the open path, else its index. Meeting
-   an open pin closes a loop, and the open path is the
-   {!Combinational_cycle} witness. Until the walk succeeds the engine
+(* (Re)build the graph from the design, straight into [t]: roles and
+   the topological order; fresh planes, no plan (start/endpoint status
+   comes with the plan). The order is one depth-first walk over
+   incoming arcs (a pin is appended once all its sources are), with
+   [topo_pos] as the walk state: -1 unvisited, -2 on the open path,
+   else its index. Meeting an open pin closes a loop, and the open
+   path is the {!Combinational_cycle} witness. Until the walk succeeds the engine
    stays unanalyzed and behind the design, so every later [analyze]
    retries it. *)
 let compute_graph t =
@@ -347,16 +336,6 @@ let compute_graph t =
   t.analyzed <- false;
   t.n <- n;
   t.role <- Bytes.init n (pin_role dsg);
-  t.is_start <- Array.make n false;
-  t.ep_of <- Array.make n None;
-  for pid = 0 to n - 1 do
-    if in_graph t pid then begin
-      let st, ep = pin_start_end dsg pid in
-      t.is_start.(pid) <- st;
-      t.ep_of.(pid) <- ep
-    end
-  done;
-  status_lists t;
   open_memo t;
   let topo = Array.make n 0 and k = ref 0 in
   let pos = Array.make n (-1) in
@@ -451,9 +430,11 @@ let no_plan =
     su_dst = [||];
     su_delay = [||];
     st_slot = [||];
+    st_pin = [||];
     st_cell = [||];
     st_base = [||];
     ep_slot = [||];
+    ep_pin = [||];
     ep_cell = [||];
     ep_term = [||];
     pl_scratch = { ps_mark = [||]; ps_tmp = [||]; ps_epoch = 0 };
@@ -629,26 +610,51 @@ let make_plan t =
       done
     done
   done;
-  (* start/endpoint tables *)
-  let st_slot = Array.make n (-1) in
-  let n_st = List.length t.startpoints in
-  let st_cell = Array.make (max n_st 1) (-1) in
-  let st_base = Array.make (max (n_st * nc) 1) 0.0 in
-  List.iteri
-    (fun i pid ->
-      st_slot.(pid) <- i;
-      let oi = if dirty pid then -1 else o.st_slot.(pid) in
-      if oi >= 0 then begin
+  (* start/endpoint tables: a dirty pin's status follows its current
+     connectivity, a clean pin keeps its old slot's, and slots run in
+     ascending pin order, so a patched plan lists them as a fresh one
+     does and TNS (a float sum over the endpoints) keeps its bits *)
+  let st_slot = Array.make n (-1) and ep_slot = Array.make n (-1) in
+  let n_st = ref 0 and n_ep = ref 0 in
+  for pid = 0 to n - 1 do
+    let status =
+      if not (dirty pid) then
+        if o.st_slot.(pid) >= 0 then 's'
+        else if o.ep_slot.(pid) >= 0 then 'e'
+        else '\000'
+      else if in_graph t pid then pin_status t.dsg pid
+      else '\000'
+    in
+    if status = 's' then begin
+      st_slot.(pid) <- !n_st;
+      incr n_st
+    end
+    else if status = 'e' then begin
+      ep_slot.(pid) <- !n_ep;
+      incr n_ep
+    end
+  done;
+  let st_pin = Array.make !n_st 0 and ep_pin = Array.make !n_ep 0 in
+  let st_cell = Array.make (max !n_st 1) (-1) in
+  let st_base = Array.make (max (!n_st * nc) 1) 0.0 in
+  let ep_cell = Array.make (max !n_ep 1) (-1) in
+  let ep_term = Array.make (max (!n_ep * nc) 1) 0.0 in
+  (* a clean pin's row is copied from its old slot; a dirty one's launch
+     base (clk->q into the Q pin's load, or the input delay) and setup
+     term (the register's setup, or the output delay) are derived *)
+  for pid = 0 to n - 1 do
+    let i = st_slot.(pid) in
+    if i >= 0 then begin
+      st_pin.(i) <- pid;
+      if not (dirty pid) then begin
+        let oi = o.st_slot.(pid) in
         st_cell.(i) <- o.st_cell.(oi);
-        for k = 0 to nc - 1 do
-          st_base.((i * nc) + k) <- o.st_base.((oi * nc) + k)
-        done
+        Array.blit o.st_base (oi * nc) st_base (i * nc) nc
       end
       else begin
         let pn = Design.pin t.dsg pid in
-        let c = Design.cell t.dsg pn.Types.p_cell in
-        match (c.Types.c_kind, pn.Types.p_kind) with
-        | Types.Register a, Types.Pin_q _ ->
+        match (Design.cell t.dsg pn.Types.p_cell).Types.c_kind with
+        | Types.Register a ->
           st_cell.(i) <- pn.Types.p_cell;
           let load =
             match pn.Types.p_net with
@@ -659,40 +665,32 @@ let make_plan t =
           for k = 0 to nc - 1 do
             st_base.((i * nc) + k) <- cq *. t.corners.(k).Corner.cell
           done
-        | Types.Port Types.In_port, _ ->
-          for k = 0 to nc - 1 do
-            st_base.((i * nc) + k) <- cfg.input_delay
-          done
-        | _, _ -> ()
-      end)
-    t.startpoints;
-  let ep_slot = Array.make n (-1) in
-  let n_ep = List.length t.endpoints in
-  let ep_cell = Array.make (max n_ep 1) (-1) in
-  let ep_term = Array.make (max (n_ep * nc) 1) 0.0 in
-  List.iteri
-    (fun i (pid, kind) ->
-      ep_slot.(pid) <- i;
-      let oi = if dirty pid then -1 else o.ep_slot.(pid) in
-      if oi >= 0 then begin
-        ep_cell.(i) <- o.ep_cell.(oi);
-        for k = 0 to nc - 1 do
-          ep_term.((i * nc) + k) <- o.ep_term.((oi * nc) + k)
-        done
+        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
+          Array.fill st_base (i * nc) nc cfg.input_delay
       end
-      else
-        match kind with
-        | Ep_reg_d cid ->
+    end;
+    let i = ep_slot.(pid) in
+    if i >= 0 then begin
+      ep_pin.(i) <- pid;
+      if not (dirty pid) then begin
+        let oi = o.ep_slot.(pid) in
+        ep_cell.(i) <- o.ep_cell.(oi);
+        Array.blit o.ep_term (oi * nc) ep_term (i * nc) nc
+      end
+      else begin
+        let cid = (Design.pin t.dsg pid).Types.p_cell in
+        match (Design.cell t.dsg cid).Types.c_kind with
+        | Types.Register a ->
           ep_cell.(i) <- cid;
-          let setup = (Design.reg_attrs t.dsg cid).Types.lib_cell.Cell_lib.setup in
+          let setup = a.Types.lib_cell.Cell_lib.setup in
           for k = 0 to nc - 1 do
             ep_term.((i * nc) + k) <- setup *. t.corners.(k).Corner.setup
           done
-        | Ep_out_port ->
-          for k = 0 to nc - 1 do
-            ep_term.((i * nc) + k) <- cfg.output_delay
-          done)
-    t.endpoints;
+        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
+          Array.fill ep_term (i * nc) nc cfg.output_delay
+      end
+    end
+  done;
   Bytes.fill flags 0 (Bytes.length flags) '\000';
   let p =
     {
@@ -704,9 +702,11 @@ let make_plan t =
       su_dst;
       su_delay;
       st_slot;
+      st_pin;
       st_cell;
       st_base;
       ep_slot;
+      ep_pin;
       ep_cell;
       ep_term;
       pl_scratch =
@@ -887,13 +887,14 @@ let m_rebuild_fallbacks = Mbr_obs.Metrics.counter "sta.rebuild_fallbacks"
 let m_dirty_pins = Mbr_obs.Metrics.counter "sta.dirty_pins"
 
 (* A full numeric pass: a fresh plan recomputes every delay against
-   the current placement (pending moves are absorbed), the planes are
-   reset, and the scans seeded with every startpoint and endpoint
-   recompute every arrival/required. A pin outside every startpoint
-   (endpoint) cone keeps -inf (+inf), which is what recomputing it
-   would give. Pending structural design edits are absorbed first, by
-   a {!rebuild}: a plan derives its arcs from the design, so it must
-   never read connectivity the graph has not seen. *)
+   the current placement (pending moves are absorbed, and every net's
+   stamp is recorded as seen), the planes are reset, and the scans
+   seeded with every startpoint and endpoint recompute every
+   arrival/required. A pin outside every startpoint (endpoint) cone
+   keeps -inf (+inf), which is what recomputing it would give. Pending
+   structural design edits are absorbed first, by a {!rebuild}: a plan
+   derives its arcs from the design, so it must never read
+   connectivity the graph has not seen. *)
 let rec analyze t =
   if Design.revision t.dsg <> t.dsg_cursor then rebuild t
   else
@@ -905,11 +906,13 @@ let rec analyze t =
     Bigarray.Array1.fill t.arrival neg_infinity;
     Bigarray.Array1.fill t.required infinity;
     ignore
-      (forward_scan t p ~seeds:t.startpoints ~changed:None ~cancel:None);
+      (forward_scan t p ~seeds:(Array.to_list p.st_pin) ~changed:None
+         ~cancel:None);
     ignore
-      (backward_scan t p ~seeds:(List.map fst t.endpoints) ~changed:None
+      (backward_scan t p ~seeds:(Array.to_list p.ep_pin) ~changed:None
          ~cancel:None);
     t.pl_cursor <- Placement.revision t.pl;
+    t.net_seen <- Array.init (Design.n_nets t.dsg) (Placement.net_stamp t.pl);
     t.analyzed <- true
 
 (* Full fallback: recompute the graph from scratch, keep skews, rerun a
@@ -939,10 +942,6 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
       role = Bytes.empty;
       topo = [||];
       topo_pos = [||];
-      is_start = [||];
-      ep_of = [||];
-      startpoints = [];
-      endpoints = [];
       skew_dense = [||];
       arrival = plane_make 0 neg_infinity;
       required = plane_make 0 infinity;
@@ -955,6 +954,7 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
       analyzed = false;
       dsg_cursor = 0;
       pl_cursor = Placement.revision pl;
+      net_seen = [||];
       n_full_builds = 1;
       n_refreshes = 0;
       pg_epoch = 0;
@@ -986,17 +986,12 @@ exception Bail
 
 let grow t n' =
   if n' > t.n then begin
-    let grow_arr a def =
-      let b = Array.make n' def in
-      Array.blit a 0 b 0 t.n;
-      b
-    in
     let role = Bytes.make n' '\000' in
     Bytes.blit t.role 0 role 0 t.n;
     t.role <- role;
-    t.topo_pos <- grow_arr t.topo_pos (-1);
-    t.is_start <- grow_arr t.is_start false;
-    t.ep_of <- grow_arr t.ep_of None;
+    let pos = Array.make n' (-1) in
+    Array.blit t.topo_pos 0 pos 0 t.n;
+    t.topo_pos <- pos;
     (* the corner count is unchanged, so the interleaved prefix of the
        old plane is position-identical in the new one — one blit *)
     let nc = Array.length t.corners in
@@ -1017,24 +1012,26 @@ let grow t n' =
     t.n <- n'
   end
 
-(* Splice the edits logged since the cursors into the existing graph and
-   re-propagate only what they touched. The structural part handles
-   register/port pins exactly: those are pure sources or pure sinks of
-   the data graph (no timing arc crosses a register), so composition
-   edits never perturb the relative order of surviving pins and the
-   topological order can be repaired by prepending new sources and
-   appending new sinks. Anything that could reorder the interior — a
-   combinational cell appearing, or a new arc that contradicts the
-   current order — bails to {!rebuild}, as does an edit batch whose
-   touched-pin estimate exceeds [rebuild_threshold] of the graph (a
-   vanishing comb cell is fine: a subgraph of a DAG keeps the DAG's
-   topological order). The splice's numeric repair is a plan patch plus
-   the mark-skip scans, and its status bookkeeping is batched, so what
-   remains over the batched full build is the per-net marking; the
-   break-even sits above half the graph. 0.6 keeps composition-scale
-   batches — a merge pass replacing a third of the registers dirties
-   ~half the pins — on the splice, and sends only wholesale rewrites to
-   {!rebuild}. *)
+(* Splice what changed since the engine last looked into the existing
+   graph and re-propagate only what it touched: the design's edit log
+   names added, removed and retyped cells and every rewired pin; the
+   placement's net stamps name every net whose pins, pin locations or
+   pin caps changed. The structural part handles register/port pins
+   exactly: those are pure sources or pure sinks of the data graph (no
+   timing arc crosses a register), so composition edits never perturb
+   the relative order of surviving pins and the topological order can
+   be repaired by prepending new sources and appending new sinks.
+   Anything that could reorder the interior — a combinational cell
+   appearing, or a new arc that contradicts the current order — bails
+   to {!rebuild}, as does an edit batch whose touched-pin estimate
+   exceeds [rebuild_threshold] of the graph (a vanishing comb cell is
+   fine: a subgraph of a DAG keeps the DAG's topological order). The
+   splice's numeric repair is a plan patch plus the mark-skip scans, so
+   what remains over the batched full build is the per-net marking;
+   the break-even sits above half the graph. 0.6 keeps
+   composition-scale batches — a merge pass replacing a third of the
+   registers dirties ~half the pins — on the splice, and sends only
+   wholesale rewrites to {!rebuild}. *)
 let rebuild_threshold = 0.6
 
 let refresh t =
@@ -1050,20 +1047,15 @@ let refresh t =
          it still carries every arc as of [dsg_cursor]; after a rebuild
          whose walk raised there is none, and the rebuild is retried *)
       let o = match t.plan with Some o -> o | None -> raise Bail in
-      let edits = Design.edits_since t.dsg t.dsg_cursor in
-      let moved = Placement.moves_since t.pl t.pl_cursor in
-      let dirty_nets = Hashtbl.create 64 in
       let rewired = ref [] in
       let added = ref [] and removed = ref [] and retyped = ref [] in
       List.iter
         (function
-          | Design.Net_changed (nid, pid) ->
-            Hashtbl.replace dirty_nets nid ();
-            rewired := pid :: !rewired
+          | Design.Net_changed (_, pid) -> rewired := pid :: !rewired
           | Design.Cell_added cid -> added := cid :: !added
           | Design.Cell_removed cid -> removed := cid :: !removed
           | Design.Cell_retyped cid -> retyped := cid :: !retyped)
-        edits;
+        (Design.edits_since t.dsg t.dsg_cursor);
       (* A comb cell *appearing* can reshape the interior of the
          topological order — punt. A comb cell vanishing cannot: a
          subgraph of a DAG keeps the DAG's topological order, so
@@ -1075,47 +1067,42 @@ let refresh t =
         | _ -> false
       in
       if List.exists is_comb !added then raise Bail;
-      let nets_of_cell cid =
-        List.filter_map
-          (fun pid -> (Design.pin t.dsg pid).Types.p_net)
-          (Design.pins_of t.dsg cid)
-      in
-      (* Moved cells change pin positions; retyped registers change pin
-         offsets, caps and drive. Either way every incident net's arc
-         delays and load are stale. *)
-      List.iter
-        (fun cid ->
-          List.iter (fun nid -> Hashtbl.replace dirty_nets nid ()) (nets_of_cell cid))
-        (moved @ !retyped);
+      (* Dirty nets: every net whose stamp moved since this engine last
+         recorded it — a pin joined or left it, or a cell with a pin on
+         it moved or was retyped (pin offsets, caps and drive). Either
+         way its arc delays and load are stale. A bail recomputes
+         everything, stamps included, so they are recorded here. *)
+      let nn = Design.n_nets t.dsg in
+      if Array.length t.net_seen < nn then begin
+        let b = Array.make (max nn (2 * Array.length t.net_seen)) (-1) in
+        Array.blit t.net_seen 0 b 0 (Array.length t.net_seen);
+        t.net_seen <- b
+      end;
+      let dirty_nets = ref [] in
+      for nid = nn - 1 downto 0 do
+        let s = Placement.net_stamp t.pl nid in
+        if s <> t.net_seen.(nid) then begin
+          t.net_seen.(nid) <- s;
+          dirty_nets := nid :: !dirty_nets
+        end
+      done;
       let estimate =
-        Hashtbl.fold
-          (fun nid () acc ->
-            acc + List.length (Design.net t.dsg nid).Types.n_pins)
-          dirty_nets 0
+        List.fold_left
+          (fun acc nid -> acc + List.length (Design.net t.dsg nid).Types.n_pins)
+          0 !dirty_nets
         + List.fold_left
             (fun acc cid -> acc + List.length (Design.pins_of t.dsg cid))
             0
             (!added @ !removed @ !retyped)
-        + List.length moved
+        + (pl_rev - t.pl_cursor)
       in
       if float_of_int estimate > rebuild_threshold *. float_of_int (max t.n 1)
       then raise Bail;
       grow t (Design.n_pins t.dsg);
       let nc = Array.length t.corners in
-      let fwd_dirty = Array.make t.n false in
-      let bwd_dirty = Array.make t.n false in
-      (* every re-propagation seed is also a pin the propagation plan
-         must re-derive: its incoming arcs appeared, vanished or changed
-         delay, or its launch base or setup term changed *)
-      let mark_plan pid = Bytes.unsafe_set t.plan_dirty pid '\001' in
-      let mark_fwd pid =
-        fwd_dirty.(pid) <- true;
-        mark_plan pid
-      in
-      let mark_bwd pid =
-        bwd_dirty.(pid) <- true;
-        mark_plan pid
-      in
+      (* the one mark: a marked pin seeds both scans, and the plan
+         patch re-derives its arcs, status, launch base and setup term *)
+      let mark pid = Bytes.unsafe_set t.plan_dirty pid '\001' in
       Mbr_obs.Trace.with_span ~name:"sta.splice" (fun () ->
       (* 1. removed cells leave the graph; the arcs they lose are read
          off the plan below, through the disconnects [remove_cell]
@@ -1126,9 +1113,7 @@ let refresh t =
             (fun pid ->
               if in_graph t pid then begin
                 Bytes.unsafe_set t.role pid '\000';
-                mark_plan pid;
-                t.is_start.(pid) <- false;
-                t.ep_of.(pid) <- None;
+                mark pid;
                 t.topo_pos.(pid) <- -1;
                 for k = 0 to nc - 1 do
                   pset t.arrival ((pid * nc) + k) neg_infinity;
@@ -1137,9 +1122,8 @@ let refresh t =
               end)
             (Design.pins_of t.dsg cid))
         !removed;
-      let sts_dirty = ref (!removed <> []) in
-      (* 2. added cells join the graph; their start/endpoint status and
-         arcs arrive through the Net_changed edits their wiring logged *)
+      (* 2. added cells join the graph; their arcs arrive through the
+         Net_changed edits their wiring logged *)
       let new_pins = ref [] in
       List.iter
         (fun cid ->
@@ -1150,7 +1134,7 @@ let refresh t =
                 let r = pin_role t.dsg pid in
                 if r <> '\000' && not (in_graph t pid) then begin
                   Bytes.set t.role pid r;
-                  mark_plan pid;
+                  mark pid;
                   new_pins := pid :: !new_pins
                 end)
               c.Types.c_pins)
@@ -1159,73 +1143,43 @@ let refresh t =
       List.iter
         (fun cid ->
           List.iter
-            (fun pid ->
-              match Bytes.get t.role pid with
-              | 'q' -> mark_fwd pid
-              | 'd' -> mark_bwd pid
-              | _ -> ())
+            (fun pid -> if in_graph t pid then mark pid)
             (Design.pins_of t.dsg cid))
         !retyped;
-      (* status flips only touch the flag arrays here; the start/end
-         *lists* are rebuilt once after the splice (the old per-flip
-         [List.filter] over a 10k+-long startpoint list made bulk
-         splices quadratic) *)
-      let check_status pid =
-        let should_start, should_end = pin_start_end t.dsg pid in
-        if should_start <> t.is_start.(pid) then begin
-          t.is_start.(pid) <- should_start;
-          sts_dirty := true;
-          mark_fwd pid
-        end;
-        match (should_end, t.ep_of.(pid)) with
-        | None, None -> ()
-        | Some k, Some k' when k = k' -> ()
-        | _ ->
-          t.ep_of.(pid) <- should_end;
-          sts_dirty := true;
-          mark_bwd pid
-      in
-      (* a driver's output load changed: comb delay through it and a
-         startpoint's launch both depend on it *)
+      (* a driver's output load changed: its launch, or the comb delay
+         through it, depends on it *)
       let mark_load d =
-        if t.is_start.(d) then mark_fwd d;
-        if Bytes.get t.role d = 'o' then
-          iter_in_arcs t d (fun src ->
-              mark_fwd d;
-              mark_bwd src)
+        mark d;
+        if Bytes.get t.role d = 'o' then iter_in_arcs t d mark
       in
       (* 4. rewired pins: the net arcs a pin had when the plan was last
          made are its succ row if it drives (its pred row is cell arcs
          or none) and its pred row if it loads; every in-graph end of
          such an arc is marked, as an arc that may have vanished. A
-         driver that stays in the graph changed load, and its status
-         follows its connectivity. *)
+         pin that stays in the graph is marked too (its status follows
+         its connectivity), and a driver's load changed. *)
       let on = Array.length o.st_slot in
       List.iter
         (fun pid ->
-          let live = in_graph t pid in
           let drives = (Design.pin t.dsg pid).Types.p_dir = Types.Output in
-          let off, ends, mark_end, mark_pin =
-            if drives then (o.su_off, o.su_dst, mark_fwd, mark_bwd)
-            else (o.pr_off, o.pr_src, mark_bwd, mark_fwd)
+          let off, ends =
+            if drives then (o.su_off, o.su_dst) else (o.pr_off, o.pr_src)
           in
           if pid < on then
             for j = off.(pid) to off.(pid + 1) - 1 do
-              if in_graph t ends.(j) then mark_end ends.(j);
-              if live then mark_pin pid
+              if in_graph t ends.(j) then mark ends.(j)
             done;
-          if live then begin
-            if drives then mark_load pid;
-            check_status pid
+          if in_graph t pid then begin
+            mark pid;
+            if drives then mark_load pid
           end)
         !rewired;
       (* 5. every dirty net: its current arcs and its driver's load *)
-      Hashtbl.iter
-        (fun nid () ->
-          let net = Design.net t.dsg nid in
-          (match Design.driver t.dsg nid with
+      List.iter
+        (fun nid ->
+          match Design.driver t.dsg nid with
           | Some d when in_graph t d ->
-            if not net.Types.n_is_clock then
+            if not (Design.net t.dsg nid).Types.n_is_clock then
               List.iter
                 (fun s ->
                   if in_graph t s then begin
@@ -1233,17 +1187,12 @@ let refresh t =
                       t.topo_pos.(d) >= 0 && t.topo_pos.(s) >= 0
                       && t.topo_pos.(d) > t.topo_pos.(s)
                     then raise Bail;
-                    mark_fwd s;
-                    mark_bwd d
+                    mark s
                   end)
                 (Design.sinks t.dsg nid);
             mark_load d
-          | Some _ | None -> ());
-          (* start/endpoint status follows connectivity *)
-          List.iter
-            (fun pid -> if in_graph t pid then check_status pid)
-            net.Types.n_pins)
-        dirty_nets;
+          | Some _ | None -> ())
+        !dirty_nets;
       (* 6. local topo repair: new pins are register/port pins, i.e.
          pure sources (outputs) or pure sinks (inputs) of the data
          graph *)
@@ -1258,25 +1207,26 @@ let refresh t =
         let tp = Array.make t.n (-1) in
         Array.iteri (fun idx pid -> tp.(pid) <- idx) t.topo;
         t.topo_pos <- tp
-      end;
-      if !sts_dirty then status_lists t);
-      (* 7. numeric repair: patch the plan with the pins flagged above
-         (the skew sweeps and metrics that follow reuse it as-is), then
-         repair both planes with the mark-skip scans from the dirty
-         pins. A pin is recomputed off its final predecessors and its
+      end);
+      (* 7. numeric repair: both scans are seeded with every marked pin
+         still in the graph (a pin recomputed from unchanged inputs
+         keeps its bits, so a seed that needed only one direction costs
+         a recompute, never a value), after the plan is patched at the
+         marked pins (the skew sweeps and metrics that follow reuse it
+         as-is). A pin is recomputed off its final predecessors and its
          cone chased only while values actually change. *)
       Mbr_obs.Trace.with_span ~name:"sta.repair" @@ fun () ->
-      let n_dirty = ref 0 in
-      let fseeds = ref [] and bseeds = ref [] in
+      let seeds = ref [] and n_seeds = ref 0 in
       for pid = t.n - 1 downto 0 do
-        if fwd_dirty.(pid) then fseeds := pid :: !fseeds;
-        if bwd_dirty.(pid) then bseeds := pid :: !bseeds;
-        if fwd_dirty.(pid) || bwd_dirty.(pid) then incr n_dirty
+        if Bytes.unsafe_get t.plan_dirty pid <> '\000' && in_graph t pid then begin
+          seeds := pid :: !seeds;
+          incr n_seeds
+        end
       done;
-      Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
+      Mbr_obs.Metrics.incr ~by:!n_seeds m_dirty_pins;
       let p = make_plan t in
-      ignore (forward_scan t p ~seeds:!fseeds ~changed:None ~cancel:None);
-      ignore (backward_scan t p ~seeds:!bseeds ~changed:None ~cancel:None);
+      ignore (forward_scan t p ~seeds:!seeds ~changed:None ~cancel:None);
+      ignore (backward_scan t p ~seeds:!seeds ~changed:None ~cancel:None);
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
       t.n_refreshes <- t.n_refreshes + 1;
@@ -1284,7 +1234,6 @@ let refresh t =
     with Bail ->
       Mbr_obs.Metrics.incr m_rebuild_fallbacks;
       rebuild t
-
 
 let full_builds t = t.n_full_builds
 
@@ -1469,22 +1418,27 @@ let corner_required t k pid =
   check_corner t "corner_required" k;
   corner_value t k pid t.required infinity
 
-let endpoint_slacks t =
+(* The endpoints, in ascending pin order: the analyzed plan's slot
+   table. *)
+let endpoint_pins t =
   ensure t;
+  (* an analyzed engine always holds its plan *)
+  (Option.get t.plan).ep_pin
+
+let endpoint_slacks t =
   List.filter_map
-    (fun (pid, _) ->
+    (fun pid ->
       match slack t pid with Some s -> Some (pid, s) | None -> None)
-    t.endpoints
+    (Array.to_list (endpoint_pins t))
 
 (* Single endpoint sweep over the planes — no [endpoint_slacks] list is
-   materialized. The fold visits [t.endpoints] in list order, so the
-   TNS float-summation order (and hence the bits) matches the historical
-   list-based fold exactly. *)
+   materialized. The fold visits the endpoints in ascending pin order,
+   so the TNS float-summation order (and hence the bits) is the same
+   on every path that reaches the same netlist. *)
 let wns_tns t =
-  ensure t;
   let w = ref infinity and tn = ref 0.0 in
-  List.iter
-    (fun (pid, _) ->
+  Array.iter
+    (fun pid ->
       let s = pin_worst_slack t pid in
       if s < infinity then begin
         if s < !w then w := s;
@@ -1501,7 +1455,7 @@ let wns_tns t =
         done;
         if !valid && s < !w then w := s
       end)
-    t.endpoints;
+    (endpoint_pins t);
   (!w, !tn)
 
 let wns t = fst (wns_tns t)
@@ -1511,8 +1465,8 @@ let tns t = snd (wns_tns t)
 let corner_wns_tns t k =
   check_corner t "corner_wns_tns" k;
   let nc = Array.length t.corners in
-  List.fold_left
-    (fun (w, tn) (pid, _) ->
+  Array.fold_left
+    (fun (w, tn) pid ->
       let a = pget t.arrival ((pid * nc) + k)
       and r = pget t.required ((pid * nc) + k) in
       if a > neg_infinity && r < infinity then begin
@@ -1520,7 +1474,7 @@ let corner_wns_tns t k =
         (Float.min w s, if s < 0.0 then tn +. s else tn)
       end
       else (w, tn))
-    (infinity, 0.0) t.endpoints
+    (infinity, 0.0) (endpoint_pins t)
 
 let per_corner_wns_tns t =
   ensure t;
@@ -1532,12 +1486,11 @@ let per_corner_wns_tns t =
        t.corners)
 
 let failing_endpoints t =
-  ensure t;
-  List.fold_left
-    (fun acc (pid, _) -> if pin_worst_slack t pid < 0.0 then acc + 1 else acc)
-    0 t.endpoints
+  Array.fold_left
+    (fun acc pid -> if pin_worst_slack t pid < 0.0 then acc + 1 else acc)
+    0 (endpoint_pins t)
 
-let n_endpoints t = List.length t.endpoints
+let n_endpoints t = Array.length (endpoint_pins t)
 
 let output_load t pid =
   let p = Design.pin t.dsg pid in

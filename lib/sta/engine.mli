@@ -13,19 +13,25 @@
     each arc's per-corner derated delay alongside, and the only place
     the engine stores arcs. Whoever needs a pin's incoming arcs afresh
     derives them from the design: a comb output's come from its cell's
-    inputs, any other input pin's single arc from its net's driver.
+    inputs, any other input pin's single arc from its net's driver. The
+    plan is also the only record of which pins are startpoints and
+    endpoints: its start/endpoint table, in ascending pin order, with
+    each launch base and setup term.
 
-    The engine is incremental: it remembers the design revision and
-    placement revision it has absorbed and {!refresh} drains the edit
-    logs from there. It reads the arcs each rewired pin had off the
-    plan, marks the pins whose arcs, loads or start/end status changed,
-    repairs the topological order locally, patches the plan at the
-    marked pins and re-propagates arrivals/requireds from them only,
-    stopping where values converge. {!analyze} remains the
-    full-propagation fallback and is what {!refresh} degrades to (via
-    an internal rebuild) when an edit batch is structural in a way local
-    repair cannot express or touches more of the graph than recomputing
-    it would cost.
+    The engine is incremental: it remembers the design revision it has
+    absorbed and, per net, the {!Mbr_place.Placement.net_stamp} it last
+    saw, and {!refresh} brings both up to date: the design's edit log
+    names cells added, removed and retyped and every rewired pin, and
+    the nets whose stamps moved are the nets whose pins, pin locations
+    or pin caps changed. It reads the arcs each rewired pin had off the
+    plan, flags every pin it touches in one per-pin flag set, repairs
+    the topological order locally, patches the plan at the flagged pins
+    (their arcs, start/endpoint status, launch base and setup term) and
+    re-propagates arrivals/requireds from them only, stopping where
+    values converge. {!analyze} remains the full-propagation fallback
+    and is what {!refresh} degrades to (via an internal rebuild) when
+    an edit batch is structural in a way local repair cannot express or
+    touches more of the graph than recomputing it would cost.
 
     Every numeric propagation — {!analyze}, {!refresh}'s repair and
     every {!update_skews} batch — is one shape: a mark-skip scan per
@@ -119,19 +125,28 @@ val analyze : t -> unit
     edits incrementally. *)
 
 val refresh : t -> unit
-(** Bring the analysis up to date with everything logged on the design
-    and placement since the engine last looked: cells added/removed/
-    retyped, pins rewired, cells moved. Each rewired pin's old net arcs
-    are read off the plan (a driver's outgoing arcs, a sink's incoming
-    one) and their in-graph ends marked, the pin's start/end status
-    follows its new connectivity, every dirty net's current arcs and
-    driver load are marked, new register/port pins are slotted into the
-    topological order as pure sources/sinks, the propagation plan is
-    patched at the marked pins (see {!update_skews}), and
-    arrivals/requireds are re-propagated from them only, stopping as
-    soon as values stop changing. Produces bit-identical results to a
-    fresh {!build} (property-tested, raw rewiring of surviving pins
-    included).
+(** Bring the analysis up to date with everything that changed on the
+    design and placement since the engine last looked: cells added,
+    removed or retyped and pins rewired (the design's edit log), and
+    the nets whose {!Mbr_place.Placement.net_stamp} moved (moves,
+    unplacements, retypes and rewires all move them); when neither the
+    design's nor the placement's revision moved since, it does nothing.
+    Each rewired pin's old net arcs are read off the plan (a driver's
+    outgoing arcs, a sink's incoming one) and their in-graph ends
+    flagged, as is the pin itself; every dirty net's sinks and driver
+    are flagged, and a driver's comb inputs with it (its load changed);
+    new register/port pins are slotted into the topological order as
+    pure sources/sinks. The flags are the refresh's only bookkeeping:
+    the propagation plan is patched at the flagged pins (arcs,
+    start/endpoint status, launch base and setup term — see
+    {!update_skews}), and both directions are re-propagated from the
+    flagged pins still in the graph, stopping as soon as values stop
+    changing. A pin recomputed from unchanged inputs keeps its bits,
+    so seeding both directions costs work, never a value. Produces
+    bit-identical results to a fresh {!build} (property-tested, raw
+    rewiring of surviving pins included). Each engine keeps its own
+    record of the stamps it has seen, so any number of engines can
+    read one placement.
 
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added, when a new arc contradicts the
@@ -148,7 +163,7 @@ val refresh : t -> unit
     call runs under an ["sta.refresh"] trace span; the registry
     counters [sta.refreshes], [sta.rebuild_fallbacks] and
     [sta.dirty_pins] record how often the incremental path held and
-    how many pins seeded each re-propagation. *)
+    how many pins each refresh flagged (its scans' seeds). *)
 
 val full_builds : t -> int
 (** Full graph constructions so far: 1 for {!build} plus one per
@@ -191,10 +206,10 @@ val update_skews :
     calls, and whenever one is present it is current. Each {!analyze}
     builds it from scratch ({!plan_builds}), and so do {!build} and
     {!set_corners}. {!refresh} never rebuilds it: before it
-    propagates, it patches exactly the pins
-    whose incoming arcs, launch base or setup term its splice changed,
-    plus the pins that left or joined the graph, re-deriving their arcs
-    from the design, and copies the rest ({!plan_patches}). So this
+    propagates, it patches exactly the pins its splice flagged, pins
+    that left or joined the graph included, re-deriving their arcs and
+    start/endpoint status from the design, and copies the rest
+    ({!plan_patches}). So this
     call, and the metrics that follow a refresh, reuse the plan as it
     is. Patched and fresh plans give
     bit-identical slacks (property-tested).
@@ -280,6 +295,8 @@ val failing_endpoints : t -> int
 val n_endpoints : t -> int
 
 val endpoint_slacks : t -> (Mbr_netlist.Types.pin_id * float) list
+(** Every reached endpoint with its worst-corner slack, in ascending
+    pin order. *)
 
 val reg_d_slack : t -> Mbr_netlist.Types.cell_id -> float
 (** Worst slack over the register's connected D pins (+inf when all are

@@ -37,13 +37,12 @@ let step s_d s_q =
    — the active set — and [Engine.update_skews_touched] reports the
    complete set of registers whose D/Q slacks an applied move batch can
    have changed, so slacks only need re-reading for those. Each sweep
-   sorts the active set worst-criticality-first and stops at the first
-   non-negative entry: because the move deltas are Jacobi (all read
-   under the pre-sweep assignment), visiting order cannot change the
-   move set, so the sorted early-exit sweep computes exactly the move
+   steps the active set off the cached slacks: because the move deltas
+   are Jacobi (all read under the pre-sweep assignment), visiting order
+   cannot change the move set, so the sweep computes exactly the move
    set of a whole-design sweep ([full_sweep:true], kept as the
-   property-test reference) while reading O(active + touched) slacks
-   per iteration instead of O(registers). *)
+   property-test reference) while reading O(touched) slacks from the
+   engine per iteration instead of O(registers). *)
 let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
   (* every slack read is worst-corner: under a multi-corner set a sweep
      balances each register's worst D side against its worst Q side,
@@ -61,7 +60,6 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
   (* cached per-register worst D/Q slacks, valid under the current
      assignment: refreshed only for the registers a move batch touched *)
   let sd = Array.make n infinity and sq = Array.make n infinity in
-  let crit i = Float.min sd.(i) sq.(i) in
   let refresh_slacks i =
     let r = regs.(i) in
     sd.(i) <- Engine.reg_d_slack eng r;
@@ -71,8 +69,6 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
     for i = 0 to n - 1 do
       refresh_slacks i
     done;
-  (* scratch for the per-sweep criticality ordering *)
-  let order = Array.make (max 1 n) 0 in
   let sweeps = ref 0 in
   let poll () =
     match cancel with Some t -> Mbr_util.Cancel.check t | None -> false
@@ -95,33 +91,15 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?cancel eng =
            let next = clamp (cur.(i) +. delta) in
            if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
          done
-       else begin
-         (* worst slack first: collect the active set and sort it by
-            criticality (ties by index for determinism). In the full
-            sorted order the active set is exactly the prefix below
-            slack 0, so stopping at the frontier = walking only [sub];
-            everything past it provably cannot move *)
-         let na = ref 0 in
-         for i = 0 to n - 1 do
-           if crit i < 0.0 then begin
-             order.(!na) <- i;
-             incr na
+       else
+         (* the active set, off the cached slacks: a register outside
+            it provably cannot move *)
+         for i = n - 1 downto 0 do
+           if Float.min sd.(i) sq.(i) < 0.0 then begin
+             let next = clamp (cur.(i) +. step sd.(i) sq.(i)) in
+             if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
            end
          done;
-         let sub = Array.sub order 0 !na in
-         Array.sort
-           (fun a b ->
-             let c = Float.compare (crit a) (crit b) in
-             if c <> 0 then c else compare a b)
-           sub;
-         Array.iter
-           (fun i ->
-             let delta = step sd.(i) sq.(i) in
-             let next = clamp (cur.(i) +. delta) in
-             if Float.abs (next -. cur.(i)) > 0.5 then
-               moves := (i, next) :: !moves)
-           sub
-       end;
        if !moves = [] then raise Exit;
        let assignments = List.map (fun (i, next) -> (regs.(i), next)) !moves in
        let touched = Engine.update_skews_touched ?cancel eng assignments in

@@ -38,12 +38,10 @@ val optimize :
     the zero-skew start: the final sweep keeps the best-TNS
     assignment encountered.
 
-    By default each sweep examines only the worklist of registers with
-    a negative connected-side slack — worst criticality first, with an
-    early exit at the zero-slack frontier — maintained as cached D/Q
-    slacks refreshed from the registers
-    {!Engine.update_skews_touched} reports after each move batch:
-    [step] returns 0 for every register outside the worklist and the
+    By default each sweep steps only the registers with a negative
+    connected-side slack, read off cached D/Q slacks that are refreshed
+    from the registers {!Engine.update_skews_touched} reports after
+    each move batch: [step] returns 0 for every other register and the
     sweep is Jacobi (deltas all read under the pre-sweep assignment),
     so the move set (and hence the result, bit for bit) is identical to
     examining every register in any order. [~full_sweep:true] forces

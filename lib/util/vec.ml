@@ -60,5 +60,3 @@ let suffix t from =
     acc := get t i :: !acc
   done;
   !acc
-
-let copy t = { data = Array.copy t.data; len = t.len }

@@ -30,5 +30,3 @@ val map_to_array : ('a -> 'b) -> 'a t -> 'b array
 val suffix : 'a t -> int -> 'a list
 (** Elements from index [from] (inclusive) to the end, in order; the
     whole content when [from <= 0], [] when [from >= length]. *)
-
-val copy : 'a t -> 'a t

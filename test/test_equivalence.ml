@@ -887,7 +887,7 @@ let incremental_mismatches ~cfg rt pw pl =
   let stale = Estimator.stale rt in
   let r = Estimator.update rt in
   let cts = Synth.synthesize pl in
-  let p = Power.update ~config:cfg pw ~cts ~route:rt in
+  let p = Power.update ~config:cfg pw ~cts ~route:rt ~regs:(Design.registers dsg) in
   let ft = Estimator.create pl in
   let r1 = Estimator.update ft in
   let p1 = Power.estimate ~config:cfg ~cts pl in

@@ -119,6 +119,7 @@ let test_state_bound_to_placement () =
     (match
        Power.update (Power.create g.G.placement)
          ~cts:(Mbr_cts.Synth.synthesize g.G.placement) ~route
+         ~regs:(Mbr_netlist.Design.registers g.G.design)
      with
     | _ -> false
     | exception Invalid_argument _ -> true)

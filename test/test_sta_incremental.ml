@@ -348,6 +348,69 @@ let test_compose_stays_incremental () =
   Alcotest.(check bool) "tns bits equal" true
     (same_bits (Engine.tns fresh) (Engine.tns eng))
 
+(* Engines record the net stamps they have absorbed, so any number of
+   them can read one placement: two engines over one placement refresh
+   at different points of one edit sequence (a move, a D pin moved to
+   another net, a retype, a register removed), and a third over a
+   copy sees the shared design edits plus a move of its own. Each
+   stays on the incremental path and equals a fresh build by bits. *)
+let test_engines_keep_their_own_stamps () =
+  let g = G.generate (P.tiny ~seed:5) in
+  let dsg = g.G.design and pl = g.G.placement and lib = g.G.library in
+  let build pl = Engine.build ~config:g.G.sta_config pl in
+  let a = build pl and b = build pl in
+  let cp = Placement.copy pl in
+  let c = build cp in
+  let check what eng =
+    Engine.refresh eng;
+    Alcotest.(check int) (what ^ ": no rebuild") 1 (Engine.full_builds eng);
+    compare_engines
+      ~fail:(fun m -> Alcotest.failf "%s: %s" what m)
+      eng
+      (build (Engine.placement eng))
+      dsg
+  in
+  let regs = List.filter (Placement.is_placed pl) (Design.registers dsg) in
+  let nudge pl r dx =
+    let p = Placement.location pl r in
+    Placement.set pl r (Point.make (p.Point.x +. dx) p.Point.y)
+  in
+  nudge pl (List.nth regs 0) 3.0;
+  check "a after the move" a;
+  let is_d p = match p.Types.p_kind with Types.Pin_d _ -> true | _ -> false in
+  let d = first_reg_pin dsg is_d in
+  let target =
+    first_reg_pin dsg (fun p ->
+        is_d p && p.Types.p_net <> None
+        && p.Types.p_net <> (Design.pin dsg d).Types.p_net)
+  in
+  Design.connect dsg d (Option.get (Design.pin dsg target).Types.p_net);
+  let r, cell =
+    List.find_map
+      (fun r ->
+        let cur = (Design.reg_attrs dsg r).Types.lib_cell in
+        List.find_map
+          (fun (c : Cell_lib.t) ->
+            if
+              c.Cell_lib.scan = cur.Cell_lib.scan
+              && c.Cell_lib.name <> cur.Cell_lib.name
+            then Some (r, c)
+            else None)
+          (Library.cells_of lib ~func_class:cur.Cell_lib.func_class
+             ~bits:cur.Cell_lib.bits))
+      regs
+    |> Option.get
+  in
+  Design.retype_register dsg r cell;
+  check "b after the move, rewire and retype" b;
+  let gone = List.nth regs 1 in
+  Design.remove_cell dsg gone;
+  Placement.remove pl gone;
+  nudge cp (List.nth regs 2) (-4.0);
+  check "a after the rewire, retype and removal" a;
+  check "b after the removal" b;
+  check "the copy's engine after every design edit and its own move" c
+
 let () =
   Alcotest.run "mbr_sta.incremental"
     [
@@ -361,6 +424,8 @@ let () =
             `Quick test_q_leaves_sinkless_net;
           Alcotest.test_case "D pin leaving an undriven net stops capturing"
             `Quick test_d_leaves_undriven_net;
+          Alcotest.test_case "engines keep their own stamps" `Quick
+            test_engines_keep_their_own_stamps;
           QCheck_alcotest.to_alcotest refresh_equivalence;
         ] );
     ]

@@ -44,10 +44,14 @@
    sweep would give the same bits, so the check reads the
    [metrics.nets_swept] counter over the round and fails when the two
    snapshots together re-swept at least as many nets as the design
-   has. These are counts, not timings; the round's eco-reset, skew,
-   scan-restitch and metrics stage times, the net count, and
-   Session.create's wall time (the engine build and its initial
-   analysis), are printed for the log.
+   has. Nor may the round's refreshes flag every pin: each seeds its
+   scans and patches its plan at the pins its splice touched, and a
+   splice that flagged them all would still be bit-exact, so the check
+   reads the [sta.dirty_pins] counter over the round and fails when
+   it reaches the design's pin count. These are counts, not timings;
+   the round's eco-reset, skew, scan-restitch and metrics stage times,
+   the net count, and Session.create's wall time (the engine build and
+   its initial analysis), are printed for the log.
 
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB]
             [SKEW_CEILING_S] [METRICS_CEILING_S]
@@ -111,8 +115,11 @@ let () =
   Mbr_obs.Metrics.enable ();
   let swept = Mbr_obs.Metrics.counter "metrics.nets_swept" in
   let swept0 = Mbr_obs.Metrics.counter_value swept in
+  let dirty = Mbr_obs.Metrics.counter "sta.dirty_pins" in
+  let dirty0 = Mbr_obs.Metrics.counter_value dirty in
   let eco = Flow.Session.recompose session in
   let eco_swept = Mbr_obs.Metrics.counter_value swept - swept0 in
+  let eco_dirty = Mbr_obs.Metrics.counter_value dirty - dirty0 in
   let eco_builds = Engine.plan_builds eng - builds0 in
   let eco_patches = Engine.plan_patches eng - patches0 in
   let eco_refreshes = Engine.refreshes eng - refreshes0 in
@@ -127,12 +134,20 @@ let () =
   Printf.printf
     "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, scan-restitch \
      %.3f s, metrics %.3f s (nets swept %d of %d), plan builds %d, patches \
-     %d, refreshes %d; STA full builds %d; nets %d (+%d for %d new scan-out \
-     pins)\n%!"
+     %d, refreshes %d (dirty pins %d of %d); STA full builds %d; nets %d \
+     (+%d for %d new scan-out pins)\n%!"
     (stage_s eco "eco-reset") (stage_s eco "skew") (stage_s eco "scan-restitch")
     eco_metrics_s eco_swept (Design.n_nets dsg) eco_builds eco_patches
-    eco_refreshes eco.Flow.sta_full_builds (Design.n_nets dsg) eco_nets !new_so;
+    eco_refreshes eco_dirty (Design.n_pins dsg) eco.Flow.sta_full_builds
+    (Design.n_nets dsg) eco_nets !new_so;
   let failed = ref false in
+  if eco_dirty >= Design.n_pins dsg then begin
+    Printf.printf
+      "scale-smoke: FAIL eco round's STA refreshes flagged %d pins of %d; \
+       each may flag only the pins its splice touched\n%!"
+      eco_dirty (Design.n_pins dsg);
+    failed := true
+  end;
   if eco_swept >= Design.n_nets dsg then begin
     Printf.printf
       "scale-smoke: FAIL eco round's metrics snapshots re-swept %d nets of \
