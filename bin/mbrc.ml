@@ -64,9 +64,35 @@ module Common_args = struct
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
            ~doc:"Override the profile's RNG seed.")
 
+  (* A float flag whose values must pass [ok]; [want] names them in the
+     usage error. *)
+  let float_where ~want ok =
+    Arg.conv ~docv:"F"
+      ( (fun v ->
+          match float_of_string_opt v with
+          | Some f when ok f -> Ok f
+          | Some _ | None ->
+            Error (`Msg (Printf.sprintf "expected %s, got %S" want v))),
+        Format.pp_print_float )
+
+  let non_negative =
+    Arg.conv ~docv:"N"
+      ( (fun v ->
+          match int_of_string_opt v with
+          | Some n when n >= 0 -> Ok n
+          | Some _ | None ->
+            Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" v))),
+        Format.pp_print_int )
+
+  (* the daemon's [load] applies the same rule to its scale *)
   let scale_arg =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F"
-           ~doc:"Scale the register count (e.g. 0.25 for a quick run).")
+    let positive =
+      float_where ~want:"a positive finite number" (fun f ->
+          f > 0.0 && Float.is_finite f)
+    in
+    Arg.(value & opt positive 1.0 & info [ "scale" ] ~docv:"F"
+           ~doc:"Scale the register count (e.g. 0.25 for a quick run); a \
+                 positive finite number.")
 
   let mode_arg =
     let modes = [ ("ilp", `Ilp); ("greedy", `Greedy_share); ("clique", `Clique) ] in
@@ -115,15 +141,6 @@ module Common_args = struct
                  become worst-corner. Default: typical only.")
 
   let recover_arg =
-    let non_negative =
-      Arg.conv ~docv:"N"
-        ( (fun v ->
-            match int_of_string_opt v with
-            | Some n when n >= 0 -> Ok n
-            | Some _ | None ->
-              Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" v))),
-          Format.pp_print_int )
-    in
     Arg.(value & opt non_negative 0 & info [ "recover" ] ~docv:"N"
            ~doc:"Recovery-round budget: after composing, decompose MBRs \
                  whose worst-corner slack went negative and re-run the flow \
@@ -277,8 +294,9 @@ let eco_cmd =
     done
   in
   let rounds_arg =
-    Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Number of perturb + recompose rounds after the initial one.")
+    Arg.(value & opt non_negative 3 & info [ "rounds" ] ~docv:"N"
+           ~doc:"Number of perturb + recompose rounds after the initial one \
+                 (non-negative).")
   in
   let eco_seed_arg =
     Arg.(value & opt int 1 & info [ "eco-seed" ] ~docv:"N"
@@ -286,9 +304,13 @@ let eco_cmd =
                  design-generation seed).")
   in
   let move_frac_arg =
-    Arg.(value & opt float Eco.default_config.Eco.move_frac
+    let fraction =
+      float_where ~want:"a number in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+    in
+    Arg.(value & opt fraction Eco.default_config.Eco.move_frac
          & info [ "move-frac" ] ~docv:"F"
-             ~doc:"Fraction of registers jittered per round (default 0.10).")
+             ~doc:"Fraction of registers jittered per round, in [0, 1] \
+                   (default 0.10).")
   in
   Cmd.v
     (Cmd.info "eco"

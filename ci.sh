@@ -15,7 +15,7 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== CLI usage errors (a bad profile, log level, partition bound or jobs count is rejected with exit 124) =="
+echo "== CLI usage errors (a bad profile, log level, partition bound, jobs count, scale, round count or move fraction is rejected with exit 124) =="
 # --preserve-status: a command still running after 10 s (a daemon that
 # started serving) exits 143, not timeout's own 124
 usage_error() {
@@ -29,6 +29,10 @@ usage_error bin/mbrc.exe -- run -p tiny --log-level bogus
 usage_error bin/mbrc.exe -- run -p tiny --bound 0
 usage_error bin/mbrc.exe -- run -p tiny --bound 63
 usage_error bin/mbrc.exe -- run -p tiny --jobs=-3
+usage_error bin/mbrc.exe -- run -p tiny --scale 0
+usage_error bin/mbrc.exe -- run -p tiny --scale=nan
+usage_error bin/mbrc.exe -- eco -p tiny --rounds=-1
+usage_error bin/mbrc.exe -- eco -p tiny --move-frac=-0.5
 usage_error bin/mbrd.exe -- --log-level bogus
 usage_error bin/mbrd.exe -- --alloc-jobs=-2
 
@@ -39,7 +43,7 @@ for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
   dune exec "examples/$ex.exe" > /dev/null
 done
 
-echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes, nor add more nets than it created scan-out pins, nor re-sweep in its metrics snapshots as many nets as the design has, nor flag in its STA refreshes as many pins as the design has; the session builds the STA graph once) =="
+echo "== large-scale smoke (scale-8 D1, jobs 1, wall + RSS + skew-stage + metrics-stage ceilings; ECO round must not rebuild the STA plan nor patch it more often than it refreshes, nor add more nets than it created scan-out pins, nor re-sweep in its metrics snapshots as many nets as the design has, nor flag half the design's pins in one STA refresh, nor write rows for half of them in one plan patch; the session builds the STA graph once) =="
 dune exec tools/scale_smoke.exe
 
 echo "== telemetry smoke (traced flow -> Chrome JSON + metrics snapshot) =="

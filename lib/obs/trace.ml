@@ -126,26 +126,34 @@ let clear () =
     !buffers;
   Mutex.unlock reg_mutex
 
-let timed_span ?(args = []) ~name f =
+(* [end_args] gives the end event's args from the thunk's result; an
+   exception closes the span without them *)
+let span ~args ~name ~end_args f =
   (* capture the flag once so the B/E pair stays matched even if
      tracing is toggled mid-span *)
   let on = Atomic.get enabled in
   let t0 = Clock.now_us () in
   if on then emit ~ts:t0 name 'B' args;
-  let finish () =
+  let finish eargs =
     let t1 = Clock.now_us () in
-    if on then emit ~ts:t1 name 'E' [];
+    if on then emit ~ts:t1 name 'E' eargs;
     (t1 -. t0) *. 1e-6
   in
   match f () with
-  | r -> (r, finish ())
+  | r -> (r, finish (if on then end_args r else []))
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    ignore (finish ());
+    ignore (finish []);
     Printexc.raise_with_backtrace e bt
+
+let timed_span ?(args = []) ~name f = span ~args ~name ~end_args:(fun _ -> []) f
 
 let with_span ?args ~name f =
   if Atomic.get enabled then fst (timed_span ?args ~name f) else f ()
+
+let with_span_result ?(args = []) ~name ~result_args f =
+  if Atomic.get enabled then fst (span ~args ~name ~end_args:result_args f)
+  else f ()
 
 let instant ?(args = []) name =
   if Atomic.get enabled then emit ~ts:(Clock.now_us ()) name 'i' args

@@ -72,6 +72,18 @@ val timed_span :
 val with_span : ?args:(string * arg) list -> name:string -> (unit -> 'a) -> 'a
 (** [timed_span] without the duration. *)
 
+val with_span_result :
+  ?args:(string * arg) list ->
+  name:string ->
+  result_args:('a -> (string * arg) list) ->
+  (unit -> 'a) ->
+  'a
+(** [with_span] whose end event also carries [result_args r], args
+    computed from the thunk's result [r]: a count that is known only
+    once the span's work is done. Chrome and Perfetto merge a span's
+    begin and end args. [result_args] runs only while tracing; a
+    thunk that raises closes the span without them. *)
+
 val instant : ?args:(string * arg) list -> string -> unit
 (** A zero-duration marker event ([ph = "i"]). No-op when disabled. *)
 

@@ -42,6 +42,47 @@ let pget : plane -> int -> float = Bigarray.Array1.unsafe_get
 
 let pset : plane -> int -> float -> unit = Bigarray.Array1.unsafe_set
 
+(* Per-pin and per-net state grows by doubling, so a refresh that adds
+   pins copies an array only when it outgrows its capacity: each grow
+   function returns its argument when it already holds [n] entries, else
+   a copy at least twice as long, padded with the default. Such arrays
+   may be longer than the count they cover. *)
+let grow_ints (a : int array) n def =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (max n (2 * len)) def in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let grow_floats (a : float array) n def =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (max n (2 * len)) def in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let grow_bytes b n =
+  let len = Bytes.length b in
+  if n <= len then b
+  else begin
+    let b' = Bytes.make (max n (2 * len)) '\000' in
+    Bytes.blit b 0 b' 0 len;
+    b'
+  end
+
+let grow_plane (pl : plane) n def : plane =
+  let len = Bigarray.Array1.dim pl in
+  if n <= len then pl
+  else begin
+    let b = plane_make (max n (2 * len)) def in
+    if len > 0 then Bigarray.Array1.blit pl (Bigarray.Array1.sub b 0 len);
+    b
+  end
+
 (* A growable int buffer for changed-pin collection: [int array] backed
    (unboxed), unlike a list whose cons cells would churn the minor heap
    once per changed pin. *)
@@ -50,55 +91,61 @@ type ivec = { mutable iv_a : int array; mutable iv_len : int }
 let ivec_create () = { iv_a = Array.make 64 0; iv_len = 0 }
 
 let ivec_push v x =
-  if v.iv_len = Array.length v.iv_a then begin
-    let b = Array.make (2 * v.iv_len) 0 in
-    Array.blit v.iv_a 0 b 0 v.iv_len;
-    v.iv_a <- b
-  end;
+  if v.iv_len = Array.length v.iv_a then v.iv_a <- grow_ints v.iv_a (v.iv_len + 1) 0;
   v.iv_a.(v.iv_len) <- x;
   v.iv_len <- v.iv_len + 1
 
-(* The propagation plan and the scans' scratch; see the plan section
-   below. *)
-type plan_scratch = {
-  ps_mark : int array;  (* per-pin epoch stamp: to recompute this pass *)
-  ps_tmp : float array;  (* per-corner recompute scratch *)
-  mutable ps_epoch : int;
-}
+let ivec_to_list v =
+  let l = ref [] in
+  for i = v.iv_len - 1 downto 0 do
+    l := v.iv_a.(i) :: !l
+  done;
+  !l
 
+(* The propagation plan; see the plan section below. *)
 type plan = {
   pl_nc : int;
-  (* CSR adjacency with the per-corner derated delays flattened
-     alongside (entry-major: pred entry [j]'s corner-[k] delay sits at
-     [j * nc + k]) — the propagation loops stream flat int/float
-     arrays instead of chasing adjacency-list cons cells; each
-     direction streams its own delay image sequentially. The succ side
-     is the transpose of the pred side (a pin's succ entries in
-     ascending destination order). *)
-  pr_off : int array;
-  pr_src : int array;
-  pr_delay : float array;
-  su_off : int array;
-  su_dst : int array;
-  su_delay : float array;
+  mutable pl_n : int;  (* pins with rows: ids [0, pl_n) *)
+  (* Per-pin rows of arcs with the per-corner derated delays alongside
+     (entry-major: entry [j]'s corner-[k] delay sits at [j * nc + k]),
+     so the propagation loops stream flat int/float arrays. Pin [q]'s
+     pred entries are [pr_row.(2q), pr_row.(2q+1)) of [pr_src] /
+     [pr_delay], its succ entries [su_row.(2q), su_row.(2q+1)) of
+     [su_dst] / [su_delay]; the succ side is the pred side's transpose,
+     each succ row in ascending destination order. A pred row's capacity
+     is fixed when its pin joins, and the rows lie in pin order, so a
+     pin's capacity ends where the next pin's row starts ([pr_top] after
+     the last). A succ row holds [su_cap] entries and moves to [su_top]
+     when it outgrows them; [su_live] counts the live succ entries. *)
+  mutable pr_row : int array;
+  mutable pr_src : int array;
+  mutable pr_delay : float array;
+  mutable pr_top : int;
+  mutable su_row : int array;
+  mutable su_cap : int array;
+  mutable su_dst : int array;
+  mutable su_delay : float array;
+  mutable su_top : int;
+  mutable su_live : int;
   (* The start/endpoint table, the engine's only record of which pins
-     launch and capture: [st_slot]/[ep_slot] map a pin to its slot (-1
-     for none), [st_pin]/[ep_pin] a slot back to its pin, with slots in
-     ascending pin order. Startpoint launch = skew(st_cell) + st_base
-     (st_base alone for skewless startpoints); endpoint required =
-     (clock_period + skew(ep_cell)) - ep_term (period - ep_term when
-     skewless). [st_cell]/[ep_cell] name the register behind a Q/D pin
-     (-1 for ports). [st_slot]'s length is the pin count the plan
-     covers. *)
-  st_slot : int array;
-  st_pin : int array;
-  st_cell : int array;
-  st_base : float array;
-  ep_slot : int array;
-  ep_pin : int array;
-  ep_cell : int array;
-  ep_term : float array;
-  pl_scratch : plan_scratch;
+     launch and capture, indexed by pin: [status] is 's' for a
+     startpoint, 'e' for an endpoint, '\000' for neither; [sp_cell]
+     names the register behind a Q/D pin (-1 for ports); [sp_term] (nc
+     per pin) holds a startpoint's launch base or an endpoint's setup
+     term. Launch = skew(sp_cell) + base (base alone for skewless
+     startpoints); required = (clock_period + skew(sp_cell)) - term
+     (period - term when skewless). [st_pin] / [ep_pin] list the
+     startpoints / endpoints in ascending pin order. *)
+  mutable status : Bytes.t;
+  mutable sp_cell : int array;
+  mutable sp_term : float array;
+  st_pin : ivec;
+  ep_pin : ivec;
+  (* the scans' scratch: a per-pin epoch stamp (to recompute this pass)
+     and per-corner recompute scratch *)
+  mutable ps_mark : int array;
+  ps_tmp : float array;
+  mutable ps_epoch : int;
 }
 
 type t = {
@@ -106,12 +153,22 @@ type t = {
   pl : Placement.t;
   dsg : Design.t;
   mutable corners : Corner.t array;
-  mutable n : int; (* pin count covered by the arrays below *)
+  mutable n : int;
+      (* pin count covered by the per-pin arrays below, which may be
+         longer *)
   mutable role : Bytes.t;
       (* per pin, its [pin_role]: fixed while the pin's cell lives,
          '\000' (outside the graph) once the cell is removed. Tells a
          register's Q and D pins apart without a design lookup. *)
   mutable topo : Types.pin_id array;
+      (* the topological order is [topo.(topo_lo) .. topo.(topo_hi - 1)],
+         with slack at both ends for the sources and sinks refreshes add.
+         A pin that left the graph stays in place as a tombstone: its
+         [topo_pos] is -1, so no scan marks it, until the order is laid
+         out afresh. *)
+  mutable topo_lo : int;
+  mutable topo_hi : int;
+  mutable topo_dead : int;  (* tombstones in [topo_lo, topo_hi) *)
   mutable topo_pos : int array;
       (** pin -> index in [topo] (-1 outside graph) *)
   mutable skew_dense : float array;
@@ -129,19 +186,24 @@ type t = {
       (* the only stored copy of the graph's arcs, current whenever
          present outside a refresh: [analyze] and [rebuild] drop it,
          and [refresh] reads the rewired pins' old arcs off it, then
-         patches it before returning *)
+         patches it in place before returning *)
   mutable plan_dirty : Bytes.t;
-      (* per pin, 1 when the pin's incoming arcs, start/endpoint status,
-         launch base or setup term may differ from what [plan] holds:
-         every pin the running refresh's splice touched, pins that left
-         or joined the graph included. The refresh seeds both scans
-         with the flagged in-graph pins, and its plan patch re-derives
-         exactly the flagged pins and clears the flags. *)
+  dirty : ivec;
+      (* the running refresh's flagged pins, in flag order, each once.
+         [plan_dirty] is 2 for a marked pin, one whose incoming arcs,
+         start/endpoint status, launch base or setup term may differ
+         from what [plan] holds (pins that left or joined the graph
+         included), and 1 for a seeded pin, whose rows are current but
+         whose timing may move (a comb driver's inputs when its load
+         changed). The refresh seeds both scans with every listed
+         in-graph pin; its plan patch re-derives the marked pins and
+         empties the list. *)
   mutable n_plan_builds : int;
   mutable n_plan_patches : int;
   plan_srcs : ivec;
-      (* a plan make's dirty-pin arc sources, in pin order: the count
-         pass records them, the fill pass reads them back *)
+      (* a plan make's derived arc sources: one pin's for a patch;
+         every pin's for a build, each pin's closed by -1 *)
+  plan_flips : ivec;  (* pins whose status a patch flipped *)
   mutable reg_cache : (int * Types.cell_id array * int array) option;
       (* design revision, registers in [Design.registers] order, dense
          cell-id -> slot map (-1 for non-registers) *)
@@ -204,11 +266,8 @@ let corners t = t.corners
 let n_corners t = Array.length t.corners
 
 let set_skew t id s =
-  if id >= Array.length t.skew_dense then begin
-    let b = Array.make (max (id + 1) (2 * Array.length t.skew_dense)) 0.0 in
-    Array.blit t.skew_dense 0 b 0 (Array.length t.skew_dense);
-    t.skew_dense <- b
-  end;
+  if id >= Array.length t.skew_dense then
+    t.skew_dense <- grow_floats t.skew_dense (id + 1) 0.0;
   t.skew_dense.(id) <- s
 
 let skew t id =
@@ -247,41 +306,23 @@ let pin_role dsg pid =
 
 let in_graph t pid = Bytes.unsafe_get t.role pid <> '\000'
 
-(* An in-graph pin's start/endpoint status under the current
-   connectivity: 's' for a startpoint (an input port, or a connected
-   register Q pin), 'e' for an endpoint (an output port or register D
-   pin with a net), '\000' for neither. It changes only when the pin
-   joins or leaves a net, or its cell joins or leaves the graph. *)
-let pin_status dsg pid =
-  let p = Design.pin dsg pid in
-  match ((Design.cell dsg p.Types.p_cell).Types.c_kind, p.Types.p_kind) with
-  | Types.Port Types.In_port, _ -> 's'
-  | Types.Register _, Types.Pin_q _ when p.Types.p_net <> None -> 's'
-  | Types.Register _, Types.Pin_d _ when p.Types.p_net <> None -> 'e'
-  | Types.Port Types.Out_port, _ when p.Types.p_net <> None -> 'e'
-  | _, _ -> '\000'
-
 (* ---- arcs, derived from the design ----
 
-   The plan's CSR is the only stored copy of the arcs: a plan make (for
-   its dirty pins) and a full build's graph walk derive a pin's
+   The plan's rows are the only stored copy of the arcs: a plan make
+   (for its dirty pins) and a full build's graph walk derive a pin's
    incoming arcs from [Design] under the current roles. *)
 
 (* Open a memo epoch over the current pin and net counts. *)
 let open_memo t =
   t.pg_epoch <- t.pg_epoch + 1;
   let n = t.n in
-  if Array.length t.pg_stamp < n then begin
-    t.pg_x <- Array.make n 0.0;
-    t.pg_y <- Array.make n 0.0;
-    t.pg_cap <- Array.make n 0.0;
-    t.pg_stamp <- Array.make n 0
-  end;
+  t.pg_x <- grow_floats t.pg_x n 0.0;
+  t.pg_y <- grow_floats t.pg_y n 0.0;
+  t.pg_cap <- grow_floats t.pg_cap n 0.0;
+  t.pg_stamp <- grow_ints t.pg_stamp n 0;
   let nn = Design.n_nets t.dsg in
-  if Array.length t.nd_stamp < nn then begin
-    t.nd_stamp <- Array.make nn 0;
-    t.nd_pin <- Array.make nn (-1)
-  end
+  t.nd_stamp <- grow_ints t.nd_stamp nn 0;
+  t.nd_pin <- grow_ints t.nd_pin nn (-1)
 
 (* A data net's in-graph driver, or -1: clock nets and nets without an
    in-graph driver carry no arcs. Resolved at most once per epoch. *)
@@ -303,22 +344,83 @@ let net_driver t nid =
 
 (* The source of every arc into [pid]: its cell's in-graph inputs for
    a comb output, its data net's driver for any other in-graph input
-   pin (none for outputs and pins outside the graph). A net arc needs
-   an open memo epoch. *)
-let iter_in_arcs t pid f =
+   pin (none for outputs and pins outside the graph). Returns the pin's
+   pred row capacity, fixed while its cell lives: its cell's input
+   count for a comb output, 1 for any other in-graph input (a net sink,
+   driven or not), 0 for every other pin. A net arc needs an open memo
+   epoch. *)
+let in_arcs t pid f =
   match Bytes.unsafe_get t.role pid with
-  | '\000' -> ()
+  | '\000' -> 0
   | 'o' ->
-    List.iter
-      (fun i -> if Bytes.unsafe_get t.role i = '\001' then f i)
+    List.fold_left
+      (fun k i ->
+        if Bytes.unsafe_get t.role i = '\001' then begin
+          f i;
+          k + 1
+        end
+        else k)
+      0
       (Design.pins_of t.dsg (Design.pin t.dsg pid).Types.p_cell)
-  | _ -> (
+  | _ ->
     let p = Design.pin t.dsg pid in
-    match p.Types.p_net with
-    | Some nid when p.Types.p_dir = Types.Input ->
-      let d = net_driver t nid in
-      if d >= 0 then f d
-    | Some _ | None -> ())
+    if p.Types.p_dir <> Types.Input then 0
+    else begin
+      (match p.Types.p_net with
+      | Some nid ->
+        let d = net_driver t nid in
+        if d >= 0 then f d
+      | None -> ());
+      1
+    end
+
+(* ---- the topological order ---- *)
+
+(* Slack left at each end of a fresh layout: room for [extra] pins plus
+   a quarter of the [live] ones, so a relayout is paid for by at least
+   [live / 4] insertions. *)
+let topo_slack live extra = max 64 (extra + (live / 4))
+
+(* Lay the order out afresh in a new array, tombstones dropped, with
+   slack at both ends for [extra] more pins. *)
+let topo_relayout t extra =
+  let live = t.topo_hi - t.topo_lo - t.topo_dead in
+  let slack = topo_slack live extra in
+  let topo = Array.make (live + (2 * slack)) 0 in
+  let k = ref slack in
+  for i = t.topo_lo to t.topo_hi - 1 do
+    let q = t.topo.(i) in
+    if t.topo_pos.(q) = i then begin
+      topo.(!k) <- q;
+      t.topo_pos.(q) <- !k;
+      incr k
+    end
+  done;
+  t.topo <- topo;
+  t.topo_lo <- slack;
+  t.topo_hi <- !k;
+  t.topo_dead <- 0
+
+(* Slot new pure sources in front of the order and new pure sinks
+   behind it, each group in list order: the order reads [sources @ old
+   @ sinks]. *)
+let topo_insert t sources sinks =
+  let ns = List.length sources and nk = List.length sinks in
+  if ns > t.topo_lo || t.topo_hi + nk > Array.length t.topo then
+    topo_relayout t (ns + nk);
+  let lo = t.topo_lo - ns in
+  List.iteri
+    (fun i pid ->
+      t.topo.(lo + i) <- pid;
+      t.topo_pos.(pid) <- lo + i)
+    sources;
+  t.topo_lo <- lo;
+  List.iter
+    (fun pid ->
+      t.topo.(t.topo_hi) <- pid;
+      t.topo_pos.(pid) <- t.topo_hi;
+      t.topo_hi <- t.topo_hi + 1)
+    sinks
 
 (* (Re)build the graph from the design, straight into [t]: roles and
    the topological order; fresh planes, no plan (start/endpoint status
@@ -336,8 +438,15 @@ let compute_graph t =
   t.analyzed <- false;
   t.n <- n;
   t.role <- Bytes.init n (pin_role dsg);
+  t.plan_dirty <- Bytes.make n '\000';
+  t.dirty.iv_len <- 0;
   open_memo t;
-  let topo = Array.make n 0 and k = ref 0 in
+  let live = ref 0 in
+  for pid = 0 to n - 1 do
+    if in_graph t pid then incr live
+  done;
+  let slack = topo_slack !live 0 in
+  let topo = Array.make (!live + (2 * slack)) 0 and k = ref slack in
   let pos = Array.make n (-1) in
   t.topo_pos <- pos;
   let rec visit path pid =
@@ -345,7 +454,7 @@ let compute_graph t =
     | -1 ->
       pos.(pid) <- -2;
       let path = pid :: path in
-      iter_in_arcs t pid (visit path);
+      ignore (in_arcs t pid (visit path));
       pos.(pid) <- !k;
       topo.(!k) <- pid;
       incr k
@@ -359,11 +468,13 @@ let compute_graph t =
   for pid = 0 to n - 1 do
     if in_graph t pid then visit [] pid
   done;
-  t.topo <- Array.sub topo 0 !k;
+  t.topo <- topo;
+  t.topo_lo <- slack;
+  t.topo_hi <- !k;
+  t.topo_dead <- 0;
   let nc = Array.length t.corners in
   t.arrival <- plane_make (n * nc) neg_infinity;
   t.required <- plane_make (n * nc) infinity;
-  t.plan_dirty <- Bytes.make n '\000';
   t.dsg_cursor <- Design.revision dsg
 
 (* Packed register index, cached per design revision: the registers in
@@ -387,10 +498,14 @@ let register_index t =
 (* A net's load: its sink pin caps plus the HPWL wire cap. *)
 let net_load t nid =
   let dsg = t.dsg in
+  (* [Design.sinks]' order, without building its list *)
   let pin_caps =
     List.fold_left
-      (fun acc s -> acc +. Design.pin_cap dsg s)
-      0.0 (Design.sinks dsg nid)
+      (fun acc s ->
+        if (Design.pin dsg s).Types.p_dir = Types.Input then
+          acc +. Design.pin_cap dsg s
+        else acc)
+      0.0 (Design.net dsg nid).Types.n_pins
   in
   let wire_len =
     match Placement.net_box t.pl nid with
@@ -401,48 +516,36 @@ let net_load t nid =
 
 (* ---- propagation plan ----
 
-   A CSR image of the graph with per-corner arc delays flattened
-   alongside, and per-startpoint/endpoint launch/required constants.
-   The plan is a pure function of (structure, placement, corners), the
-   only graph the numeric propagation reads ([analyze], refresh's
-   repair and every skew batch run the mark-skip scans below over it)
-   and the only place the engine stores arcs.
+   Per-pin rows of arcs with per-corner arc delays alongside, and
+   per-startpoint/endpoint launch/required constants. The plan is a
+   pure function of (structure, placement, corners), the only graph
+   the numeric propagation reads ([analyze], refresh's repair and every
+   skew batch run the mark-skip scans below over it) and the only place
+   the engine stores arcs.
 
-   Lifecycle: [make_plan] is the one builder. It re-derives the pins
-   the engine's [plan_dirty] flags name and copies every other pin's
-   entries from the previous plan; with no previous plan (dropped by
-   [analyze], which [build] and [set_corners] run, or by [rebuild])
-   every pin counts as dirty and the same code is a from-scratch
-   build. A refresh never rebuilds the plan: its splice flags the pins
-   whose incoming arcs, launch base or setup term it touched (plus
-   pins that left or joined the graph), and it patches them in before
-   it propagates. *)
+   Lifecycle: [make_plan] is the one builder. A patch rewrites, in
+   place, the rows of the pins the engine's [dirty] list marks, and
+   every other row stays where it lies; with no previous plan (dropped
+   by [analyze], which [build] and [set_corners] run, or by [rebuild])
+   every pin is dirty over empty rows, and the build writes each pin's
+   rows with the same writers ([write_delays], [write_status]), laying
+   the succ rows down as the pred side's transpose. A refresh never
+   rebuilds the plan: its splice flags the pins whose incoming arcs,
+   launch base or setup term it touched (plus pins that left or joined
+   the graph), and it patches them in before it propagates.
 
-(* Stand-in for "no previous plan": it covers zero pins, so every pin
-   of the next [make_plan] is dirty. *)
-let no_plan =
-  {
-    pl_nc = 0;
-    pr_off = [| 0 |];
-    pr_src = [||];
-    pr_delay = [||];
-    su_off = [| 0 |];
-    su_dst = [||];
-    su_delay = [||];
-    st_slot = [||];
-    st_pin = [||];
-    st_cell = [||];
-    st_base = [||];
-    ep_slot = [||];
-    ep_pin = [||];
-    ep_cell = [||];
-    ep_term = [||];
-    pl_scratch = { ps_mark = [||]; ps_tmp = [||]; ps_epoch = 0 };
-  }
+   Why no bit moves: a patched row holds what a build would write for
+   the same pin (the same derivation and float ops), every succ row
+   stays in ascending destination order (the transpose's order, so
+   each min/max fold visits its arcs as a fresh plan's would), and the
+   start/endpoint lists stay in ascending pin order (the TNS summation
+   order). Where a row lies in its array reads into no value. *)
 
 let m_plan_builds = Mbr_obs.Metrics.counter "sta.plan.builds"
 
 let m_plan_patches = Mbr_obs.Metrics.counter "sta.plan.patches"
+
+let m_rows_patched = Mbr_obs.Metrics.counter "sta.plan.rows_patched"
 
 (* The pin geometry behind a net arc's wire delay, resolved at most
    once per plan: true (and [pg_x]/[pg_y]/[pg_cap] filled) when the
@@ -481,24 +584,339 @@ let comb_base t pid =
   | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
     0.0
 
+let new_plan nc =
+  {
+    pl_nc = nc;
+    pl_n = 0;
+    pr_row = [||];
+    pr_src = [||];
+    pr_delay = [||];
+    pr_top = 0;
+    su_row = [||];
+    su_cap = [||];
+    su_dst = [||];
+    su_delay = [||];
+    su_top = 0;
+    su_live = 0;
+    status = Bytes.empty;
+    sp_cell = [||];
+    sp_term = [||];
+    st_pin = ivec_create ();
+    ep_pin = ivec_create ();
+    ps_mark = [||];
+    ps_tmp = Array.make (max nc 1) 0.0;
+    ps_epoch = 0;
+  }
+
+(* Give pins [pl_n, n) their pred rows, at the end of the pred entries,
+   each of the capacity [derive pid] returns (see [in_arcs]), and room
+   in every per-pin array; their succ rows are the caller's to lay. *)
+let cover p n derive =
+  if n > p.pl_n then begin
+    let nc = p.pl_nc in
+    p.pr_row <- grow_ints p.pr_row (2 * n) 0;
+    p.su_row <- grow_ints p.su_row (2 * n) 0;
+    p.su_cap <- grow_ints p.su_cap n 0;
+    p.status <- grow_bytes p.status n;
+    p.sp_cell <- grow_ints p.sp_cell n (-1);
+    p.sp_term <- grow_floats p.sp_term (n * nc) 0.0;
+    p.ps_mark <- grow_ints p.ps_mark n 0;
+    let top = ref p.pr_top in
+    for pid = p.pl_n to n - 1 do
+      p.pr_row.(2 * pid) <- !top;
+      p.pr_row.((2 * pid) + 1) <- !top;
+      top := !top + derive pid
+    done;
+    p.pr_top <- !top;
+    p.pr_src <- grow_ints p.pr_src !top 0;
+    p.pr_delay <- grow_floats p.pr_delay (!top * nc) 0.0;
+    p.pl_n <- n
+  end
+
+(* ---- succ row edits: each keeps its row in ascending destination
+   order, so every min/max fold visits a row's arcs in the order the
+   build lays them down ---- *)
+
+(* The index [d] holds, or would take, in [s]'s succ row. *)
+let su_find p s d =
+  let lo = ref p.su_row.(2 * s) and hi = ref p.su_row.((2 * s) + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if p.su_dst.(mid) < d then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Move [s]'s succ row to the end of the succ entries, with room for
+   [cap]. *)
+let su_relocate p s cap =
+  let nc = p.pl_nc in
+  let off = p.su_row.(2 * s) and len = p.su_row.((2 * s) + 1) - p.su_row.(2 * s) in
+  let top = p.su_top in
+  p.su_dst <- grow_ints p.su_dst (top + cap) 0;
+  p.su_delay <- grow_floats p.su_delay ((top + cap) * nc) 0.0;
+  Array.blit p.su_dst off p.su_dst top len;
+  Array.blit p.su_delay (off * nc) p.su_delay (top * nc) (len * nc);
+  p.su_row.(2 * s) <- top;
+  p.su_row.((2 * s) + 1) <- top + len;
+  p.su_cap.(s) <- cap;
+  p.su_top <- top + cap
+
+(* Copy pred entry [j]'s delays onto succ entry [i]. *)
+let su_copy_delays p i j =
+  let nc = p.pl_nc in
+  for k = 0 to nc - 1 do
+    p.su_delay.((i * nc) + k) <- p.pr_delay.((j * nc) + k)
+  done
+
+(* Insert the arc [s] -> [d] into [s]'s succ row, with the delays of
+   [d]'s pred entry [j]. A build inserts in ascending [d], so each arc
+   lands at the end of its row. *)
+let su_insert p s d j =
+  let nc = p.pl_nc in
+  let len = p.su_row.((2 * s) + 1) - p.su_row.(2 * s) in
+  if len = p.su_cap.(s) then su_relocate p s (max 4 (2 * (len + 1)));
+  let e = p.su_row.((2 * s) + 1) in
+  let i =
+    if e = p.su_row.(2 * s) || p.su_dst.(e - 1) < d then e else su_find p s d
+  in
+  if i < e then begin
+    Array.blit p.su_dst i p.su_dst (i + 1) (e - i);
+    Array.blit p.su_delay (i * nc) p.su_delay ((i + 1) * nc) ((e - i) * nc)
+  end;
+  p.su_dst.(i) <- d;
+  su_copy_delays p i j;
+  p.su_row.((2 * s) + 1) <- e + 1;
+  p.su_live <- p.su_live + 1
+
+(* Rewrite the arc [s] -> [d]'s delays from [d]'s pred entry [j]. *)
+let su_set p s d j = su_copy_delays p (su_find p s d) j
+
+let su_remove p s d =
+  let nc = p.pl_nc in
+  let e = p.su_row.((2 * s) + 1) in
+  let i = su_find p s d in
+  if i + 1 < e then begin
+    Array.blit p.su_dst (i + 1) p.su_dst i (e - i - 1);
+    Array.blit p.su_delay ((i + 1) * nc) p.su_delay (i * nc) ((e - i - 1) * nc)
+  end;
+  p.su_row.((2 * s) + 1) <- e - 1;
+  p.su_live <- p.su_live - 1
+
+(* Copy every live succ row, in pin order, into fresh arrays at exactly
+   its length: abandoned and unused entries are dropped. *)
+let su_compact p =
+  Mbr_obs.Trace.with_span ~name:"sta.plan.compact" @@ fun () ->
+  let nc = p.pl_nc in
+  let size = max 16 (2 * p.su_live) in
+  let dst = Array.make size 0 and dly = Array.make (size * nc) 0.0 in
+  let top = ref 0 in
+  for s = 0 to p.pl_n - 1 do
+    let off = p.su_row.(2 * s) and len = p.su_row.((2 * s) + 1) - p.su_row.(2 * s) in
+    Array.blit p.su_dst off dst !top len;
+    Array.blit p.su_delay (off * nc) dly (!top * nc) (len * nc);
+    p.su_row.(2 * s) <- !top;
+    p.su_row.((2 * s) + 1) <- !top + len;
+    p.su_cap.(s) <- len;
+    top := !top + len
+  done;
+  p.su_dst <- dst;
+  p.su_delay <- dly;
+  p.su_top <- !top
+
+(* The delays of pin [d]'s pred row, for the sources it holds: cell
+   arcs share one base, cell-derated; a net arc gets the model's wire
+   delay r·L·(c·L/2 + C_sink) off the geometry memo, wire-derated. *)
+let write_delays t p d =
+  let nc = p.pl_nc in
+  let o0 = p.pr_row.(2 * d) and o1 = p.pr_row.((2 * d) + 1) in
+  if o1 > o0 then begin
+    let cell = Bytes.unsafe_get t.role d = 'o' in
+    let cell_base = if cell then comb_base t d else 0.0 in
+    let cfg = t.cfg in
+    for j = o0 to o1 - 1 do
+      if cell then
+        for k = 0 to nc - 1 do
+          p.pr_delay.((j * nc) + k) <- cell_base *. t.corners.(k).Corner.cell
+        done
+      else begin
+        let s = p.pr_src.(j) in
+        let base =
+          if pin_geometry t s && pin_geometry t d then begin
+            let len =
+              Float.abs (t.pg_x.(s) -. t.pg_x.(d))
+              +. Float.abs (t.pg_y.(s) -. t.pg_y.(d))
+            in
+            cfg.wire_res *. len
+            *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(d))
+          end
+          else 0.0
+        in
+        for k = 0 to nc - 1 do
+          p.pr_delay.((j * nc) + k) <- base *. t.corners.(k).Corner.wire
+        done
+      end
+    done
+  end
+
+(* Rewrite pin [d]'s arc rows in place from its derived sources, the
+   contents of [plan_srcs]: drop [d] from the succ rows of the sources
+   it lost, rewrite its pred row (sources and delays), insert it into
+   the succ rows of the sources it gained and rewrite its delays in the
+   others. Adds the rows written to [rows]. *)
+let patch_arcs t p d rows =
+  let a = t.plan_srcs.iv_a and k = t.plan_srcs.iv_len in
+  let o0 = p.pr_row.(2 * d) and o1 = p.pr_row.((2 * d) + 1) in
+  let cap = (if d + 1 < p.pl_n then p.pr_row.(2 * (d + 1)) else p.pr_top) - o0 in
+  (* a pin has at most one arc per cell input: [kept] flags, by bit,
+     the new sources already in the old row *)
+  assert (k <= cap && cap < Sys.int_size);
+  let kept = ref 0 in
+  for i = 0 to k - 1 do
+    for j = o0 to o1 - 1 do
+      if p.pr_src.(j) = a.(i) then kept := !kept lor (1 lsl i)
+    done
+  done;
+  for j = o0 to o1 - 1 do
+    let s = p.pr_src.(j) in
+    let lost = ref true in
+    for i = 0 to k - 1 do
+      if a.(i) = s then lost := false
+    done;
+    if !lost then begin
+      su_remove p s d;
+      incr rows
+    end
+  done;
+  Array.blit a 0 p.pr_src o0 k;
+  p.pr_row.((2 * d) + 1) <- o0 + k;
+  write_delays t p d;
+  incr rows;
+  for i = 0 to k - 1 do
+    if !kept land (1 lsl i) <> 0 then su_set p a.(i) d (o0 + i)
+    else su_insert p a.(i) d (o0 + i);
+    incr rows
+  done
+
+(* Rewrite pin [d]'s start/endpoint row: its status follows the current
+   connectivity. A startpoint is an input port or a connected register
+   Q pin, its launch base clk->q into the Q pin's load (or the input
+   delay); an endpoint is a connected output port or register D pin,
+   its setup term the register's setup (or the output delay). The row
+   counts in [rows] when [d] has or had a status. Returns the status it
+   had. *)
+let write_status t p d rows =
+  let nc = p.pl_nc in
+  let b = d * nc in
+  let st =
+    if not (in_graph t d) then '\000'
+    else begin
+      let pn = Design.pin t.dsg d in
+      let cid = pn.Types.p_cell in
+      let connected = pn.Types.p_net <> None in
+      match ((Design.cell t.dsg cid).Types.c_kind, pn.Types.p_kind) with
+      | Types.Port Types.In_port, _ ->
+        p.sp_cell.(d) <- -1;
+        Array.fill p.sp_term b nc t.cfg.input_delay;
+        's'
+      | Types.Register ra, Types.Pin_q _ when connected ->
+        p.sp_cell.(d) <- cid;
+        let load =
+          match pn.Types.p_net with Some nid -> net_load t nid | None -> 0.0
+        in
+        let cq = Cell_lib.clk_to_q ra.Types.lib_cell ~load in
+        for k = 0 to nc - 1 do
+          p.sp_term.(b + k) <- cq *. t.corners.(k).Corner.cell
+        done;
+        's'
+      | Types.Register ra, Types.Pin_d _ when connected ->
+        p.sp_cell.(d) <- cid;
+        let setup = ra.Types.lib_cell.Cell_lib.setup in
+        for k = 0 to nc - 1 do
+          p.sp_term.(b + k) <- setup *. t.corners.(k).Corner.setup
+        done;
+        'e'
+      | Types.Port Types.Out_port, _ when connected ->
+        p.sp_cell.(d) <- -1;
+        Array.fill p.sp_term b nc t.cfg.output_delay;
+        'e'
+      | _, _ -> '\000'
+    end
+  in
+  let was = Bytes.get p.status d in
+  Bytes.set p.status d st;
+  if st <> '\000' || was <> '\000' then incr rows;
+  was
+
+(* Bring [l], the pins of status [c] in ascending order, up to date with
+   the flips in [flips]: drop the pins that left [c], merge in the ones
+   that took it. So a patched plan lists its start and endpoints as a
+   fresh one does, and TNS (a float sum over the endpoints) keeps its
+   bits. *)
+let update_list p l c flips =
+  let w = ref 0 in
+  for i = 0 to l.iv_len - 1 do
+    let q = l.iv_a.(i) in
+    if Bytes.get p.status q = c then begin
+      l.iv_a.(!w) <- q;
+      incr w
+    end
+  done;
+  l.iv_len <- !w;
+  let k = ref 0 in
+  for i = 0 to flips.iv_len - 1 do
+    if Bytes.get p.status flips.iv_a.(i) = c then incr k
+  done;
+  if !k > 0 then begin
+    let add = Array.make !k 0 and w = ref 0 in
+    for i = 0 to flips.iv_len - 1 do
+      let q = flips.iv_a.(i) in
+      if Bytes.get p.status q = c then begin
+        add.(!w) <- q;
+        incr w
+      end
+    done;
+    Array.sort Int.compare add;
+    let n0 = l.iv_len in
+    l.iv_a <- grow_ints l.iv_a (n0 + !k) 0;
+    let i = ref (n0 - 1) and j = ref (!k - 1) in
+    for w = n0 + !k - 1 downto 0 do
+      if !j >= 0 && (!i < 0 || add.(!j) > l.iv_a.(!i)) then begin
+        l.iv_a.(w) <- add.(!j);
+        decr j
+      end
+      else begin
+        l.iv_a.(w) <- l.iv_a.(!i);
+        decr i
+      end
+    done;
+    l.iv_len <- n0 + !k
+  end
+
 (* Make the plan for the current graph, placement and corners, and
-   install it: patch the previous plan when there is one, build from
-   scratch otherwise. A dirty pin — flagged in [plan_dirty], or beyond
-   the previous plan's pin range — gets its incoming arcs derived from
-   the design with their delays computed, and its launch base / setup
-   term recomputed; a clean pin's entries are copied (runs of
-   consecutive clean pins in one blit each). The succ CSR is the pred
-   CSR's transpose, built on int arrays only. Clears the dirty flags.
-   Each net's load is computed at most once: only its single driver's
-   cell arcs or launch read it. *)
+   install it: patch the installed plan in place when there is one,
+   build from scratch otherwise. A patch first gives pins the plan does
+   not cover yet their rows, then rewrites the rows of exactly the pins
+   the [dirty] list marks (in list order, each pin's arcs derived from
+   the design), updates the start/endpoint lists when a status flipped,
+   compacts the succ entries once the dead ones outnumber the live, and
+   empties the list. A build derives every pin's arcs once, writes
+   every pin's pred row and status in ascending order, and lays every
+   succ row down at exactly its fanout. Each net's load is computed at
+   most once per pin written: only its single driver's cell arcs or
+   launch read it. Returns the plan and the rows it wrote: pred, succ
+   and start/endpoint rows, which a patch adds to
+   [sta.plan.rows_patched] and reports as the [rows] arg of its
+   span. *)
 let make_plan t =
   let nc = Array.length t.corners in
   let n = t.n in
-  let o = match t.plan with Some o -> o | None -> no_plan in
-  let full = o == no_plan in
-  Mbr_obs.Trace.with_span
-    ~name:(if full then "sta.plan.build" else "sta.plan.patch")
-    ~args:[ ("n_pins", Mbr_obs.Trace.Int n) ]
+  let full = Option.is_none t.plan in
+  fst
+  @@ Mbr_obs.Trace.with_span_result
+       ~name:(if full then "sta.plan.build" else "sta.plan.patch")
+       ~args:[ ("n_pins", Mbr_obs.Trace.Int n) ]
+       ~result_args:(fun (_, rows) ->
+         if full then [] else [ ("rows", Mbr_obs.Trace.Int rows) ])
   @@ fun () ->
   if full then begin
     t.n_plan_builds <- t.n_plan_builds + 1;
@@ -509,284 +927,165 @@ let make_plan t =
     Mbr_obs.Metrics.incr m_plan_patches
   end;
   open_memo t;
-  let on = Array.length o.st_slot in
-  let flags = t.plan_dirty in
-  let dirty pid = pid >= on || Bytes.unsafe_get flags pid <> '\000' in
-  (* pred CSR: a dirty pin's arcs are derived once, their sources
-     recorded in [srcs] for the fill pass *)
-  let srcs = t.plan_srcs in
+  let p = match t.plan with Some p -> p | None -> new_plan nc in
+  let srcs = t.plan_srcs and dirty = t.dirty in
   srcs.iv_len <- 0;
-  let pr_off = Array.make (n + 1) 0 in
-  for pid = 0 to n - 1 do
-    let len =
-      if dirty pid then begin
-        let before = srcs.iv_len in
-        iter_in_arcs t pid (ivec_push srcs);
-        srcs.iv_len - before
-      end
-      else o.pr_off.(pid + 1) - o.pr_off.(pid)
+  let rows = ref 0 in
+  if full then begin
+    (* one derivation per pin, in pin order: the arcs land in [srcs],
+       each pin's closed by -1, and each source's fanout in [su_cap] *)
+    let note s =
+      ivec_push srcs s;
+      p.su_cap.(s) <- p.su_cap.(s) + 1
     in
-    pr_off.(pid + 1) <- pr_off.(pid) + len
-  done;
-  let ne = pr_off.(n) in
-  let pr_src = Array.make (max ne 1) 0 in
-  let pr_delay = Array.make (max (ne * nc) 1) 0.0 in
-  (* copy the old entries of clean pins [p0, p1) *)
-  let copy_run p0 p1 =
-    let oj = o.pr_off.(p0) and len = o.pr_off.(p1) - o.pr_off.(p0) in
-    if len > 0 then begin
-      let j = pr_off.(p0) in
-      Array.blit o.pr_src oj pr_src j len;
-      Array.blit o.pr_delay (oj * nc) pr_delay (j * nc) (len * nc)
-    end
-  in
-  let cfg = t.cfg in
-  let run = ref (-1) in
-  let next_src = ref 0 in
-  for pid = 0 to n - 1 do
-    if not (dirty pid) then begin
-      if !run < 0 then run := pid
-    end
-    else begin
-      if !run >= 0 then begin
-        copy_run !run pid;
-        run := -1
-      end;
-      if pr_off.(pid + 1) > pr_off.(pid) then begin
-        (* cell arcs share one base, cell-derated; a net arc gets the
-           model's wire delay r·L·(c·L/2 + C_sink) off the geometry
-           memo, wire-derated *)
-        let cell = Bytes.unsafe_get t.role pid = 'o' in
-        let cell_base = if cell then comb_base t pid else 0.0 in
-        for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
-          let s = srcs.iv_a.(!next_src) in
-          incr next_src;
-          pr_src.(j) <- s;
-          if cell then
-            for k = 0 to nc - 1 do
-              pr_delay.((j * nc) + k) <- cell_base *. t.corners.(k).Corner.cell
-            done
-          else begin
-            let base =
-              if pin_geometry t s && pin_geometry t pid then begin
-                let len =
-                  Float.abs (t.pg_x.(s) -. t.pg_x.(pid))
-                  +. Float.abs (t.pg_y.(s) -. t.pg_y.(pid))
-                in
-                cfg.wire_res *. len
-                *. ((cfg.wire_cap *. len /. 2.0) +. t.pg_cap.(pid))
-              end
-              else 0.0
-            in
-            for k = 0 to nc - 1 do
-              pr_delay.((j * nc) + k) <- base *. t.corners.(k).Corner.wire
-            done
-          end
-        done
+    cover p n (fun pid ->
+        let cap = in_arcs t pid note in
+        ivec_push srcs (-1);
+        cap);
+    let a = srcs.iv_a and pos = ref 0 in
+    for pid = 0 to n - 1 do
+      let o0 = p.pr_row.(2 * pid) and k = ref 0 in
+      while a.(!pos + !k) >= 0 do
+        p.pr_src.(o0 + !k) <- a.(!pos + !k);
+        incr k
+      done;
+      p.pr_row.((2 * pid) + 1) <- o0 + !k;
+      pos := !pos + !k + 1;
+      write_delays t p pid
+    done;
+    for pid = 0 to n - 1 do
+      if in_graph t pid then begin
+        ignore (write_status t p pid rows);
+        match Bytes.get p.status pid with
+        | 's' -> ivec_push p.st_pin pid
+        | 'e' -> ivec_push p.ep_pin pid
+        | _ -> ()
       end
-    end
-  done;
-  if !run >= 0 then copy_run !run n;
-  (* succ CSR: the transpose, streamed off the pred CSR *)
-  let su_off = Array.make (n + 1) 0 in
-  for j = 0 to ne - 1 do
-    let s = pr_src.(j) + 1 in
-    su_off.(s) <- su_off.(s) + 1
-  done;
-  for pid = 0 to n - 1 do
-    su_off.(pid + 1) <- su_off.(pid + 1) + su_off.(pid)
-  done;
-  let su_dst = Array.make (max ne 1) 0 in
-  let su_delay = Array.make (max (ne * nc) 1) 0.0 in
-  let fill = Array.sub su_off 0 (max n 1) in
-  for pid = 0 to n - 1 do
-    for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
-      let s = pr_src.(j) in
-      let q = fill.(s) in
-      fill.(s) <- q + 1;
-      su_dst.(q) <- pid;
-      for k = 0 to nc - 1 do
-        su_delay.((q * nc) + k) <- pr_delay.((j * nc) + k)
+    done;
+    (* every succ row at exactly its fanout, filled in ascending
+       destination order: the pred side's transpose *)
+    let top = ref 0 in
+    for s = 0 to n - 1 do
+      p.su_row.(2 * s) <- !top;
+      p.su_row.((2 * s) + 1) <- !top;
+      top := !top + p.su_cap.(s)
+    done;
+    p.su_dst <- Array.make (max !top 1) 0;
+    p.su_delay <- Array.make (max (!top * nc) 1) 0.0;
+    p.su_top <- !top;
+    p.su_live <- !top;
+    for d = 0 to n - 1 do
+      for j = p.pr_row.(2 * d) to p.pr_row.((2 * d) + 1) - 1 do
+        let s = p.pr_src.(j) in
+        let i = p.su_row.((2 * s) + 1) in
+        p.su_dst.(i) <- d;
+        su_copy_delays p i j;
+        p.su_row.((2 * s) + 1) <- i + 1
       done
     done
-  done;
-  (* start/endpoint tables: a dirty pin's status follows its current
-     connectivity, a clean pin keeps its old slot's, and slots run in
-     ascending pin order, so a patched plan lists them as a fresh one
-     does and TNS (a float sum over the endpoints) keeps its bits *)
-  let st_slot = Array.make n (-1) and ep_slot = Array.make n (-1) in
-  let n_st = ref 0 and n_ep = ref 0 in
-  for pid = 0 to n - 1 do
-    let status =
-      if not (dirty pid) then
-        if o.st_slot.(pid) >= 0 then 's'
-        else if o.ep_slot.(pid) >= 0 then 'e'
-        else '\000'
-      else if in_graph t pid then pin_status t.dsg pid
-      else '\000'
-    in
-    if status = 's' then begin
-      st_slot.(pid) <- !n_st;
-      incr n_st
-    end
-    else if status = 'e' then begin
-      ep_slot.(pid) <- !n_ep;
-      incr n_ep
-    end
-  done;
-  let st_pin = Array.make !n_st 0 and ep_pin = Array.make !n_ep 0 in
-  let st_cell = Array.make (max !n_st 1) (-1) in
-  let st_base = Array.make (max (!n_st * nc) 1) 0.0 in
-  let ep_cell = Array.make (max !n_ep 1) (-1) in
-  let ep_term = Array.make (max (!n_ep * nc) 1) 0.0 in
-  (* a clean pin's row is copied from its old slot; a dirty one's launch
-     base (clk->q into the Q pin's load, or the input delay) and setup
-     term (the register's setup, or the output delay) are derived *)
-  for pid = 0 to n - 1 do
-    let i = st_slot.(pid) in
-    if i >= 0 then begin
-      st_pin.(i) <- pid;
-      if not (dirty pid) then begin
-        let oi = o.st_slot.(pid) in
-        st_cell.(i) <- o.st_cell.(oi);
-        Array.blit o.st_base (oi * nc) st_base (i * nc) nc
+  end
+  else begin
+    (* new pins start with empty succ rows *)
+    let n0 = p.pl_n in
+    cover p n (fun pid -> in_arcs t pid ignore);
+    for pid = n0 to n - 1 do
+      p.su_row.(2 * pid) <- p.su_top;
+      p.su_row.((2 * pid) + 1) <- p.su_top
+    done;
+    let push = ivec_push srcs and flips = t.plan_flips in
+    flips.iv_len <- 0;
+    for i = 0 to dirty.iv_len - 1 do
+      let pid = dirty.iv_a.(i) in
+      if Bytes.unsafe_get t.plan_dirty pid = '\002' then begin
+        srcs.iv_len <- 0;
+        ignore (in_arcs t pid push);
+        patch_arcs t p pid rows;
+        let was = write_status t p pid rows in
+        if Bytes.get p.status pid <> was then ivec_push flips pid
       end
-      else begin
-        let pn = Design.pin t.dsg pid in
-        match (Design.cell t.dsg pn.Types.p_cell).Types.c_kind with
-        | Types.Register a ->
-          st_cell.(i) <- pn.Types.p_cell;
-          let load =
-            match pn.Types.p_net with
-            | Some nid -> net_load t nid
-            | None -> 0.0
-          in
-          let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
-          for k = 0 to nc - 1 do
-            st_base.((i * nc) + k) <- cq *. t.corners.(k).Corner.cell
-          done
-        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
-          Array.fill st_base (i * nc) nc cfg.input_delay
-      end
+    done;
+    if flips.iv_len > 0 then begin
+      update_list p p.st_pin 's' flips;
+      update_list p p.ep_pin 'e' flips
     end;
-    let i = ep_slot.(pid) in
-    if i >= 0 then begin
-      ep_pin.(i) <- pid;
-      if not (dirty pid) then begin
-        let oi = o.ep_slot.(pid) in
-        ep_cell.(i) <- o.ep_cell.(oi);
-        Array.blit o.ep_term (oi * nc) ep_term (i * nc) nc
-      end
-      else begin
-        let cid = (Design.pin t.dsg pid).Types.p_cell in
-        match (Design.cell t.dsg cid).Types.c_kind with
-        | Types.Register a ->
-          ep_cell.(i) <- cid;
-          let setup = a.Types.lib_cell.Cell_lib.setup in
-          for k = 0 to nc - 1 do
-            ep_term.((i * nc) + k) <- setup *. t.corners.(k).Corner.setup
-          done
-        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
-          Array.fill ep_term (i * nc) nc cfg.output_delay
-      end
-    end
+    (* compact once the abandoned and unused succ entries outnumber the
+       live ones *)
+    if p.su_top - p.su_live > p.su_live then su_compact p;
+    Mbr_obs.Metrics.incr ~by:!rows m_rows_patched
+  end;
+  for i = 0 to dirty.iv_len - 1 do
+    Bytes.unsafe_set t.plan_dirty dirty.iv_a.(i) '\000'
   done;
-  Bytes.fill flags 0 (Bytes.length flags) '\000';
-  let p =
-    {
-      pl_nc = nc;
-      pr_off;
-      pr_src;
-      pr_delay;
-      su_off;
-      su_dst;
-      su_delay;
-      st_slot;
-      st_pin;
-      st_cell;
-      st_base;
-      ep_slot;
-      ep_pin;
-      ep_cell;
-      ep_term;
-      pl_scratch =
-        {
-          ps_mark = Array.make (max n 1) 0;
-          ps_tmp = Array.make (max nc 1) 0.0;
-          ps_epoch = 0;
-        };
-    }
-  in
+  dirty.iv_len <- 0;
   t.plan <- Some p;
-  p
-
+  (p, !rows)
 
 (* Mark-skip scans, the engine's one propagation shape: stream the
    whole topo order (reversed for requireds) and recompute a pin only
    when it is a seed or one of its predecessors (successors) actually
-   moved — one epoch-stamped mark per pin, so the CSR walk stays
-   sequential and a quiet pin costs one array read. A recomputed pin
-   takes the max (min) over its final predecessors (successors) and
-   its launch (required) term. Skipping is sound because an unmarked
-   pin would recompute to its stored value bit for bit (same final
-   neighbours, same delays), so the planes AND the changed-pin set are
-   those of recomputing every pin. The cancel token, when given, is
-   polled every 4096 pins, but a scan always runs to completion (a
-   batch is atomic; callers like [Skew.optimize] act on the token at
-   their own sweep boundary), so a cancelled batch leaves exactly the
-   planes an uncancelled one would. Returns the recomputed-pin
-   count. *)
+   moved — one epoch-stamped mark per pin, so the row walk stays
+   sequential and a quiet pin or a tombstone costs one array read. A
+   recomputed pin takes the max (min) over its final predecessors
+   (successors) and its launch (required) term. Skipping is sound
+   because an unmarked pin would recompute to its stored value bit for
+   bit (same final neighbours, same delays), so the planes AND the
+   changed-pin set are those of recomputing every pin. The cancel
+   token, when given, is polled every 4096 order slots, but a scan
+   always runs to completion (a batch is atomic; callers like
+   [Skew.optimize] act on the token at their own sweep boundary), so a
+   cancelled batch leaves exactly the planes an uncancelled one would.
+   Returns the recomputed-pin count. *)
 let forward_scan t p ~seeds ~changed ~cancel =
   let nc = p.pl_nc in
-  let scr = p.pl_scratch in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark in
+  p.ps_epoch <- p.ps_epoch + 1;
+  let epoch = p.ps_epoch in
+  let mark = p.ps_mark in
   List.iter
     (fun pid -> if t.topo_pos.(pid) >= 0 then Array.unsafe_set mark pid epoch)
     seeds;
-  let tmp = scr.ps_tmp in
+  let tmp = p.ps_tmp in
   let arr = t.arrival in
   let topo = t.topo in
-  let m = Array.length topo in
+  let status = p.status and sp_cell = p.sp_cell and sp_term = p.sp_term in
+  let pr_row = p.pr_row and pr_src = p.pr_src and pr_delay = p.pr_delay in
+  let su_row = p.su_row and su_dst = p.su_dst in
   let processed = ref 0 in
-  for i = 0 to m - 1 do
+  for i = t.topo_lo to t.topo_hi - 1 do
     (match cancel with
     | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
     | Some _ | None -> ());
     let q = Array.unsafe_get topo i in
     if Array.unsafe_get mark q = epoch then begin
       incr processed;
-      let sl = Array.unsafe_get p.st_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.st_cell sl in
+      let qb = q * nc in
+      if Bytes.unsafe_get status q = 's' then begin
+        let cid = Array.unsafe_get sp_cell q in
         if cid >= 0 then begin
           let sk = skew t cid in
           for k = 0 to nc - 1 do
-            Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
+            Array.unsafe_set tmp k (sk +. Array.unsafe_get sp_term (qb + k))
           done
         end
         else
           for k = 0 to nc - 1 do
-            Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
+            Array.unsafe_set tmp k (Array.unsafe_get sp_term (qb + k))
           done
       end
       else
         for k = 0 to nc - 1 do
           Array.unsafe_set tmp k neg_infinity
         done;
-      for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-        let sb = Array.unsafe_get p.pr_src j * nc in
+      for j = Array.unsafe_get pr_row (2 * q) to Array.unsafe_get pr_row ((2 * q) + 1) - 1 do
+        let sb = Array.unsafe_get pr_src j * nc in
         let b = j * nc in
         for k = 0 to nc - 1 do
           let a =
-            pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
+            pget arr (sb + k) +. Array.unsafe_get pr_delay (b + k)
           in
           if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
         done
       done;
       let moved = ref false in
-      let qb = q * nc in
       for k = 0 to nc - 1 do
         let v = Array.unsafe_get tmp k in
         if v <> pget arr (qb + k) then begin
@@ -796,8 +1095,8 @@ let forward_scan t p ~seeds ~changed ~cancel =
       done;
       if !moved then begin
         (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-          Array.unsafe_set mark (Array.unsafe_get p.su_dst j) epoch
+        for j = Array.unsafe_get su_row (2 * q) to Array.unsafe_get su_row ((2 * q) + 1) - 1 do
+          Array.unsafe_set mark (Array.unsafe_get su_dst j) epoch
         done
       end
     end
@@ -806,56 +1105,56 @@ let forward_scan t p ~seeds ~changed ~cancel =
 
 let backward_scan t p ~seeds ~changed ~cancel =
   let nc = p.pl_nc in
-  let scr = p.pl_scratch in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark in
+  p.ps_epoch <- p.ps_epoch + 1;
+  let epoch = p.ps_epoch in
+  let mark = p.ps_mark in
   List.iter
     (fun pid -> if t.topo_pos.(pid) >= 0 then Array.unsafe_set mark pid epoch)
     seeds;
-  let tmp = scr.ps_tmp in
+  let tmp = p.ps_tmp in
   let req = t.required in
   let period = t.cfg.clock_period in
   let topo = t.topo in
-  let m = Array.length topo in
+  let status = p.status and sp_cell = p.sp_cell and sp_term = p.sp_term in
+  let pr_row = p.pr_row and pr_src = p.pr_src in
+  let su_row = p.su_row and su_dst = p.su_dst and su_delay = p.su_delay in
   let processed = ref 0 in
-  for i = m - 1 downto 0 do
+  for i = t.topo_hi - 1 downto t.topo_lo do
     (match cancel with
     | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
     | Some _ | None -> ());
     let q = Array.unsafe_get topo i in
     if Array.unsafe_get mark q = epoch then begin
       incr processed;
-      let sl = Array.unsafe_get p.ep_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.ep_cell sl in
+      let qb = q * nc in
+      if Bytes.unsafe_get status q = 'e' then begin
+        let cid = Array.unsafe_get sp_cell q in
         if cid >= 0 then begin
           let sk = skew t cid in
           for k = 0 to nc - 1 do
-            Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
+            Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get sp_term (qb + k))
           done
         end
         else
           for k = 0 to nc - 1 do
-            Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
+            Array.unsafe_set tmp k (period -. Array.unsafe_get sp_term (qb + k))
           done
       end
       else
         for k = 0 to nc - 1 do
           Array.unsafe_set tmp k infinity
         done;
-      for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-        let db = Array.unsafe_get p.su_dst j * nc in
+      for j = Array.unsafe_get su_row (2 * q) to Array.unsafe_get su_row ((2 * q) + 1) - 1 do
+        let db = Array.unsafe_get su_dst j * nc in
         let b = j * nc in
         for k = 0 to nc - 1 do
           let r =
-            pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
+            pget req (db + k) -. Array.unsafe_get su_delay (b + k)
           in
           if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
         done
       done;
       let moved = ref false in
-      let qb = q * nc in
       for k = 0 to nc - 1 do
         let v = Array.unsafe_get tmp k in
         if v <> pget req (qb + k) then begin
@@ -865,8 +1164,8 @@ let backward_scan t p ~seeds ~changed ~cancel =
       done;
       if !moved then begin
         (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-          Array.unsafe_set mark (Array.unsafe_get p.pr_src j) epoch
+        for j = Array.unsafe_get pr_row (2 * q) to Array.unsafe_get pr_row ((2 * q) + 1) - 1 do
+          Array.unsafe_set mark (Array.unsafe_get pr_src j) epoch
         done
       end
     end
@@ -906,10 +1205,10 @@ let rec analyze t =
     Bigarray.Array1.fill t.arrival neg_infinity;
     Bigarray.Array1.fill t.required infinity;
     ignore
-      (forward_scan t p ~seeds:(Array.to_list p.st_pin) ~changed:None
+      (forward_scan t p ~seeds:(ivec_to_list p.st_pin) ~changed:None
          ~cancel:None);
     ignore
-      (backward_scan t p ~seeds:(Array.to_list p.ep_pin) ~changed:None
+      (backward_scan t p ~seeds:(ivec_to_list p.ep_pin) ~changed:None
          ~cancel:None);
     t.pl_cursor <- Placement.revision t.pl;
     t.net_seen <- Array.init (Design.n_nets t.dsg) (Placement.net_stamp t.pl);
@@ -941,15 +1240,20 @@ let build ?(config = default_config) ?(corners = Corner.default) pl =
       n = 0;
       role = Bytes.empty;
       topo = [||];
+      topo_lo = 0;
+      topo_hi = 0;
+      topo_dead = 0;
       topo_pos = [||];
       skew_dense = [||];
       arrival = plane_make 0 neg_infinity;
       required = plane_make 0 infinity;
       plan = None;
       plan_dirty = Bytes.empty;
+      dirty = ivec_create ();
       n_plan_builds = 0;
       n_plan_patches = 0;
       plan_srcs = ivec_create ();
+      plan_flips = ivec_create ();
       reg_cache = None;
       analyzed = false;
       dsg_cursor = 0;
@@ -986,29 +1290,15 @@ exception Bail
 
 let grow t n' =
   if n' > t.n then begin
-    let role = Bytes.make n' '\000' in
-    Bytes.blit t.role 0 role 0 t.n;
-    t.role <- role;
-    let pos = Array.make n' (-1) in
-    Array.blit t.topo_pos 0 pos 0 t.n;
-    t.topo_pos <- pos;
-    (* the corner count is unchanged, so the interleaved prefix of the
-       old plane is position-identical in the new one — one blit *)
     let nc = Array.length t.corners in
-    let grow_plane pl def =
-      let b = plane_make (n' * nc) def in
-      if t.n > 0 then
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub pl 0 (t.n * nc))
-          (Bigarray.Array1.sub b 0 (t.n * nc));
-      b
-    in
-    t.arrival <- grow_plane t.arrival neg_infinity;
-    t.required <- grow_plane t.required infinity;
-    (* the plan stays: pins past its range count as dirty *)
-    let flags = Bytes.make n' '\000' in
-    Bytes.blit t.plan_dirty 0 flags 0 t.n;
-    t.plan_dirty <- flags;
+    t.role <- grow_bytes t.role n';
+    t.topo_pos <- grow_ints t.topo_pos n' (-1);
+    (* the corner count is unchanged, so the interleaved prefix of the
+       old plane is position-identical in the new one *)
+    t.arrival <- grow_plane t.arrival (n' * nc) neg_infinity;
+    t.required <- grow_plane t.required (n' * nc) infinity;
+    (* the plan stays: the patch gives the new pins rows *)
+    t.plan_dirty <- grow_bytes t.plan_dirty n';
     t.n <- n'
   end
 
@@ -1039,8 +1329,12 @@ let refresh t =
   let pl_rev = Placement.revision t.pl in
   if dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
   else
-    Mbr_obs.Trace.with_span ~name:"sta.refresh"
-      ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
+    ignore
+    @@ Mbr_obs.Trace.with_span_result ~name:"sta.refresh"
+         ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
+         ~result_args:(function
+           | Some d -> [ ("dirty_pins", Mbr_obs.Trace.Int d) ]
+           | None -> [])
     @@ fun () ->
     try
       (* the pre-patch plan: an analyzed engine always holds one, and
@@ -1073,11 +1367,7 @@ let refresh t =
          way its arc delays and load are stale. A bail recomputes
          everything, stamps included, so they are recorded here. *)
       let nn = Design.n_nets t.dsg in
-      if Array.length t.net_seen < nn then begin
-        let b = Array.make (max nn (2 * Array.length t.net_seen)) (-1) in
-        Array.blit t.net_seen 0 b 0 (Array.length t.net_seen);
-        t.net_seen <- b
-      end;
+      t.net_seen <- grow_ints t.net_seen nn (-1);
       let dirty_nets = ref [] in
       for nid = nn - 1 downto 0 do
         let s = Placement.net_stamp t.pl nid in
@@ -1100,13 +1390,29 @@ let refresh t =
       then raise Bail;
       grow t (Design.n_pins t.dsg);
       let nc = Array.length t.corners in
-      (* the one mark: a marked pin seeds both scans, and the plan
-         patch re-derives its arcs, status, launch base and setup term *)
-      let mark pid = Bytes.unsafe_set t.plan_dirty pid '\001' in
+      (* A marked pin seeds both scans, and the plan patch re-derives
+         its arcs, status, launch base and setup term. A seeded pin only
+         seeds the scans: its rows are current. Either lists the pin
+         once. *)
+      let mark pid =
+        match Bytes.unsafe_get t.plan_dirty pid with
+        | '\000' ->
+          Bytes.unsafe_set t.plan_dirty pid '\002';
+          ivec_push t.dirty pid
+        | '\001' -> Bytes.unsafe_set t.plan_dirty pid '\002'
+        | _ -> ()
+      in
+      let seed pid =
+        if Bytes.unsafe_get t.plan_dirty pid = '\000' then begin
+          Bytes.unsafe_set t.plan_dirty pid '\001';
+          ivec_push t.dirty pid
+        end
+      in
       Mbr_obs.Trace.with_span ~name:"sta.splice" (fun () ->
-      (* 1. removed cells leave the graph; the arcs they lose are read
-         off the plan below, through the disconnects [remove_cell]
-         logged for their connected pins *)
+      (* 1. removed cells leave the graph, their pins staying in the
+         order as tombstones; the arcs they lose are read off the plan
+         below, through the disconnects [remove_cell] logged for their
+         connected pins *)
       List.iter
         (fun cid ->
           List.iter
@@ -1114,6 +1420,7 @@ let refresh t =
               if in_graph t pid then begin
                 Bytes.unsafe_set t.role pid '\000';
                 mark pid;
+                if t.topo_pos.(pid) >= 0 then t.topo_dead <- t.topo_dead + 1;
                 t.topo_pos.(pid) <- -1;
                 for k = 0 to nc - 1 do
                   pset t.arrival ((pid * nc) + k) neg_infinity;
@@ -1147,10 +1454,12 @@ let refresh t =
             (Design.pins_of t.dsg cid))
         !retyped;
       (* a driver's output load changed: its launch, or the comb delay
-         through it, depends on it *)
+         through it, depends on it. A comb driver's inputs see the new
+         cell delays in their succ rows, which the driver's patch
+         rewrites, and their requireds may move: they are seeded. *)
       let mark_load d =
         mark d;
-        if Bytes.get t.role d = 'o' then iter_in_arcs t d mark
+        if Bytes.get t.role d = 'o' then ignore (in_arcs t d seed)
       in
       (* 4. rewired pins: the net arcs a pin had when the plan was last
          made are its succ row if it drives (its pred row is cell arcs
@@ -1158,15 +1467,14 @@ let refresh t =
          such an arc is marked, as an arc that may have vanished. A
          pin that stays in the graph is marked too (its status follows
          its connectivity), and a driver's load changed. *)
-      let on = Array.length o.st_slot in
       List.iter
         (fun pid ->
           let drives = (Design.pin t.dsg pid).Types.p_dir = Types.Output in
-          let off, ends =
-            if drives then (o.su_off, o.su_dst) else (o.pr_off, o.pr_src)
+          let row, ends =
+            if drives then (o.su_row, o.su_dst) else (o.pr_row, o.pr_src)
           in
-          if pid < on then
-            for j = off.(pid) to off.(pid + 1) - 1 do
+          if pid < o.pl_n then
+            for j = row.(2 * pid) to row.((2 * pid) + 1) - 1 do
               if in_graph t ends.(j) then mark ends.(j)
             done;
           if in_graph t pid then begin
@@ -1195,30 +1503,33 @@ let refresh t =
         !dirty_nets;
       (* 6. local topo repair: new pins are register/port pins, i.e.
          pure sources (outputs) or pure sinks (inputs) of the data
-         graph *)
+         graph; once tombstones outnumber the live pins the order is
+         laid out afresh *)
       if !new_pins <> [] then begin
         let sources, sinks =
           List.partition
             (fun pid -> (Design.pin t.dsg pid).Types.p_dir = Types.Output)
             !new_pins
         in
-        let kept = List.filter (in_graph t) (Array.to_list t.topo) in
-        t.topo <- Array.of_list (sources @ kept @ sinks);
-        let tp = Array.make t.n (-1) in
-        Array.iteri (fun idx pid -> tp.(pid) <- idx) t.topo;
-        t.topo_pos <- tp
-      end);
-      (* 7. numeric repair: both scans are seeded with every marked pin
+        topo_insert t sources sinks
+      end;
+      if 2 * t.topo_dead > t.topo_hi - t.topo_lo then
+        Mbr_obs.Trace.with_span ~name:"sta.topo.compact" (fun () ->
+            topo_relayout t 0));
+      (* 7. numeric repair: both scans are seeded with every listed pin
          still in the graph (a pin recomputed from unchanged inputs
          keeps its bits, so a seed that needed only one direction costs
-         a recompute, never a value), after the plan is patched at the
-         marked pins (the skew sweeps and metrics that follow reuse it
-         as-is). A pin is recomputed off its final predecessors and its
-         cone chased only while values actually change. *)
+         a recompute, never a value), after the plan is patched in place
+         at the marked pins (the skew sweeps and metrics that follow
+         reuse it as-is). A pin is recomputed off its final predecessors
+         and its cone chased only while values actually change. The seed
+         count is the refresh span's [dirty_pins]. *)
       Mbr_obs.Trace.with_span ~name:"sta.repair" @@ fun () ->
       let seeds = ref [] and n_seeds = ref 0 in
-      for pid = t.n - 1 downto 0 do
-        if Bytes.unsafe_get t.plan_dirty pid <> '\000' && in_graph t pid then begin
+      let d = t.dirty in
+      for i = d.iv_len - 1 downto 0 do
+        let pid = d.iv_a.(i) in
+        if in_graph t pid then begin
           seeds := pid :: !seeds;
           incr n_seeds
         end
@@ -1230,10 +1541,12 @@ let refresh t =
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
       t.n_refreshes <- t.n_refreshes + 1;
-      Mbr_obs.Metrics.incr m_refreshes
+      Mbr_obs.Metrics.incr m_refreshes;
+      Some !n_seeds
     with Bail ->
       Mbr_obs.Metrics.incr m_rebuild_fallbacks;
-      rebuild t
+      rebuild t;
+      None
 
 let full_builds t = t.n_full_builds
 
@@ -1285,8 +1598,8 @@ let update_skews_impl ?cancel t ~collect_touched assignments =
     | Some v ->
       (* A changed register pin is a connected Q or D pin (an
          unconnected one keeps arrival -inf / required +inf), i.e. a
-         startpoint or an endpoint, so the plan's slot tables name
-         its register; ports carry cell -1 there. *)
+         startpoint or an endpoint, so the plan's start/endpoint table
+         names its register; ports carry cell -1 there. *)
       let regs, slot = register_index t in
       let seen = Array.make (max (Array.length regs) 1) false in
       let acc = ref [] in
@@ -1301,10 +1614,7 @@ let update_skews_impl ?cancel t ~collect_touched assignments =
       in
       for i = 0 to v.iv_len - 1 do
         let pid = v.iv_a.(i) in
-        let sl = p.st_slot.(pid) in
-        if sl >= 0 then note p.st_cell.(sl);
-        let sl = p.ep_slot.(pid) in
-        if sl >= 0 then note p.ep_cell.(sl)
+        if Bytes.get p.status pid <> '\000' then note p.sp_cell.(pid)
       done;
       List.sort compare !acc
   end
@@ -1418,18 +1728,24 @@ let corner_required t k pid =
   check_corner t "corner_required" k;
   corner_value t k pid t.required infinity
 
-(* The endpoints, in ascending pin order: the analyzed plan's slot
-   table. *)
-let endpoint_pins t =
+(* Fold [f] over the endpoints in ascending pin order: the analyzed
+   plan's endpoint list. *)
+let fold_endpoints t f acc =
   ensure t;
   (* an analyzed engine always holds its plan *)
-  (Option.get t.plan).ep_pin
+  let ep = (Option.get t.plan).ep_pin in
+  let acc = ref acc in
+  for i = 0 to ep.iv_len - 1 do
+    acc := f !acc ep.iv_a.(i)
+  done;
+  !acc
 
 let endpoint_slacks t =
-  List.filter_map
-    (fun pid ->
-      match slack t pid with Some s -> Some (pid, s) | None -> None)
-    (Array.to_list (endpoint_pins t))
+  List.rev
+    (fold_endpoints t
+       (fun acc pid ->
+         match slack t pid with Some s -> (pid, s) :: acc | None -> acc)
+       [])
 
 (* Single endpoint sweep over the planes — no [endpoint_slacks] list is
    materialized. The fold visits the endpoints in ascending pin order,
@@ -1437,8 +1753,8 @@ let endpoint_slacks t =
    on every path that reaches the same netlist. *)
 let wns_tns t =
   let w = ref infinity and tn = ref 0.0 in
-  Array.iter
-    (fun pid ->
+  fold_endpoints t
+    (fun () pid ->
       let s = pin_worst_slack t pid in
       if s < infinity then begin
         if s < !w then w := s;
@@ -1455,7 +1771,7 @@ let wns_tns t =
         done;
         if !valid && s < !w then w := s
       end)
-    (endpoint_pins t);
+    ();
   (!w, !tn)
 
 let wns t = fst (wns_tns t)
@@ -1465,7 +1781,7 @@ let tns t = snd (wns_tns t)
 let corner_wns_tns t k =
   check_corner t "corner_wns_tns" k;
   let nc = Array.length t.corners in
-  Array.fold_left
+  fold_endpoints t
     (fun (w, tn) pid ->
       let a = pget t.arrival ((pid * nc) + k)
       and r = pget t.required ((pid * nc) + k) in
@@ -1474,7 +1790,7 @@ let corner_wns_tns t k =
         (Float.min w s, if s < 0.0 then tn +. s else tn)
       end
       else (w, tn))
-    (infinity, 0.0) (endpoint_pins t)
+    (infinity, 0.0)
 
 let per_corner_wns_tns t =
   ensure t;
@@ -1486,11 +1802,13 @@ let per_corner_wns_tns t =
        t.corners)
 
 let failing_endpoints t =
-  Array.fold_left
+  fold_endpoints t
     (fun acc pid -> if pin_worst_slack t pid < 0.0 then acc + 1 else acc)
-    0 (endpoint_pins t)
+    0
 
-let n_endpoints t = Array.length (endpoint_pins t)
+let n_endpoints t =
+  ensure t;
+  (Option.get t.plan).ep_pin.iv_len
 
 let output_load t pid =
   let p = Design.pin t.dsg pid in

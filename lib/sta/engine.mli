@@ -9,14 +9,15 @@
     (setup checks against the capturing register's skewed clock) and
     output ports.
 
-    The propagation plan is the graph: a CSR image of the arcs with
-    each arc's per-corner derated delay alongside, and the only place
-    the engine stores arcs. Whoever needs a pin's incoming arcs afresh
-    derives them from the design: a comb output's come from its cell's
-    inputs, any other input pin's single arc from its net's driver. The
-    plan is also the only record of which pins are startpoints and
-    endpoints: its start/endpoint table, in ascending pin order, with
-    each launch base and setup term.
+    The propagation plan is the graph: per-pin rows of arcs (each pin's
+    incoming and outgoing arcs) with each arc's per-corner derated delay
+    alongside, and the only place the engine stores arcs. Whoever needs
+    a pin's incoming arcs afresh derives them from the design: a comb
+    output's come from its cell's inputs, any other input pin's single
+    arc from its net's driver. The plan is also the only record of
+    which pins are startpoints and endpoints: its start/endpoint table,
+    indexed by pin, with each launch base and setup term, and the lists
+    of start and endpoints in ascending pin order.
 
     The engine is incremental: it remembers the design revision it has
     absorbed and, per net, the {!Mbr_place.Placement.net_stamp} it last
@@ -24,14 +25,18 @@
     names cells added, removed and retyped and every rewired pin, and
     the nets whose stamps moved are the nets whose pins, pin locations
     or pin caps changed. It reads the arcs each rewired pin had off the
-    plan, flags every pin it touches in one per-pin flag set, repairs
-    the topological order locally, patches the plan at the flagged pins
+    plan, lists every pin it touches once, repairs the topological
+    order in place, rewrites in place the plan rows of the listed pins
     (their arcs, start/endpoint status, launch base and setup term) and
     re-propagates arrivals/requireds from them only, stopping where
-    values converge. {!analyze} remains the full-propagation fallback
-    and is what {!refresh} degrades to (via an internal rebuild) when
-    an edit batch is structural in a way local repair cannot express or
-    touches more of the graph than recomputing it would cost.
+    values converge. So a refresh costs what its batch touched, plus
+    one stream of the topological order per scan direction: no array
+    sized by the pin count is allocated or copied, except when one
+    outgrows its capacity (per-pin state grows by doubling) or is
+    compacted. {!analyze} remains the full-propagation fallback and is
+    what {!refresh} degrades to (via an internal rebuild) when an edit
+    batch is structural in a way local repair cannot express or touches
+    more of the graph than recomputing it would cost.
 
     Every numeric propagation — {!analyze}, {!refresh}'s repair and
     every {!update_skews} batch — is one shape: a mark-skip scan per
@@ -133,20 +138,23 @@ val refresh : t -> unit
     design's nor the placement's revision moved since, it does nothing.
     Each rewired pin's old net arcs are read off the plan (a driver's
     outgoing arcs, a sink's incoming one) and their in-graph ends
-    flagged, as is the pin itself; every dirty net's sinks and driver
-    are flagged, and a driver's comb inputs with it (its load changed);
-    new register/port pins are slotted into the topological order as
-    pure sources/sinks. The flags are the refresh's only bookkeeping:
-    the propagation plan is patched at the flagged pins (arcs,
-    start/endpoint status, launch base and setup term — see
-    {!update_skews}), and both directions are re-propagated from the
-    flagged pins still in the graph, stopping as soon as values stop
-    changing. A pin recomputed from unchanged inputs keeps its bits,
-    so seeding both directions costs work, never a value. Produces
-    bit-identical results to a fresh {!build} (property-tested, raw
-    rewiring of surviving pins included). Each engine keeps its own
-    record of the stamps it has seen, so any number of engines can
-    read one placement.
+    marked, as is the pin itself; every dirty net's sinks and driver
+    are marked, and a driver's comb inputs seeded (its load changed the
+    cell delays in their rows, which the driver's patch rewrites). New
+    register/port pins go in place into the topological order, sources
+    in front and sinks behind (the order keeps slack at both ends; a
+    removed pin stays as a tombstone until tombstones outnumber the
+    live pins and the order is laid out afresh). The list of marked and
+    seeded pins is the refresh's only bookkeeping: the propagation plan
+    is patched at the marked pins (arcs, start/endpoint status, launch
+    base and setup term — see {!update_skews}), and both directions are
+    re-propagated from the listed pins still in the graph, stopping as
+    soon as values stop changing. A pin recomputed from unchanged
+    inputs keeps its bits, so seeding both directions costs work, never
+    a value. Produces bit-identical results to a fresh {!build}
+    (property-tested, raw rewiring of surviving pins included). Each
+    engine keeps its own record of the stamps it has seen, so any
+    number of engines can read one placement.
 
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added, when a new arc contradicts the
@@ -160,10 +168,11 @@ val refresh : t -> unit
     rebuild.
 
     Telemetry (no-op unless [Mbr_obs] is enabled): each non-trivial
-    call runs under an ["sta.refresh"] trace span; the registry
-    counters [sta.refreshes], [sta.rebuild_fallbacks] and
-    [sta.dirty_pins] record how often the incremental path held and
-    how many pins each refresh flagged (its scans' seeds). *)
+    call runs under an ["sta.refresh"] trace span, whose end event
+    carries a [dirty_pins] arg when the refresh stayed incremental (its
+    scans' seeds); the registry counters [sta.refreshes],
+    [sta.rebuild_fallbacks] and [sta.dirty_pins] record how often the
+    incremental path held and how many pins the refreshes listed. *)
 
 val full_builds : t -> int
 (** Full graph constructions so far: 1 for {!build} plus one per
@@ -182,9 +191,11 @@ val plan_builds : t -> int
 
 val plan_patches : t -> int
 (** Propagation plans patched so far: one per incremental {!refresh},
-    from the pins its splice touched. Registry counter
+    at the pins its splice touched. Registry counter
     [sta.plan.patches]; each patch runs under a ["sta.plan.patch"]
-    span. *)
+    span, whose end event carries a [rows] arg: the pred, succ and
+    start/endpoint rows the patch wrote, also summed by the registry
+    counter [sta.plan.rows_patched]. *)
 
 val update_skews :
   ?cancel:Mbr_util.Cancel.t ->
@@ -201,18 +212,24 @@ val update_skews :
     last {!refresh} or {!analyze}. Produces bit-identical slacks to
     {!analyze} (property-tested).
 
-    The propagation plan (a CSR image of the graph with per-corner arc
-    delays and per-start/endpoint launch and setup terms) lives across
+    The propagation plan (per-pin rows of arcs with per-corner arc
+    delays, and per-start/endpoint launch and setup terms) lives across
     calls, and whenever one is present it is current. Each {!analyze}
     builds it from scratch ({!plan_builds}), and so do {!build} and
     {!set_corners}. {!refresh} never rebuilds it: before it
-    propagates, it patches exactly the pins its splice flagged, pins
-    that left or joined the graph included, re-deriving their arcs and
-    start/endpoint status from the design, and copies the rest
-    ({!plan_patches}). So this
-    call, and the metrics that follow a refresh, reuse the plan as it
-    is. Patched and fresh plans give
-    bit-identical slacks (property-tested).
+    propagates, it patches the pins its splice marked, pins that left
+    or joined the graph included, re-deriving their arcs and
+    start/endpoint status from the design and rewriting their rows in
+    place ({!plan_patches}); every other row stays where it lies. A
+    pin's incoming-arc row has a capacity fixed when the pin joins (its
+    cell's input count for a comb output, 1 for a net sink), so it is
+    rewritten where it lies. An outgoing-arc row is edited where the
+    patched pins' sources changed, kept in ascending destination order;
+    one that outgrows its capacity moves to the end of its array, and
+    the array is compacted once its dead entries outnumber its live
+    ones. So this call, and the metrics that follow a refresh, reuse
+    the plan as it is. Patched and fresh plans give bit-identical
+    slacks, endpoint sets and WNS/TNS (property-tested).
 
     [cancel] is polled every 4,096 pins by the scans, so a deadline or
     check budget trips promptly, but a batch is atomic — the scans

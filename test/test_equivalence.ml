@@ -18,10 +18,13 @@
      floats compared by their bits — and so is a session's carried
      metrics state, in both snapshots of every recompose and after
      each single kind of edit;
-   - a propagation plan patched across refreshes (composition merges,
-     scan restitching, ECO batches, runs of small refreshes) gives the
-     slacks of a fresh build + analyze, bit for bit, and never costs a
-     refresh a from-scratch plan build;
+   - a propagation plan patched in place across refreshes (composition
+     merges, scan restitching, ECO batches, runs of small refreshes, a
+     data net gaining many sinks at once, long add/remove churn that
+     compacts the succ entries and the topological order) gives the
+     slacks, endpoint set and WNS/TNS of a fresh build + analyze, bit
+     for bit, never costs a refresh a from-scratch plan build, and
+     rewrites rows in proportion to the pins a refresh flagged;
    - the engine's per-corner arrival and required times, through
      analyze, skew batches, merges, scan restitching and ECO refreshes,
      equal an independent full sweep kept in [Sta_reference] — the
@@ -486,14 +489,78 @@ let nudge rng (g : G.t) =
     Placement.set pl r
       (Point.make (p.Point.x +. Rng.float_in rng (-4.0) 4.0) p.Point.y)
 
-(* Every pin's per-corner slack against a fresh build carrying the
-   same skews. *)
+(* Add registers until at least 8 of the new ones have an unconnected
+   D pin, then wire every such pin onto one data net driven by a comb
+   output: the driver's succ row outgrows the capacity it was laid out
+   with and moves. *)
+let fan_in_d_pins rng (g : G.t) =
+  let dsg = g.G.design in
+  let n0 = Design.n_pins dsg in
+  let loose () =
+    List.filter
+      (fun pid ->
+        let p = Design.pin dsg pid in
+        (match p.Types.p_kind with Types.Pin_d _ -> true | _ -> false)
+        && p.Types.p_net = None
+        && not (Design.cell dsg p.Types.p_cell).Types.c_dead)
+      (List.init (Design.n_pins dsg - n0) (fun i -> n0 + i))
+  in
+  while List.length (loose ()) < 8 do
+    let n_regs = max 1 (List.length (Design.registers dsg)) in
+    ignore
+      (Eco.perturb
+         ~config:
+           { Eco.default_config with
+             Eco.move_frac = 0.0;
+             retype_frac = 0.0;
+             remove_frac = 0.0;
+             add_frac = 8.0 /. float_of_int n_regs }
+         rng g)
+  done;
+  let comb_driven nid =
+    match Design.driver dsg nid with
+    | Some d -> (
+      match (Design.cell dsg (Design.pin dsg d).Types.p_cell).Types.c_kind with
+      | Types.Comb _ -> true
+      | _ -> false)
+    | None -> false
+  in
+  let target =
+    List.find_map
+      (fun cid ->
+        List.find_map
+          (fun pid ->
+            match (Design.pin dsg pid).Types.p_net with
+            | Some nid when comb_driven nid -> Some nid
+            | _ -> None)
+          (Design.pins_of dsg cid))
+      (Design.registers dsg)
+  in
+  Option.iter
+    (fun nid -> List.iter (fun pid -> Design.connect dsg pid nid) (loose ()))
+    target
+
+(* Every pin's per-corner slack, and the endpoint folds (count,
+   failing count, WNS and TNS by their bits: a stale start/endpoint
+   list shows only there), against a fresh build carrying the same
+   skews. *)
 let compare_with_fresh ~what ~config eng (g : G.t) =
   let fresh =
     Engine.build ~config ~corners:(Engine.corners eng) g.G.placement
   in
   List.iter (fun (cid, s) -> Engine.set_skew fresh cid s) (Engine.skew_assignments eng);
   Engine.analyze fresh;
+  let folds e =
+    let w, tn = Engine.wns_tns e in
+    ( Engine.n_endpoints e,
+      Engine.failing_endpoints e,
+      Int64.bits_of_float w,
+      Int64.bits_of_float tn )
+  in
+  if folds eng <> folds fresh then
+    QCheck.Test.fail_reportf
+      "%s: endpoint count, failing count, WNS or TNS differs from a fresh build"
+      what;
   for pid = 0 to Design.n_pins g.G.design - 1 do
     for k = 0 to Engine.n_corners eng - 1 do
       if bits_opt (Engine.corner_slack eng k pid) <> bits_opt (Engine.corner_slack fresh k pid)
@@ -557,7 +624,7 @@ let plan_patch_matches_fresh =
       in
       for step = 1 to 8 do
         let builds = Engine.plan_builds eng in
-        let kind = Rng.int rng 6 in
+        let kind = Rng.int rng 7 in
         let may_build =
           match kind with
           | 0 -> merge_some rng g (1 + Rng.int rng 4); refresh (); false
@@ -580,6 +647,7 @@ let plan_patch_matches_fresh =
             nudge rng g;
             refresh ();
             true
+          | 5 -> fan_in_d_pins rng g; refresh (); false
           | _ ->
             Engine.set_corners eng
               (if Engine.n_corners eng = 1 then three_corners else Corner.default);
@@ -643,6 +711,100 @@ let refresh_patches_once () =
     (Engine.plan_patches eng);
   Alcotest.(check int) "still no build" builds (Engine.plan_builds eng);
   compare_with_fresh ~what:"after the skew batch" ~config eng g
+
+(* Thirty add/remove rounds on one engine: an ECO batch that removes a
+   quarter of the registers and adds a tenth, the removal of ~8 % of
+   the comb cells (a vanishing comb cell stays on the incremental
+   path), and every third round new D pins wired onto a data net.
+   Removed drivers leave dead succ entries and grown rows move, until
+   the succ entries are compacted; removed cells leave tombstones in
+   the topological order, until it is laid out afresh. Every refresh
+   stays incremental, and after every round the engine equals a fresh
+   build, by bits. *)
+let churn_compacts () =
+  let g = G.generate (P.tiny ~seed:5) in
+  let dsg = g.G.design in
+  let config = g.G.sta_config in
+  let eng = Engine.build ~config g.G.placement in
+  let rng = Rng.create 29 in
+  let churn =
+    { Eco.default_config with
+      Eco.move_frac = 0.0;
+      retype_frac = 0.0;
+      remove_frac = 0.25;
+      add_frac = 0.1 }
+  in
+  let remove_combs () =
+    for cid = 0 to Design.n_cells dsg - 1 do
+      let c = Design.cell dsg cid in
+      match c.Types.c_kind with
+      | Types.Comb _ when (not c.Types.c_dead) && Rng.chance rng 0.08 ->
+        Design.remove_cell dsg cid;
+        Placement.remove g.G.placement cid
+      | _ -> ()
+    done
+  in
+  Mbr_obs.Trace.clear ();
+  Mbr_obs.Trace.enable ();
+  for round = 1 to 30 do
+    ignore (Eco.perturb ~config:churn rng g);
+    remove_combs ();
+    if round mod 3 = 0 then fan_in_d_pins rng g;
+    Engine.refresh eng;
+    compare_with_fresh ~what:(Printf.sprintf "churn round %d" round) ~config eng g
+  done;
+  Mbr_obs.Trace.disable ();
+  let spans name =
+    let events =
+      Option.value ~default:[]
+        (Option.bind
+           (Mbr_obs.Json.member "traceEvents" (Mbr_obs.Trace.export ()))
+           Mbr_obs.Json.to_list)
+    in
+    List.length
+      (List.filter
+         (fun e ->
+           Option.bind (Mbr_obs.Json.member "name" e) Mbr_obs.Json.to_str = Some name
+           && Option.bind (Mbr_obs.Json.member "ph" e) Mbr_obs.Json.to_str = Some "B")
+         events)
+  in
+  let compactions = spans "sta.plan.compact" and relayouts = spans "sta.topo.compact" in
+  Mbr_obs.Trace.clear ();
+  Alcotest.(check bool) "succ entries compacted" true (compactions > 0);
+  Alcotest.(check bool) "order laid out afresh" true (relayouts > 0);
+  Alcotest.(check int) "30 incremental refreshes" 30 (Engine.refreshes eng);
+  Alcotest.(check int) "one full build" 1 (Engine.full_builds eng)
+
+(* One nudge flags the pins of one register's nets, and its patch
+   rewrites a small multiple of their rows, not the plan: a patch that
+   copied the whole plan would still be bit-exact. *)
+let patch_follows_dirty_set () =
+  let g = G.generate { (P.scaled P.d1 0.2) with P.seed = P.d1.P.seed + 2 } in
+  let config = g.G.sta_config in
+  let eng = Engine.build ~config g.G.placement in
+  let was_on = Mbr_obs.Metrics.is_enabled () in
+  Mbr_obs.Metrics.enable ();
+  let dirty = Mbr_obs.Metrics.counter "sta.dirty_pins" in
+  let rows = Mbr_obs.Metrics.counter "sta.plan.rows_patched" in
+  let d0 = Mbr_obs.Metrics.counter_value dirty in
+  let r0 = Mbr_obs.Metrics.counter_value rows in
+  nudge (Rng.create 3) g;
+  Engine.refresh eng;
+  let flagged = Mbr_obs.Metrics.counter_value dirty - d0 in
+  let written = Mbr_obs.Metrics.counter_value rows - r0 in
+  if not was_on then Mbr_obs.Metrics.disable ();
+  Alcotest.(check int) "one patch" 1 (Engine.plan_patches eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "rows written (%d) within 4x the pins flagged (%d)" written
+       flagged)
+    true
+    (flagged > 0 && written > 0 && written <= 4 * flagged);
+  Alcotest.(check bool)
+    (Printf.sprintf "rows written (%d) far below the pin count (%d)" written
+       (Design.n_pins g.G.design))
+    true
+    (100 * written < Design.n_pins g.G.design);
+  compare_with_fresh ~what:"after one nudge" ~config eng g
 
 (* ---- timing = independent reference sweep, bit for bit ---- *)
 
@@ -1180,6 +1342,10 @@ let () =
           QCheck_alcotest.to_alcotest plan_patch_matches_fresh;
           Alcotest.test_case "refresh patches the plan once" `Quick
             refresh_patches_once;
+          Alcotest.test_case "add/remove churn compacts, stays exact" `Quick
+            churn_compacts;
+          Alcotest.test_case "a patch follows its dirty set" `Quick
+            patch_follows_dirty_set;
         ] );
       ("sta", [ QCheck_alcotest.to_alcotest timing_matches_reference ]);
       ( "qor",

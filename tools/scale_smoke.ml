@@ -44,11 +44,18 @@
    sweep would give the same bits, so the check reads the
    [metrics.nets_swept] counter over the round and fails when the two
    snapshots together re-swept at least as many nets as the design
-   has. Nor may the round's refreshes flag every pin: each seeds its
-   scans and patches its plan at the pins its splice touched, and a
-   splice that flagged them all would still be bit-exact, so the check
-   reads the [sta.dirty_pins] counter over the round and fails when
-   it reaches the design's pin count. These are counts, not timings;
+   has. Nor may a refresh flag most pins: each seeds its scans and
+   patches its plan at the pins its splice touched, and a splice that
+   flagged them all would still be bit-exact, so the check traces the
+   round, reads each incremental refresh's [dirty_pins] off the end of
+   its [sta.refresh] span, and fails when a single refresh flagged at
+   least half the design's pins. Nor may a patch rewrite most of the
+   plan: a patch rewrites in place the pred, succ and start/endpoint
+   rows of the pins its refresh flagged, and one that copied the whole
+   plan would still be bit-exact, so the check reads each
+   [sta.plan.patch] span's [rows] and fails when a single patch wrote
+   rows for at least half the design's pins; it prints the round's
+   [sta.plan.rows_patched] total. These are counts, not timings;
    the round's eco-reset, skew, scan-restitch and metrics stage times,
    the net count, and Session.create's wall time (the engine build and
    its initial analysis), are printed for the log.
@@ -117,9 +124,34 @@ let () =
   let swept0 = Mbr_obs.Metrics.counter_value swept in
   let dirty = Mbr_obs.Metrics.counter "sta.dirty_pins" in
   let dirty0 = Mbr_obs.Metrics.counter_value dirty in
+  let rows = Mbr_obs.Metrics.counter "sta.plan.rows_patched" in
+  let rows0 = Mbr_obs.Metrics.counter_value rows in
+  Mbr_obs.Trace.enable ();
   let eco = Flow.Session.recompose session in
+  Mbr_obs.Trace.disable ();
   let eco_swept = Mbr_obs.Metrics.counter_value swept - swept0 in
   let eco_dirty = Mbr_obs.Metrics.counter_value dirty - dirty0 in
+  let eco_rows = Mbr_obs.Metrics.counter_value rows - rows0 in
+  (* per refresh and per patch, off the round's trace: an incremental
+     refresh's end event carries its dirty pins, a patch's its rows *)
+  let end_args name key =
+    let module J = Mbr_obs.Json in
+    let events =
+      Option.value ~default:[]
+        (Option.bind (J.member "traceEvents" (Mbr_obs.Trace.export ())) J.to_list)
+    in
+    List.filter_map
+      (fun e ->
+        let str k = Option.bind (J.member k e) J.to_str in
+        if str "name" = Some name && str "ph" = Some "E" then
+          Option.bind (J.member "args" e) (fun a ->
+              Option.bind (J.member key a) J.to_int)
+        else None)
+      events
+  in
+  let refresh_dirty = end_args "sta.refresh" "dirty_pins" in
+  let patch_rows = end_args "sta.plan.patch" "rows" in
+  let max_of = List.fold_left max 0 in
   let eco_builds = Engine.plan_builds eng - builds0 in
   let eco_patches = Engine.plan_patches eng - patches0 in
   let eco_refreshes = Engine.refreshes eng - refreshes0 in
@@ -131,21 +163,43 @@ let () =
     | _ -> ()
   done;
   let eco_metrics_s = stage_s eco "metrics-before" +. stage_s eco "metrics-after" in
+  let n_pins = Design.n_pins dsg in
   Printf.printf
     "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, scan-restitch \
      %.3f s, metrics %.3f s (nets swept %d of %d), plan builds %d, patches \
-     %d, refreshes %d (dirty pins %d of %d); STA full builds %d; nets %d \
-     (+%d for %d new scan-out pins)\n%!"
+     %d (rows %d, at most %d in one), refreshes %d (dirty pins %d of %d, at \
+     most %d in one); STA full builds %d; nets %d (+%d for %d new scan-out \
+     pins)\n%!"
     (stage_s eco "eco-reset") (stage_s eco "skew") (stage_s eco "scan-restitch")
-    eco_metrics_s eco_swept (Design.n_nets dsg) eco_builds eco_patches
-    eco_refreshes eco_dirty (Design.n_pins dsg) eco.Flow.sta_full_builds
-    (Design.n_nets dsg) eco_nets !new_so;
+    eco_metrics_s eco_swept (Design.n_nets dsg) eco_builds eco_patches eco_rows
+    (max_of patch_rows) eco_refreshes eco_dirty n_pins (max_of refresh_dirty)
+    eco.Flow.sta_full_builds (Design.n_nets dsg) eco_nets !new_so;
   let failed = ref false in
-  if eco_dirty >= Design.n_pins dsg then begin
+  if
+    List.length refresh_dirty <> eco_refreshes
+    || List.length patch_rows <> eco_patches
+  then begin
     Printf.printf
-      "scale-smoke: FAIL eco round's STA refreshes flagged %d pins of %d; \
+      "scale-smoke: FAIL the round's trace holds %d refresh and %d patch \
+       counts for %d incremental refreshes and %d patches (trace events \
+       dropped: %d)\n%!"
+      (List.length refresh_dirty) (List.length patch_rows) eco_refreshes
+      eco_patches (Mbr_obs.Trace.dropped_events ());
+    failed := true
+  end;
+  if 2 * max_of refresh_dirty >= n_pins then begin
+    Printf.printf
+      "scale-smoke: FAIL an eco-round STA refresh flagged %d pins of %d; \
        each may flag only the pins its splice touched\n%!"
-      eco_dirty (Design.n_pins dsg);
+      (max_of refresh_dirty) n_pins;
+    failed := true
+  end;
+  if 2 * max_of patch_rows >= n_pins then begin
+    Printf.printf
+      "scale-smoke: FAIL an eco-round STA plan patch wrote %d rows for a \
+       design of %d pins; each may rewrite only the rows of the pins its \
+       refresh flagged\n%!"
+      (max_of patch_rows) n_pins;
     failed := true
   end;
   if eco_swept >= Design.n_nets dsg then begin
