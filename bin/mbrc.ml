@@ -170,7 +170,7 @@ module Common_args = struct
   let metrics_arg =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE.json"
            ~doc:"Collect the telemetry counters/histograms (STA refreshes, \
-                 ILP nodes, simplex pivots, cache hits, block solve times, \
+                 ILP nodes, simplex pivots, compat pairs, block solve times, \
                  ...) and write a JSON snapshot at exit.")
 
   let log_level_arg =
@@ -283,10 +283,8 @@ let eco_cmd =
           round (Eco.total s) s.Eco.moved s.Eco.retyped s.Eco.removed s.Eco.added
       end;
       let r = Flow.Session.recompose session in
-      Printf.printf
-        "  recompose: %d merges, %d/%d blocks re-solved (%d reused), %.2f s\n"
-        r.Flow.n_merges r.Flow.eco_blocks_resolved r.Flow.n_blocks
-        r.Flow.eco_blocks_reused r.Flow.runtime_s;
+      Printf.printf "  recompose: %d merges, %d blocks solved, %.2f s\n"
+        r.Flow.n_merges r.Flow.n_blocks r.Flow.runtime_s;
       if r.Flow.recover_rounds > 0 then
         Printf.printf "  recovery: %d rounds, %d registers split\n"
           r.Flow.recover_rounds r.Flow.recover_splits;
@@ -315,7 +313,8 @@ let eco_cmd =
   Cmd.v
     (Cmd.info "eco"
        ~doc:"Open a persistent session and alternate random ECO batches with \
-             incremental recompose, printing block reuse per round.")
+             incremental recompose, printing each round's merges, block \
+             count and QoR.")
     Term.(const run $ telemetry_term $ profile_arg $ seed_arg $ scale_arg
           $ mode_arg $ jobs_arg $ rounds_arg $ eco_seed_arg $ move_frac_arg
           $ corners_arg $ recover_arg)
@@ -584,7 +583,8 @@ let client_cmd =
   in
   let frac_arg =
     Arg.(value & opt (some float) None & info [ "frac" ] ~docv:"F"
-           ~doc:"perturb: scale the default ECO fractions.")
+           ~doc:"perturb: scale the default ECO fractions; the daemon \
+                 refuses a scale that takes one past 1 (above 10 today).")
   in
   let timeout_arg =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -719,8 +719,8 @@ let top_cmd =
               Option.map Pr.progress_of_json (J.member "progress" s)
             with
             | Some (Ok ev) ->
-              Printf.sprintf "%s r%d %d/%d%s" ev.Pr.pe_stage ev.Pr.pe_round
-                ev.Pr.pe_resolved ev.Pr.pe_total
+              Printf.sprintf "%s r%d %d blocks%s" ev.Pr.pe_stage
+                ev.Pr.pe_round ev.Pr.pe_total
                 (match ev.Pr.pe_wns with
                 | Some w -> Printf.sprintf " wns %.0f" w
                 | None -> "")

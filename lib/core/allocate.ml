@@ -182,10 +182,6 @@ let mode_name = function
    partition bound balances the blocks. *)
 let h_solve_s = Mbr_obs.Metrics.histogram "alloc.block_solve_s"
 
-let m_cache_hit = Mbr_obs.Metrics.counter "alloc.cache.hit"
-
-let m_cache_miss = Mbr_obs.Metrics.counter "alloc.cache.miss"
-
 let solve_block ?(block_id = -1)
     ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp) ?cancel config graph
     ~lib ~blockers ~block =
@@ -300,132 +296,31 @@ let schedule_order (graph : Compat.graph) blocks =
     order;
   order
 
-type cache = { mutable table : (string, block_result) Hashtbl.t }
-
-let create_cache () = { table = Hashtbl.create 64 }
-
-let cache_size cache = Hashtbl.length cache.table
-
-type cache_stats = { blocks_resolved : int; blocks_reused : int }
-
-(* Everything [solve_block] reads about a block, serialized: the mode,
-   the candidate/solver knobs, the member snapshots in block order, the
-   in-block adjacency as member positions, and the block's blocker
-   entries ([Candidate.blockers]: the union bbox of the members'
-   footprints, which holds every test polygon's bbox), sorted. Two
-   blocks with equal keys are solved identically up to node
-   renumbering, which member cids undo. The library is deliberately
-   absent: it is immutable and fixed for the life of a session's
-   cache. *)
-let block_key ~(mode : [ `Ilp | `Greedy_share | `Clique ]) config
-    (graph : Compat.graph) ~blockers ~block =
-  let infos = graph.Compat.infos in
-  let member_infos = List.map (fun v -> infos.(v)) block in
-  let arr = Array.of_list block in
-  let m = Array.length arr in
-  let adj = ref [] in
-  for i = m - 1 downto 0 do
-    for j = m - 1 downto i + 1 do
-      if Csr.has_edge graph.Compat.adj arr.(i) arr.(j) then adj := (i, j) :: !adj
-    done
-  done;
-  Marshal.to_string
-    ( mode,
-      config.candidate,
-      member_infos,
-      !adj,
-      List.sort compare blockers )
-    [ Marshal.No_sharing ]
-
-(* A cached cover is valid for a new graph revision modulo node
-   renumbering; cids are stable across revisions and the cid -> node
-   map is monotone, so remapped member lists stay sorted. *)
-let remap_result cid_ix r =
-  {
-    r with
-    chosen =
-      List.map
-        (fun (c : Candidate.t) ->
-          {
-            c with
-            Candidate.members =
-              List.map (Hashtbl.find cid_ix) c.Candidate.member_cids;
-          })
-        r.chosen;
-  }
-
-let run_cached ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
-    ?(config = default_config) ?(jobs = 1) ?cancel cache graph ~lib
-    ~blocker_index =
+let run ?(mode : [ `Ilp | `Greedy_share | `Clique ] = `Ilp)
+    ?(config = default_config) ?(jobs = 1) ?cancel graph ~lib ~blocker_index =
   if
     config.partition_bound < 1
     || config.partition_bound > Candidate.max_block_size
   then
     invalid_arg
-      (Printf.sprintf "Allocate.run_cached: partition_bound %d outside [1, %d]"
+      (Printf.sprintf "Allocate.run: partition_bound %d outside [1, %d]"
          config.partition_bound Candidate.max_block_size);
   let blocks = partition_blocks config graph in
-  let nb = Array.length blocks in
-  (* one blocker query per block, shared by its cache key and its solve *)
   let blockers =
     Array.map (fun block -> Candidate.blockers graph ~block blocker_index) blocks
   in
-  let keys =
-    Array.mapi
-      (fun i block -> block_key ~mode config graph ~blockers:blockers.(i) ~block)
-      blocks
-  in
-  let infos = graph.Compat.infos in
-  let cid_ix = Hashtbl.create (max 16 (Array.length infos)) in
-  Array.iteri
-    (fun i (info : Compat.reg_info) -> Hashtbl.replace cid_ix info.Compat.cid i)
-    infos;
-  let results = Array.make nb None in
-  let misses = ref [] in
-  for i = nb - 1 downto 0 do
-    match Hashtbl.find_opt cache.table keys.(i) with
-    | Some r -> results.(i) <- Some (remap_result cid_ix r)
-    | None -> misses := i :: !misses
-  done;
-  let miss_idx = Array.of_list !misses in
-  Mbr_obs.Metrics.incr ~by:(nb - Array.length miss_idx) m_cache_hit;
-  Mbr_obs.Metrics.incr ~by:(Array.length miss_idx) m_cache_miss;
   let solve i =
     (* one token, every worker: the flag is atomic, so a single cancel
        winds down the whole fan-out at each block's next search node *)
     solve_block ~block_id:i ~mode ?cancel config graph ~lib
       ~blockers:blockers.(i) ~block:blocks.(i)
   in
-  let solved =
-    (* jobs = 1: the serial code path, no pool involved *)
-    if jobs <= 1 then Array.map solve miss_idx
-    else
-      let miss_blocks = Array.map (fun i -> blocks.(i)) miss_idx in
-      Pool.map_array ~jobs
-        ~order:(schedule_order graph miss_blocks)
-        solve miss_idx
-  in
-  Array.iteri (fun k i -> results.(i) <- Some solved.(k)) miss_idx;
+  let nb = Array.length blocks in
   let results =
-    Array.map (function Some r -> r | None -> assert false) results
+    (* jobs = 1: the serial code path, no pool involved *)
+    if jobs <= 1 then Array.init nb solve
+    else
+      Pool.map_array ~jobs ~order:(schedule_order graph blocks) solve
+        (Array.init nb Fun.id)
   in
-  (* Generational eviction: the next table holds exactly this run's
-     blocks, so results for regions the design has since drifted away
-     from do not accumulate across a long session. A cancelled run
-     skips the swap entirely: its incumbents are time-dependent (where
-     the token tripped), and a cached entry must mean "the
-     deterministic result at the node limit" — so the previous
-     generation stays, and the next uncancelled run repairs coverage. *)
-  let tripped =
-    match cancel with Some t -> Mbr_util.Cancel.cancelled t | None -> false
-  in
-  if not tripped then begin
-    let next = Hashtbl.create (max 64 nb) in
-    Array.iteri (fun i key -> Hashtbl.replace next key results.(i)) keys;
-    cache.table <- next
-  end;
-  ( reduce ~mode results,
-    {
-      blocks_resolved = Array.length miss_idx;
-      blocks_reused = nb - Array.length miss_idx;
-    } )
+  reduce ~mode results

@@ -30,7 +30,7 @@
     blocks are being solved and revised only between fan-outs (an ECO
     session swaps in a fresh value from {!Compat.refresh}, it never
     mutates one in place), the library is immutable, and the blocker
-    index is fully reconciled before {!run_cached} is called and
+    index is fully populated before {!run} is called and
     untouched until it returns. Everything [solve_block] mutates (hash tables,
     refs, the branch-and-bound state) is created inside the call. This
     is what makes it legal to fan the blocks out over a
@@ -48,7 +48,7 @@
 type config = {
   candidate : Candidate.config;
   partition_bound : int;
-      (** default 30; {!run_cached} accepts 1 ..
+      (** default 30; {!run} accepts 1 ..
           {!Candidate.max_block_size} *)
 }
 
@@ -100,7 +100,7 @@ val solve_block :
     on a block of more than {!Candidate.max_block_size} nodes.
 
     Each call runs under an ["alloc.solve_block"] trace span carrying
-    the block id ([block_id], default [-1]; {!run_cached} passes the
+    the block id ([block_id], default [-1]; {!run} passes the
     block's array index), size and mode; [solve_time_s] is
     the span's own duration, and it also feeds the
     [alloc.block_solve_s] histogram.
@@ -118,52 +118,27 @@ val reduce :
     Exposed for tests and for callers that run [solve_block]
     themselves. *)
 
-(** {2 The allocator, with block-level result reuse (ECO sessions)} *)
+(** {2 The allocator} *)
 
-type cache
-(** Memo of solved blocks keyed by a content hash of everything
-    [solve_block] reads about a block: the mode, the candidate
-    knobs, the member register snapshots in block order, the in-block
-    adjacency (as member positions), and the blocker-index entries
-    inside the union bounding box of the member footprints — the
-    superset of what any weight query for the block can observe. Cache
-    hits are therefore exact: the cached cover is what [solve_block]
-    would recompute, modulo node renumbering (undone via the stable
-    cell ids). One cache must only ever be used with one library value.
-    Not domain-safe; owned and driven by the session's leader domain. *)
-
-val create_cache : unit -> cache
-
-val cache_size : cache -> int
-(** Entries currently held (= blocks of the last [run_cached]). *)
-
-type cache_stats = {
-  blocks_resolved : int;  (** blocks actually solved this run *)
-  blocks_reused : int;  (** blocks spliced in from the cache *)
-}
-
-val run_cached :
+val run :
   ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
   ?config:config ->
   ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
-  cache ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
   blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
-  selection * cache_stats
-(** [partition → solve_block per block → reduce], where blocks whose
-    content hash matches the cache's previous run are spliced in and
-    only the rest are solved. With [jobs >= 2] the solves fan out over
-    a {!Mbr_util.Pool} of that many domains; [jobs = 1] (the default)
-    solves them serially on the calling domain. The splice happens
-    before the deterministic {!reduce}, so the selection is identical
-    to a run on a fresh cache over the same inputs, at any [jobs]
-    (property-tested). The cache is then swapped to exactly this run's
-    blocks (generational eviction), so entries for regions the design
-    drifted away from are dropped. The one observable difference: a
-    reused block reports its original [solve_time_s], so [block_times]
-    measures solve cost, not this run's wall time.
+  selection
+(** [partition → solve_block per block → reduce]: every block is
+    solved. Each block's blocker entries are queried once
+    ({!Candidate.blockers}) before the solves start. With [jobs >= 2]
+    the solves fan out over a {!Mbr_util.Pool} of that many domains,
+    claimed largest block first; [jobs = 1] (the default) solves them
+    serially on the calling domain. The reduce runs in block order
+    either way, so the selection is identical at any [jobs]
+    (property-tested). Raises [Invalid_argument] when
+    [config.partition_bound] is outside 1 .. {!Candidate.max_block_size}:
+    a block wider than a bit mask cannot be enumerated.
 
     The same [cancel] token is handed to every block solve (its flag is
     an atomic, so the pool workers all see one {!Mbr_util.Cancel.cancel}
@@ -171,19 +146,4 @@ val run_cached :
     complete, feasible selection — each in-flight block falls back to
     its incumbent, remaining blocks return their greedy seed almost
     immediately (blocks whose incumbent meets the root LP bound never
-    search at all and stay proven optimal).
-
-    Each block's blocker entries are queried once ({!Candidate.blockers})
-    and serve both its cache key and its solve. Raises
-    [Invalid_argument] when [config.partition_bound] is outside 1 ..
-    {!Candidate.max_block_size}: a block wider than a bit mask cannot
-    be enumerated.
-
-    Hits and misses also bump the [alloc.cache.hit] /
-    [alloc.cache.miss] registry counters (the same split this function
-    returns as {!cache_stats}, accumulated across rounds).
-
-    A run whose [cancel] token tripped leaves the cache generation {e
-    unswapped}: cancelled incumbents depend on where in time the token
-    tripped, and a cached entry must stay the deterministic result for
-    its key — the next uncancelled run rebuilds the generation. *)
+    search at all and stay proven optimal). *)

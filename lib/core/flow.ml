@@ -49,8 +49,6 @@ type result = {
   stage_times : (string * float) list;
   sta_full_builds : int;
   sta_refreshes : int;
-  eco_blocks_resolved : int;
-  eco_blocks_reused : int;
   recover_rounds : int;
   recover_splits : int;
   cancelled : bool;
@@ -59,7 +57,6 @@ type result = {
 type progress = {
   pr_stage : string;
   pr_round : int;
-  pr_blocks_resolved : int;
   pr_blocks_total : int;
   pr_wns : float;
 }
@@ -78,7 +75,6 @@ type context = {
   mutable stage_times_rev : (string * float) list;
   notify : (progress -> unit) option;
   mutable pg_round : int;
-  mutable pg_resolved : int;
   mutable pg_total : int;
   mutable pg_wns : float;  (* nan until a metrics pass has run *)
 }
@@ -96,7 +92,6 @@ let stage ctx name f =
       {
         pr_stage = name;
         pr_round = ctx.pg_round;
-        pr_blocks_resolved = ctx.pg_resolved;
         pr_blocks_total = ctx.pg_total;
         pr_wns = ctx.pg_wns;
       }
@@ -231,7 +226,6 @@ module Session = struct
     metrics : Metrics.state;
         (** per-net route and power work, carried from one snapshot to
             the next *)
-    cache : Allocate.cache;
     mutable graph : Compat.graph;
         (** last compat-graph pass's graph; {!Compat.empty} before the
             first *)
@@ -261,7 +255,6 @@ module Session = struct
       library;
       eng = Engine.build ~config:sta_config ~corners:options.corners placement;
       metrics = Metrics.create_state placement;
-      cache = Allocate.create_cache ();
       graph = Compat.empty;
       n_recomposes = 0;
       last_compat_stats = None;
@@ -282,9 +275,9 @@ module Session = struct
 
   (* ---- ownership: the single-writer discipline ----
 
-     A session is one mutable value (engine, graph, caches, cursors,
-     edit-log positions) with no internal locking; correctness comes
-     from at most one domain driving it at a time. The owner field
+     A session is one mutable value (engine, graph, metrics state,
+     cursors, edit-log positions) with no internal locking; correctness
+     comes from at most one domain driving it at a time. The owner field
      makes that discipline explicit and checkable: acquisition is a
      CAS from -1 to the acquiring domain's id, so two domains can
      never both believe they hold the same session, and a session is
@@ -364,15 +357,13 @@ module Session = struct
 
   let stage_allocate ctx s ?cancel graph blocker_index =
     stage ctx "allocate" (fun () ->
-        Allocate.run_cached ~mode:s.options.mode ~config:s.options.allocate
-          ~jobs:(jobs s.options) ?cancel s.cache graph ~lib:s.library
-          ~blocker_index)
+        Allocate.run ~mode:s.options.mode ~config:s.options.allocate
+          ~jobs:(jobs s.options) ?cancel graph ~lib:s.library ~blocker_index)
 
   (* What one pass of the composition core produced. *)
   type pass = {
     p_split : int;  (** cells the pass's decompose stage split *)
     p_selection : Allocate.selection;
-    p_cache : Allocate.cache_stats;
     p_merged : merge_outcome;
     p_skew : Skew.report option;
     p_resized : int;
@@ -383,14 +374,14 @@ module Session = struct
      as that stage and returns how many cells it split, then the
      pipeline runs from the compat graph to metrics-after. The main
      pass and every recovery round are this function; the session's
-     incrementality keeps a recovery round regional (only blocks the
-     splits dirtied are re-solved, only touched cones re-timed). *)
+     incrementality keeps a recovery round regional (only compat pairs
+     touching a split register are re-checked, only touched cones
+     re-timed). *)
   let compose_pass ctx s ?cancel decompose =
     let p_split = stage ctx "decompose" decompose in
     let graph = stage_graph ctx s in
     let blocker_index = stage_blocker_index ctx s in
-    let p_selection, p_cache = stage_allocate ctx s ?cancel graph blocker_index in
-    ctx.pg_resolved <- ctx.pg_resolved + p_cache.Allocate.blocks_resolved;
+    let p_selection = stage_allocate ctx s ?cancel graph blocker_index in
     ctx.pg_total <- ctx.pg_total + p_selection.Allocate.n_blocks;
     let p_merged = stage_merge ctx graph p_selection in
     stage_scan_restitch ctx;
@@ -401,7 +392,6 @@ module Session = struct
     {
       p_split;
       p_selection;
-      p_cache;
       p_merged;
       p_skew;
       p_resized;
@@ -441,7 +431,6 @@ module Session = struct
           stage_times_rev = [];
           notify = on_progress;
           pg_round = 0;
-          pg_resolved = 0;
           pg_total = 0;
           pg_wns = Float.nan;
         }
@@ -553,9 +542,6 @@ module Session = struct
         stage_times = List.rev ctx.stage_times_rev;
         sta_full_builds = Engine.full_builds s.eng;
         sta_refreshes = Engine.refreshes s.eng;
-        eco_blocks_resolved =
-          count (fun p -> p.p_cache.Allocate.blocks_resolved);
-        eco_blocks_reused = count (fun p -> p.p_cache.Allocate.blocks_reused);
         recover_rounds = List.length rounds;
         recover_splits =
           List.fold_left (fun acc p -> acc + p.p_split) 0 rounds;

@@ -8,7 +8,7 @@
     Internally each arrow is a named stage function over one shared
     flow context (the inputs, the single incremental STA engine, and
     the stage-time accumulator). A persistent {!Session} holds the
-    engine, the compat graph and the per-block solve cache, and
+    engine, the compat graph and the metrics state, and
     {!Session.recompose} brings each of them up to date incrementally
     — [run] is just "open a session, recompose once". With
     [jobs >= 2] the allocation stage fans its per-block solves out
@@ -57,8 +57,6 @@ type progress = {
           recovery round re-enters at ["decompose"]) *)
   pr_round : int;
       (** 0 for the main pass, n for the n-th recovery round *)
-  pr_blocks_resolved : int;
-      (** partition blocks solved so far, cumulative over the pass *)
   pr_blocks_total : int;
       (** partition blocks of the passes whose allocate stage has
           completed — 0 until the first allocate finishes *)
@@ -111,12 +109,6 @@ type result = {
           to fall back to a rebuild *)
   sta_refreshes : int;
       (** STA updates that took the incremental path *)
-  eco_blocks_resolved : int;
-      (** partition blocks actually solved by this run/recompose *)
-  eco_blocks_reused : int;
-      (** partition blocks spliced in from the session's solve cache —
-          0 for a from-scratch [run], > 0 when a recompose found blocks
-          the ECO left untouched *)
   recover_rounds : int;
       (** recovery rounds this pass actually ran: 0 when the budget was
           0 or every new MBR was already clean in every corner *)
@@ -137,9 +129,9 @@ type result = {
     (move cells, add/remove/retype registers, rewire nets) and call
     {!Session.recompose} after each batch. The session owns the
     derived structures that pay to carry across passes — the
-    incremental STA engine, the compatibility graph, the per-block
-    allocation cache and the QoR metrics state — and [recompose]
-    brings each one up to date incrementally:
+    incremental STA engine, the compatibility graph and the QoR
+    metrics state — and [recompose] brings each one up to date
+    incrementally:
 
     - the STA engine via {!Mbr_sta.Engine.refresh}, which reads the
       design's edit log and the placement's net stamps, after zeroing
@@ -148,10 +140,6 @@ type result = {
     - the compat graph via {!Compat.refresh} — only pairs touching a
       register whose snapshot (slacks, feasible region, attributes,
       position) changed are re-checked;
-    - the allocation via {!Allocate.run_cached} — blocks of the
-      K-partition whose content hash is unchanged are spliced in from
-      the cache and only blocks intersecting the dirty region are
-      re-solved;
     - the metrics-before and metrics-after snapshots via
       {!Metrics.collect} on the session's {!Metrics.state}, created with
       the session: the routing and power estimates re-sweep only the
@@ -160,7 +148,8 @@ type result = {
       bits.
 
     The blocker spatial index (every live placed register's center) is
-    indexed afresh every pass.
+    indexed afresh every pass, and {!Allocate.run} solves every
+    partition block of every pass.
 
     Each [recompose] is property-tested equivalent to a from-scratch
     {!run} on the same mutated inputs (same register count, ILP cost,
@@ -204,9 +193,7 @@ module Session : sig
   (** Run the composition pipeline over the current design/placement
       state, reusing everything the design's edit log and the
       placement's net stamps prove untouched. The
-      first call is exactly {!run}; later calls report
-      [eco_blocks_reused] > 0 whenever the ECO left partition blocks
-      clean.
+      first call is exactly {!run}.
 
       [recover] overrides [options.recover] for this call: after the
       main pass, while some splittable MBR (composed by any pass, or
@@ -215,9 +202,10 @@ module Session : sig
       {!Decompose.split_cells}[ ~pin:true] (the halves
       can be resized but never re-composed, so rounds are monotone)
       and the pipeline re-enters at the compat graph. Each round rides
-      the session's incrementality — only blocks the splits dirtied
-      re-solve. Accumulated counts land in [recover_rounds] /
-      [recover_splits]; [after] is the final post-recovery snapshot.
+      the session's incrementality — only compat pairs touching a split
+      register are re-checked. Accumulated counts land in
+      [recover_rounds] / [recover_splits]; [after] is the final
+      post-recovery snapshot.
 
       Requires the session to be owned by the calling domain or
       unowned (then it is claimed for the duration of the call);
@@ -230,14 +218,12 @@ module Session : sig
       the recompose.
 
       [cancel] reaches the two open-ended stages — the per-block
-      branch-and-bound ({!Allocate.run_cached}) and the skew sweep
+      branch-and-bound ({!Allocate.run}) and the skew sweep
       ({!Mbr_sta.Skew.optimize}). A tripped token never aborts the
       pass: every stage still runs, the solvers fall back to their
       incumbents, the result reports [cancelled = true], and the
       session remains fully consistent — the next recompose behaves as
-      if this one had simply used a smaller node budget (the solve
-      cache keeps its previous generation rather than memoizing
-      time-dependent incumbents). *)
+      if this one had simply used a smaller node budget. *)
 
   (** {2 Ownership} *)
 

@@ -227,7 +227,6 @@ type progress_event = {
   pe_id : int;
   pe_stage : string;
   pe_round : int;
-  pe_resolved : int;
   pe_total : int;
   pe_wns : float option;
 }
@@ -241,7 +240,6 @@ let progress_to_json (e : progress_event) =
        ("event", J.Str "progress");
        ("stage", J.Str e.pe_stage);
        ("round", J.Num (float_of_int e.pe_round));
-       ("blocks_resolved", J.Num (float_of_int e.pe_resolved));
        ("blocks_total", J.Num (float_of_int e.pe_total));
      ]
     @ match e.pe_wns with None -> [] | Some w -> [ ("wns", J.Num w) ])
@@ -252,17 +250,14 @@ let progress_of_json j =
       Option.bind (J.member "event" j) J.to_str,
       Option.bind (J.member "stage" j) J.to_str,
       Option.bind (J.member "round" j) J.to_int,
-      Option.bind (J.member "blocks_resolved" j) J.to_int,
       Option.bind (J.member "blocks_total" j) J.to_int )
   with
-  | Some id, Some "progress", Some stage, Some round, Some resolved, Some total
-    ->
+  | Some id, Some "progress", Some stage, Some round, Some total ->
     Ok
       {
         pe_id = id;
         pe_stage = stage;
         pe_round = round;
-        pe_resolved = resolved;
         pe_total = total;
         pe_wns = Option.bind (J.member "wns" j) J.to_float;
       }

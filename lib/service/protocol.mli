@@ -14,8 +14,8 @@
                  | {"id": int, "ok": false, "error": code,
                     "message": string}
        event    := {"id": int, "event": "progress", "stage": string,
-                    "round": int, "blocks_resolved": int,
-                    "blocks_total": int, "wns"?: number} v}
+                    "round": int, "blocks_total": int,
+                    "wns"?: number} v}
 
     Event lines are out-of-band: a recompose sent with
     [progress: true] streams them on the requesting connection,
@@ -59,7 +59,9 @@ type request = {
   seed : int option;
       (** load: generator seed — D1–D5 keep their shipped seed when it
           is absent, tiny and flat use 1; perturb: ECO seed *)
-  frac : float option;  (** perturb: scales the default ECO fractions *)
+  frac : float option;
+      (** perturb: scales the default ECO fractions, none of which may
+          pass 1 (so [frac] is at most 10 today) *)
   timeout_s : float option;  (** recompose: cancellation deadline *)
   path : string option;  (** export-trace: file to write *)
   corners : string option;
@@ -155,7 +157,6 @@ type progress_event = {
   pe_id : int;  (** id of the recompose request being served *)
   pe_stage : string;  (** stage entered (a {!Mbr_core.Flow} stage name) *)
   pe_round : int;  (** 0 = main pass, n = n-th recovery round *)
-  pe_resolved : int;  (** blocks solved so far, cumulative *)
   pe_total : int;  (** blocks of completed allocate stages *)
   pe_wns : float option;  (** worst-corner WNS (ps); absent until known *)
 }

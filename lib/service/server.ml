@@ -95,7 +95,6 @@ type session_handles = {
   h_requests : Mbr_obs.Metrics.counter;
   h_errors : Mbr_obs.Metrics.counter;
   h_resolved : Mbr_obs.Metrics.counter;
-  h_reused : Mbr_obs.Metrics.counter;
   h_recover_rounds : Mbr_obs.Metrics.counter;
   h_recompose_s : Mbr_obs.Metrics.histogram;
   h_pending : Mbr_obs.Metrics.gauge;
@@ -108,7 +107,6 @@ let session_handles name =
     h_requests = Mbr_obs.Metrics.counter ~labels "svc.session.requests";
     h_errors = Mbr_obs.Metrics.counter ~labels "svc.session.errors";
     h_resolved = Mbr_obs.Metrics.counter ~labels "flow.session.blocks_resolved";
-    h_reused = Mbr_obs.Metrics.counter ~labels "flow.session.blocks_reused";
     h_recover_rounds =
       Mbr_obs.Metrics.counter ~labels "flow.session.recover_rounds";
     h_recompose_s = Mbr_obs.Metrics.histogram ~labels "flow.session.recompose_s";
@@ -229,10 +227,19 @@ let profile_of req =
   | Some f when f > 0.0 && Float.is_finite f -> Prof.scaled base f
   | Some _ -> P.reject P.Bad_request "\"scale\" must be a positive number"
 
+(* [frac] scales every fraction of the default ECO batch, and each must
+   stay a fraction. The bound also keeps the batch proportional to the
+   design: each added register walks the register list, so an unbounded
+   [frac] would hold the worker and its session for good. *)
 let eco_config frac =
-  if not (Float.is_finite frac && frac >= 0.0) then
-    P.reject P.Bad_request "\"frac\" must be a non-negative number";
   let d = Eco.default_config in
+  let max_frac =
+    1.0
+    /. List.fold_left Float.max 0.0
+         [ d.Eco.move_frac; d.Eco.retype_frac; d.Eco.remove_frac; d.Eco.add_frac ]
+  in
+  if not (Float.is_finite frac && frac >= 0.0 && frac <= max_frac) then
+    P.reject P.Bad_request "\"frac\" must be a number in [0, %g]" max_frac;
   {
     Eco.move_frac = d.Eco.move_frac *. frac;
     move_sigma = d.Eco.move_sigma;
@@ -261,8 +268,7 @@ let recompose_payload (r : Flow.result) round =
       ("n_regs_merged", J.Num (float_of_int r.Flow.n_regs_merged));
       ("ilp_cost", J.Num r.Flow.ilp_cost);
       ("all_optimal", J.Bool r.Flow.all_optimal);
-      ("blocks_resolved", J.Num (float_of_int r.Flow.eco_blocks_resolved));
-      ("blocks_reused", J.Num (float_of_int r.Flow.eco_blocks_reused));
+      ("blocks_resolved", J.Num (float_of_int r.Flow.n_blocks));
       ("recover_rounds", J.Num (float_of_int r.Flow.recover_rounds));
       ("recover_splits", J.Num (float_of_int r.Flow.recover_splits));
       ("cancelled", J.Bool r.Flow.cancelled);
@@ -372,7 +378,6 @@ let exec_pending t sess p =
             P.pe_id = req.P.id;
             pe_stage = pg.Flow.pr_stage;
             pe_round = pg.Flow.pr_round;
-            pe_resolved = pg.Flow.pr_blocks_resolved;
             pe_total = pg.Flow.pr_blocks_total;
             pe_wns =
               (if Float.is_nan pg.Flow.pr_wns then None
@@ -388,8 +393,7 @@ let exec_pending t sess p =
       in
       (match sess.handles with
       | Some h when t.config.session_metrics ->
-        Mbr_obs.Metrics.incr ~by:r.Flow.eco_blocks_resolved h.h_resolved;
-        Mbr_obs.Metrics.incr ~by:r.Flow.eco_blocks_reused h.h_reused;
+        Mbr_obs.Metrics.incr ~by:r.Flow.n_blocks h.h_resolved;
         Mbr_obs.Metrics.incr ~by:r.Flow.recover_rounds h.h_recover_rounds;
         Mbr_obs.Metrics.observe h.h_recompose_s r.Flow.runtime_s;
         (* per-corner WNS, labeled session x corner *)

@@ -1314,14 +1314,14 @@ let grow t n' =
    Anything that could reorder the interior — a combinational cell
    appearing, or a new arc that contradicts the current order — bails
    to {!rebuild}, as does an edit batch whose touched-pin estimate
-   exceeds [rebuild_threshold] of the graph (a vanishing comb cell is
-   fine: a subgraph of a DAG keeps the DAG's topological order). The
-   splice's numeric repair is a plan patch plus the mark-skip scans, so
-   what remains over the batched full build is the per-net marking;
-   the break-even sits above half the graph. 0.6 keeps
-   composition-scale batches — a merge pass replacing a third of the
-   registers dirties ~half the pins — on the splice, and sends only
-   wholesale rewrites to {!rebuild}. *)
+   exceeds [rebuild_threshold] of the graph's pin count (a vanishing
+   comb cell is fine: a subgraph of a DAG keeps the DAG's topological
+   order). The estimate counts every pin of each dirty net (clock,
+   reset and scan-enable nets included, whole), the pins of added,
+   removed and retyped cells, and the placement revision delta, so a
+   merge pass's batch, whose merges touch the clock and reset nets, can
+   cross 0.6 and rebuild; a default ECO batch on D1 stays on the
+   splice. *)
 let rebuild_threshold = 0.6
 
 let refresh t =

@@ -159,13 +159,17 @@ val refresh : t -> unit
     Falls back to a full rebuild — counted by {!full_builds} — when a
     combinational cell was added, when a new arc contradicts the
     existing topological order, or when the touched-pin estimate
-    exceeds 0.6 of the graph's pins. A removed combinational cell stays
-    on the incremental path: a subgraph of a DAG keeps its topological
-    order. The repair runs the same scans as the skew sweeps, so its
-    break-even against the batched full build sits above half the
-    graph: composition-scale batches (a merge pass dirties ~half the
-    pins) stay on the incremental path and only wholesale rewrites
-    rebuild.
+    exceeds 0.6 of the graph's pin count (every pin id the design had
+    handed out by the engine's previous build or refresh). The estimate
+    adds up every pin of each dirty net (clock, reset and scan-enable
+    nets included, so one register joining or leaving such a net brings
+    in its whole pin list), the pins of every added, removed and retyped
+    cell, and the number of placement revisions since the previous
+    refresh. A removed combinational cell stays on the incremental
+    path: a subgraph of a DAG keeps its topological order. A
+    composition-scale batch can cross the threshold: after a merge pass
+    on D1, D2, D3 or D5 at scale 0.4, the refresh inside the skew stage
+    rebuilds (D4 stays incremental).
 
     Telemetry (no-op unless [Mbr_obs] is enabled): each non-trivial
     call runs under an ["sta.refresh"] trace span, whose end event

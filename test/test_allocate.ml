@@ -52,12 +52,6 @@ let row_graph n =
   done;
   { Compat.adj = Csr.Builder.finish g; infos }
 
-(* the allocator on a fresh cache: every block is solved *)
-let allocate ?mode ?config graph ~lib ~blocker_index =
-  fst
-    (Allocate.run_cached ?mode ?config (Allocate.create_cache ()) graph ~lib
-       ~blocker_index)
-
 let index_of graph =
   let idx = Spatial.create () in
   Array.iter (fun i -> Spatial.add idx i.Compat.cid i.Compat.center) graph.Compat.infos;
@@ -75,14 +69,14 @@ let exact_cover graph sel =
 
 let test_exact_cover_small () =
   let graph = row_graph 6 in
-  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
+  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
   check "exact cover" true (exact_cover graph sel);
   check "optimal" true sel.Allocate.all_optimal
 
 let test_full_merge_of_eight () =
   (* 8 clean 1-bit registers in a row tile into one 8-bit MBR *)
   let graph = row_graph 8 in
-  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
+  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
   checki "one merge" 1 (List.length sel.Allocate.merges);
   checki "nothing kept" 0 (List.length sel.Allocate.kept);
   (match sel.Allocate.merges with
@@ -94,8 +88,8 @@ let test_ilp_never_worse_than_greedy () =
     (fun n ->
       let graph = row_graph n in
       let idx = index_of graph in
-      let ilp = allocate ~mode:`Ilp graph ~lib ~blocker_index:idx in
-      let greedy = allocate ~mode:`Greedy_share graph ~lib ~blocker_index:idx in
+      let ilp = Allocate.run ~mode:`Ilp graph ~lib ~blocker_index:idx in
+      let greedy = Allocate.run ~mode:`Greedy_share graph ~lib ~blocker_index:idx in
       let regs sel =
         List.length sel.Allocate.merges + List.length sel.Allocate.kept
       in
@@ -107,7 +101,7 @@ let test_ilp_never_worse_than_greedy () =
 let test_partition_bound_respected () =
   let graph = row_graph 40 in
   let cfg = { Allocate.default_config with Allocate.partition_bound = 10 } in
-  let sel = allocate ~config:cfg graph ~lib ~blocker_index:(index_of graph) in
+  let sel = Allocate.run ~config:cfg graph ~lib ~blocker_index:(index_of graph) in
   check "multiple blocks" true (sel.Allocate.n_blocks >= 4);
   check "still exact cover" true (exact_cover graph sel);
   List.iter
@@ -118,7 +112,7 @@ let test_partition_bound_respected () =
 let test_bound_range () =
   let graph = row_graph 5 in
   let run bound =
-    allocate
+    Allocate.run
       ~config:{ Allocate.default_config with Allocate.partition_bound = bound }
       graph ~lib ~blocker_index:(index_of graph)
   in
@@ -133,7 +127,7 @@ let test_bound_range () =
 
 let test_empty_graph () =
   let graph = row_graph 0 in
-  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
+  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
   checki "no merges" 0 (List.length sel.Allocate.merges);
   checki "nothing kept" 0 (List.length sel.Allocate.kept)
 
@@ -141,7 +135,7 @@ let test_isolated_nodes_kept () =
   let infos = (row_graph 3).Compat.infos in
   (* no edges at all *)
   let graph = { Compat.adj = Csr.Builder.(finish (create 3)); infos } in
-  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
+  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
   checki "no merges possible" 0 (List.length sel.Allocate.merges);
   Alcotest.(check (list int)) "all kept" [ 0; 1; 2 ] sel.Allocate.kept
 
@@ -157,8 +151,8 @@ let test_generated_design_ilp_beats_greedy () =
       if Placement.is_placed g.G.placement cid then
         Spatial.add idx cid (Placement.center g.G.placement cid))
     (Design.registers g.G.design);
-  let ilp = allocate ~mode:`Ilp graph ~lib:g.G.library ~blocker_index:idx in
-  let greedy = allocate ~mode:`Greedy_share graph ~lib:g.G.library ~blocker_index:idx in
+  let ilp = Allocate.run ~mode:`Ilp graph ~lib:g.G.library ~blocker_index:idx in
+  let greedy = Allocate.run ~mode:`Greedy_share graph ~lib:g.G.library ~blocker_index:idx in
   let regs sel = List.length sel.Allocate.merges + List.length sel.Allocate.kept in
   check "exact cover (ilp)" true (exact_cover graph ilp);
   check "exact cover (greedy)" true (exact_cover graph greedy);

@@ -1,4 +1,4 @@
-(* Parallel-allocate determinism: Allocate.run_cached on a domain pool must
+(* Parallel-allocate determinism: Allocate.run on a domain pool must
    return bit-identically the same selection as the serial path, for
    every allocator mode, on hand-built graphs and on randomly generated
    designs (the acceptance bar for running the per-block ILP fan-out in
@@ -71,14 +71,11 @@ let index_of (graph : Compat.graph) =
     graph.Compat.infos;
   idx
 
-(* each run on a fresh cache, so every block is solved at [jobs] *)
 let run_with_jobs ~mode ~jobs ?(bound = 30) graph ~lib ~blocker_index =
   let config =
     { Allocate.default_config with Allocate.partition_bound = bound }
   in
-  fst
-    (Allocate.run_cached ~mode ~config ~jobs (Allocate.create_cache ()) graph
-       ~lib ~blocker_index)
+  Allocate.run ~mode ~config ~jobs graph ~lib ~blocker_index
 
 let test_row_graphs_all_modes () =
   (* bound 5 so even small rows produce several blocks to fan out *)
@@ -178,7 +175,7 @@ let design_inputs seed =
 
 let prop_parallel_equals_serial =
   QCheck2.Test.make ~count:8
-    ~name:"parallel run_cached = serial (random designs, all modes)"
+    ~name:"parallel run = serial (random designs, all modes)"
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let graph, lib, idx = design_inputs seed in

@@ -13,12 +13,9 @@
    tolerance. *)
 
 module Design = Mbr_netlist.Design
-module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
 module Corner = Mbr_sta.Corner
-module Spatial = Mbr_core.Spatial
 module Compat = Mbr_core.Compat
-module Allocate = Mbr_core.Allocate
 module Flow = Mbr_core.Flow
 module Metrics = Mbr_core.Metrics
 module G = Mbr_designgen.Generate
@@ -36,107 +33,45 @@ let profile seed = P.scaled (P.tiny ~seed) 0.5
 let options_of ~mode ~jobs =
   { Flow.default_options with Flow.mode; jobs = Some jobs }
 
-let blocker_index_of pl =
-  let dsg = Placement.design pl in
-  let index = Spatial.create () in
-  List.iter
-    (fun cid ->
-      if Placement.is_placed pl cid then
-        Spatial.add index cid (Placement.center pl cid))
-    (Design.registers dsg);
-  index
-
-(* ---- Allocate.run_cached ---- *)
-
-(* [sel] picks exactly [expected]'s covers: cost, kept registers and
-   every merge's members and weight. *)
-let check_same_selection (expected : Allocate.selection)
-    (sel : Allocate.selection) =
-  Alcotest.(check (float 0.0)) "cost" expected.Allocate.cost sel.Allocate.cost;
-  Alcotest.(check (list int)) "kept" expected.Allocate.kept sel.Allocate.kept;
-  Alcotest.(check int) "merge count"
-    (List.length expected.Allocate.merges)
-    (List.length sel.Allocate.merges);
-  List.iter2
-    (fun (a : Mbr_core.Candidate.t) (b : Mbr_core.Candidate.t) ->
-      Alcotest.(check (list int)) "members" a.members b.members;
-      Alcotest.(check (list int)) "member cids" a.member_cids b.member_cids;
-      Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
-    expected.Allocate.merges sel.Allocate.merges
-
-(* A warm cache picks what a fresh cache does: total reuse on an
-   unchanged graph, a total miss once every register's slack drifts
-   (the content key sees slacks, not just member cids), and identical
-   selections every time. *)
-let test_run_cached_identity () =
-  let g = G.generate (profile 3) in
-  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  let graph = Compat.build_graph eng g.G.library in
-  let index = blocker_index_of g.G.placement in
-  let fresh graph =
-    fst
-      (Allocate.run_cached (Allocate.create_cache ()) graph ~lib:g.G.library
-         ~blocker_index:index)
-  in
-  let plain = fresh graph in
-  let cache = Allocate.create_cache () in
-  let cold, s_cold =
-    Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
-  in
-  Alcotest.(check int) "cold: all resolved" plain.Allocate.n_blocks
-    s_cold.Allocate.blocks_resolved;
-  Alcotest.(check int) "cold: none reused" 0 s_cold.Allocate.blocks_reused;
-  let hit, s_hit =
-    Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
-  in
-  Alcotest.(check int) "hit: none resolved" 0 s_hit.Allocate.blocks_resolved;
-  Alcotest.(check int) "hit: all reused" plain.Allocate.n_blocks
-    s_hit.Allocate.blocks_reused;
-  Alcotest.(check int) "cache sized to the run" plain.Allocate.n_blocks
-    (Allocate.cache_size cache);
-  List.iter (check_same_selection plain) [ cold; hit ];
-  let drifted =
-    {
-      graph with
-      Compat.infos =
-        Array.map
-          (fun (i : Compat.reg_info) ->
-            { i with Compat.d_slack = i.Compat.d_slack +. 0.5 })
-          graph.Compat.infos;
-    }
-  in
-  let plain' = fresh drifted in
-  let miss, s_miss =
-    Allocate.run_cached cache drifted ~lib:g.G.library ~blocker_index:index
-  in
-  Alcotest.(check int) "drift: none reused" 0 s_miss.Allocate.blocks_reused;
-  Alcotest.(check int) "drift: all resolved" plain'.Allocate.n_blocks
-    s_miss.Allocate.blocks_resolved;
-  check_same_selection plain' miss
-
 (* ---- Flow.Session counters ---- *)
 
+(* The session's reuse counters are its compat-graph pass's: the first
+   recompose refreshes against Compat.empty, so every register is dirty
+   and no edge is copied; the second re-checks only the registers the
+   first pass changed and copies the edges among the others. *)
 let test_session_counters () =
   let g = G.generate (profile 7) in
   let session =
     Flow.Session.create ~design:g.G.design ~placement:g.G.placement
       ~library:g.G.library ~sta_config:g.G.sta_config ()
   in
-  let r1 = Flow.Session.recompose session in
-  Alcotest.(check int) "first recompose reuses nothing" 0 r1.Flow.eco_blocks_reused;
-  Alcotest.(check int) "first recompose resolves every block" r1.Flow.n_blocks
-    r1.Flow.eco_blocks_resolved;
+  Alcotest.(check bool) "no compat stats before a recompose" true
+    (Flow.Session.last_compat_stats session = None);
+  let stats () =
+    match Flow.Session.last_compat_stats session with
+    | Some s -> s
+    | None -> Alcotest.fail "no compat stats after a recompose"
+  in
+  ignore (Flow.Session.recompose session);
   Alcotest.(check int) "one recompose recorded" 1 (Flow.Session.recomposes session);
-  let r2 = Flow.Session.recompose session in
-  Alcotest.(check int) "counters cover the partition" r2.Flow.n_blocks
-    (r2.Flow.eco_blocks_resolved + r2.Flow.eco_blocks_reused);
-  Alcotest.(check bool) "compat refresh ran" true
-    (Flow.Session.last_compat_stats session <> None)
+  let first = stats () in
+  Alcotest.(check int) "first pass: every register dirty"
+    first.Compat.nodes_total first.Compat.nodes_dirty;
+  Alcotest.(check int) "first pass: no edge copied" 0 first.Compat.edges_copied;
+  ignore (Flow.Session.recompose session);
+  let second = stats () in
+  Alcotest.(check bool) "second pass: some registers clean" true
+    (second.Compat.nodes_dirty < second.Compat.nodes_total);
+  Alcotest.(check bool) "second pass: edges among them copied" true
+    (second.Compat.edges_copied > 0)
 
 (* A recompose with no intervening edits reaches a fixed point: once a
-   previous recompose made no merges, the next one sees bit-identical
-   register snapshots and must reuse every block. *)
-let test_session_fixed_point_reuses_all () =
+   previous recompose made no merges and resized nothing, the next one
+   sees bit-identical register snapshots, so it too merges nothing and
+   measures what the previous one did: the after snapshot (every field,
+   floats by their bits: marshalled without sharing, a float is its 8
+   bytes) and the ILP cost. *)
+let test_session_fixed_point () =
   let g = G.generate (profile 7) in
   let session =
     Flow.Session.create ~design:g.G.design ~placement:g.G.placement
@@ -152,28 +87,12 @@ let test_session_fixed_point_reuses_all () =
   let settled = converge 5 (Flow.Session.recompose session) in
   Alcotest.(check int) "composition converged" 0 settled.Flow.n_merges;
   let next = Flow.Session.recompose session in
-  Alcotest.(check int) "fixed point: nothing resolved" 0
-    next.Flow.eco_blocks_resolved;
-  Alcotest.(check int) "fixed point: everything reused" next.Flow.n_blocks
-    next.Flow.eco_blocks_reused
-
-(* A localized ECO on a converged session re-solves some blocks but
-   not all of them (the counters the bench sweep relies on). *)
-let test_session_localized_eco_reuses_some () =
-  let g = G.generate (P.tiny ~seed:19) in
-  let session =
-    Flow.Session.create ~design:g.G.design ~placement:g.G.placement
-      ~library:g.G.library ~sta_config:g.G.sta_config ()
-  in
-  ignore (Flow.Session.recompose session);
-  ignore (Flow.Session.recompose session);
-  ignore (Flow.Session.recompose session);
-  let rng = Rng.create 23 in
-  ignore (Eco.perturb ~config:{ Eco.default_config with Eco.move_frac = 0.05 } rng g);
-  let r = Flow.Session.recompose session in
-  Alcotest.(check bool) "some blocks reused" true (r.Flow.eco_blocks_reused > 0);
-  Alcotest.(check bool) "strictly fewer blocks resolved than exist" true
-    (r.Flow.eco_blocks_resolved < r.Flow.n_blocks)
+  Alcotest.(check int) "fixed point: no merges" 0 next.Flow.n_merges;
+  let bytes (m : Metrics.t) = Marshal.to_string m [ Marshal.No_sharing ] in
+  Alcotest.(check bool) "fixed point: same after snapshot" true
+    (bytes next.Flow.after = bytes settled.Flow.after);
+  Alcotest.(check bool) "fixed point: same ILP cost" true
+    (same_bits next.Flow.ilp_cost settled.Flow.ilp_cost)
 
 (* ---- ownership (the single-writer discipline) ---- *)
 
@@ -321,11 +240,6 @@ let compare_results ~seed ~round (ra : Flow.result) (rb : Flow.result) =
   if not (same_bits ma.Metrics.tns mb.Metrics.tns) then
     fail "seed %d round %d: tns %h vs %h" seed round ma.Metrics.tns
       mb.Metrics.tns;
-  if
-    ra.Flow.eco_blocks_resolved + ra.Flow.eco_blocks_reused <> ra.Flow.n_blocks
-  then
-    fail "seed %d round %d: counters %d + %d do not cover %d blocks" seed round
-      ra.Flow.eco_blocks_resolved ra.Flow.eco_blocks_reused ra.Flow.n_blocks;
   if ra.Flow.recover_rounds <> rb.Flow.recover_rounds then
     fail "seed %d round %d: recovery rounds %d vs %d" seed round
       ra.Flow.recover_rounds rb.Flow.recover_rounds;
@@ -444,20 +358,18 @@ let multicorner_recompose_equivalence =
 let () =
   Alcotest.run "mbr_core.flow_eco"
     [
-      ( "allocate-cache",
-        [ Alcotest.test_case "run_cached identity + reuse" `Quick
-            test_run_cached_identity ] );
       ( "session",
         [
           Alcotest.test_case "reuse counters" `Quick test_session_counters;
-          Alcotest.test_case "fixed point reuses all blocks" `Quick
-            test_session_fixed_point_reuses_all;
-          Alcotest.test_case "localized ECO reuses some blocks" `Quick
-            test_session_localized_eco_reuses_some;
           Alcotest.test_case "ownership discipline" `Quick
             test_session_ownership;
           Alcotest.test_case "cancelled recompose leaves session usable" `Quick
             test_cancelled_recompose_session_usable;
+        ] );
+      ( "idle-recompose",
+        [
+          Alcotest.test_case "fixed point repeats its result" `Quick
+            test_session_fixed_point;
         ] );
       ( "names",
         [

@@ -200,6 +200,12 @@ let test_smoke () =
   let r = get_ok (C.recompose c ~session:"s" ()) in
   check "recompose merged" true (int_field "n_merges" r >= 0);
   checki "round counter" 1 (int_field "round" r);
+  (* a frac taking a default ECO fraction past 1 is refused, and the
+     session keeps serving *)
+  check "perturb frac past the bound" true
+    ((get_err (C.perturb c ~session:"s" ~frac:11.0 ())).P.code = P.Bad_request);
+  checki "session serves after the refusal" 2
+    (int_field "round" (get_ok (C.recompose c ~session:"s" ())));
   (* errors: unknown session, missing session param, raw garbage *)
   check "unknown session" true
     ((get_err (C.perturb c ~session:"ghost" ())).P.code = P.Unknown_session);
@@ -398,17 +404,15 @@ let test_progress_stream_wire () =
   in
   Alcotest.(check (list string))
     "round 0 walks the Fig.-4 pipeline" fig4_stages round0;
-  (* monotonicity: rounds and block counters never go backwards *)
+  (* monotonicity: rounds and the block counter never go backwards *)
   let rec monotone = function
     | a :: (b :: _ as rest) ->
       a.P.pe_round <= b.P.pe_round
-      && a.P.pe_resolved <= b.P.pe_resolved
+      && a.P.pe_total <= b.P.pe_total
       && monotone rest
     | _ -> true
   in
-  check "rounds and resolved counts are monotone" true (monotone events);
-  check "resolved <= total" true
-    (List.for_all (fun e -> e.P.pe_resolved <= e.P.pe_total) events);
+  check "rounds and block totals are monotone" true (monotone events);
   ignore (get_ok (C.shutdown c))
 
 let test_progress_typed_client () =

@@ -56,7 +56,8 @@
    [sta.plan.patch] span's [rows] and fails when a single patch wrote
    rows for at least half the design's pins; it prints the round's
    [sta.plan.rows_patched] total. These are counts, not timings;
-   the round's eco-reset, skew, scan-restitch and metrics stage times,
+   the round's eco-reset, compat-graph, allocate, skew, scan-restitch
+   and metrics stage times,
    the net count, and Session.create's wall time (the engine build and
    its initial analysis), are printed for the log.
 
@@ -165,12 +166,14 @@ let () =
   let eco_metrics_s = stage_s eco "metrics-before" +. stage_s eco "metrics-after" in
   let n_pins = Design.n_pins dsg in
   Printf.printf
-    "scale-smoke: eco round: eco-reset %.2f s, skew %.2f s, scan-restitch \
-     %.3f s, metrics %.3f s (nets swept %d of %d), plan builds %d, patches \
+    "scale-smoke: eco round: eco-reset %.2f s, compat-graph %.3f s, \
+     allocate %.3f s, skew %.2f s, scan-restitch %.3f s, metrics %.3f s \
+     (nets swept %d of %d), plan builds %d, patches \
      %d (rows %d, at most %d in one), refreshes %d (dirty pins %d of %d, at \
      most %d in one); STA full builds %d; nets %d (+%d for %d new scan-out \
      pins)\n%!"
-    (stage_s eco "eco-reset") (stage_s eco "skew") (stage_s eco "scan-restitch")
+    (stage_s eco "eco-reset") (stage_s eco "compat-graph")
+    (stage_s eco "allocate") (stage_s eco "skew") (stage_s eco "scan-restitch")
     eco_metrics_s eco_swept (Design.n_nets dsg) eco_builds eco_patches eco_rows
     (max_of patch_rows) eco_refreshes eco_dirty n_pins (max_of refresh_dirty)
     eco.Flow.sta_full_builds (Design.n_nets dsg) eco_nets !new_so;

@@ -35,7 +35,7 @@
 
    --events validates a captured progress-event stream (mbrc client
    --progress stderr): every event line well-formed with one shared
-   request id, rounds and cumulative block counters non-decreasing,
+   request id, rounds and the cumulative block total non-decreasing,
    stages in Fig.-4 pipeline order within each round, and round 0
    visiting every stage. Non-JSON lines are ignored (stderr carries
    other chatter). *)
@@ -393,7 +393,6 @@ type pev = {
   e_id : int;
   e_stage : string;
   e_round : int;
-  e_resolved : int;
   e_total : int;
 }
 
@@ -413,19 +412,10 @@ let check_events path =
               let int k = Option.bind (J.member k j) J.to_int in
               (match
                  ( str "event", int "id", str "stage", int "round",
-                   int "blocks_resolved", int "blocks_total" )
+                   int "blocks_total" )
                with
-              | Some "progress", Some id, Some stage, Some round, Some res,
-                Some tot ->
-                [
-                  {
-                    e_id = id;
-                    e_stage = stage;
-                    e_round = round;
-                    e_resolved = res;
-                    e_total = tot;
-                  };
-                ]
+              | Some "progress", Some id, Some stage, Some round, Some tot ->
+                [ { e_id = id; e_stage = stage; e_round = round; e_total = tot } ]
               | _ -> fail "events: malformed progress event: %s" line))
       lines
   in
@@ -435,25 +425,20 @@ let check_events path =
     (fun e ->
       if e.e_id <> id0 then fail "events: mixed request ids %d and %d" id0 e.e_id;
       if not (List.mem e.e_stage stage_order) then
-        fail "events: unknown stage %S" e.e_stage;
-      if e.e_resolved < 0 || e.e_total < 0 || e.e_resolved > e.e_total then
-        fail "events: blocks_resolved %d / blocks_total %d inconsistent"
-          e.e_resolved e.e_total)
+        fail "events: unknown stage %S" e.e_stage)
     events;
-  (* rounds and the cumulative block counters never go backwards *)
+  (* rounds and the cumulative block total never go backwards (from 0,
+     so a negative total fails too) *)
   ignore
     (List.fold_left
-       (fun (pr, pres, ptot) e ->
+       (fun (pr, ptot) e ->
          if e.e_round < pr then
            fail "events: round went backwards (%d after %d)" e.e_round pr;
-         if e.e_resolved < pres then
-           fail "events: blocks_resolved went backwards (%d after %d)"
-             e.e_resolved pres;
          if e.e_total < ptot then
            fail "events: blocks_total went backwards (%d after %d)" e.e_total
              ptot;
-         (e.e_round, e.e_resolved, e.e_total))
-       (0, 0, 0) events);
+         (e.e_round, e.e_total))
+       (0, 0) events);
   (* per-round stage order follows Fig. 4; the main pass (round 0)
      enters every stage *)
   let rounds : (int, string list) Hashtbl.t = Hashtbl.create 4 in
